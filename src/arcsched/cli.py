@@ -31,10 +31,10 @@ from .instance import (
     group_job_types,
     parse_instance,
     parse_schedule,
+    singleton_types,
     sort_machine_wspt,
     write_instance,
     write_schedule,
-    wspt_order,
 )
 
 SOLVER_ENV = "ARCSCHED_SOLVER_CMD"
@@ -102,47 +102,42 @@ def _read_instance(path: str) -> Instance:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
-def _build_graph(inst: Instance, form: str, args) -> flowgraph.FlowGraph:
+def _flow_network(inst: Instance, form: str, args) -> tuple[list[JobType], flowgraph.FlowGraph]:
+    """Types and flow network of form af or eaf.
+
+    af is eaf with every reduction off: one type per job in WSPT order,
+    windows [0, T - p_j] and T' = 0. The --no-* flags switch single
+    reductions off for eaf.
+    """
     hor = bounds_mod.horizon(inst)
-    if form == "af":
-        return flowgraph.build_af_graph(inst, hor.T, strict_figure=args.strict_figure)
-    types = _types_for(inst, args)
-    if args.no_windows:
+    straight = form == "af"
+    types = singleton_types(inst) if straight or args.no_types else group_job_types(inst)
+    if straight or args.no_windows:
         windows = [(0, hor.T - t.p) for t in types]
     else:
-        tw = bounds_mod.time_windows(inst, hor.T)
-        windows = bounds_mod.type_time_windows(types, tw)
-    t_prime = 0 if args.no_tprime else None
-    return flowgraph.build_eaf_graph(
+        windows = bounds_mod.type_time_windows(types, bounds_mod.time_windows(inst, hor.T))
+    t_prime = 0 if straight or args.no_tprime else None
+    graph = flowgraph.build_eaf_graph(
         inst, hor, types, windows, strict_figure=args.strict_figure, t_prime=t_prime
     )
+    return types, graph
 
 
-def _build_model(inst: Instance, form: str, args) -> tuple[milp.MilpModel, flowgraph.FlowGraph | None]:
-    hor = bounds_mod.horizon(inst)
-    if form == "ti":
-        return milp.build_ti(inst, hor.T), None
+def _build_model(
+    inst: Instance, form: str, args
+) -> tuple[milp.MilpModel, list[JobType] | None, flowgraph.FlowGraph | None]:
+    """Model of ``form``, plus its types and network for the flow forms."""
+    if form in ("af", "eaf"):
+        types, graph = _flow_network(inst, form, args)
+        return milp.build_eaf_model(graph, types, inst.m), types, graph
     if form == "ciqp":
-        return milp.build_ciqp(inst), None
+        return milp.build_ciqp(inst), None, None
+    T = bounds_mod.horizon(inst).T
+    if form == "ti":
+        return milp.build_ti(inst, T), None, None
     if form == "pti":
-        return milp.build_pti(inst, hor.T), None
-    if form == "af":
-        g = _build_graph(inst, "af", args)
-        return milp.build_af_model(g, inst), g
-    if form == "eaf":
-        g = _build_graph(inst, "eaf", args)
-        types = _types_for(inst, args)
-        return milp.build_eaf_model(g, types, inst.m), g
+        return milp.build_pti(inst, T), None, None
     raise ValueError(f"unknown form {form!r}")
-
-
-def _types_for(inst: Instance, args) -> list[JobType]:
-    if getattr(args, "no_types", False):
-        return [
-            JobType(p=inst.job(j).p, w=inst.job(j).w, d=1, members=(j,))
-            for j in wspt_order(inst)
-        ]
-    return group_job_types(inst)
 
 
 def _positive_int(text: str) -> int:
@@ -196,7 +191,7 @@ def cmd_model(args) -> int:
     inst = _read_instance(args.infile)
     timer = _Timer(report)
     with timer("build"):
-        model, graph = _build_model(inst, args.form, args)
+        model, _, graph = _build_model(inst, args.form, args)
     with timer("emit"):
         if args.format == "lp":
             text = milp.emit_lp(model)
@@ -236,7 +231,7 @@ def cmd_compare(args) -> int:
             inst = generate_instance(args.n, args.m, args.pmax, args.wmax, seed)
             counts = {}
             for form in ("ti", "af", "eaf"):
-                model, _ = _build_model(inst, form, args)
+                model, _, _ = _build_model(inst, form, args)
                 counts[form] = len(model.variables)
             rows.append((seed, counts["ti"], counts["af"], counts["eaf"]))
     mean = lambda idx: sum(r[idx] for r in rows) / len(rows)
@@ -319,20 +314,11 @@ def cmd_solve_exact(args) -> int:
 
 
 def _schedule_valuation(inst: Instance, sched: Schedule, form: str, args):
-    hor = bounds_mod.horizon(inst)
     if form == "ti":
-        model = milp.build_ti(inst, hor.T)
-        valuation = milp.schedule_to_assignment(inst, sched, "ti", T=hor.T)
-        return model, valuation
-    graph = _build_graph(inst, form, args)
-    if form == "af":
-        model = milp.build_af_model(graph, inst)
-        valuation = milp.schedule_to_assignment(inst, sched, "af", graph=graph)
-    else:
-        types = _types_for(inst, args)
-        model = milp.build_eaf_model(graph, types, inst.m)
-        valuation = milp.schedule_to_assignment(inst, sched, "eaf", graph=graph, types=types)
-    return model, valuation
+        T = bounds_mod.horizon(inst).T
+        return milp.build_ti(inst, T), milp.schedule_to_assignment(inst, sched, "ti", T=T)
+    model, types, graph = _build_model(inst, form, args)
+    return model, milp.schedule_to_assignment(inst, sched, "eaf", graph=graph, types=types)
 
 
 def cmd_check(args) -> int:
@@ -395,16 +381,9 @@ def _decode_ti_solution(inst: Instance, valuation) -> Schedule:
 
 
 def _decode_flow_solution(inst: Instance, graph, types, valuation, m: int) -> Schedule:
-    arc_flow = {}
-    for name, value in valuation.items():
-        v = Fraction(value)
-        rounded = int(v + Fraction(1, 2)) if v > 0 else 0
-        if abs(v - rounded) > Fraction(1, 10**6):
-            raise ExternalSolverError(f"non-integral flow {value} on {name}")
-        if rounded:
-            arc_flow[name] = rounded
-    flow = milp.valuation_to_flow(graph, {n: v for n, v in arc_flow.items()})
-    paths = flowgraph.decompose_flow(graph, flow, m, types=types)
+    """Schedule from a feasible valuation whose values are already integral."""
+    flow = milp.valuation_to_flow(graph, valuation)
+    paths = flowgraph.decompose_flow(graph, flow, m, types)
     # over-covered jobs ride along at zero marginal cost in ties; keep first use
     seen: set[int] = set()
     machines = []
@@ -428,7 +407,7 @@ def cmd_solve_external(args) -> int:
         raise ExternalSolverError(f"no solver command; pass --solver-cmd or set {SOLVER_ENV}")
     timer = _Timer(report)
     with timer("build"):
-        model, graph = _build_model(inst, args.form, args)
+        model, types, graph = _build_model(inst, args.form, args)
     with tempfile.TemporaryDirectory(prefix="arcsched_") as tmp:
         model_path = Path(tmp) / "model.lp"
         solution_path = Path(tmp) / "model.sol"
@@ -463,9 +442,7 @@ def cmd_solve_external(args) -> int:
         if args.form == "ti":
             sched = _decode_ti_solution(inst, valuation)
         else:
-            types = _types_for(inst, args) if args.form == "eaf" else None
-            flow_val = {n: v for n, v in valuation.items() if n != "ONE"}
-            sched = _decode_flow_solution(inst, graph, types, flow_val, inst.m)
+            sched = _decode_flow_solution(inst, graph, types, valuation, inst.m)
     objective = evaluate_schedule(inst, sched)
     if args.out:
         Path(args.out).write_text(write_schedule(inst, sched), encoding="utf-8")
@@ -561,8 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cmd", None) == "model" and args.form == "ciqp" and args.format == "mps":
-        parser.error("form ciqp has a quadratic objective; MPS is unsupported, use --format lp")
+    if getattr(args, "cmd", None) == "model":
+        if args.form == "ciqp" and args.format == "mps":
+            parser.error("form ciqp has a quadratic objective; MPS is unsupported, use --format lp")
+        if args.dot and args.form not in ("af", "eaf"):
+            parser.error(f"form {args.form} has no flow network; --dot needs af or eaf")
     try:
         return args.func(args)
     except (ParseError, ValidationError, bounds_mod.InfeasibleWindowError,

@@ -6,9 +6,10 @@ time of a job (or job type) and start-time reachability is restricted to
 WSPT-compatible prefixes; loss arcs jump from a completion time straight
 to T and absorb trailing idle time.
 
-Two constructions are provided: the straight network over per-job arcs,
-and the reduced network over job types with start windows and a tightened
-loss-arc range [T', T).
+One construction serves both networks: the reduced network over job
+types with start windows and a tightened loss-arc range [T', T). The
+straight per-job network is its special case with one type per job,
+full windows [0, T - p_j] and T' = 0.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import Horizon
-from .instance import Instance, JobType, wspt_order
+from .instance import Instance, JobType
 
 LOSS = 0
 
@@ -81,34 +82,6 @@ def normal_patterns(p_list: list[tuple[int, int]], T: int) -> list[int]:
     return [t for t, ok in enumerate(reachable) if ok]
 
 
-def build_af_graph(inst: Instance, T: int, strict_figure: bool = False) -> FlowGraph:
-    """Straight per-job network.
-
-    Jobs are scanned in WSPT order; for each job, every already reachable
-    time t <= T - p_j spawns the arc (t, t + p_j) and marks its head. Loss
-    arcs (t, T) are added for every reachable t < T; ``strict_figure``
-    additionally drops the t = 0 loss arc (the drawing convention in
-    which an idle machine has no path).
-    """
-    if T < inst.p_max:
-        raise InfeasibleHorizonError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
-    reachable = [False] * (T + 1)
-    reachable[0] = True
-    arcs: list[Arc] = []
-    for j in wspt_order(inst):
-        p = inst.job(j).p
-        for t in range(T - p, -1, -1):
-            if reachable[t]:
-                reachable[t + p] = True
-                arcs.append(Arc(t, t + p, j, "job", 1))
-    low = 1 if strict_figure else 0
-    for t in range(low, T):
-        if reachable[t]:
-            arcs.append(Arc(t, T, LOSS, "loss", inst.m))
-    nodes = sorted({t for t, ok in enumerate(reachable) if ok} | {0, T})
-    return FlowGraph(T=T, nodes=tuple(nodes), arcs=tuple(arcs))
-
-
 def build_eaf_graph(
     inst: Instance,
     hor: Horizon,
@@ -125,11 +98,17 @@ def build_eaf_graph(
     model arcs are the unit-length arcs (s, s + p_j) of capacity d_j, one
     per distinct valid copy start s.
 
-    Loss arcs (t, T) exist for reachable t in [T', T); the extra (0, T)
-    loss arc is kept so that an idle machine still has a path, unless
-    ``strict_figure`` drops it.
+    Loss arcs (t, T) exist for reachable t in [T', T) plus t = 0, which
+    keeps a path for an idle machine; ``strict_figure`` always drops the
+    t = 0 loss arc (the drawing convention in which an idle machine has no
+    path). ``t_prime`` overrides ``hor.T_prime``.
+
+    The straight per-job network is this construction with one type per
+    job in WSPT order, windows [0, T - p_j] and ``t_prime=0``.
     """
     T = hor.T
+    if T < inst.p_max:
+        raise InfeasibleHorizonError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
     tp = hor.T_prime if t_prime is None else t_prime
     reachable = [False] * (T + 1)
     reachable[0] = True
@@ -148,13 +127,9 @@ def build_eaf_graph(
                 starts.add(s)
         for s in sorted(starts):
             arcs.append(Arc(s, s + p, tidx, "job", jt.d))
-    loss_from: set[int] = set()
-    for t in range(max(tp, 0), T):
-        if reachable[t]:
-            loss_from.add(t)
-    if not strict_figure:
-        loss_from.add(0)
-    for t in sorted(loss_from):
+    loss_from = [] if strict_figure else [0]
+    loss_from += [t for t in range(max(tp, 1), T) if reachable[t]]
+    for t in loss_from:
         arcs.append(Arc(t, T, LOSS, "loss", inst.m))
     nodes = sorted({t for t, ok in enumerate(reachable) if ok} | {0, T})
     return FlowGraph(T=T, nodes=tuple(nodes), arcs=tuple(arcs))
@@ -195,13 +170,13 @@ def decompose_flow(
     g: FlowGraph,
     flow: dict[Arc, int],
     m: int,
-    types: list[JobType] | None = None,
+    types: list[JobType],
 ) -> list[list[int]]:
     """Split an integral flow of value m into m source-to-sink paths.
 
-    Returns one job-id sequence per path. Arc labels are job ids directly;
-    when ``types`` is given, labels are 1-based type indices and each flow
-    unit consumes the smallest remaining member id of its type.
+    Returns one job-id sequence per path. Arc labels are 1-based indices
+    into ``types``; each flow unit consumes the smallest remaining member
+    id of its type.
 
     Raises:
         ValueError: flow violates a capacity or node conservation.
@@ -230,7 +205,7 @@ def decompose_flow(
     for lst in outgoing.values():
         lst.sort(key=lambda a: (a.kind != "job", a.label, a.head))
 
-    pools = {i: list(t.members) for i, t in enumerate(types, start=1)} if types is not None else None
+    pools = {i: list(t.members) for i, t in enumerate(types, start=1)}
 
     paths: list[list[int]] = []
     for _ in range(m):
@@ -242,10 +217,7 @@ def decompose_flow(
                 raise ValueError(f"walk stuck at node {node} with no residual out-arc")
             residual[arc] -= 1
             if arc.kind == "job":
-                if pools is None:
-                    path.append(arc.label)
-                else:
-                    path.append(pools[arc.label].pop(0))
+                path.append(pools[arc.label].pop(0))
             node = arc.head
         paths.append(path)
     if any(v > 0 for v in residual.values()):

@@ -214,6 +214,11 @@ def group_job_types(inst: Instance) -> list[JobType]:
     return [JobType(p=p, w=w, d=len(groups[(p, w)]), members=tuple(sorted(groups[(p, w)]))) for p, w in ordered]
 
 
+def singleton_types(inst: Instance) -> list[JobType]:
+    """One type per job, in WSPT order: job-type merging switched off."""
+    return [JobType(p=inst.job(j).p, w=inst.job(j).w, d=1, members=(j,)) for j in wspt_order(inst)]
+
+
 def _check_partition(inst: Instance, sched: Schedule) -> None:
     seen: set[int] = set()
     for machine in sched.machines:

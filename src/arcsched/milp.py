@@ -12,10 +12,10 @@ ciqp  binaries x_{j}_{k}: job j runs on machine k; quadratic objective
       from the WSPT completion-time recursion.
 pti   continuous x_{j}_{k}_{t}: unit parts of j finished at t on k, plus
       assignment binaries y_{j}_{k}.
-af    one binary per job arc of the straight network, integer loss
-      variables L_{q}.
 eaf   integer variables per type arc of the reduced network, bounded by
-      the type multiplicity.
+      the type multiplicity, plus integer loss variables L_{q}. The
+      straight network ``af`` is built by the same code with every
+      reduction off (one type per job, full windows, T' = 0).
 
 Objective constants (the sum of w_j * p_j terms) are carried on the model
 record; emission realizes them through an auxiliary variable ONE fixed to
@@ -214,22 +214,6 @@ def _flow_conservation(model: MilpModel, g: FlowGraph, m: int) -> None:
     for q in g.nodes:
         rhs = m if q == 0 else -m if q == g.T else 0
         model.add_constraint(f"flow_{q}", incident[q], "=", rhs)
-
-
-def build_af_model(g: FlowGraph, inst: Instance) -> MilpModel:
-    """Straight network model: binary per job arc, covering per job."""
-    model = MilpModel(name=f"af_n{inst.n}_m{inst.m}")
-    for arc in g.arcs:
-        if arc.kind == "job":
-            model.add_var(_arc_var(arc), 0, 1, BINARY, obj=inst.job(arc.label).w * arc.tail)
-        else:
-            model.add_var(_arc_var(arc), 0, arc.capacity, INTEGER)
-    model.obj_constant = sum(j.w * j.p for j in inst.jobs)
-    _flow_conservation(model, g, inst.m)
-    by_label = _job_arc_terms(g)
-    for job in inst.jobs:
-        model.add_constraint(f"cover_{job.id}", by_label.get(job.id, []), ">=", 1)
-    return model.validate()
 
 
 def build_eaf_model(g: FlowGraph, types: list[JobType], m: int) -> MilpModel:
@@ -510,9 +494,9 @@ def schedule_to_assignment(
 ) -> Valuation:
     """Translate a schedule into a valuation of the matching model.
 
-    kind 'ti' needs T; 'af' needs the straight graph; 'eaf' needs the
-    reduced graph and the type table. Machines are read in their given
-    processing order.
+    kind 'ti' needs T; 'eaf' needs the flow network and its type table
+    (the straight network is one with one type per job). Machines are
+    read in their given processing order.
 
     Raises:
         MappingError: a start or completion time has no model variable,
@@ -531,24 +515,23 @@ def schedule_to_assignment(
             valuation[f"x_{j}_{s}"] = 1
         return valuation
 
-    if kind not in ("af", "eaf"):
+    if kind != "eaf":
         raise ValueError(f"unknown kind {kind!r}")
-    if graph is None or (kind == "eaf" and types is None):
-        raise ValueError(f"kind {kind!r} needs the matching graph (and types for 'eaf')")
+    if graph is None or types is None:
+        raise ValueError("kind 'eaf' needs the graph and its types")
 
     arc_names = {(_a.tail, _a.head, _a.label) for _a in graph.arcs if _a.kind == "job"}
     loss_tails = {_a.tail for _a in graph.arcs if _a.kind == "loss"}
     type_of: dict[int, int] = {}
-    if kind == "eaf":
-        for tidx, jt in enumerate(types, start=1):
-            for member in jt.members:
-                type_of[member] = tidx
+    for tidx, jt in enumerate(types, start=1):
+        for member in jt.members:
+            type_of[member] = tidx
 
     for machine in sched.machines:
         t = 0
         for j in machine:
             p = inst.job(j).p
-            label = j if kind == "af" else type_of[j]
+            label = type_of[j]
             if (t, t + p, label) not in arc_names:
                 raise MappingError(f"no arc for job {j} starting at {t} (label {label})")
             name = f"x_{t}_{t + p}_{label}"

@@ -1,8 +1,27 @@
+from dataclasses import replace
+
 import pytest
 
-from arcsched.instance import Instance, make_instance, parse_instance
+from arcsched.bounds import horizon
+from arcsched.flowgraph import FlowGraph, build_eaf_graph
+from arcsched.instance import Instance, JobType, make_instance, parse_instance, singleton_types
 
 DEMO_TEXT = "4 2\n2 4\n5 7\n1 1\n4 3\n"
+
+
+def straight_network(
+    inst: Instance, T: int | None = None, strict_figure: bool = False
+) -> tuple[FlowGraph, list[JobType]]:
+    """The straight per-job network: the reduced network with every reduction off.
+
+    One type per job in WSPT order, windows [0, T - p_j] and T' = 0, over
+    the instance's horizon unless ``T`` is given. Arc labels are WSPT
+    ranks; the returned types map them back to job ids.
+    """
+    hor = horizon(inst) if T is None else replace(horizon(inst), T=T)
+    types = singleton_types(inst)
+    windows = [(0, hor.T - t.p) for t in types]
+    return build_eaf_graph(inst, hor, types, windows, strict_figure=strict_figure, t_prime=0), types
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from arcsched.bounds import horizon, horizon_T, horizon_Tprime, time_windows, type_time_windows
-from arcsched.flowgraph import build_af_graph, build_eaf_graph, graph_stats, normal_patterns
+from arcsched.flowgraph import build_eaf_graph, graph_stats, normal_patterns
 from arcsched.heuristic import IlsConfig, ils
 from arcsched.instance import (
     Schedule,
@@ -24,7 +24,6 @@ from arcsched.instance import (
 )
 from arcsched.milp import (
     MappingError,
-    build_af_model,
     build_eaf_model,
     build_ti,
     check_feasible,
@@ -35,7 +34,7 @@ from arcsched.milp import (
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
 
-from conftest import DEMO_TEXT
+from conftest import DEMO_TEXT, straight_network
 
 DEMO_OPT = Schedule(machines=((1, 3, 4), (2,)))
 
@@ -64,9 +63,9 @@ def eaf_context(inst):
 
 def test_criterion_1_golden_network(demo, report):
     best_ms = min(_timed_af_build(demo) for _ in range(10))
-    g = build_af_graph(demo, 8)
+    g, _ = straight_network(demo, 8)
     stats = graph_stats(g)
-    strict = graph_stats(build_af_graph(demo, 8, strict_figure=True))
+    strict = graph_stats(straight_network(demo, 8, strict_figure=True)[0])
     ok = (
         stats.node_count == 9
         and stats.job_arc_count == 11
@@ -84,7 +83,7 @@ def test_criterion_1_golden_network(demo, report):
 
 def _timed_af_build(demo) -> float:
     t0 = time.perf_counter()
-    build_af_graph(demo, 8)
+    straight_network(demo, 8)
     return (time.perf_counter() - t0) * 1000.0
 
 
@@ -97,9 +96,10 @@ def test_criterion_2_optimum_reproduction(demo, report, tmp_path):
     mapped["ti"] = check_feasible(
         build_ti(demo, T), schedule_to_assignment(demo, DEMO_OPT, "ti", T=T)
     )
-    g = build_af_graph(demo, T)
+    g, types = straight_network(demo, T)
     mapped["af"] = check_feasible(
-        build_af_model(g, demo), schedule_to_assignment(demo, DEMO_OPT, "af", graph=g)
+        build_eaf_model(g, types, demo.m),
+        schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=g, types=types),
     )
     ge, types = eaf_context(demo)
     mapped["eaf"] = check_feasible(
@@ -166,15 +166,15 @@ def test_criterion_4_equivalence_surrogate(report):
         result = brute_force_optimal(inst, enumerate_all=True)
         T = horizon(inst).T
         models = {"ti": (build_ti(inst, T), {"T": T})}
-        g = build_af_graph(inst, T)
-        models["af"] = (build_af_model(g, inst), {"graph": g})
+        g, types = straight_network(inst, T)
+        models["af"] = (build_eaf_model(g, types, inst.m), {"graph": g, "types": types})
         ge, types = eaf_context(inst)
         models["eaf"] = (build_eaf_model(ge, types, inst.m), {"graph": ge, "types": types})
         for kind, (model, ctx) in models.items():
             best = None
             for sched in result.all_optima:
                 try:
-                    valuation = schedule_to_assignment(inst, sched, kind, **ctx)
+                    valuation = schedule_to_assignment(inst, sched, "ti" if kind == "ti" else "eaf", **ctx)
                 except MappingError:
                     continue
                 rep = check_feasible(model, valuation)
@@ -194,7 +194,8 @@ def test_criterion_5_variable_count_reproduction(report):
         inst = generate_instance(n=n, m=2, p_max=20, w_max=20, seed=seed)
         T = horizon(inst).T
         n_ti = len(build_ti(inst, T).variables)
-        n_af = len(build_af_model(build_af_graph(inst, T), inst).variables)
+        g, types = straight_network(inst, T)
+        n_af = len(build_eaf_model(g, types, inst.m).variables)
         ge, types = eaf_context(inst)
         n_eaf = len(build_eaf_model(ge, types, inst.m).variables)
         return n_ti, n_af, n_eaf

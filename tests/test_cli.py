@@ -98,6 +98,15 @@ class TestModel:
             "--out", str(tmp_path / "m.lp"), "--dot", str(dot))
         assert dot.read_text(encoding="utf-8").startswith("digraph")
 
+    @pytest.mark.parametrize("form", ["ti", "ciqp", "pti"])
+    def test_dot_without_flow_network_usage_error(self, form, demo_file, tmp_path):
+        dot = tmp_path / "g.dot"
+        with pytest.raises(SystemExit) as exc:
+            main(["model", "--in", str(demo_file), "--form", form,
+                  "--out", str(tmp_path / "m.lp"), "--dot", str(dot)])
+        assert exc.value.code == 2
+        assert not dot.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["model", "--in", str(tmp_path / "absent.txt"), "--form", "ti",
                      "--out", str(tmp_path / "m.lp")])
@@ -150,15 +159,33 @@ class TestReductionToggles:
             assert self.variables(capsys, demo_file, tmp_path, flag) >= full
 
     def test_all_toggles_off_matches_af_arc_count(self, tmp_path, capsys):
-        # with every reduction disabled on an all-distinct instance, the
-        # reduced network still prunes nothing the straight one keeps
+        # af is eaf with every reduction disabled: same counts, same bytes
         f = tmp_path / "i.txt"
         f.write_text("5 2\n2 7\n3 6\n4 3\n5 2\n6 1\n", encoding="utf-8")
-        _, text_af = run(capsys, "model", "--in", str(f), "--form", "af",
-                         "--out", str(tmp_path / "a.lp"))
-        af_vars = int(next(l for l in text_af.splitlines() if l.startswith("variables:")).split()[1])
-        eaf_vars = self.variables(capsys, f, tmp_path, "--no-windows", "--no-types", "--no-tprime")
-        assert eaf_vars == af_vars
+        all_off = ("--no-windows", "--no-types", "--no-tprime")
+        for strict in ((), ("--strict-figure",)):
+            written = {}
+            for form, flags in (("af", ()), ("eaf", all_off)):
+                files = []
+                for fmt in ("lp", "mps"):
+                    out, dot = tmp_path / f"{form}.{fmt}", tmp_path / f"{form}.dot"
+                    _, text = run(capsys, "model", "--in", str(f), "--form", form, "--format", fmt,
+                                  "--out", str(out), "--dot", str(dot), *flags, *strict)
+                    counts = [l for l in text.splitlines() if l.split(":")[0] in
+                              ("variables", "constraints", "nodes", "job_arcs", "loss_arcs")]
+                    files.append((counts, out.read_bytes(), dot.read_bytes()))
+                written[form] = files
+            assert written["af"] == written["eaf"], strict
+
+    def test_strict_figure_drops_zero_loss_arc_without_tprime(self, demo_file, tmp_path, capsys):
+        dot = tmp_path / "g.dot"
+        _, text = run(capsys, "model", "--in", str(demo_file), "--form", "eaf",
+                      "--out", str(tmp_path / "m.lp"), "--dot", str(dot),
+                      "--strict-figure", "--no-tprime")
+        assert "loss_arcs: 7" in text
+        assert "variables: 17" in text
+        assert "  0 -> 8 [style=dashed];" not in dot.read_text(encoding="utf-8")
+        assert self.variables(capsys, demo_file, tmp_path, "--no-tprime") == 18
 
 
 class TestSolveHeur:

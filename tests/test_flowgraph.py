@@ -7,7 +7,6 @@ from arcsched.flowgraph import (
     Arc,
     FlowGraph,
     InfeasibleHorizonError,
-    build_af_graph,
     build_eaf_graph,
     decompose_flow,
     graph_stats,
@@ -17,6 +16,8 @@ from arcsched.flowgraph import (
 )
 from arcsched.instance import generate_instance, group_job_types, make_instance, wspt_order
 from arcsched.rng import SplitMix64
+
+from conftest import straight_network
 
 
 def subset_sums(parts: list[int], T: int) -> set[int]:
@@ -55,34 +56,34 @@ class TestNormalPatterns:
 
 class TestAfGraph:
     def test_demo_counts(self, demo):
-        g = build_af_graph(demo, 8)
+        g, _ = straight_network(demo, 8)
         stats = graph_stats(g)
         assert stats.node_count == 9
         assert stats.job_arc_count == 11
         assert stats.loss_arc_count == 8
 
     def test_demo_strict_figure_loss_count(self, demo):
-        g = build_af_graph(demo, 8, strict_figure=True)
+        g, _ = straight_network(demo, 8, strict_figure=True)
         assert graph_stats(g).loss_arc_count == 7
         assert all(a.tail >= 1 for a in g.loss_arcs())
 
     def test_single_job(self):
         inst = make_instance(1, [(3, 1)])
-        g = build_af_graph(inst, 3)
+        g, _ = straight_network(inst, 3)
         assert g.nodes == (0, 3)
         assert [(a.tail, a.head, a.label) for a in g.job_arcs()] == [(0, 3, 1)]
         assert [(a.tail, a.head) for a in g.loss_arcs()] == [(0, 3)]
 
     def test_horizon_too_small(self, demo):
         with pytest.raises(InfeasibleHorizonError):
-            build_af_graph(demo, 4)
+            straight_network(demo, 4)
 
     def test_every_job_has_an_arc(self):
         for seed in range(20):
             inst = generate_instance(n=10, m=2, p_max=12, w_max=12, seed=seed)
-            g = build_af_graph(inst, horizon(inst).T)
-            labels = {a.label for a in g.job_arcs()}
-            assert labels == set(range(1, 11))
+            g, types = straight_network(inst)
+            jobs = {types[a.label - 1].members[0] for a in g.job_arcs()}
+            assert jobs == set(range(1, 11))
 
     def test_tails_reachable_by_earlier_wspt_jobs(self):
         # replay the construction: each arc of job j must start at a sum of
@@ -90,20 +91,20 @@ class TestAfGraph:
         for seed in range(10):
             inst = generate_instance(n=9, m=2, p_max=10, w_max=10, seed=seed)
             T = horizon(inst).T
-            g = build_af_graph(inst, T)
+            g, types = straight_network(inst, T)
             order = wspt_order(inst)
             reachable = {0}
-            arcs_by_label = {}
+            arcs_by_job = {}
             for a in g.job_arcs():
-                arcs_by_label.setdefault(a.label, set()).add(a.tail)
+                arcs_by_job.setdefault(types[a.label - 1].members[0], set()).add(a.tail)
             for j in order:
                 p = inst.job(j).p
-                assert arcs_by_label[j] == {t for t in reachable if t + p <= T}
+                assert arcs_by_job[j] == {t for t in reachable if t + p <= T}
                 reachable |= {t + p for t in reachable if t + p <= T}
 
     def test_no_duplicate_arcs_and_tail_lt_head(self):
         inst = generate_instance(n=10, m=3, p_max=8, w_max=8, seed=4)
-        g = build_af_graph(inst, horizon(inst).T)
+        g, _ = straight_network(inst)
         triples = [(a.tail, a.head, a.label) for a in g.arcs]
         assert len(triples) == len(set(triples))
         assert all(a.tail < a.head for a in g.arcs)
@@ -152,18 +153,18 @@ class TestEafGraph:
     def test_eaf_never_larger_than_af(self):
         for seed in range(50):
             inst = generate_instance(n=12, m=2 + seed % 3, p_max=15, w_max=15, seed=seed)
-            af = graph_stats(build_af_graph(inst, horizon(inst).T))
+            af = graph_stats(straight_network(inst)[0])
             eaf = graph_stats(eaf_pipeline(inst)[0])
             assert eaf.variable_count <= af.variable_count
             assert set(eaf_pipeline(inst)[0].nodes) <= set(
-                build_af_graph(inst, horizon(inst).T).nodes
+                straight_network(inst)[0].nodes
             ) | {horizon(inst).T}
 
 
 class TestStats:
     def test_single_job_graph(self):
         inst = make_instance(1, [(3, 1)])
-        stats = graph_stats(build_af_graph(inst, 3))
+        stats = graph_stats(straight_network(inst, 3)[0])
         assert (stats.node_count, stats.job_arc_count, stats.loss_arc_count) == (2, 1, 1)
         assert stats.variable_count == 2
 
@@ -174,11 +175,11 @@ class TestStats:
 class TestDot:
     def test_single_arc_contract(self):
         inst = make_instance(1, [(3, 1)])
-        text = to_dot(build_af_graph(inst, 3))
+        text = to_dot(straight_network(inst, 3)[0])
         assert '0 -> 3 [label="j1"]' in text
 
     def test_demo_statement_counts(self, demo):
-        text = to_dot(build_af_graph(demo, 8))
+        text = to_dot(straight_network(demo, 8)[0])
         lines = text.splitlines()
         edges = [l for l in lines if "->" in l]
         nodes = [l for l in lines if l.strip().rstrip(";").isdigit()]
@@ -186,13 +187,14 @@ class TestDot:
         assert len(edges) == 19
 
     def test_deterministic(self, demo):
-        a = to_dot(build_af_graph(demo, 8))
-        b = to_dot(build_af_graph(demo, 8))
+        a = to_dot(straight_network(demo, 8)[0])
+        b = to_dot(straight_network(demo, 8)[0])
         assert a == b
 
 
 class TestDecompose:
     def demo_flow(self, g):
+        # labels are WSPT ranks; on the demo they equal the job ids
         def arc(t, h, label, kind):
             return next(
                 a for a in g.arcs if (a.tail, a.head, a.label, a.kind) == (t, h, label, kind)
@@ -208,8 +210,8 @@ class TestDecompose:
         }
 
     def test_demo_paths(self, demo):
-        g = build_af_graph(demo, 8)
-        paths = decompose_flow(g, self.demo_flow(g), 2)
+        g, types = straight_network(demo, 8)
+        paths = decompose_flow(g, self.demo_flow(g), 2, types)
         assert paths == [[1, 3, 4], [2]]
 
     def test_two_identical_jobs_capacity_two(self):
@@ -222,29 +224,29 @@ class TestDecompose:
 
     def test_idle_machine_via_zero_loss_arc(self):
         inst = make_instance(1, [(3, 1)])
-        g = build_af_graph(inst, 3)
+        g, types = straight_network(inst, 3)
         loss = next(a for a in g.loss_arcs() if a.tail == 0)
         job = next(iter(g.job_arcs()))
         # flow of value 1: only the loss arc carries it
-        assert decompose_flow(g, {loss: 1}, 1) == [[]]
-        assert decompose_flow(g, {job: 1}, 1) == [[1]]
+        assert decompose_flow(g, {loss: 1}, 1, types) == [[]]
+        assert decompose_flow(g, {job: 1}, 1, types) == [[1]]
 
     def test_conservation_violation_rejected(self, demo):
-        g = build_af_graph(demo, 8)
+        g, types = straight_network(demo, 8)
         flow = self.demo_flow(g)
         bad = dict(flow)
         first = next(iter(bad))
         del bad[first]
         with pytest.raises(ValueError, match="conserve"):
-            decompose_flow(g, bad, 2)
+            decompose_flow(g, bad, 2, types)
 
     def test_capacity_violation_rejected(self, demo):
-        g = build_af_graph(demo, 8)
+        g, types = straight_network(demo, 8)
         flow = self.demo_flow(g)
         job_arc = next(a for a in flow if a.kind == "job")
         flow[job_arc] = 2
         with pytest.raises(ValueError, match="outside"):
-            decompose_flow(g, flow, 2)
+            decompose_flow(g, flow, 2, types)
 
 
 class TestFlowRoundTrip:
@@ -273,13 +275,13 @@ class TestFlowRoundTrip:
 
         for seed in range(15):
             inst = generate_instance(n=7 + seed % 3, m=2 + seed % 2, p_max=10, w_max=10, seed=seed)
-            g = build_af_graph(inst, horizon(inst).T)
+            g, types = straight_network(inst)
             result = brute_force_optimal(inst, enumerate_all=True)
             for sched in result.all_optima:
                 if max(sum(inst.job(j).p for j in mm) for mm in sched.machines) > g.T:
                     continue
-                valuation = schedule_to_assignment(inst, sched, "af", graph=g)
-                paths = decompose_flow(g, valuation_to_flow(g, valuation), inst.m)
+                valuation = schedule_to_assignment(inst, sched, "eaf", graph=g, types=types)
+                paths = decompose_flow(g, valuation_to_flow(g, valuation), inst.m, types)
                 assert sorted(j for path in paths for j in path) == list(range(1, inst.n + 1))
                 assert self.starts_by_type(inst, paths) == self.starts_by_type(inst, sched.machines)
                 assert self.completions(inst, paths) == self.completions(inst, sched.machines)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from arcsched.bounds import horizon, time_windows, type_time_windows
-from arcsched.flowgraph import build_af_graph, build_eaf_graph
+from arcsched.flowgraph import build_eaf_graph
 from arcsched.instance import (
     Schedule,
     ValidationError,
@@ -17,12 +17,10 @@ from arcsched.instance import (
     sort_machine_wspt,
 )
 from arcsched.milp import (
-    BINARY,
     INTEGER,
     MappingError,
     MilpModel,
     UnsupportedFormatError,
-    build_af_model,
     build_ciqp,
     build_eaf_model,
     build_pti,
@@ -36,12 +34,14 @@ from arcsched.milp import (
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
 
+from conftest import straight_network
+
 DEMO_OPT = Schedule(machines=((1, 3, 4), (2,)))
 
 
 def af_context(inst):
-    g = build_af_graph(inst, horizon(inst).T)
-    return g, build_af_model(g, inst)
+    g, types = straight_network(inst)
+    return g, types, build_eaf_model(g, types, inst.m)
 
 
 def eaf_context(inst):
@@ -137,17 +137,18 @@ class TestBuildPti:
 
 class TestAfModel:
     def test_demo_counts(self, demo):
-        _, model = af_context(demo)
-        kinds = [v.kind for v in model.variables]
-        assert kinds.count(BINARY) == 11
-        assert kinds.count(INTEGER) == 8
+        _, _, model = af_context(demo)
+        job_vars = [v for v in model.variables if v.name.startswith("x_")]
+        assert len(job_vars) == 11
+        assert all(v.kind == INTEGER and v.ub == 1 for v in job_vars)
+        assert sum(v.name.startswith("L_") and v.kind == INTEGER for v in model.variables) == 8
         names = [c.name for c in model.constraints]
         assert sum(n.startswith("flow_") for n in names) == 9
-        assert sum(n.startswith("cover_") for n in names) == 4
+        assert sum(n.startswith("demand_") for n in names) == 4
 
     def test_demo_optimal_valuation(self, demo):
-        g, model = af_context(demo)
-        valuation = schedule_to_assignment(demo, DEMO_OPT, "af", graph=g)
+        g, types, model = af_context(demo)
+        valuation = schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=g, types=types)
         report = check_feasible(model, valuation)
         assert report.feasible
         assert report.objective == 67
@@ -155,7 +156,7 @@ class TestAfModel:
 
     def test_single_job_source_conservation(self):
         inst = make_instance(1, [(3, 5)])
-        _, model = af_context(inst)
+        _, _, model = af_context(inst)
         flow0 = next(c for c in model.constraints if c.name == "flow_0")
         assert sorted(flow0.terms) == [("L_0", 1), ("x_0_3_1", 1)]
         assert flow0.sense == "=" and flow0.rhs == 1
@@ -193,7 +194,7 @@ class TestVariableCounts:
             inst = generate_instance(n=12, m=2 + seed % 3, p_max=15, w_max=15, seed=seed)
             T = horizon(inst).T
             n_ti = len(build_ti(inst, T).variables)
-            n_af = len(af_context(inst)[1].variables)
+            n_af = len(af_context(inst)[2].variables)
             n_eaf = len(eaf_context(inst)[2].variables)
             assert n_eaf <= n_af <= n_ti
 
@@ -214,7 +215,7 @@ class TestEmitLp:
         assert lines[-1] == "End"
 
     def test_deterministic(self, demo):
-        _, model = af_context(demo)
+        _, _, model = af_context(demo)
         assert emit_lp(model) == emit_lp(model)
 
     def test_constant_realized_via_fixed_variable(self, demo):
@@ -270,16 +271,16 @@ class TestScheduleToAssignment:
 
     def test_empty_machine_gets_zero_loss(self):
         inst = make_instance(2, [(3, 5)])
-        g = build_af_graph(inst, horizon(inst).T)
+        g, types = straight_network(inst)
         sched = Schedule(machines=((1,), ()))
-        valuation = schedule_to_assignment(inst, sched, "af", graph=g)
+        valuation = schedule_to_assignment(inst, sched, "eaf", graph=g, types=types)
         assert valuation["L_0"] == 1
 
     def test_non_wspt_order_raises_mapping_error(self, demo):
-        g = build_af_graph(demo, 8)
+        g, types = straight_network(demo, 8)
         shifted = Schedule(machines=((3, 1, 4), (2,)))  # job 1 would start at 1
         with pytest.raises(MappingError, match="job 1"):
-            schedule_to_assignment(demo, shifted, "af", graph=g)
+            schedule_to_assignment(demo, shifted, "eaf", graph=g, types=types)
 
     def test_eaf_start_outside_window_raises(self, demo):
         g, types, _ = eaf_context(demo)
@@ -310,8 +311,8 @@ class TestCheckFeasible:
             objs = []
             model = build_ti(inst, T)
             objs.append(check_feasible(model, schedule_to_assignment(inst, sched, "ti", T=T)))
-            g, model_af = af_context(inst)
-            objs.append(check_feasible(model_af, schedule_to_assignment(inst, sched, "af", graph=g)))
+            g, types, model_af = af_context(inst)
+            objs.append(check_feasible(model_af, schedule_to_assignment(inst, sched, "eaf", graph=g, types=types)))
             ge, types, model_eaf = eaf_context(inst)
             objs.append(
                 check_feasible(model_eaf, schedule_to_assignment(inst, sched, "eaf", graph=ge, types=types))
@@ -341,8 +342,8 @@ class TestObjectiveAgreement:
                 model = build_ti(inst, T)
                 rep = check_feasible(model, schedule_to_assignment(inst, sched, "ti", T=T))
                 assert rep.feasible and rep.objective == value
-                g, model_af = af_context(inst)
-                rep = check_feasible(model_af, schedule_to_assignment(inst, sched, "af", graph=g))
+                g, types, model_af = af_context(inst)
+                rep = check_feasible(model_af, schedule_to_assignment(inst, sched, "eaf", graph=g, types=types))
                 assert rep.feasible and rep.objective == value
         assert mapped >= 50
 
@@ -382,7 +383,7 @@ class TestLpRoundTripSolve:
         return {k: round(v) for k, v in valuation.items() if k in declared and round(v)}
 
     def test_demo_af_lp_solves_to_67(self, demo, tmp_path):
-        g, model = af_context(demo)
+        _, _, model = af_context(demo)
         report = check_feasible(model, self.solve(model, tmp_path))
         assert report.feasible
         assert report.objective == 67
@@ -400,7 +401,7 @@ class TestLpRoundTripSolve:
             inst = generate_instance(n=7, m=2, p_max=10, w_max=10, seed=900 + seed)
             opt = brute_force_optimal(inst).optimum
             T = horizon(inst).T
-            models = {"ti": build_ti(inst, T), "af": af_context(inst)[1], "eaf": eaf_context(inst)[2]}
+            models = {"ti": build_ti(inst, T), "af": af_context(inst)[2], "eaf": eaf_context(inst)[2]}
             for form, model in models.items():
                 valuation = self.solve(model, tmp_path / f"{form}{seed}")
                 report = check_feasible(model, valuation)
