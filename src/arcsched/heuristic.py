@@ -9,13 +9,36 @@ Neighborhoods: shift (move one job), swap(1,1) (exchange one job each
 way), swap(2,1) (two jobs against one). The descent draws a random
 neighborhood, takes its best neighbor, and restarts the neighborhood list
 on strict improvement.
+
+Moves are priced without building neighbors. Each scan first takes, per
+machine with ranks b, prefix sums P[i] of p over b[:i] and suffix sums
+S[i] of w over b[i:]. Removing the job r at position i then changes the
+machine's cost by -(w_r (P[i] + p_r) + p_r S[i+1]), and inserting r at
+q = bisect_right(b, r) by w_r (P[q] + p_r) + p_r S[q]. When one job x
+leaves a machine that another job z enters, z's insertion is corrected
+by -p_x w_z if x precedes z in WSPT order and by -p_z w_x otherwise; a
+swap pays that correction once on each machine, -2 p_lo w_hi in total.
+In swap(2,1) the two jobs x < y that leave machine a meet again on
+machine b, so the cross term p_x w_y enters twice: once for the
+removal from a and once for the insertion into b. All deltas are exact
+integers, equal to recomputing both machines. A scan costs O(n) for the
+sums, then O(n m log n) for shift, O(n^2) for swap(1,1), and O(n^2)
+Python steps for swap(2,1), each a vector add and min over the n/m jobs
+of the receiving machine. Only the winning move's rank lists are built.
+
+The scan order and the first-strictly-best tie-break are fixed, so a
+seed and an iteration budget determine the whole search: the chosen
+moves, the generator draws and the resulting schedule.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
 from .instance import Instance, Schedule, evaluate_schedule, wspt_order
 from .rng import SplitMix64
@@ -40,8 +63,8 @@ class IlsConfig:
             raise ValueError("alpha must be within [0, 1]")
         if self.strength < 1:
             raise ValueError("perturbation strength must be >= 1")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time budget must be positive")
+        if self.time_limit is not None and not (math.isfinite(self.time_limit) and self.time_limit > 0):
+            raise ValueError("time budget must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -54,7 +77,7 @@ class IlsResult:
 class _Work:
     """Mutable search state: machines as ascending lists of WSPT ranks."""
 
-    __slots__ = ("p", "w", "ids", "machines", "costs")
+    __slots__ = ("p", "w", "ids", "machines")
 
     def __init__(self, inst: Instance):
         order = wspt_order(inst)
@@ -62,18 +85,6 @@ class _Work:
         self.w = [inst.job(j).w for j in order]
         self.ids = order
         self.machines: list[list[int]] = [[] for _ in range(inst.m)]
-        self.costs = [0] * inst.m
-
-    def machine_cost(self, ranks: list[int]) -> int:
-        t = cost = 0
-        for r in ranks:
-            t += self.p[r]
-            cost += self.w[r] * t
-        return cost
-
-    def set_machine(self, k: int, ranks: list[int]) -> None:
-        self.machines[k] = ranks
-        self.costs[k] = self.machine_cost(ranks)
 
     def to_schedule(self) -> Schedule:
         return Schedule(machines=tuple(tuple(self.ids[r] for r in ranks) for ranks in self.machines))
@@ -83,7 +94,7 @@ class _Work:
         work = cls(inst)
         rank_of = {j: r for r, j in enumerate(work.ids)}
         for k, machine in enumerate(sched.machines):
-            work.set_machine(k, sorted(rank_of[j] for j in machine))
+            work.machines[k] = sorted(rank_of[j] for j in machine)
         return work
 
 
@@ -105,76 +116,90 @@ def grasp_construct(inst: Instance, rng: SplitMix64, alpha: float) -> Schedule:
             threshold = lo + alpha * (hi - lo)
             candidates = [i for i, load in enumerate(loads) if load <= threshold]
             k = candidates[rng.below(len(candidates))]
-        work.machines[k].append(r)
+        work.machines[k].append(r)  # ranks arrive in order, so each list stays ascending
         loads[k] += work.p[r]
-    for k in range(inst.m):
-        work.set_machine(k, work.machines[k])  # ranks appended in order; already ascending
     return work.to_schedule()
 
 
 def _best_move(work: _Work, neighborhood: int) -> tuple[int, int, int, list[int], list[int]] | None:
     """Best (most negative delta) move in a neighborhood, or None if empty.
 
-    Returns (delta, ka, kb, new_ranks_a, new_ranks_b).
+    Returns (delta, ka, kb, new_ranks_a, new_ranks_b). Candidates are
+    scanned in a fixed order and the first strictly best one wins.
     """
-    m = len(work.machines)
-    best: tuple[int, int, int, list[int], list[int]] | None = None
+    p, w, machines = work.p, work.w, work.machines
+    m = len(machines)
+    prefix, suffix, removal = [], [], []
+    for ranks in machines:
+        P = list(accumulate((p[r] for r in ranks), initial=0))
+        S = list(accumulate((w[r] for r in reversed(ranks)), initial=0))[::-1]
+        prefix.append(P)
+        suffix.append(S)
+        removal.append([-(w[r] * (P[i] + p[r]) + p[r] * S[i + 1]) for i, r in enumerate(ranks)])
 
-    def consider(ka: int, kb: int, new_a: list[int], new_b: list[int]) -> None:
-        nonlocal best
-        delta = (
-            work.machine_cost(new_a)
-            + work.machine_cost(new_b)
-            - work.costs[ka]
-            - work.costs[kb]
-        )
-        if best is None or delta < best[0]:
-            best = (delta, ka, kb, new_a, new_b)
+    def insertion(k: int, r: int) -> int:
+        q = bisect_right(machines[k], r)
+        return w[r] * (prefix[k][q] + p[r]) + p[r] * suffix[k][q]
 
+    def pair_tables(ka: int, kb: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
+        """Parts of the swap deltas between machines ka (ranks a) and kb (ranks b).
+
+        C[i] prices a[i] leaving ka for kb, F[u] prices b[u] leaving kb
+        for ka, and G[i][u] = -2 p_lo w_hi corrects the pair a[i], b[u].
+        Returns C, H with H[i][u] = F[u] + G[i][u], and G: a swap(1,1)
+        costs C[i] + H[i][u], a swap(2,1) of a[i], a[j] against b[u]
+        costs C[i] + C[j] + 2 p_a[i] w_a[j] + H[i][u] + G[j][u].
+        """
+        a, b = machines[ka], machines[kb]
+        C = [removal[ka][i] + insertion(kb, x) for i, x in enumerate(a)]
+        F = [removal[kb][u] + insertion(ka, y) for u, y in enumerate(b)]
+        G = [[-2 * p[x] * w[y] if x < y else -2 * p[y] * w[x] for y in b] for x in a]
+        return C, [list(map(add, F, row)) for row in G], G
+
+    best: tuple[int, int, int, tuple[int, ...], tuple[int, ...]] | None = None
     if neighborhood == SHIFT:
-        for ka in range(m):
-            a = work.machines[ka]
+        for ka, a in enumerate(machines):
             for i, r in enumerate(a):
-                rest = a[:i] + a[i + 1 :]
                 for kb in range(m):
                     if kb == ka:
                         continue
-                    new_b = list(work.machines[kb])
-                    insort(new_b, r)
-                    consider(ka, kb, rest, new_b)
+                    delta = removal[ka][i] + insertion(kb, r)
+                    if best is None or delta < best[0]:
+                        best = (delta, ka, kb, (i,), ())
     elif neighborhood == SWAP11:
         for ka in range(m):
             for kb in range(ka + 1, m):
-                a, b = work.machines[ka], work.machines[kb]
-                for i, ra in enumerate(a):
-                    for jdx, rb in enumerate(b):
-                        new_a = a[:i] + a[i + 1 :]
-                        insort(new_a, rb)
-                        new_b = b[:jdx] + b[jdx + 1 :]
-                        insort(new_b, ra)
-                        consider(ka, kb, new_a, new_b)
+                if not machines[ka] or not machines[kb]:
+                    continue
+                C, H, _ = pair_tables(ka, kb)
+                for i, row in enumerate(H):
+                    low = min(row)
+                    if best is None or C[i] + low < best[0]:
+                        best = (C[i] + low, ka, kb, (i,), (row.index(low),))
     elif neighborhood == SWAP21:
-        for ka in range(m):
-            a = work.machines[ka]
+        for ka, a in enumerate(machines):
             if len(a) < 2:
                 continue
             for kb in range(m):
-                if kb == ka or not work.machines[kb]:
+                if kb == ka or not machines[kb]:
                     continue
-                b = work.machines[kb]
+                C, H, G = pair_tables(ka, kb)
                 for i in range(len(a)):
-                    for jdx in range(i + 1, len(a)):
-                        base_a = a[:i] + a[i + 1 : jdx] + a[jdx + 1 :]
-                        for u, rb in enumerate(b):
-                            new_a = list(base_a)
-                            insort(new_a, rb)
-                            new_b = b[:u] + b[u + 1 :]
-                            insort(new_b, a[i])
-                            insort(new_b, a[jdx])
-                            consider(ka, kb, new_a, new_b)
+                    for j in range(i + 1, len(a)):
+                        low = min(map(add, H[i], G[j]))
+                        delta = C[i] + C[j] + 2 * p[a[i]] * w[a[j]] + low
+                        if best is None or delta < best[0]:
+                            u = list(map(add, H[i], G[j])).index(low)
+                            best = (delta, ka, kb, (i, j), (u,))
     else:
         raise ValueError(f"unknown neighborhood {neighborhood}")
-    return best
+    if best is None:
+        return None
+    delta, ka, kb, out_a, out_b = best
+    a, b = machines[ka], machines[kb]
+    new_a = sorted([r for i, r in enumerate(a) if i not in out_a] + [b[u] for u in out_b])
+    new_b = sorted([r for u, r in enumerate(b) if u not in out_b] + [a[i] for i in out_a])
+    return delta, ka, kb, new_a, new_b
 
 
 def _rvnd_work(work: _Work, rng: SplitMix64) -> None:
@@ -184,8 +209,8 @@ def _rvnd_work(work: _Work, rng: SplitMix64) -> None:
         best = _best_move(work, pending[idx])
         if best is not None and best[0] < 0:
             _, ka, kb, new_a, new_b = best
-            work.set_machine(ka, new_a)
-            work.set_machine(kb, new_b)
+            work.machines[ka] = new_a
+            work.machines[kb] = new_b
             pending = list(_ALL_NEIGHBORHOODS)
         else:
             pending.pop(idx)
@@ -207,18 +232,19 @@ def perturb(inst: Instance, sched: Schedule, rng: SplitMix64, strength: int) -> 
     if inst.m == 1:
         return sched
     work = _Work.from_schedule(inst, sched)
+    machine_of = [0] * inst.n
+    for k, ranks in enumerate(work.machines):
+        for r in ranks:
+            machine_of[r] = k
     for _ in range(strength):
         r = rng.below(inst.n)
-        ka = next(k for k, ranks in enumerate(work.machines) if r in ranks)
+        ka = machine_of[r]
         kb = rng.below(inst.m - 1)
         if kb >= ka:
             kb += 1
-        a = list(work.machines[ka])
-        a.remove(r)
-        b = list(work.machines[kb])
-        insort(b, r)
-        work.set_machine(ka, a)
-        work.set_machine(kb, b)
+        work.machines[ka].remove(r)
+        insort(work.machines[kb], r)
+        machine_of[r] = kb
     return work.to_schedule()
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from arcsched.cli import main
+from arcsched.heuristic import IlsConfig
 from arcsched.instance import parse_instance, parse_schedule
 
 from conftest import DEMO_TEXT
@@ -211,6 +212,16 @@ class TestSolveHeur:
                          "--time", "0.05", "--out", str(tmp_path / "s.txt"))
         assert code == 0
         assert "deterministic: no" in text
+
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_time_is_an_input_error(self, demo_file, tmp_path, capsys, budget):
+        # the config must refuse the budget; if it did not, the run would never stop
+        with pytest.raises(ValueError):
+            IlsConfig(seed=5, time_limit=float(budget))
+        code = main(["solve-heur", "--in", str(demo_file), "--seed", "5",
+                     "--time", budget, "--out", str(tmp_path / "s.txt")])
+        assert code == 3
+        assert "time budget" in capsys.readouterr().err
 
 
 class TestSolveExact:

@@ -1,6 +1,22 @@
-import pytest
+import math
+from bisect import insort
 
-from arcsched.heuristic import IlsConfig, grasp_construct, ils, perturb, rvnd
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arcsched.heuristic import (
+    SHIFT,
+    SWAP11,
+    SWAP21,
+    IlsConfig,
+    _best_move,
+    _Work,
+    grasp_construct,
+    ils,
+    perturb,
+    rvnd,
+)
 from arcsched.instance import (
     Schedule,
     evaluate_schedule,
@@ -149,3 +165,255 @@ class TestConfig:
             IlsConfig(seed=1, strength=0)
         with pytest.raises(ValueError):
             IlsConfig(seed=1, time_limit=0)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, budget):
+        with pytest.raises(ValueError):
+            IlsConfig(seed=1, time_limit=budget)
+
+
+# Recorded with the list-copy move evaluation that the prefix-sum deltas
+# replaced: the search must take exactly the same moves and draws.
+# (n, m, p_max, w_max, instance seed, ILS seed, iterations, alpha),
+# the monitor's best value per iteration, the final schedule.
+GOLDEN_ILS = [
+    (
+        (50, 4, 100, 100, 1, 1, 16, 0.3),
+        [572615] * 16,
+        (
+            (50, 45, 42, 14, 1, 17, 49, 20, 4, 33, 12, 13, 31),
+            (36, 22, 3, 43, 11, 7, 23, 21, 34, 46, 26, 41, 28, 48),
+            (47, 27, 6, 19, 9, 16, 30, 32, 24, 8, 29, 44),
+            (15, 5, 18, 39, 10, 25, 38, 37, 2, 35, 40),
+        ),
+    ),
+    (
+        (50, 4, 100, 100, 2, 2, 16, 0.3),
+        [523563] * 8 + [523558] * 8,
+        (
+            (15, 5, 27, 43, 17, 2, 4, 13, 47, 36, 42, 30, 32, 34, 19),
+            (33, 50, 37, 35, 1, 3, 24, 7, 23, 18, 8),
+            (11, 25, 49, 40, 45, 39, 12, 48, 29, 41, 28, 20),
+            (22, 46, 9, 26, 6, 14, 44, 16, 10, 31, 38, 21),
+        ),
+    ),
+    (
+        (20, 8, 50, 50, 3, 3, 40, 0.3),
+        [18108] * 8 + [18107] * 32,
+        (
+            (5, 20, 14),
+            (10, 8, 2),
+            (17, 16, 9),
+            (13, 18),
+            (3, 6),
+            (1, 19, 7),
+            (15, 12),
+            (4, 11),
+        ),
+    ),
+    (
+        (30, 2, 50, 50, 4, 4, 30, 0.3),
+        [118998] * 30,
+        (
+            (22, 5, 1, 19, 3, 21, 30, 18, 6, 26, 17, 27, 24, 9, 20, 16),
+            (23, 15, 13, 14, 7, 28, 8, 29, 2, 4, 25, 12, 10, 11),
+        ),
+    ),
+    (
+        (15, 1, 50, 50, 5, 5, 5, 0.3),
+        [44294] * 5,
+        (
+            (11, 13, 12, 10, 3, 1, 15, 5, 8, 9, 7, 4, 2, 6, 14),
+        ),
+    ),
+    (
+        (25, 3, 50, 50, 6, 6, 30, 0.0),
+        [40891] * 22 + [40887] * 8,
+        (
+            (5, 6, 13, 14, 4, 25, 1, 21, 24),
+            (19, 23, 2, 16, 17, 11, 10, 12),
+            (7, 3, 22, 9, 20, 18, 8, 15),
+        ),
+    ),
+]
+
+# The same instances under an accept-all walk: descend from a construction,
+# then perturb (strength 2) and descend ``steps`` times, recording every
+# local optimum's value. Unlike the incumbent, the walk moves on each step,
+# so it locks the perturbation draws too.
+# (n, m, p_max, w_max, instance seed, rng seed, steps), values, final schedule.
+GOLDEN_WALK = [
+    (
+        (50, 4, 100, 100, 1, 1, 12),
+        [
+            572615, 572615, 572615, 572615, 572615, 572615, 572615, 572615, 572615, 572615,
+            572615, 572615, 572615
+        ],
+        (
+            (50, 45, 42, 14, 1, 17, 49, 20, 4, 33, 12, 13, 31),
+            (36, 22, 3, 43, 11, 7, 23, 21, 34, 46, 26, 41, 28, 48),
+            (47, 27, 6, 19, 9, 16, 30, 32, 24, 8, 29, 44),
+            (15, 5, 18, 39, 10, 25, 38, 37, 2, 35, 40),
+        ),
+    ),
+    (
+        (50, 4, 100, 100, 2, 2, 12),
+        [
+            523563, 523563, 523563, 523563, 523563, 523563, 523563, 523563, 523558, 523558,
+            523558, 523558, 523558
+        ],
+        (
+            (15, 5, 27, 43, 17, 2, 4, 13, 47, 36, 42, 30, 32, 34, 19),
+            (22, 50, 37, 35, 1, 3, 24, 7, 23, 18, 8),
+            (11, 25, 49, 40, 45, 39, 12, 48, 29, 41, 28, 20),
+            (33, 46, 9, 26, 6, 14, 44, 16, 10, 31, 38, 21),
+        ),
+    ),
+    (
+        (20, 8, 50, 50, 3, 3, 30),
+        [
+            18108, 18108, 18108, 18108, 18117, 18117, 18116, 18108, 18108, 18107, 18107, 18107,
+            18107, 18108, 18108, 18108, 18108, 18107, 18108, 18108, 18108, 18108, 18108, 18108,
+            18108, 18108, 18108, 18108, 18108, 18108, 18108
+        ],
+        (
+            (13, 18),
+            (17, 16, 2),
+            (3, 6),
+            (4, 8, 14),
+            (15, 12),
+            (5, 20, 9),
+            (1, 19, 7),
+            (10, 11),
+        ),
+    ),
+    (
+        (30, 2, 50, 50, 4, 4, 20),
+        [
+            118998, 118998, 118998, 119018, 119018, 119018, 119018, 119018, 119018, 119018,
+            119018, 119018, 119018, 119018, 119018, 119006, 119006, 119006, 119006, 119006,
+            119018
+        ],
+        (
+            (5, 1, 19, 3, 21, 30, 18, 6, 26, 17, 4, 25, 9, 12, 16),
+            (22, 23, 15, 13, 14, 7, 28, 8, 29, 2, 27, 24, 20, 10, 11),
+        ),
+    ),
+]
+
+
+class TestGoldenTrajectories:
+    @pytest.mark.parametrize("case, trajectory, machines", GOLDEN_ILS)
+    def test_ils(self, case, trajectory, machines):
+        n, m, p_max, w_max, inst_seed, seed, iterations, alpha = case
+        inst = generate_instance(n=n, m=m, p_max=p_max, w_max=w_max, seed=inst_seed)
+        trace = []
+        result = ils(inst, IlsConfig(seed=seed, iterations=iterations, alpha=alpha),
+                     monitor=lambda it, value: trace.append(value))
+        assert trace == trajectory
+        assert result.schedule == Schedule(machines=machines)
+        assert result.value == trajectory[-1]
+
+    @pytest.mark.parametrize("case, values, machines", GOLDEN_WALK)
+    def test_walk(self, case, values, machines):
+        n, m, p_max, w_max, inst_seed, seed, steps = case
+        inst = generate_instance(n=n, m=m, p_max=p_max, w_max=w_max, seed=inst_seed)
+        rng = SplitMix64(seed)
+        sched = rvnd(inst, grasp_construct(inst, rng, 0.3), rng)
+        walk = [evaluate_schedule(inst, sched)]
+        for _ in range(steps):
+            sched = rvnd(inst, perturb(inst, sched, rng, 2), rng)
+            walk.append(evaluate_schedule(inst, sched))
+        assert walk == values
+        assert sched == Schedule(machines=machines)
+
+
+def reference_best_move(p, w, machines, neighborhood):
+    """Brute force: build every neighbor and recompute both machines.
+
+    Scans in the search's order and keeps the first strictly best move.
+    """
+
+    def cost(ranks):
+        t = total = 0
+        for r in ranks:
+            t += p[r]
+            total += w[r] * t
+        return total
+
+    best = None
+
+    def consider(ka, kb, new_a, new_b):
+        nonlocal best
+        delta = cost(new_a) + cost(new_b) - cost(machines[ka]) - cost(machines[kb])
+        if best is None or delta < best[0]:
+            best = (delta, ka, kb, new_a, new_b)
+
+    m = len(machines)
+    if neighborhood == SHIFT:
+        for ka, a in enumerate(machines):
+            for i, r in enumerate(a):
+                for kb in range(m):
+                    if kb != ka:
+                        new_b = list(machines[kb])
+                        insort(new_b, r)
+                        consider(ka, kb, a[:i] + a[i + 1 :], new_b)
+    elif neighborhood == SWAP11:
+        for ka in range(m):
+            for kb in range(ka + 1, m):
+                a, b = machines[ka], machines[kb]
+                for i, ra in enumerate(a):
+                    for u, rb in enumerate(b):
+                        new_a = a[:i] + a[i + 1 :]
+                        insort(new_a, rb)
+                        new_b = b[:u] + b[u + 1 :]
+                        insort(new_b, ra)
+                        consider(ka, kb, new_a, new_b)
+    else:
+        for ka, a in enumerate(machines):
+            for kb, b in enumerate(machines):
+                if kb == ka or len(a) < 2 or not b:
+                    continue
+                for i in range(len(a)):
+                    for j in range(i + 1, len(a)):
+                        for u, rb in enumerate(b):
+                            new_a = a[:i] + a[i + 1 : j] + a[j + 1 :]
+                            insort(new_a, rb)
+                            new_b = b[:u] + b[u + 1 :]
+                            insort(new_b, a[i])
+                            insort(new_b, a[j])
+                            consider(ka, kb, new_a, new_b)
+    return best
+
+
+@st.composite
+def search_states(draw):
+    """A random instance and a random assignment, machines WSPT-sorted.
+
+    Small n against up to five machines leaves empty and single-job
+    machines in most draws; p, w within [1, 2] make tied deltas common,
+    which exercises the first-best tie-break.
+    """
+    m = draw(st.integers(1, 5))
+    top = draw(st.sampled_from([2, 30]))
+    values = st.integers(1, top)
+    jobs = draw(st.lists(st.tuples(values, values), min_size=1, max_size=11))
+    owner = draw(st.lists(st.integers(0, m - 1), min_size=len(jobs), max_size=len(jobs)))
+    inst = make_instance(m, jobs)
+    machines = tuple(tuple(j for j in range(1, inst.n + 1) if owner[j - 1] == k) for k in range(m))
+    return _Work.from_schedule(inst, Schedule(machines=machines))
+
+
+class TestBestMove:
+    @settings(max_examples=300, deadline=None)
+    @given(search_states())
+    def test_matches_brute_force(self, work):
+        before = [list(ranks) for ranks in work.machines]
+        for neighborhood in (SHIFT, SWAP11, SWAP21):
+            want = reference_best_move(work.p, work.w, before, neighborhood)
+            assert _best_move(work, neighborhood) == want
+            assert work.machines == before
+
+    def test_unknown_neighborhood(self, demo):
+        with pytest.raises(ValueError):
+            _best_move(_Work(demo), 3)
