@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -73,25 +74,12 @@ class RunReport:
         if not self.deterministic:
             print("deterministic: no (wall-clock budget)", file=out)
 
-
-class _Timer:
-    def __init__(self, report: RunReport):
-        self.report = report
-
-    def __call__(self, phase: str):
-        return _Phase(self.report, phase)
-
-
-class _Phase:
-    def __init__(self, report: RunReport, phase: str):
-        self.report, self.phase = report, phase
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-
-    def __exit__(self, *exc):
-        self.report.timings_ms[self.phase] = (time.perf_counter() - self.t0) * 1000.0
-        return False
+    @contextmanager
+    def phase(self, name: str):
+        """Time the block; it prints as ``time.<name>_ms``."""
+        t0 = time.perf_counter()
+        yield
+        self.timings_ms[name] = (time.perf_counter() - t0) * 1000.0
 
 
 def _digest(inst: Instance) -> dict:
@@ -156,8 +144,7 @@ def _add_reduction_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_gen(args) -> int:
     report = RunReport(command="gen")
-    timer = _Timer(report)
-    with timer("generate"):
+    with report.phase("generate"):
         inst = generate_instance(args.n, args.m, args.pmax, args.wmax, args.seed)
     Path(args.out).write_text(write_instance(inst), encoding="utf-8")
     report.digest = _digest(inst)
@@ -169,8 +156,7 @@ def cmd_gen(args) -> int:
 def cmd_bounds(args) -> int:
     report = RunReport(command="bounds")
     inst = _read_instance(args.infile)
-    timer = _Timer(report)
-    with timer("bounds"):
+    with report.phase("bounds"):
         hor = bounds_mod.horizon(inst)
         tw = bounds_mod.time_windows(inst, hor.T)
     report.digest = _digest(inst)
@@ -189,10 +175,9 @@ def cmd_bounds(args) -> int:
 def cmd_model(args) -> int:
     report = RunReport(command="model")
     inst = _read_instance(args.infile)
-    timer = _Timer(report)
-    with timer("build"):
+    with report.phase("build"):
         model, _, graph = _build_model(inst, args.form, args)
-    with timer("emit"):
+    with report.phase("emit"):
         if args.format == "lp":
             text = milp.emit_lp(model)
         else:
@@ -224,8 +209,7 @@ def cmd_model(args) -> int:
 def cmd_compare(args) -> int:
     report = RunReport(command="compare")
     rows = []
-    timer = _Timer(report)
-    with timer("compare"):
+    with report.phase("compare"):
         for i in range(args.seeds):
             seed = args.seed + i
             inst = generate_instance(args.n, args.m, args.pmax, args.wmax, seed)
@@ -285,8 +269,7 @@ def cmd_solve_heur(args) -> int:
         alpha=args.alpha,
         strength=args.strength,
     )
-    timer = _Timer(report)
-    with timer("ils"):
+    with report.phase("ils"):
         result = heuristic.ils(inst, cfg)
     Path(args.out).write_text(write_schedule(inst, result.schedule), encoding="utf-8")
     report.digest = _digest(inst)
@@ -300,8 +283,7 @@ def cmd_solve_heur(args) -> int:
 def cmd_solve_exact(args) -> int:
     report = RunReport(command="solve-exact")
     inst = _read_instance(args.infile)
-    timer = _Timer(report)
-    with timer("oracle"):
+    with report.phase("oracle"):
         result = oracle.brute_force_optimal(inst, enumerate_all=args.all_optima)
     Path(args.out).write_text(write_schedule(inst, result.schedule), encoding="utf-8")
     report.digest = _digest(inst)
@@ -325,8 +307,7 @@ def cmd_check(args) -> int:
     report = RunReport(command="check")
     inst = _read_instance(args.infile)
     sched = parse_schedule(Path(args.sched).read_text(encoding="utf-8"))
-    timer = _Timer(report)
-    with timer("check"):
+    with report.phase("check"):
         model, valuation = _schedule_valuation(inst, sched, args.form, args)
         result = milp.check_feasible(model, valuation)
     report.digest = _digest(inst)
@@ -402,18 +383,20 @@ def _decode_flow_solution(inst: Instance, graph, types, valuation, m: int) -> Sc
 def cmd_solve_external(args) -> int:
     report = RunReport(command="solve-external")
     inst = _read_instance(args.infile)
-    solver_cmd = args.solver_cmd or os.environ.get(SOLVER_ENV)
+    solver_cmd = (args.solver_cmd or os.environ.get(SOLVER_ENV) or "").strip()
     if not solver_cmd:
         raise ExternalSolverError(f"no solver command; pass --solver-cmd or set {SOLVER_ENV}")
-    timer = _Timer(report)
-    with timer("build"):
+    with report.phase("build"):
         model, types, graph = _build_model(inst, args.form, args)
     with tempfile.TemporaryDirectory(prefix="arcsched_") as tmp:
         model_path = Path(tmp) / "model.lp"
         solution_path = Path(tmp) / "model.sol"
         model_path.write_text(milp.emit_lp(model), encoding="utf-8")
-        cmd = shlex.split(solver_cmd.format(model=model_path, solution=solution_path))
-        with timer("solve"):
+        try:  # split before substituting, so a path with spaces stays one word
+            cmd = [word.format(model=model_path, solution=solution_path) for word in shlex.split(solver_cmd)]
+        except (ValueError, KeyError, IndexError) as exc:
+            raise ExternalSolverError(f"bad solver command template {solver_cmd!r}: {exc!r}") from exc
+        with report.phase("solve"):
             try:
                 proc = subprocess.run(cmd, capture_output=True, text=True)
             except OSError as exc:
@@ -428,7 +411,7 @@ def cmd_solve_external(args) -> int:
             valuation = milp.parse_solution(solution_path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ExternalSolverError(f"unparsable solution file: {exc}") from exc
-    with timer("decode"):
+    with report.phase("decode"):
         kinds = {v.name: v.kind for v in model.variables}
         valuation = _integralize(
             {name: value for name, value in valuation.items() if name in kinds}, kinds

@@ -40,11 +40,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
-from .instance import Instance, Schedule, evaluate_schedule, wspt_order
+from .instance import Instance, Schedule, evaluate_schedule, wspt_rank
 from .rng import SplitMix64
 
 SHIFT, SWAP11, SWAP21 = 0, 1, 2
 _ALL_NEIGHBORHOODS = (SHIFT, SWAP11, SWAP21)
+RESTART_AFTER = 50  # non-improving perturbations before a fresh construction
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class IlsConfig:
     time_limit: float | None = None
     alpha: float = 0.3
     strength: int = 2
-    restart_after: int = 50
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -80,10 +80,9 @@ class _Work:
     __slots__ = ("p", "w", "ids", "machines")
 
     def __init__(self, inst: Instance):
-        order = wspt_order(inst)
-        self.p = [inst.job(j).p for j in order]
-        self.w = [inst.job(j).w for j in order]
-        self.ids = order
+        self.ids = inst.wspt_ids
+        self.p = [inst.job(j).p for j in self.ids]
+        self.w = [inst.job(j).w for j in self.ids]
         self.machines: list[list[int]] = [[] for _ in range(inst.m)]
 
     def to_schedule(self) -> Schedule:
@@ -92,7 +91,7 @@ class _Work:
     @classmethod
     def from_schedule(cls, inst: Instance, sched: Schedule) -> "_Work":
         work = cls(inst)
-        rank_of = {j: r for r, j in enumerate(work.ids)}
+        rank_of = wspt_rank(inst)
         for k, machine in enumerate(sched.machines):
             work.machines[k] = sorted(rank_of[j] for j in machine)
         return work
@@ -252,7 +251,7 @@ def ils(inst: Instance, cfg: IlsConfig, monitor=None) -> IlsResult:
     """Multi-start search: construct, descend, then perturb and descend.
 
     The incumbent accepts strict improvements only; after
-    ``cfg.restart_after`` non-improving perturbations the incumbent is
+    ``RESTART_AFTER`` non-improving perturbations the incumbent is
     replaced by a fresh construction. Deterministic for a fixed seed and
     iteration budget; a wall-clock budget cuts the loop early and breaks
     that guarantee. ``monitor(iteration, best_value)`` is invoked once per
@@ -273,7 +272,7 @@ def ils(inst: Instance, cfg: IlsConfig, monitor=None) -> IlsResult:
     stale = 0
     while iterations < cfg.iterations and not out_of_time():
         iterations += 1
-        if stale >= cfg.restart_after:
+        if stale >= RESTART_AFTER:
             current = rvnd(inst, grasp_construct(inst, rng, cfg.alpha), rng)
             current_value = evaluate_schedule(inst, current)
             stale = 0

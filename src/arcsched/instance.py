@@ -20,7 +20,8 @@ machine emits ``machine k:``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .rng import SplitMix64
@@ -72,6 +73,16 @@ class Instance:
 
     def job(self, job_id: int) -> Job:
         return self.jobs[job_id - 1]
+
+    @cached_property
+    def wspt_ids(self) -> tuple[int, ...]:
+        """Job ids in WSPT order: non-increasing w/p, ties by smaller id.
+
+        The only WSPT sort in the package, taken once per instance with the
+        exact key (-w/p, id). A cached_property writes to the instance
+        dict, so the frozen dataclass keeps its field-based eq and hash.
+        """
+        return tuple(j.id for j in sorted(self.jobs, key=lambda j: (Fraction(-j.w, j.p), j.id)))
 
 
 def make_instance(m: int, pw_pairs: Sequence[tuple[int, int]]) -> Instance:
@@ -165,58 +176,32 @@ def generate_instance(n: int, m: int, p_max: int, w_max: int, seed: int) -> Inst
     return Instance(n=n, m=m, jobs=tuple(jobs))
 
 
-def wspt_precedes(a: Job, b: Job) -> bool:
-    """True when job a comes strictly before job b in the WSPT order.
-
-    Ratios w/p are compared by integer cross-multiplication; equal ratios
-    are broken by the smaller job id.
-    """
-    lhs = a.w * b.p
-    rhs = b.w * a.p
-    if lhs != rhs:
-        return lhs > rhs
-    return a.id < b.id
-
-
 def wspt_order(inst: Instance) -> list[int]:
     """Job ids sorted by non-increasing w/p, ties by smaller id."""
-
-    def cmp(i: int, k: int) -> int:
-        return -1 if wspt_precedes(inst.job(i), inst.job(k)) else 1
-
-    return sorted(range(1, inst.n + 1), key=cmp_to_key(cmp))
+    return list(inst.wspt_ids)
 
 
 def wspt_rank(inst: Instance) -> dict[int, int]:
     """Map job id -> position (0-based) in the WSPT order."""
-    return {j: r for r, j in enumerate(wspt_order(inst))}
+    return {j: r for r, j in enumerate(inst.wspt_ids)}
 
 
 def group_job_types(inst: Instance) -> list[JobType]:
     """Merge jobs with identical (p, w) into types, in WSPT order.
 
-    Types are ordered by non-increasing w/p; equal ratios are broken by the
-    smallest member id, which keeps the type order consistent with the
-    job-level WSPT order.
+    Types are grouped from the job-level WSPT order in order of first
+    appearance: non-increasing w/p, equal ratios by smallest member id.
     """
     groups: dict[tuple[int, int], list[int]] = {}
-    for job in inst.jobs:
-        groups.setdefault((job.p, job.w), []).append(job.id)
-
-    def cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
-        (pa, wa), (pb, wb) = a, b
-        lhs, rhs = wa * pb, wb * pa
-        if lhs != rhs:
-            return -1 if lhs > rhs else 1
-        return -1 if min(groups[a]) < min(groups[b]) else 1
-
-    ordered = sorted(groups, key=cmp_to_key(cmp))
-    return [JobType(p=p, w=w, d=len(groups[(p, w)]), members=tuple(sorted(groups[(p, w)]))) for p, w in ordered]
+    for j in inst.wspt_ids:
+        job = inst.job(j)
+        groups.setdefault((job.p, job.w), []).append(j)
+    return [JobType(p=p, w=w, d=len(ids), members=tuple(ids)) for (p, w), ids in groups.items()]
 
 
 def singleton_types(inst: Instance) -> list[JobType]:
     """One type per job, in WSPT order: job-type merging switched off."""
-    return [JobType(p=inst.job(j).p, w=inst.job(j).w, d=1, members=(j,)) for j in wspt_order(inst)]
+    return [JobType(p=inst.job(j).p, w=inst.job(j).w, d=1, members=(j,)) for j in inst.wspt_ids]
 
 
 def _check_partition(inst: Instance, sched: Schedule) -> None:

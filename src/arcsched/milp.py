@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .flowgraph import Arc, FlowGraph
+from .flowgraph import LOSS, Arc, FlowGraph
 from .instance import Instance, JobType, Schedule, ValidationError, completion_times
 
 Num = int | Fraction
@@ -141,13 +141,11 @@ def build_ciqp(inst: Instance) -> MilpModel:
     w_j p_j x_{j}_{k} plus bilinear terms w_j p_i x_{i}_{k} x_{j}_{k} over
     ordered pairs i before j.
     """
-    from .instance import wspt_order
-
     model = MilpModel(name=f"ciqp_n{inst.n}_m{inst.m}")
     for job in inst.jobs:
         for k in range(1, inst.m + 1):
             model.add_var(f"x_{job.id}_{k}", 0, 1, BINARY, obj=job.w * job.p)
-    order = wspt_order(inst)
+    order = inst.wspt_ids
     for pos, j in enumerate(order):
         wj = inst.job(j).w
         for i in order[:pos]:
@@ -504,11 +502,11 @@ def schedule_to_assignment(
     """
     comp = completion_times(inst, sched)
     starts = {j: comp[j] - inst.job(j).p for j in comp}
-    valuation: Valuation = {}
 
     if kind == "ti":
         if T is None:
             raise ValueError("kind 'ti' needs T")
+        valuation: Valuation = {}
         for j, s in starts.items():
             if s > T - inst.job(j).p:
                 raise MappingError(f"job {j} starts at {s}, beyond T - p = {T - inst.job(j).p}")
@@ -520,30 +518,37 @@ def schedule_to_assignment(
     if graph is None or types is None:
         raise ValueError("kind 'eaf' needs the graph and its types")
 
-    arc_names = {(_a.tail, _a.head, _a.label) for _a in graph.arcs if _a.kind == "job"}
-    loss_tails = {_a.tail for _a in graph.arcs if _a.kind == "loss"}
+    # arcs grouped by tail: a lookup key per arc would cost a tuple per arc
+    out_arcs: dict[int, list[Arc]] = {}
+    for arc in graph.arcs:
+        out_arcs.setdefault(arc.tail, []).append(arc)
+
+    def arc_at(tail: int, head: int, label: int) -> Arc | None:
+        return next((a for a in out_arcs.get(tail, ()) if a.head == head and a.label == label), None)
+
     type_of: dict[int, int] = {}
     for tidx, jt in enumerate(types, start=1):
         for member in jt.members:
             type_of[member] = tidx
 
+    used: dict[Arc, int] = {}
     for machine in sched.machines:
         t = 0
         for j in machine:
             p = inst.job(j).p
-            label = type_of[j]
-            if (t, t + p, label) not in arc_names:
-                raise MappingError(f"no arc for job {j} starting at {t} (label {label})")
-            name = f"x_{t}_{t + p}_{label}"
-            valuation[name] = valuation.get(name, 0) + 1
+            arc = arc_at(t, t + p, type_of[j])
+            if arc is None:
+                raise MappingError(f"no arc for job {j} starting at {t} (label {type_of[j]})")
+            used[arc] = used.get(arc, 0) + 1
             t += p
         if t < graph.T:
-            if t not in loss_tails:
+            arc = arc_at(t, graph.T, LOSS)
+            if arc is None:
                 raise MappingError(f"machine completing at {t} has no loss arc to T={graph.T}")
-            valuation[f"L_{t}"] = valuation.get(f"L_{t}", 0) + 1
+            used[arc] = used.get(arc, 0) + 1
         elif t > graph.T:
             raise MappingError(f"machine load {t} exceeds the horizon T={graph.T}")
-    return valuation
+    return {_arc_var(arc): count for arc, count in used.items()}
 
 
 def valuation_to_flow(g: FlowGraph, valuation: Valuation) -> dict[Arc, int]:

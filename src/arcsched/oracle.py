@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance, Schedule, evaluate_schedule, wspt_order
+from .instance import Instance, Schedule, evaluate_schedule
 
 SIZE_GUARD = 10**8
 
@@ -52,7 +52,7 @@ def brute_force_optimal(inst: Instance, enumerate_all: bool = False) -> OracleRe
             f"m**n = {inst.m}**{inst.n} exceeds the enumeration guard {SIZE_GUARD:.0e}"
         )
 
-    order = wspt_order(inst)
+    order = inst.wspt_ids
     jobs = [inst.job(j) for j in order]
     m = inst.m
 

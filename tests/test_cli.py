@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,26 @@ class TestSolveExternal:
                      "--out", str(out)])
         assert code == 4
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "template", ["{extra} {model} {solution}", "solver {0}", "solver {model", "solver 'unclosed", "  "]
+    )
+    def test_bad_template_is_a_solver_error(self, template, demo_file, tmp_path, capsys):
+        code = main(["solve-external", "--in", str(demo_file), "--form", "eaf",
+                     "--solver-cmd", template, "--out", str(tmp_path / "s.txt")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("solver error: ")
+
+    def test_temp_dir_with_space(self, demo_file, tmp_path, capsys, monkeypatch):
+        spaced = tmp_path / "tmp dir"
+        spaced.mkdir()
+        monkeypatch.setenv("TMPDIR", str(spaced))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        code, text = run(capsys, "solve-external", "--in", str(demo_file), "--form", "eaf",
+                         "--solver-cmd", self.shim_cmd())
+        assert code == 0
+        assert "objective: 67" in text
+        assert tempfile.gettempdir() == str(spaced)
 
     def test_env_var_supplies_command(self, demo_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ARCSCHED_SOLVER_CMD", self.shim_cmd())

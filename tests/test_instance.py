@@ -1,6 +1,8 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcsched.instance import (
     Instance,
@@ -20,6 +22,18 @@ from arcsched.instance import (
 )
 
 from conftest import DEMO_TEXT
+
+
+def precedes(a: Job, b: Job) -> bool:
+    """Reference WSPT rule by integer cross-multiplication: a higher w/p
+    comes first, equal ratios by the smaller id."""
+    lhs, rhs = a.w * b.p, b.w * a.p
+    return lhs > rhs or (lhs == rhs and a.id < b.id)
+
+
+def reference_order(jobs: list[Job]) -> list[Job]:
+    """Each job's position is the number of jobs that precede it."""
+    return sorted(jobs, key=lambda a: sum(precedes(b, a) for b in jobs))
 
 
 class TestParse:
@@ -128,6 +142,31 @@ class TestWsptOrder:
         rev = make_instance(2, [(j.p, j.w) for j in reversed(inst.jobs)])
         assert ratio_runs(inst) == ratio_runs(rev)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=14))
+    def test_order_and_types_match_pairwise_reference(self, pw):
+        # p, w in [1, 3] make equal ratios and equal (p, w) pairs common
+        inst = make_instance(2, pw)
+        assert wspt_order(inst) == [j.id for j in reference_order(list(inst.jobs))]
+
+        groups: dict[tuple[int, int], list[int]] = {}
+        for job in inst.jobs:
+            groups.setdefault((job.p, job.w), []).append(job.id)
+        # a type ranks as a job with its (p, w) and its smallest member id
+        reps = [Job(min(ids), p, w) for (p, w), ids in groups.items()]
+        expected = [(t.p, t.w, tuple(sorted(groups[(t.p, t.w)]))) for t in reference_order(reps)]
+        assert [(t.p, t.w, t.members) for t in group_job_types(inst)] == expected
+        assert all(t.d == len(t.members) for t in group_job_types(inst))
+
+    def test_cached_order_keeps_eq_and_hash(self):
+        text = write_instance(generate_instance(20, 2, 3, 3, seed=4))
+        read, fresh = parse_instance(text), parse_instance(text)
+        assert read.wspt_ids is read.wspt_ids  # sorted once, then cached
+        assert "wspt_ids" in vars(read) and "wspt_ids" not in vars(fresh)
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+
     def test_single_machine_wspt_is_optimal(self):
         # exhaustive check of the sequencing rule on one machine
         for seed in range(8):
@@ -153,6 +192,18 @@ class TestJobTypes:
             (2, 4, 2, (1, 2)),
             (5, 7, 1, (3,)),
         ]
+
+    @pytest.mark.parametrize(
+        "pw, expected",
+        [
+            ([(2, 2), (1, 1), (1, 1), (2, 2)], [(2, 2, (1, 4)), (1, 1, (2, 3))]),
+            ([(1, 1), (2, 2), (2, 2), (1, 1)], [(1, 1, (1, 4)), (2, 2, (2, 3))]),
+            ([(3, 6), (1, 1), (2, 2), (4, 8)], [(3, 6, (1,)), (4, 8, (4,)), (1, 1, (2,)), (2, 2, (3,))]),
+        ],
+    )
+    def test_equal_ratio_types_by_smallest_member(self, pw, expected):
+        types = group_job_types(make_instance(2, pw))
+        assert [(t.p, t.w, t.members) for t in types] == expected
 
     def test_ten_copies(self):
         inst = make_instance(2, [(3, 3)] * 10)
