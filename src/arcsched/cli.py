@@ -2,7 +2,8 @@
 
 Subcommands: gen, bounds, model, compare, solve-heur, solve-exact, check,
 solve-external. Exit codes: 0 success, 2 usage error, 3 input/validation
-error, 4 external-solver error, 5 size-guard refusal.
+error, 4 external-solver error, 5 size-guard refusal (the oracle's m**n
+guard or a model above milp.MAX_NONZEROS).
 """
 
 from __future__ import annotations
@@ -114,7 +115,13 @@ def _flow_network(inst: Instance, form: str, args) -> tuple[list[JobType], flowg
 def _build_model(
     inst: Instance, form: str, args
 ) -> tuple[milp.MilpModel, list[JobType] | None, flowgraph.FlowGraph | None]:
-    """Model of ``form``, plus its types and network for the flow forms."""
+    """Model of ``form``, plus its types and network for the flow forms.
+
+    Raises:
+        milp.ModelSizeError: the model would exceed the size guard; checked
+            in O(n) before anything pseudo-polynomial is allocated.
+    """
+    milp.check_size(inst, form, bounds_mod.horizon_T(inst))
     if form in ("af", "eaf"):
         types, graph = _flow_network(inst, form, args)
         return milp.build_eaf_model(graph, types, inst.m), types, graph
@@ -188,6 +195,7 @@ def cmd_model(args) -> int:
         "form": args.form,
         "variables": len(model.variables),
         "constraints": len(model.constraints),
+        "nonzeros": model.nonzeros(),
     }
     if graph is not None:
         stats = flowgraph.graph_stats(graph)
@@ -296,10 +304,9 @@ def cmd_solve_exact(args) -> int:
 
 
 def _schedule_valuation(inst: Instance, sched: Schedule, form: str, args):
-    if form == "ti":
-        T = bounds_mod.horizon(inst).T
-        return milp.build_ti(inst, T), milp.schedule_to_assignment(inst, sched, "ti", T=T)
     model, types, graph = _build_model(inst, form, args)
+    if form == "ti":
+        return model, milp.schedule_to_assignment(inst, sched, "ti", T=bounds_mod.horizon_T(inst))
     return model, milp.schedule_to_assignment(inst, sched, "eaf", graph=graph, types=types)
 
 
@@ -533,7 +540,7 @@ def main(argv=None) -> int:
             milp.UnsupportedFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except oracle.SizeLimitError as exc:
+    except (oracle.SizeLimitError, milp.ModelSizeError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except ExternalSolverError as exc:

@@ -1,9 +1,10 @@
 """Solver-agnostic MILP records for the five formulations, plus emission.
 
 Models are plain records of variables, linear constraints and a linear
-(optionally quadratic) objective with exact rational coefficients. They
-are emitted as LP or MPS text and never solved in-process; an external
-solver can be driven through the CLI.
+(optionally quadratic) objective with exact rational coefficients. A
+variable's name lives only on its record; rows and quadratic terms refer
+to variables by position. Models are emitted as LP or MPS text and never
+solved in-process; an external solver can be driven through the CLI.
 
 Formulations
 ------------
@@ -25,17 +26,30 @@ time.
 
 from __future__ import annotations
 
+import re
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby, repeat
+from operator import mul
+from typing import NamedTuple
 
 from .flowgraph import LOSS, Arc, FlowGraph
 from .instance import Instance, JobType, Schedule, ValidationError, completion_times
 
 Num = int | Fraction
 
+_BLANK = re.compile(r"\s")
+
 BINARY = "binary"
 INTEGER = "integer"
 CONTINUOUS = "continuous"
+
+# Largest model the CLI builds, in nonzeros as ``estimate_nonzeros`` counts
+# them. Measured peak RSS per estimated nonzero, build plus emission: ti LP
+# 48 bytes, ti MPS 133, af MPS 290 (per-arc records and names dominate). So
+# no model at the guard needs much more than 3 GB.
+MAX_NONZEROS = 10**7
 
 
 class MappingError(ValueError):
@@ -46,8 +60,11 @@ class UnsupportedFormatError(ValueError):
     """Requested emission format cannot represent the model."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class ModelSizeError(ValueError):
+    """The model's estimated size exceeds MAX_NONZEROS."""
+
+
+class Variable(NamedTuple):
     name: str
     lb: Num
     ub: Num | None
@@ -57,10 +74,22 @@ class Variable:
 
 @dataclass(frozen=True)
 class Constraint:
+    """One linear row: entry ``coefs[i]`` on the variable at position ``cols[i]``.
+
+    ``cols`` holds unsigned 32-bit positions; ``coefs`` is None when every
+    entry is 1.
+    """
+
     name: str
     sense: str  # one of <=, =, >=
     rhs: Num
-    terms: tuple[tuple[str, Num], ...]
+    cols: array
+    coefs: array | None = None
+
+    @property
+    def terms(self) -> list[tuple[int, int]]:
+        """(variable position, coefficient) per stored entry."""
+        return list(zip(self.cols, repeat(1) if self.coefs is None else self.coefs))
 
 
 @dataclass
@@ -69,36 +98,98 @@ class MilpModel:
     variables: list[Variable] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     obj_constant: Num = 0
-    quad_terms: list[tuple[str, str, Num]] = field(default_factory=list)
+    quad_terms: list[tuple[int, int, Num]] = field(default_factory=list)  # positions and coefficient
 
-    def add_var(self, name: str, lb: Num, ub: Num | None, kind: str, obj: Num = 0) -> None:
+    def add_var(self, name: str, lb: Num, ub: Num | None, kind: str, obj: Num = 0) -> int:
+        """Append a variable; returns its position."""
         self.variables.append(Variable(name, lb, ub, kind, obj))
+        return len(self.variables) - 1
 
-    def add_constraint(self, name: str, terms: list[tuple[str, Num]], sense: str, rhs: Num) -> None:
-        self.constraints.append(Constraint(name, sense, rhs, tuple(terms)))
+    def add_constraint(self, name: str, cols, sense: str, rhs: Num, coefs=None) -> None:
+        """Append a row over variable positions ``cols``; ``coefs=None`` means all ones.
+
+        Raises:
+            ValidationError: a position or coefficient is not an integer.
+        """
+        try:
+            row = Constraint(name, sense, rhs, array("I", cols), None if coefs is None else array("q", coefs))
+        except (TypeError, OverflowError) as exc:
+            raise ValidationError(
+                f"constraint {name}: positions must be integers >= 0 and coefficients integers ({exc})"
+            ) from None
+        self.constraints.append(row)
+
+    def nonzeros(self) -> int:
+        """Stored constraint entries plus quadratic objective terms."""
+        return sum(len(c.cols) for c in self.constraints) + len(self.quad_terms)
 
     def validate(self) -> "MilpModel":
         names = [v.name for v in self.variables]
-        declared = set(names)
-        if len(declared) != len(names):
+        labels = names + [c.name for c in self.constraints]
+        if not all(labels) or _BLANK.search("".join(labels)):
+            bad = next(label for label in labels if not label or _BLANK.search(label))
+            raise ValidationError(f"name {bad!r}: LP and MPS names must be non-empty and free of whitespace")
+        if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValidationError(f"duplicate variable names: {dupes}")
         for v in self.variables:
             if v.ub is not None and v.lb > v.ub:
                 raise ValidationError(f"variable {v.name}: lb {v.lb} > ub {v.ub}")
+        n = len(names)
         for c in self.constraints:
             if c.sense not in ("<=", "=", ">="):
                 raise ValidationError(f"constraint {c.name}: bad sense {c.sense!r}")
-            for name, _ in c.terms:
-                if name not in declared:
-                    raise ValidationError(f"constraint {c.name} references unknown variable {name}")
-        for va, vb, _ in self.quad_terms:
-            if va not in declared or vb not in declared:
-                raise ValidationError(f"quadratic term references unknown variable {va} or {vb}")
+            if not (isinstance(c.cols, array) and c.cols.typecode == "I"):
+                raise ValidationError(f"constraint {c.name}: positions must be an unsigned int array")
+            if c.cols and max(c.cols) >= n:
+                raise ValidationError(f"constraint {c.name} references a variable position outside 0..{n - 1}")
+            if c.coefs is not None and not (
+                isinstance(c.coefs, array) and c.coefs.typecode == "q" and len(c.coefs) == len(c.cols)
+            ):
+                raise ValidationError(f"constraint {c.name}: coefficients must be {len(c.cols)} integers")
+        for a, b, _ in self.quad_terms:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValidationError(f"quadratic term references a variable position outside 0..{n - 1}")
         return self
 
-    def var_map(self) -> dict[str, Variable]:
-        return {v.name: v for v in self.variables}
+
+# ---------------------------------------------------------------------------
+# size guard
+
+
+def estimate_nonzeros(inst: Instance, form: str, T: int) -> int:
+    """Upper bound on ``form``'s nonzeros (as ``MilpModel.nonzeros``), in O(n).
+
+    ti: each x_{j}_{t} sits in one assignment row and p_j capacity rows.
+    pti: n m T parts plus n m links, n m T capacity entries, n m assignment
+    entries. af/eaf: at most T - p_j + 1 job arcs per job (type arcs never
+    outnumber their members' start ranges) and at most T loss arcs; every
+    arc sits in two flow rows and a job arc in one demand row. ciqp: n m
+    assignment entries and m n (n - 1) / 2 quadratic terms.
+    """
+    n, m = inst.n, inst.m
+    if form == "ti":
+        return sum((j.p + 1) * (T - j.p + 1) for j in inst.jobs)
+    if form == "pti":
+        return n * m * (2 * T + 2)
+    if form in ("af", "eaf"):
+        return 3 * sum(T - j.p + 1 for j in inst.jobs) + 2 * T
+    if form == "ciqp":
+        return n * m + m * n * (n - 1) // 2
+    raise ValueError(f"unknown form {form!r}")
+
+
+def check_size(inst: Instance, form: str, T: int) -> None:
+    """Refuse a model whose estimated nonzeros exceed MAX_NONZEROS.
+
+    Raises:
+        ModelSizeError: the estimate is above the guard.
+    """
+    estimate = estimate_nonzeros(inst, form, T)
+    if estimate > MAX_NONZEROS:
+        raise ModelSizeError(
+            f"form {form} model may hold {estimate:.3g} nonzeros (T={T}), above the model guard {MAX_NONZEROS:.0e}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +206,22 @@ def build_ti(inst: Instance, T: int) -> MilpModel:
     if T < inst.p_max:
         raise ValidationError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
     model = MilpModel(name=f"ti_n{inst.n}_m{inst.m}")
+    first = []  # position of x_{j}_{0}; x_{j}_{t} follows it at + t
     for job in inst.jobs:
+        first.append(len(model.variables))
         for t in range(0, T - job.p + 1):
             model.add_var(f"x_{job.id}_{t}", 0, 1, BINARY, obj=job.w * t)
     model.obj_constant = sum(j.w * j.p for j in inst.jobs)
-    for job in inst.jobs:
-        terms = [(f"x_{job.id}_{t}", 1) for t in range(0, T - job.p + 1)]
-        model.add_constraint(f"assign_{job.id}", terms, "=", 1)
+    pos = array("I", range(len(model.variables)))  # rows copy slices of it
+    for job, base in zip(inst.jobs, first):
+        model.add_constraint(f"assign_{job.id}", pos[base : base + T - job.p + 1], "=", 1)
     for t in range(0, T):
-        terms = []
-        for job in inst.jobs:
+        cols = array("I")
+        for job, base in zip(inst.jobs, first):
             lo = max(0, t + 1 - job.p)
             hi = min(t, T - job.p)
-            terms.extend((f"x_{job.id}_{s}", 1) for s in range(lo, hi + 1))
-        model.add_constraint(f"cap_{t}", terms, "<=", inst.m)
+            cols += pos[base + lo : base + hi + 1]
+        model.add_constraint(f"cap_{t}", cols, "<=", inst.m)
     return model.validate()
 
 
@@ -141,20 +234,22 @@ def build_ciqp(inst: Instance) -> MilpModel:
     w_j p_j x_{j}_{k} plus bilinear terms w_j p_i x_{i}_{k} x_{j}_{k} over
     ordered pairs i before j.
     """
-    model = MilpModel(name=f"ciqp_n{inst.n}_m{inst.m}")
+    m = inst.m
+    model = MilpModel(name=f"ciqp_n{inst.n}_m{m}")
+    # x_{j}_{k} sits at position (j - 1) * m + k - 1
     for job in inst.jobs:
-        for k in range(1, inst.m + 1):
+        for k in range(1, m + 1):
             model.add_var(f"x_{job.id}_{k}", 0, 1, BINARY, obj=job.w * job.p)
     order = inst.wspt_ids
     for pos, j in enumerate(order):
         wj = inst.job(j).w
         for i in order[:pos]:
             pi = inst.job(i).p
-            for k in range(1, inst.m + 1):
-                model.quad_terms.append((f"x_{i}_{k}", f"x_{j}_{k}", wj * pi))
+            for k in range(m):
+                model.quad_terms.append(((i - 1) * m + k, (j - 1) * m + k, wj * pi))
     for job in inst.jobs:
-        terms = [(f"x_{job.id}_{k}", 1) for k in range(1, inst.m + 1)]
-        model.add_constraint(f"assign_{job.id}", terms, "=", 1)
+        base = (job.id - 1) * m
+        model.add_constraint(f"assign_{job.id}", range(base, base + m), "=", 1)
     return model.validate()
 
 
@@ -167,27 +262,32 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
     """
     if T < inst.p_max:
         raise ValidationError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
-    model = MilpModel(name=f"pti_n{inst.n}_m{inst.m}")
+    m = inst.m
+    model = MilpModel(name=f"pti_n{inst.n}_m{m}")
+    # x_{j}_{k}_{t} sits at ((j - 1) * m + k - 1) * T + t - 1, y_{j}_{k} at
+    # ys + (j - 1) * m + k - 1
     for job in inst.jobs:
-        for k in range(1, inst.m + 1):
+        for k in range(1, m + 1):
             for t in range(1, T + 1):
                 coef = Fraction(job.w, job.p) * (Fraction(t) + Fraction(job.p - 1, 2))
                 model.add_var(f"x_{job.id}_{k}_{t}", 0, None, CONTINUOUS, obj=coef)
+    ys = len(model.variables)
     for job in inst.jobs:
-        for k in range(1, inst.m + 1):
+        for k in range(1, m + 1):
             model.add_var(f"y_{job.id}_{k}", 0, 1, BINARY)
+    pos = array("I", range(len(model.variables)))  # rows copy slices of it
     for job in inst.jobs:
-        for k in range(1, inst.m + 1):
-            terms: list[tuple[str, Num]] = [(f"x_{job.id}_{k}_{t}", 1) for t in range(1, T + 1)]
-            terms.append((f"y_{job.id}_{k}", -job.p))
-            model.add_constraint(f"parts_{job.id}_{k}", terms, "=", 0)
-    for k in range(1, inst.m + 1):
+        for k in range(1, m + 1):
+            base = ((job.id - 1) * m + k - 1) * T
+            cols = pos[base : base + T]
+            cols.append(ys + (job.id - 1) * m + k - 1)
+            model.add_constraint(f"parts_{job.id}_{k}", cols, "=", 0, coefs=[*repeat(1, T), -job.p])
+    for k in range(1, m + 1):
         for t in range(1, T + 1):
-            terms = [(f"x_{job.id}_{k}_{t}", 1) for job in inst.jobs]
-            model.add_constraint(f"cap_{k}_{t}", terms, "<=", 1)
+            model.add_constraint(f"cap_{k}_{t}", pos[(k - 1) * T + t - 1 : ys : m * T], "<=", 1)
     for job in inst.jobs:
-        terms = [(f"y_{job.id}_{k}", 1) for k in range(1, inst.m + 1)]
-        model.add_constraint(f"assign_{job.id}", terms, "=", 1)
+        base = ys + (job.id - 1) * m
+        model.add_constraint(f"assign_{job.id}", range(base, base + m), "=", 1)
     return model.validate()
 
 
@@ -195,43 +295,34 @@ def _arc_var(arc: Arc) -> str:
     return f"x_{arc.tail}_{arc.head}_{arc.label}" if arc.kind == "job" else f"L_{arc.tail}"
 
 
-def _job_arc_terms(g: FlowGraph) -> dict[int, list[tuple[str, Num]]]:
-    terms: dict[int, list[tuple[str, Num]]] = {}
-    for arc in g.arcs:
-        if arc.kind == "job":
-            terms.setdefault(arc.label, []).append((_arc_var(arc), 1))
-    return terms
-
-
-def _flow_conservation(model: MilpModel, g: FlowGraph, m: int) -> None:
-    incident: dict[int, list[tuple[str, Num]]] = {q: [] for q in g.nodes}
-    for arc in g.arcs:
-        name = _arc_var(arc)
-        incident[arc.tail].append((name, 1))
-        incident[arc.head].append((name, -1))
-    for q in g.nodes:
-        rhs = m if q == 0 else -m if q == g.T else 0
-        model.add_constraint(f"flow_{q}", incident[q], "=", rhs)
-
-
 def build_eaf_model(g: FlowGraph, types: list[JobType], m: int) -> MilpModel:
     """Reduced network model: integer per type arc, demand d per type.
 
-    The objective constant counts every scheduled copy, i.e. the sum of
-    d * w * p over types.
+    Variable i is arc i of the network. The objective constant counts
+    every scheduled copy, i.e. the sum of d * w * p over types.
     """
     model = MilpModel(name=f"eaf_t{len(types)}_m{m}")
-    for arc in g.arcs:
+    row_of = {q: r for r, q in enumerate(g.nodes)}
+    flow_cols = [array("I") for _ in g.nodes]
+    flow_coefs = [array("q") for _ in g.nodes]
+    demand_cols = [array("I") for _ in types]
+    for i, arc in enumerate(g.arcs):
         if arc.kind == "job":
-            jt = types[arc.label - 1]
-            model.add_var(_arc_var(arc), 0, arc.capacity, INTEGER, obj=jt.w * arc.tail)
+            model.add_var(_arc_var(arc), 0, arc.capacity, INTEGER, obj=types[arc.label - 1].w * arc.tail)
+            demand_cols[arc.label - 1].append(i)
         else:
             model.add_var(_arc_var(arc), 0, arc.capacity, INTEGER)
+        out, into = row_of[arc.tail], row_of[arc.head]
+        flow_cols[out].append(i)
+        flow_coefs[out].append(1)
+        flow_cols[into].append(i)
+        flow_coefs[into].append(-1)
     model.obj_constant = sum(t.d * t.w * t.p for t in types)
-    _flow_conservation(model, g, m)
-    by_label = _job_arc_terms(g)
-    for tidx, jt in enumerate(types, start=1):
-        model.add_constraint(f"demand_{tidx}", by_label.get(tidx, []), ">=", jt.d)
+    for q, cols, coefs in zip(g.nodes, flow_cols, flow_coefs):
+        rhs = m if q == 0 else -m if q == g.T else 0
+        model.add_constraint(f"flow_{q}", cols, "=", rhs, coefs=coefs)
+    for tidx, (jt, cols) in enumerate(zip(types, demand_cols), start=1):
+        model.add_constraint(f"demand_{tidx}", cols, ">=", jt.d)
     return model.validate()
 
 
@@ -264,172 +355,214 @@ def _fmt_num(x: Num) -> str:
     return format(float(x), ".15g")
 
 
-def _wrap(parts: list[str], indent: str = "   ", width: int = 72) -> list[str]:
-    lines: list[str] = []
-    current = ""
-    for part in parts:
-        if not current:
-            current = part
-        elif len(current) + 1 + len(part) > width:
-            lines.append(current)
-            current = indent + part
-        else:
-            current += " " + part
-    if current:
-        lines.append(current)
-    return lines
+def _wrap(text: str, indent: str = "   ", width: int = 72) -> str:
+    """Greedy fill of the tab-separated parts of ``text`` into lines.
+
+    A part joins the line after one space while the line stays within
+    ``width``; an overflowing part opens a line at ``indent``. Names hold
+    no whitespace (``MilpModel.validate``), so the tabs are exactly the
+    part boundaries, and each line is one ``rfind`` for the last boundary
+    that fits.
+    """
+    lines = []
+    start, room = 0, width
+    while len(text) - start > room:
+        cut = text.rfind("\t", start, start + room + 1)
+        if cut < 0:  # the line's first part alone overflows
+            cut = text.find("\t", start)
+            if cut < 0:
+                break
+        lines.append(text[start:cut])
+        start, room = cut + 1, width - len(indent)
+    lines.append(text[start:])
+    return ("\n" + indent).join(lines).replace("\t", " ")
 
 
-def _terms_text(terms: list[tuple[str, Num]], lead: str) -> list[str]:
-    parts: list[str] = []
-    first = True
-    for name, coef in terms:
-        if coef == 0:
-            continue
-        mag = abs(coef)
-        body = name if mag == 1 else f"{_fmt_num(mag)} {name}"
-        if first:
-            parts.append(body if coef > 0 else f"- {body}")
-            first = False
-        else:
-            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-    if not parts:
-        parts = ["0"]
-    return _wrap([lead + parts[0]] + parts[1:], indent="   ")
+def _signed(names: list[str], plus: list[str], minus: list[str], cols, coefs) -> list[str]:
+    """LP text of each nonzero entry ``coefs[k]`` on position ``cols[k]``, with its sign."""
+    return [
+        plus[i] if coef == 1 else minus[i] if coef == -1 else
+        f"+ {_fmt_num(coef)} {names[i]}" if coef > 0 else f"- {_fmt_num(-coef)} {names[i]}"
+        for i, coef in zip(cols, coefs)
+        if coef
+    ]
 
 
-def _with_constant(model: MilpModel) -> tuple[list[Variable], list[tuple[str, Num]]]:
-    """Variable list and objective terms, with ONE appended when needed."""
+def _sum_text(parts) -> str:
+    """Tab-separated signed parts without a leading plus; "0" when empty."""
+    text = "\t".join(parts)
+    return text[2:] if text[:1] == "+" else text or "0"
+
+
+def _with_constant(model: MilpModel) -> list[Variable]:
+    """The model's variables, with ONE appended when there is a constant."""
     variables = list(model.variables)
-    obj_terms: list[tuple[str, Num]] = [(v.name, v.obj) for v in variables if v.obj != 0]
     if model.obj_constant != 0:
         variables.append(Variable(_ONE, 1, 1, CONTINUOUS, obj=model.obj_constant))
-        obj_terms.append((_ONE, model.obj_constant))
-    return variables, obj_terms
+    return variables
 
 
 def emit_lp(model: MilpModel) -> str:
-    """CPLEX-LP-style text, deterministic for a given model record."""
-    variables, obj_terms = _with_constant(model)
+    """CPLEX-LP-style text, deterministic for a given model record.
+
+    Each variable's "+ name" and "- name" are built once; a row is the
+    tab-joined run of them, wrapped at 72 columns.
+    """
+    variables = _with_constant(model)
+    names = [v.name for v in variables]
+    plus = ["+ " + name for name in names]
+    minus = ["- " + name for name in names]
     out: list[str] = [f"\\ {model.name}", "Minimize"]
-    obj_lines = _terms_text(obj_terms, " obj: ")
+    objective = _signed(names, plus, minus, range(len(variables)), [v.obj for v in variables])
+    out.append(_wrap(" obj: " + _sum_text(objective)))
     if model.quad_terms:
-        quad_parts: list[str] = ["["]
-        first = True
-        for va, vb, coef in model.quad_terms:
+        quad_parts: list[str] = ["   + ["]
+        for a, b, coef in model.quad_terms:
             doubled = 2 * coef
-            mag = abs(doubled)
-            body = f"{_fmt_num(mag)} {va} * {vb}"
-            if first:
+            body = f"{_fmt_num(abs(doubled))} {names[a]} * {names[b]}"
+            if len(quad_parts) == 1:
                 quad_parts.append(body if doubled > 0 else f"- {body}")
-                first = False
             else:
                 quad_parts.append(f"+ {body}" if doubled > 0 else f"- {body}")
         quad_parts.append("] / 2")
-        obj_lines.extend(_wrap(["   + " + quad_parts[0]] + quad_parts[1:], indent="   "))
-    out.extend(obj_lines)
+        out.append(_wrap("\t".join(quad_parts)))
     out.append("Subject To")
     for c in model.constraints:
-        lines = _terms_text(list(c.terms), f" {c.name}: ")
-        lines[-1] += f" {c.sense} {_fmt_num(c.rhs)}"
-        out.extend(lines)
+        if c.coefs is None:
+            body = _sum_text(map(plus.__getitem__, c.cols))
+        else:
+            body = _sum_text(_signed(names, plus, minus, c.cols, c.coefs))
+        out.append(f"{_wrap(f' {c.name}: ' + body)} {c.sense} {_fmt_num(c.rhs)}")
+    nums = _Memo(_fmt_num)
     bound_lines = []
     for v in variables:
         if v.kind == BINARY:
             continue
         if v.ub is not None and v.lb == v.ub:
-            bound_lines.append(f" {v.name} = {_fmt_num(v.lb)}")
+            bound_lines.append(f" {v.name} = {nums[v.lb]}")
         elif v.ub is None:
             if v.lb != 0:
-                bound_lines.append(f" {v.name} >= {_fmt_num(v.lb)}")
+                bound_lines.append(f" {v.name} >= {nums[v.lb]}")
         else:
-            bound_lines.append(f" {_fmt_num(v.lb)} <= {v.name} <= {_fmt_num(v.ub)}")
+            bound_lines.append(f" {nums[v.lb]} <= {v.name} <= {nums[v.ub]}")
     if bound_lines:
         out.append("Bounds")
         out.extend(bound_lines)
-    binaries = [v.name for v in variables if v.kind == BINARY]
-    generals = [v.name for v in variables if v.kind == INTEGER]
-    if binaries:
-        out.append("Binaries")
-        out.extend(_wrap([" " + binaries[0]] + binaries[1:], indent="  "))
-    if generals:
-        out.append("Generals")
-        out.extend(_wrap([" " + generals[0]] + generals[1:], indent="  "))
+    for title, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
+        listed = [v.name for v in variables if v.kind == kind]
+        if listed:
+            out.append(title)
+            out.append(_wrap(" " + "\t".join(listed), indent="  "))
     out.append("End")
     return "\n".join(out) + "\n"
 
 
+class _Memo(dict):
+    """key -> make(key), each made once."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _field(x: Num) -> str:
+    """An MPS value field: the number padded to 14."""
+    return f"{x:<14}" if type(x) is int else f"{_fmt_num(x):<14}"
+
+
+def _row_entries(c: Constraint) -> list[tuple[int, int]]:
+    """(position, coefficient) per column of the row: repeated positions
+    summed in first-appearance order, zero sums dropped."""
+    pairs = zip(c.cols, repeat(1) if c.coefs is None else c.coefs)
+    if len(set(c.cols)) != len(c.cols):
+        acc: dict[int, int] = {}
+        for i, k in pairs:
+            acc[i] = acc.get(i, 0) + k
+        pairs = acc.items()
+    return [(i, k) for i, k in pairs if k]
+
+
+def _pairs(head: str, entries: list[str]) -> list[str]:
+    """MPS data lines: ``head`` then two entries each, trailing padding cut."""
+    if len(entries) % 2:
+        entries = entries + [""]
+    return [(head + a + b).rstrip() for a, b in zip(entries[::2], entries[1::2])]
+
+
 def emit_mps(model: MilpModel) -> str:
     """Aligned MPS text with INTORG/INTEND integrality markers.
+
+    Rows are turned into per-column lists of "row value" entries; each row
+    name is padded once and, within a row, each distinct coefficient
+    formatted once.
 
     Raises:
         UnsupportedFormatError: for models with quadratic objectives.
     """
     if model.quad_terms:
         raise UnsupportedFormatError("MPS cannot carry a quadratic objective; emit LP instead")
-    variables, _ = _with_constant(model)
-    col_entries: dict[str, list[tuple[str, Num]]] = {v.name: [] for v in variables}
-    for v in variables:
-        if v.obj != 0:
-            col_entries[v.name].append(("COST", v.obj))
-    for c in model.constraints:
-        acc: dict[str, Num] = {}
-        for name, coef in c.terms:
-            acc[name] = acc.get(name, 0) + coef
-        for name, coef in acc.items():
-            if coef != 0:
-                col_entries[name].append((c.name, coef))
-
+    variables = _with_constant(model)
     w_name = max(10, max((len(v.name) for v in variables), default=10) + 1)
     w_row = max(10, max((len(c.name) for c in model.constraints), default=10) + 1)
+    names = [f"{v.name:<{w_name}}" for v in variables]
+
+    # per column, its "row value" entries in row order, COST first
+    cost = f"{'COST':<{w_row}}"
+    col_entries: list[list[str]] = [[cost + _field(v.obj)] if v.obj != 0 else [] for v in variables]
+    for c in model.constraints:
+        texts = _Memo(lambda k, row=f"{c.name:<{w_row}}": row + _field(k))
+        if c.coefs is None and len(set(c.cols)) == len(c.cols):
+            entry = texts[1]
+            for i in c.cols:
+                col_entries[i].append(entry)
+        else:
+            for i, k in _row_entries(c):
+                col_entries[i].append(texts[k])
+    # two entries per line: pad odd columns with an empty entry
+    empty = [cost + _field(0), ""]
+    for i, entries in enumerate(col_entries):
+        if not entries:
+            col_entries[i] = empty
+        elif len(entries) % 2:
+            entries.append("")
 
     out = [f"NAME          {model.name}", "ROWS", " N  COST"]
     sense_tag = {"<=": "L", "=": "E", ">=": "G"}
-    for c in model.constraints:
-        out.append(f" {sense_tag[c.sense]}  {c.name}")
+    out.extend(f" {sense_tag[c.sense]}  {c.name}" for c in model.constraints)
     out.append("COLUMNS")
-    in_int = False
     marker = 0
-    for v in variables:
-        wants_int = v.kind in (BINARY, INTEGER)
-        if wants_int and not in_int:
+    columns = zip(variables, names, col_entries)
+    for integral, group in groupby(columns, key=lambda column: column[0].kind in (BINARY, INTEGER)):
+        if integral:
             out.append(f"    MARKER{marker:<{w_name - 6}}'MARKER'                 'INTORG'")
-            in_int = True
-            marker += 1
-        elif not wants_int and in_int:
-            out.append(f"    MARKER{marker:<{w_name - 6}}'MARKER'                 'INTEND'")
-            in_int = False
-            marker += 1
-        entries = col_entries[v.name]
-        if not entries:
-            entries = [("COST", 0)]
-        for i in range(0, len(entries), 2):
-            chunk = entries[i : i + 2]
-            line = f"    {v.name:<{w_name}}"
-            for row, coef in chunk:
-                line += f"{row:<{w_row}}{_fmt_num(coef):<14}"
-            out.append(line.rstrip())
-    if in_int:
-        out.append(f"    MARKER{marker:<{w_name - 6}}'MARKER'                 'INTEND'")
+        out.extend([
+            ("    " + name + a + b).rstrip()
+            for _, name, entries in group
+            for a, b in zip(entries[::2], entries[1::2])
+        ])
+        if integral:
+            out.append(f"    MARKER{marker + 1:<{w_name - 6}}'MARKER'                 'INTEND'")
+            marker += 2
     out.append("RHS")
-    rhs_entries = [(c.name, c.rhs) for c in model.constraints if c.rhs != 0]
-    for i in range(0, len(rhs_entries), 2):
-        chunk = rhs_entries[i : i + 2]
-        line = f"    {'RHS':<{w_name}}"
-        for row, val in chunk:
-            line += f"{row:<{w_row}}{_fmt_num(val):<14}"
-        out.append(line.rstrip())
+    rhs_entries = [f"{c.name:<{w_row}}" + _field(c.rhs) for c in model.constraints if c.rhs != 0]
+    out.extend(_pairs(f"    {'RHS':<{w_name}}", rhs_entries))
     out.append("BOUNDS")
-    for v in variables:
+    nums = _Memo(_fmt_num)
+    bnd = f"{'BND':<{w_name - 1}}"
+    for v, name in zip(variables, names):
         if v.kind == BINARY:
-            out.append(f" BV {'BND':<{w_name - 1}}{v.name}")
+            out.append(f" BV {bnd}{v.name}")
         elif v.ub is not None and v.lb == v.ub:
-            out.append(f" FX {'BND':<{w_name - 1}}{v.name:<{w_name}}{_fmt_num(v.lb)}")
+            out.append(f" FX {bnd}{name}{nums[v.lb]}")
         else:
             if v.lb != 0:
-                out.append(f" LO {'BND':<{w_name - 1}}{v.name:<{w_name}}{_fmt_num(v.lb)}")
+                out.append(f" LO {bnd}{name}{nums[v.lb]}")
             if v.ub is not None:
-                out.append(f" UP {'BND':<{w_name - 1}}{v.name:<{w_name}}{_fmt_num(v.ub)}")
+                out.append(f" UP {bnd}{name}{nums[v.ub]}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 
@@ -452,32 +585,36 @@ def check_feasible(model: MilpModel, valuation: Valuation) -> FeasibilityReport:
 
     Integrality is not checked; the report covers bounds and linear
     constraints, and the objective includes the model constant and any
-    quadratic terms.
+    quadratic terms. Values are held by variable position, as ints where
+    integral, so rows sum in integers and Fractions appear only where a
+    value is fractional.
 
     Raises:
         ValidationError: valuation names a variable the model lacks.
     """
-    var_map = model.var_map()
-    for name in valuation:
-        if name not in var_map:
+    variables = model.variables
+    position = {v.name: i for i, v in enumerate(variables)}
+    values: list[Num] = [0] * len(variables)
+    for name, value in valuation.items():
+        i = position.get(name)
+        if i is None:
             raise ValidationError(f"valuation references unknown variable {name}")
+        x = Fraction(value)
+        values[i] = x.numerator if x.denominator == 1 else x
 
-    def val(name: str) -> Fraction:
-        return Fraction(valuation.get(name, 0))
-
-    violations: list[str] = []
-    for v in model.variables:
-        x = val(v.name)
-        if x < v.lb or (v.ub is not None and x > v.ub):
-            violations.append(f"bound {v.name}")
+    violations = [
+        f"bound {v.name}" for v, x in zip(variables, values) if x < v.lb or (v.ub is not None and x > v.ub)
+    ]
     for c in model.constraints:
-        lhs = sum((val(name) * coef for name, coef in c.terms), Fraction(0))
+        picked = map(values.__getitem__, c.cols)
+        lhs = sum(picked) if c.coefs is None else sum(map(mul, picked, c.coefs))
         ok = lhs <= c.rhs if c.sense == "<=" else lhs >= c.rhs if c.sense == ">=" else lhs == c.rhs
         if not ok:
             violations.append(f"constraint {c.name}")
-    objective = sum((val(v.name) * v.obj for v in model.variables), Fraction(model.obj_constant))
-    for va, vb, coef in model.quad_terms:
-        objective += val(va) * val(vb) * coef
+    touched = map(position.__getitem__, valuation)
+    objective = Fraction(model.obj_constant) + sum(values[i] * variables[i].obj for i in touched)
+    for a, b, coef in model.quad_terms:
+        objective += values[a] * values[b] * coef
     return FeasibilityReport(feasible=not violations, violations=tuple(violations), objective=objective)
 
 

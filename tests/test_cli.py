@@ -1,13 +1,18 @@
+import signal
 import subprocess
 import sys
 import tempfile
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from arcsched.bounds import horizon_T
 from arcsched.cli import main
 from arcsched.heuristic import IlsConfig
-from arcsched.instance import parse_instance, parse_schedule
+from arcsched.instance import generate_instance, parse_instance, parse_schedule, write_instance
+from arcsched.milp import estimate_nonzeros
 
 from conftest import DEMO_TEXT
 
@@ -113,6 +118,105 @@ class TestModel:
         code = main(["model", "--in", str(tmp_path / "absent.txt"), "--form", "ti",
                      "--out", str(tmp_path / "m.lp")])
         assert code == 3
+
+
+class TestModelSizeGuard:
+    """Models too large to build are refused with exit 5 before any
+    pseudo-polynomial allocation: a 2-job file with p = 10**10 used to
+    raise MemoryError (flow forms) or loop for minutes (ti)."""
+
+    HUGE_P = "2 2\n10000000000 3\n4 5\n"
+
+    @pytest.fixture
+    def huge_p(self, tmp_path) -> Path:
+        path = tmp_path / "huge.txt"
+        path.write_text(self.HUGE_P, encoding="utf-8")
+        return path
+
+    @pytest.fixture
+    def huge_sched(self, tmp_path) -> Path:
+        path = tmp_path / "huge.sched"
+        path.write_text("objective 0\nmachine 1: 1\nmachine 2: 2\n", encoding="utf-8")
+        return path
+
+    @staticmethod
+    @contextmanager
+    def deadline(seconds: float):
+        """Turn a run past ``seconds`` into a failure instead of a hang."""
+
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def assert_refused_fast(self, capsys, *argv):
+        with self.deadline(5.0):
+            t0 = time.perf_counter()
+            code = main(list(argv))
+            elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert code == 5, err
+        assert err.startswith("refused:") and "model guard" in err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("form", ["ti", "pti", "af", "eaf"])
+    def test_model_refused(self, form, huge_p, tmp_path, capsys):
+        self.assert_refused_fast(capsys, "model", "--in", str(huge_p), "--form", form,
+                                 "--out", str(tmp_path / "m.lp"))
+        assert not (tmp_path / "m.lp").exists()
+
+    def test_ciqp_refused_on_many_jobs(self, tmp_path, capsys):
+        # ciqp is polynomial: m n (n - 1) / 2 quadratic terms, not p, set its size
+        many = tmp_path / "many.txt"
+        many.write_text("5000 1\n" + "3 2\n" * 5000, encoding="utf-8")
+        self.assert_refused_fast(capsys, "model", "--in", str(many), "--form", "ciqp",
+                                 "--out", str(tmp_path / "m.lp"))
+
+    @pytest.mark.parametrize("form", ["ti", "af", "eaf"])
+    def test_check_refused(self, form, huge_p, huge_sched, capsys):
+        self.assert_refused_fast(capsys, "check", "--in", str(huge_p), "--sched", str(huge_sched),
+                                 "--form", form)
+
+    @pytest.mark.parametrize("form", ["ti", "af", "eaf"])
+    def test_solve_external_refused(self, form, huge_p, capsys):
+        # the guard fires while building, before the solver would run
+        self.assert_refused_fast(capsys, "solve-external", "--in", str(huge_p), "--form", form,
+                                 "--solver-cmd", "false")
+
+    def test_compare_refused(self, tmp_path, capsys):
+        self.assert_refused_fast(capsys, "compare", "--n", "3", "--m", "2", "--pmax", "10000000000",
+                                 "--seeds", "1", "--out", str(tmp_path / "c.csv"))
+
+    def test_ciqp_on_huge_p_still_builds(self, huge_p, tmp_path, capsys):
+        code, text = run(capsys, "model", "--in", str(huge_p), "--form", "ciqp",
+                         "--out", str(tmp_path / "m.lp"))
+        assert code == 0
+        assert "nonzeros: 6" in text  # 2 x 2 assignment entries, 2 quadratic terms
+
+    @pytest.mark.parametrize("form", ["ti", "pti", "af", "eaf", "ciqp"])
+    def test_estimate_bounds_reported_nonzeros(self, form, tmp_path, capsys):
+        # the guard never refuses a model smaller than it thinks: its O(n)
+        # estimate covers the count the report gives (exact for ti, pti, ciqp)
+        flags = [(), ("--no-windows",), ("--no-types",), ("--no-tprime",), ("--strict-figure",)]
+        for seed in range(12):
+            inst = generate_instance(n=2 + seed % 9, m=1 + seed % 4, p_max=3 + 2 * seed, w_max=9, seed=seed)
+            path = tmp_path / f"i{seed}.txt"
+            path.write_text(write_instance(inst), encoding="utf-8")
+            extra = flags[seed % len(flags)] if form == "eaf" else ()
+            code, text = run(capsys, "model", "--in", str(path), "--form", form,
+                             "--out", str(tmp_path / "m.lp"), *extra)
+            assert code == 0
+            reported = int(text.split("nonzeros: ")[1].split()[0])
+            estimate = estimate_nonzeros(inst, form, horizon_T(inst))
+            assert estimate >= reported > 0
+            if form in ("ti", "pti", "ciqp"):
+                assert estimate == reported
 
 
 class TestCompare:

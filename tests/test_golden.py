@@ -164,3 +164,103 @@ GOLDEN = {
 def test_emitted_bytes_match_golden_digests(tmp_path, label, form, flags):
     got = digests(tmp_path, label, form, flags)
     assert got == GOLDEN[(label, form, flags)]
+
+
+# Larger instances, recorded before the rows were stored as column
+# positions: long capacity and flow rows wrap over many LP lines, and ti
+# and pti are also locked as MPS.
+LARGE_INSTANCES = {  # label: (n, m, p_max, w_max, seed)
+    "n30m2": (30, 2, 20, 20, 11),
+    "n40m3": (40, 3, 8, 6, 12),  # few distinct (p, w): types merge
+    "n50m2": (50, 2, 10, 30, 13),
+}
+
+LARGE_CASES = [("eaf", ()), ("af", ()), ("ti", ()), ("pti", ()), ("ciqp", ())]
+
+
+def large_digests(tmp_path, label: str, form: str) -> dict[str, str]:
+    """Digests of the LP (and, except for ciqp, MPS and the flow forms' DOT)."""
+    inst_file = tmp_path / f"{label}.txt"
+    inst_file.write_text(write_instance(generate_instance(*LARGE_INSTANCES[label])), encoding="utf-8")
+    files = {}
+    for fmt in ("lp",) if form == "ciqp" else ("lp", "mps"):
+        files[fmt] = tmp_path / f"{label}_{form}.{fmt}"
+        argv = ["model", "--in", str(inst_file), "--form", form, "--format", fmt, "--out", str(files[fmt])]
+        if form in ("af", "eaf") and fmt == "lp":
+            files["dot"] = tmp_path / f"{label}_{form}.dot"
+            argv += ["--dot", str(files["dot"])]
+        assert main(argv) == 0
+    return {kind: hashlib.sha256(path.read_bytes()).hexdigest() for kind, path in files.items()}
+
+
+GOLDEN_LARGE = {
+    ('n30m2', 'eaf'): {
+        "lp": "587a4abb2ee3e7511f636f76f830b40efaa60688ec392876bf49e6e50542f39d",
+        "dot": "426d4d4e0c79e261f5444eaeb9536feab5f9ed176a1aa0f558330746c84f8240",
+        "mps": "496d702e1d6431a9d927818256f8c089e8a6bd8ef43c530013324ac9187b23fb",
+    },
+    ('n30m2', 'af'): {
+        "lp": "1f906da09891f87360bb00f899dc3a6322b8d552673c943557f07b5347ac73b4",
+        "dot": "6f62bb65c08c8ea711a90efdfcd08c680beed6f89da41ef3514ca9bfca60807c",
+        "mps": "f4dd263105c23c85b7506da56c945d905e5a7c27da245edb9bddced61041075e",
+    },
+    ('n30m2', 'ti'): {
+        "lp": "d7bd8163bd47bd37bb4bc576cc486137d368581b8c50d5724ca6445e2130d142",
+        "mps": "e4c1fa1594864c0bf5c7aad68527269be35416d578e4c582d28470a7b8eac8cb",
+    },
+    ('n30m2', 'pti'): {
+        "lp": "0c6a3c87789ec41e7605bb8f1a3d6092ffda776249c51071fc11866f1f892737",
+        "mps": "940a7e803f5de58850ab7bf1112ce4aad590a8fa6eafb0a60b6dfb578d811a8c",
+    },
+    ('n30m2', 'ciqp'): {
+        "lp": "263394d7e6af02c8de8861774ff3b58b0fa40450204c3ed0728a42f4280be043",
+    },
+    ('n40m3', 'eaf'): {
+        "lp": "c37b449084f5f27bbd23070307e293f66c94e4bafb2e107c166c28d445a0c014",
+        "dot": "838249386b24bbda87a249a869c3845135b5a591fc336ea4d5b6ab7581b8e02e",
+        "mps": "f4e0b88e48ee63257d8936360e4e41207e9cd61701ba5e73f2f6f032f2ddcb5f",
+    },
+    ('n40m3', 'af'): {
+        "lp": "3c7f1e16914cdf7fd45472254184e37fc57d645ff1acc1ba957b77a7ca0ae51e",
+        "dot": "54d43fd4afc8405bcd504c341d0fd9f700bd03c04fca4ecdb50430623809fb56",
+        "mps": "c8be3feffcb9527bf2d26692e374e0cc4239e55efcad99c308717bde489c34ef",
+    },
+    ('n40m3', 'ti'): {
+        "lp": "4895fe49522c42fce19e508525dbd6deb82491be84b2ec3c583ade4146fa5f25",
+        "mps": "f5223c07d019ab85236451ec3e648331778d4fc849742c4e803a145d674c04ba",
+    },
+    ('n40m3', 'pti'): {
+        "lp": "40abb1fc42f871f2b5d0b1cba2f7299ba40f1b5a591874fd28472fc2c3af8f6f",
+        "mps": "1ee422184768ad2279f40de84093d631c239584546b8b1fcd7312c65da091a2c",
+    },
+    ('n40m3', 'ciqp'): {
+        "lp": "3c988f15bfd0e3abac8cc9048c0e1450d71008f7fb43f2361abc9421a2910ae3",
+    },
+    ('n50m2', 'eaf'): {
+        "lp": "d61ec65e8b2ccc3134626ea9eb53d3c36c7ba04be4ed3c552a128313af14e220",
+        "dot": "c4712752474260ea7d8108ce542ee7de21c2a3fa7b7b999bc3302471668bbf83",
+        "mps": "2feb47638c1df33f2d3ff1f11da0700acdd841ca3299a60fbb765295b6441619",
+    },
+    ('n50m2', 'af'): {
+        "lp": "844b7780eb0e7987a01290fbb6a1b29bec4d311771fcfe8fff7fd7c6dc8b7c64",
+        "dot": "ee07ed4464793b7b7a34da849b857f3ecfd1ace501e9314f3c5d66abd20f02fd",
+        "mps": "d4a3b1dcfe1be4aa60a094544b3cb21ce96599037b2486da8bd5803909402ed1",
+    },
+    ('n50m2', 'ti'): {
+        "lp": "73945363d278d2c31d4c0386f63b650ccc0dab6505fd5f7aa9961e241383a09c",
+        "mps": "1478dce911e6360bf6842d99cf48605b379b7474503477549e12848194c0b71f",
+    },
+    ('n50m2', 'pti'): {
+        "lp": "2fc4e211ebb33531356a916bb664b4e1f28657ee5e854d4f9092a845d8cdd7c2",
+        "mps": "6c2573a6d09670ff75b0633153dbbffe7f605351d89d5eaaef51d49ec71e024e",
+    },
+    ('n50m2', 'ciqp'): {
+        "lp": "6c406f5471c0eec2c28c4087e113551033ae9ff2d0aadf97e6df3ca633a229a3",
+    },
+}
+
+
+@pytest.mark.parametrize("label", sorted(LARGE_INSTANCES))
+@pytest.mark.parametrize("form", [form for form, _ in LARGE_CASES])
+def test_large_emitted_bytes_match_golden_digests(tmp_path, label, form):
+    assert large_digests(tmp_path, label, form) == GOLDEN_LARGE[(label, form)]

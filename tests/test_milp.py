@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,9 @@ from arcsched.instance import (
     sort_machine_wspt,
 )
 from arcsched.milp import (
+    BINARY,
     INTEGER,
+    Constraint,
     MappingError,
     MilpModel,
     UnsupportedFormatError,
@@ -52,6 +55,63 @@ def eaf_context(inst):
     return g, types, build_eaf_model(g, types, inst.m)
 
 
+class TestRecords:
+    def test_rows_hold_positions_and_integer_coefficients(self):
+        model = MilpModel(name="tiny")
+        x = model.add_var("x", 0, 1, BINARY)
+        y = model.add_var("y", 0, 5, INTEGER)
+        model.add_constraint("ones", [x, y], "<=", 1)
+        model.add_constraint("mixed", [y, x, y], "=", Fraction(1, 2), coefs=[2, 0, -3])
+        model.quad_terms.append((x, y, Fraction(3, 4)))
+        model.validate()
+        assert (x, y) == (0, 1)
+        assert model.constraints[0].coefs is None  # all-ones rows store no coefficients
+        assert model.constraints[0].terms == [(0, 1), (1, 1)]
+        assert model.constraints[1].terms == [(1, 2), (0, 0), (1, -3)]
+        assert model.nonzeros() == 2 + 3 + 1
+
+    @pytest.mark.parametrize("coefs", [[Fraction(1, 2)], [0.5], [2**63]])
+    def test_non_integer_coefficient_rejected(self, coefs):
+        model = MilpModel(name="tiny")
+        model.add_var("x", 0, 1, BINARY)
+        with pytest.raises(ValidationError, match="constraint c"):
+            model.add_constraint("c", [0], "=", 1, coefs=coefs)
+
+    def test_non_integer_coefficient_in_a_record_rejected(self):
+        model = MilpModel(name="tiny")
+        x = model.add_var("x", 0, 1, BINARY)
+        model.constraints.append(Constraint("c", "=", 1, array("I", [x]), [Fraction(1, 2)]))
+        with pytest.raises(ValidationError, match="integers"):
+            model.validate()
+
+    def test_negative_position_rejected(self):
+        model = MilpModel(name="tiny")
+        model.add_var("x", 0, 1, BINARY)
+        with pytest.raises(ValidationError):
+            model.add_constraint("c", [-1], "=", 1)
+
+    def test_position_out_of_range_rejected(self):
+        model = MilpModel(name="tiny")
+        model.add_var("x", 0, 1, BINARY)
+        model.add_constraint("c", [0, 1], "=", 1)
+        with pytest.raises(ValidationError, match="outside 0..0"):
+            model.validate()
+
+    def test_quadratic_position_out_of_range_rejected(self):
+        model = MilpModel(name="tiny")
+        model.add_var("x", 0, 1, BINARY)
+        model.quad_terms.append((0, 3, 1))
+        with pytest.raises(ValidationError):
+            model.validate()
+
+    @pytest.mark.parametrize("bad", ["", "x y", "x\ty"])
+    def test_blank_or_spaced_name_rejected(self, bad):
+        model = MilpModel(name="tiny")
+        model.add_var(bad, 0, 1, BINARY)
+        with pytest.raises(ValidationError, match="whitespace"):
+            model.validate()
+
+
 class TestBuildTi:
     def test_demo_counts(self, demo):
         model = build_ti(demo, 8)
@@ -74,10 +134,9 @@ class TestBuildTi:
 
     def test_capacity_terms_clamped_to_variable_range(self, demo):
         model = build_ti(demo, 8)
-        declared = {v.name for v in model.variables}
         for c in model.constraints:
-            for name, _ in c.terms:
-                assert name in declared
+            for pos, _ in c.terms:
+                assert 0 <= pos < len(model.variables)
 
 
 class TestBuildCiqp:
@@ -158,7 +217,7 @@ class TestAfModel:
         inst = make_instance(1, [(3, 5)])
         _, _, model = af_context(inst)
         flow0 = next(c for c in model.constraints if c.name == "flow_0")
-        assert sorted(flow0.terms) == [("L_0", 1), ("x_0_3_1", 1)]
+        assert sorted((model.variables[pos].name, coef) for pos, coef in flow0.terms) == [("L_0", 1), ("x_0_3_1", 1)]
         assert flow0.sense == "=" and flow0.rhs == 1
 
 
@@ -202,8 +261,8 @@ class TestVariableCounts:
 class TestEmitLp:
     def test_trivial_contract(self):
         model = MilpModel(name="tiny")
-        model.add_var("x", 0, 10, INTEGER, obj=1)
-        model.add_constraint("c1", [("x", 1)], ">=", 1)
+        x = model.add_var("x", 0, 10, INTEGER, obj=1)
+        model.add_constraint("c1", [x], ">=", 1)
         text = emit_lp(model.validate())
         lines = text.splitlines()
         assert "Minimize" in lines
@@ -238,8 +297,8 @@ class TestEmitLp:
 class TestEmitMps:
     def test_trivial_contract(self):
         model = MilpModel(name="tiny")
-        model.add_var("x", 0, 10, INTEGER, obj=1)
-        model.add_constraint("c1", [("x", 1)], ">=", 1)
+        x = model.add_var("x", 0, 10, INTEGER, obj=1)
+        model.add_constraint("c1", [x], ">=", 1)
         text = emit_mps(model.validate())
         for section in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
             assert section in text
