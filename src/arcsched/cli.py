@@ -3,7 +3,7 @@
 Subcommands: gen, bounds, model, compare, solve-heur, solve-exact, check,
 solve-external. Exit codes: 0 success, 2 usage error, 3 input/validation
 error, 4 external-solver error, 5 size-guard refusal (the oracle's m**n
-guard or a model above milp.MAX_NONZEROS).
+guard or a model estimated above milp.MAX_MODEL_BYTES).
 """
 
 from __future__ import annotations
@@ -97,6 +97,10 @@ def _flow_network(inst: Instance, form: str, args) -> tuple[list[JobType], flowg
     af is eaf with every reduction off: one type per job in WSPT order,
     windows [0, T - p_j] and T' = 0. The --no-* flags switch single
     reductions off for eaf.
+
+    Raises:
+        milp.ModelSizeError: the model would exceed the size guard; checked
+            from the types and windows before the network is allocated.
     """
     hor = bounds_mod.horizon(inst)
     straight = form == "af"
@@ -105,7 +109,8 @@ def _flow_network(inst: Instance, form: str, args) -> tuple[list[JobType], flowg
         windows = [(0, hor.T - t.p) for t in types]
     else:
         windows = bounds_mod.type_time_windows(types, bounds_mod.time_windows(inst, hor.T))
-    t_prime = 0 if straight or args.no_tprime else None
+    t_prime = 0 if straight or args.no_tprime else hor.T_prime
+    milp.check_size(form, milp.flow_nonzeros(types, windows, hor.T, t_prime))
     graph = flowgraph.build_eaf_graph(
         inst, hor, types, windows, strict_figure=args.strict_figure, t_prime=t_prime
     )
@@ -119,15 +124,15 @@ def _build_model(
 
     Raises:
         milp.ModelSizeError: the model would exceed the size guard; checked
-            in O(n) before anything pseudo-polynomial is allocated.
+            before anything pseudo-polynomial is allocated.
     """
-    milp.check_size(inst, form, bounds_mod.horizon_T(inst))
     if form in ("af", "eaf"):
         types, graph = _flow_network(inst, form, args)
         return milp.build_eaf_model(graph, types, inst.m), types, graph
+    T = bounds_mod.horizon_T(inst)
+    milp.check_size(form, milp.estimate_nonzeros(inst, form, T))
     if form == "ciqp":
         return milp.build_ciqp(inst), None, None
-    T = bounds_mod.horizon(inst).T
     if form == "ti":
         return milp.build_ti(inst, T), None, None
     if form == "pti":
@@ -221,11 +226,13 @@ def cmd_compare(args) -> int:
         for i in range(args.seeds):
             seed = args.seed + i
             inst = generate_instance(args.n, args.m, args.pmax, args.wmax, seed)
-            counts = {}
-            for form in ("ti", "af", "eaf"):
-                model, _, _ = _build_model(inst, form, args)
-                counts[form] = len(model.variables)
-            rows.append((seed, counts["ti"], counts["af"], counts["eaf"]))
+            # ti has x_{j}_{t} for t = 0..T - p_j; af/eaf one variable per arc
+            T = bounds_mod.horizon_T(inst)
+            counts = [sum(T - job.p + 1 for job in inst.jobs)]
+            for form in ("af", "eaf"):
+                _, graph = _flow_network(inst, form, args)
+                counts.append(flowgraph.graph_stats(graph).variable_count)
+            rows.append((seed, *counts))
     mean = lambda idx: sum(r[idx] for r in rows) / len(rows)
     mean_ti, mean_af, mean_eaf = mean(1), mean(2), mean(3)
     lines = ["# arcsched compare v1", "seed,vars_ti,vars_af,vars_eaf,red_af_vs_ti,red_eaf_vs_af"]

@@ -26,8 +26,8 @@ time.
 
 from __future__ import annotations
 
-import re
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, repeat
@@ -39,17 +39,18 @@ from .instance import Instance, JobType, Schedule, ValidationError, completion_t
 
 Num = int | Fraction
 
-_BLANK = re.compile(r"\s")
-
 BINARY = "binary"
 INTEGER = "integer"
 CONTINUOUS = "continuous"
 
-# Largest model the CLI builds, in nonzeros as ``estimate_nonzeros`` counts
-# them. Measured peak RSS per estimated nonzero, build plus emission: ti LP
-# 48 bytes, ti MPS 133, af MPS 290 (per-arc records and names dominate). So
-# no model at the guard needs much more than 3 GB.
-MAX_NONZEROS = 10**7
+# The CLI refuses a model whose estimated peak memory, build plus emission,
+# exceeds MAX_MODEL_BYTES: a nonzero bound (``estimate_nonzeros``,
+# ``flow_nonzeros``) times the form's peak RSS per estimated nonzero. The
+# rates are the largest measured over LP and MPS, m = 2 and 4, p and w in
+# U[1, 100]; they differ because per-variable records and names weigh more
+# where a variable has few entries. The budget leaves room on an 8 GB host.
+BYTES_PER_NONZERO = {"ti": 142, "pti": 462, "af": 340, "eaf": 364, "ciqp": 380}
+MAX_MODEL_BYTES = 6 * 10**9
 
 
 class MappingError(ValueError):
@@ -61,7 +62,7 @@ class UnsupportedFormatError(ValueError):
 
 
 class ModelSizeError(ValueError):
-    """The model's estimated size exceeds MAX_NONZEROS."""
+    """The model's estimated peak memory exceeds MAX_MODEL_BYTES."""
 
 
 class Variable(NamedTuple):
@@ -125,10 +126,6 @@ class MilpModel:
 
     def validate(self) -> "MilpModel":
         names = [v.name for v in self.variables]
-        labels = names + [c.name for c in self.constraints]
-        if not all(labels) or _BLANK.search("".join(labels)):
-            bad = next(label for label in labels if not label or _BLANK.search(label))
-            raise ValidationError(f"name {bad!r}: LP and MPS names must be non-empty and free of whitespace")
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValidationError(f"duplicate variable names: {dupes}")
@@ -158,37 +155,47 @@ class MilpModel:
 
 
 def estimate_nonzeros(inst: Instance, form: str, T: int) -> int:
-    """Upper bound on ``form``'s nonzeros (as ``MilpModel.nonzeros``), in O(n).
+    """Nonzeros (as ``MilpModel.nonzeros``) of form ti, pti or ciqp, in O(n).
 
     ti: each x_{j}_{t} sits in one assignment row and p_j capacity rows.
     pti: n m T parts plus n m links, n m T capacity entries, n m assignment
-    entries. af/eaf: at most T - p_j + 1 job arcs per job (type arcs never
-    outnumber their members' start ranges) and at most T loss arcs; every
-    arc sits in two flow rows and a job arc in one demand row. ciqp: n m
-    assignment entries and m n (n - 1) / 2 quadratic terms.
+    entries. ciqp: n m assignment entries and m n (n - 1) / 2 quadratic
+    terms. The flow forms use ``flow_nonzeros``.
     """
     n, m = inst.n, inst.m
     if form == "ti":
         return sum((j.p + 1) * (T - j.p + 1) for j in inst.jobs)
     if form == "pti":
         return n * m * (2 * T + 2)
-    if form in ("af", "eaf"):
-        return 3 * sum(T - j.p + 1 for j in inst.jobs) + 2 * T
     if form == "ciqp":
         return n * m + m * n * (n - 1) // 2
     raise ValueError(f"unknown form {form!r}")
 
 
-def check_size(inst: Instance, form: str, T: int) -> None:
-    """Refuse a model whose estimated nonzeros exceed MAX_NONZEROS.
+def flow_nonzeros(types: list[JobType], windows: list[tuple[int, int]], T: int, t_prime: int) -> int:
+    """Upper bound on the nonzeros of an af/eaf model, in O(len(types)).
+
+    Type k has at most one job arc per start in [a_k, min(b_k, T - p_k)];
+    loss arcs leave 0 and points in [max(T', 1), T). Every arc sits in two
+    flow rows and a job arc also in its type's demand row.
+    """
+    job_arcs = sum(max(0, min(b, T - jt.p) - a + 1) for jt, (a, b) in zip(types, windows))
+    loss_arcs = 1 + max(0, T - max(t_prime, 1))
+    return 3 * job_arcs + 2 * loss_arcs
+
+
+def check_size(form: str, nonzeros: int) -> None:
+    """Refuse a model of ``form`` whose ``nonzeros`` would need more than
+    MAX_MODEL_BYTES at the form's measured bytes per nonzero.
 
     Raises:
-        ModelSizeError: the estimate is above the guard.
+        ModelSizeError: the memory estimate is above the guard.
     """
-    estimate = estimate_nonzeros(inst, form, T)
-    if estimate > MAX_NONZEROS:
+    need = nonzeros * BYTES_PER_NONZERO[form]
+    if need > MAX_MODEL_BYTES:
         raise ModelSizeError(
-            f"form {form} model may hold {estimate:.3g} nonzeros (T={T}), above the model guard {MAX_NONZEROS:.0e}"
+            f"form {form} model may hold {nonzeros:.3g} nonzeros, about {need / 1e9:.3g} GB,"
+            f" above the model guard of {MAX_MODEL_BYTES / 1e9:.3g} GB"
         )
 
 
@@ -355,27 +362,22 @@ def _fmt_num(x: Num) -> str:
     return format(float(x), ".15g")
 
 
-def _wrap(text: str, indent: str = "   ", width: int = 72) -> str:
-    """Greedy fill of the tab-separated parts of ``text`` into lines.
-
-    A part joins the line after one space while the line stays within
-    ``width``; an overflowing part opens a line at ``indent``. Names hold
-    no whitespace (``MilpModel.validate``), so the tabs are exactly the
-    part boundaries, and each line is one ``rfind`` for the last boundary
-    that fits.
-    """
-    lines = []
-    start, room = 0, width
-    while len(text) - start > room:
-        cut = text.rfind("\t", start, start + room + 1)
-        if cut < 0:  # the line's first part alone overflows
-            cut = text.find("\t", start)
-            if cut < 0:
-                break
-        lines.append(text[start:cut])
-        start, room = cut + 1, width - len(indent)
-    lines.append(text[start:])
-    return ("\n" + indent).join(lines).replace("\t", " ")
+def _wrap(parts: list[str], indent: str = "   ", width: int = 72) -> str:
+    """Greedy fill of ``parts``, one space apart, into lines of at most
+    ``width`` columns; a part that would overflow opens a line at ``indent``."""
+    lines: list[str] = []
+    current = ""
+    for part in parts:
+        if not current:
+            current = part
+        elif len(current) + 1 + len(part) > width:
+            lines.append(current)
+            current = indent + part
+        else:
+            current += " " + part
+    if current:
+        lines.append(current)
+    return "\n".join(lines)
 
 
 def _signed(names: list[str], plus: list[str], minus: list[str], cols, coefs) -> list[str]:
@@ -388,10 +390,14 @@ def _signed(names: list[str], plus: list[str], minus: list[str], cols, coefs) ->
     ]
 
 
-def _sum_text(parts) -> str:
-    """Tab-separated signed parts without a leading plus; "0" when empty."""
-    text = "\t".join(parts)
-    return text[2:] if text[:1] == "+" else text or "0"
+def _sum_text(lead: str, parts: list[str]) -> str:
+    """``lead`` and the wrapped signed ``parts``, the first without its plus
+    sign; "0" when there are none."""
+    if not parts:
+        return lead + "0"
+    first = parts[0]
+    parts[0] = lead + (first[2:] if first[0] == "+" else first)
+    return _wrap(parts)
 
 
 def _with_constant(model: MilpModel) -> list[Variable]:
@@ -405,8 +411,8 @@ def _with_constant(model: MilpModel) -> list[Variable]:
 def emit_lp(model: MilpModel) -> str:
     """CPLEX-LP-style text, deterministic for a given model record.
 
-    Each variable's "+ name" and "- name" are built once; a row is the
-    tab-joined run of them, wrapped at 72 columns.
+    Each variable's "+ name" and "- name" are built once; a row is the run
+    of them, wrapped at 72 columns.
     """
     variables = _with_constant(model)
     names = [v.name for v in variables]
@@ -414,7 +420,7 @@ def emit_lp(model: MilpModel) -> str:
     minus = ["- " + name for name in names]
     out: list[str] = [f"\\ {model.name}", "Minimize"]
     objective = _signed(names, plus, minus, range(len(variables)), [v.obj for v in variables])
-    out.append(_wrap(" obj: " + _sum_text(objective)))
+    out.append(_sum_text(" obj: ", objective))
     if model.quad_terms:
         quad_parts: list[str] = ["   + ["]
         for a, b, coef in model.quad_terms:
@@ -425,26 +431,25 @@ def emit_lp(model: MilpModel) -> str:
             else:
                 quad_parts.append(f"+ {body}" if doubled > 0 else f"- {body}")
         quad_parts.append("] / 2")
-        out.append(_wrap("\t".join(quad_parts)))
+        out.append(_wrap(quad_parts))
     out.append("Subject To")
     for c in model.constraints:
         if c.coefs is None:
-            body = _sum_text(map(plus.__getitem__, c.cols))
+            parts = list(map(plus.__getitem__, c.cols))
         else:
-            body = _sum_text(_signed(names, plus, minus, c.cols, c.coefs))
-        out.append(f"{_wrap(f' {c.name}: ' + body)} {c.sense} {_fmt_num(c.rhs)}")
-    nums = _Memo(_fmt_num)
+            parts = _signed(names, plus, minus, c.cols, c.coefs)
+        out.append(f"{_sum_text(f' {c.name}: ', parts)} {c.sense} {_fmt_num(c.rhs)}")
     bound_lines = []
     for v in variables:
         if v.kind == BINARY:
             continue
         if v.ub is not None and v.lb == v.ub:
-            bound_lines.append(f" {v.name} = {nums[v.lb]}")
+            bound_lines.append(f" {v.name} = {_fmt_num(v.lb)}")
         elif v.ub is None:
             if v.lb != 0:
-                bound_lines.append(f" {v.name} >= {nums[v.lb]}")
+                bound_lines.append(f" {v.name} >= {_fmt_num(v.lb)}")
         else:
-            bound_lines.append(f" {nums[v.lb]} <= {v.name} <= {nums[v.ub]}")
+            bound_lines.append(f" {_fmt_num(v.lb)} <= {v.name} <= {_fmt_num(v.ub)}")
     if bound_lines:
         out.append("Bounds")
         out.extend(bound_lines)
@@ -452,21 +457,10 @@ def emit_lp(model: MilpModel) -> str:
         listed = [v.name for v in variables if v.kind == kind]
         if listed:
             out.append(title)
-            out.append(_wrap(" " + "\t".join(listed), indent="  "))
+            listed[0] = " " + listed[0]
+            out.append(_wrap(listed, indent="  "))
     out.append("End")
     return "\n".join(out) + "\n"
-
-
-class _Memo(dict):
-    """key -> make(key), each made once."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 def _field(x: Num) -> str:
@@ -474,7 +468,7 @@ def _field(x: Num) -> str:
     return f"{x:<14}" if type(x) is int else f"{_fmt_num(x):<14}"
 
 
-def _row_entries(c: Constraint) -> list[tuple[int, int]]:
+def _row_entries(c: Constraint) -> Iterable[tuple[int, int]]:
     """(position, coefficient) per column of the row: repeated positions
     summed in first-appearance order, zero sums dropped."""
     pairs = zip(c.cols, repeat(1) if c.coefs is None else c.coefs)
@@ -483,14 +477,16 @@ def _row_entries(c: Constraint) -> list[tuple[int, int]]:
         for i, k in pairs:
             acc[i] = acc.get(i, 0) + k
         pairs = acc.items()
-    return [(i, k) for i, k in pairs if k]
+    return pairs if c.coefs is None else [(i, k) for i, k in pairs if k]
 
 
 def _pairs(head: str, entries: list[str]) -> list[str]:
-    """MPS data lines: ``head`` then two entries each, trailing padding cut."""
+    """MPS data lines: ``head`` then two entries each, trailing padding cut.
+    An odd ``entries`` list is padded in place with an empty entry."""
     if len(entries) % 2:
-        entries = entries + [""]
-    return [(head + a + b).rstrip() for a, b in zip(entries[::2], entries[1::2])]
+        entries.append("")
+    pairs = iter(entries)
+    return [(head + a + b).rstrip() for a, b in zip(pairs, pairs)]
 
 
 def emit_mps(model: MilpModel) -> str:
@@ -508,42 +504,31 @@ def emit_mps(model: MilpModel) -> str:
     variables = _with_constant(model)
     w_name = max(10, max((len(v.name) for v in variables), default=10) + 1)
     w_row = max(10, max((len(c.name) for c in model.constraints), default=10) + 1)
-    names = [f"{v.name:<{w_name}}" for v in variables]
 
     # per column, its "row value" entries in row order, COST first
     cost = f"{'COST':<{w_row}}"
     col_entries: list[list[str]] = [[cost + _field(v.obj)] if v.obj != 0 else [] for v in variables]
     for c in model.constraints:
-        texts = _Memo(lambda k, row=f"{c.name:<{w_row}}": row + _field(k))
-        if c.coefs is None and len(set(c.cols)) == len(c.cols):
-            entry = texts[1]
-            for i in c.cols:
-                col_entries[i].append(entry)
-        else:
-            for i, k in _row_entries(c):
-                col_entries[i].append(texts[k])
-    # two entries per line: pad odd columns with an empty entry
-    empty = [cost + _field(0), ""]
-    for i, entries in enumerate(col_entries):
-        if not entries:
-            col_entries[i] = empty
-        elif len(entries) % 2:
-            entries.append("")
+        row = f"{c.name:<{w_row}}"
+        texts: dict[int, str] = {}
+        for i, k in _row_entries(c):
+            try:
+                text = texts[k]
+            except KeyError:
+                text = texts[k] = row + _field(k)
+            col_entries[i].append(text)
 
     out = [f"NAME          {model.name}", "ROWS", " N  COST"]
     sense_tag = {"<=": "L", "=": "E", ">=": "G"}
     out.extend(f" {sense_tag[c.sense]}  {c.name}" for c in model.constraints)
     out.append("COLUMNS")
     marker = 0
-    columns = zip(variables, names, col_entries)
+    columns = zip(variables, col_entries)
     for integral, group in groupby(columns, key=lambda column: column[0].kind in (BINARY, INTEGER)):
         if integral:
             out.append(f"    MARKER{marker:<{w_name - 6}}'MARKER'                 'INTORG'")
-        out.extend([
-            ("    " + name + a + b).rstrip()
-            for _, name, entries in group
-            for a, b in zip(entries[::2], entries[1::2])
-        ])
+        for v, entries in group:  # a column with no entry still gets a zero cost
+            out.extend(_pairs(f"    {v.name:<{w_name}}", entries or [cost + _field(0)]))
         if integral:
             out.append(f"    MARKER{marker + 1:<{w_name - 6}}'MARKER'                 'INTEND'")
             marker += 2
@@ -551,18 +536,17 @@ def emit_mps(model: MilpModel) -> str:
     rhs_entries = [f"{c.name:<{w_row}}" + _field(c.rhs) for c in model.constraints if c.rhs != 0]
     out.extend(_pairs(f"    {'RHS':<{w_name}}", rhs_entries))
     out.append("BOUNDS")
-    nums = _Memo(_fmt_num)
     bnd = f"{'BND':<{w_name - 1}}"
-    for v, name in zip(variables, names):
+    for v in variables:
         if v.kind == BINARY:
             out.append(f" BV {bnd}{v.name}")
         elif v.ub is not None and v.lb == v.ub:
-            out.append(f" FX {bnd}{name}{nums[v.lb]}")
+            out.append(f" FX {bnd}{v.name:<{w_name}}{_fmt_num(v.lb)}")
         else:
             if v.lb != 0:
-                out.append(f" LO {bnd}{name}{nums[v.lb]}")
+                out.append(f" LO {bnd}{v.name:<{w_name}}{_fmt_num(v.lb)}")
             if v.ub is not None:
-                out.append(f" UP {bnd}{name}{nums[v.ub]}")
+                out.append(f" UP {bnd}{v.name:<{w_name}}{_fmt_num(v.ub)}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 

@@ -8,11 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from arcsched.bounds import horizon_T
+from arcsched import flowgraph, milp
+from arcsched.bounds import horizon, time_windows, type_time_windows
 from arcsched.cli import main
 from arcsched.heuristic import IlsConfig
-from arcsched.instance import generate_instance, parse_instance, parse_schedule, write_instance
-from arcsched.milp import estimate_nonzeros
+from arcsched.instance import (
+    generate_instance,
+    group_job_types,
+    parse_instance,
+    parse_schedule,
+    singleton_types,
+    write_instance,
+)
 
 from conftest import DEMO_TEXT
 
@@ -174,7 +181,7 @@ class TestModelSizeGuard:
     def test_ciqp_refused_on_many_jobs(self, tmp_path, capsys):
         # ciqp is polynomial: m n (n - 1) / 2 quadratic terms, not p, set its size
         many = tmp_path / "many.txt"
-        many.write_text("5000 1\n" + "3 2\n" * 5000, encoding="utf-8")
+        many.write_text("5000 2\n" + "3 2\n" * 5000, encoding="utf-8")
         self.assert_refused_fast(capsys, "model", "--in", str(many), "--form", "ciqp",
                                  "--out", str(tmp_path / "m.lp"))
 
@@ -200,9 +207,12 @@ class TestModelSizeGuard:
         assert "nonzeros: 6" in text  # 2 x 2 assignment entries, 2 quadratic terms
 
     @pytest.mark.parametrize("form", ["ti", "pti", "af", "eaf", "ciqp"])
-    def test_estimate_bounds_reported_nonzeros(self, form, tmp_path, capsys):
-        # the guard never refuses a model smaller than it thinks: its O(n)
-        # estimate covers the count the report gives (exact for ti, pti, ciqp)
+    def test_estimate_bounds_reported_nonzeros(self, form, tmp_path, capsys, monkeypatch):
+        # the guard never refuses a model smaller than it thinks: the estimate
+        # it checks covers the count the report gives (exact for ti, pti, ciqp)
+        checked = []
+        check_size = milp.check_size
+        monkeypatch.setattr(milp, "check_size", lambda f, nnz: (checked.append(nnz), check_size(f, nnz)))
         flags = [(), ("--no-windows",), ("--no-types",), ("--no-tprime",), ("--strict-figure",)]
         for seed in range(12):
             inst = generate_instance(n=2 + seed % 9, m=1 + seed % 4, p_max=3 + 2 * seed, w_max=9, seed=seed)
@@ -213,13 +223,83 @@ class TestModelSizeGuard:
                              "--out", str(tmp_path / "m.lp"), *extra)
             assert code == 0
             reported = int(text.split("nonzeros: ")[1].split()[0])
-            estimate = estimate_nonzeros(inst, form, horizon_T(inst))
-            assert estimate >= reported > 0
+            assert checked[-1] >= reported > 0
             if form in ("ti", "pti", "ciqp"):
-                assert estimate == reported
+                assert checked[-1] == reported
+
+    def test_eaf_estimate_uses_types_and_windows(self):
+        # merged types and start windows shrink eaf's bound below af's
+        inst = generate_instance(n=60, m=2, p_max=10, w_max=3, seed=4)
+        hor = horizon(inst)
+        singles, types = singleton_types(inst), group_job_types(inst)
+        assert len(types) < inst.n
+        windows = type_time_windows(types, time_windows(inst, hor.T))
+        af = milp.flow_nonzeros(singles, [(0, hor.T - t.p) for t in singles], hor.T, 0)
+        assert milp.flow_nonzeros(types, windows, hor.T, hor.T_prime) < af
+
+    class Reached(Exception):
+        """The model guard let the build through."""
+
+    @pytest.fixture
+    def stop_at_build(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise self.Reached
+
+        for module, name in ((milp, "build_ti"), (milp, "build_pti"), (flowgraph, "build_eaf_graph")):
+            monkeypatch.setattr(module, name, reached)
+
+    # The paper's grid: n up to 400, m = 2 or 4, p and w in U[1, 100]. These
+    # forms and sizes were built before the guard existed, with at most
+    # about 6 GB peak RSS, and must still be.
+    @pytest.mark.parametrize(("form", "n", "m"), [
+        ("ti", 100, 2), ("ti", 200, 4), ("pti", 200, 2), ("pti", 200, 4),
+        ("af", 400, 2), ("af", 400, 4), ("eaf", 400, 2), ("eaf", 400, 4),
+    ])
+    def test_paper_grid_builds(self, form, n, m, stop_at_build, tmp_path):
+        for seed in (1, 2, 3):
+            path = tmp_path / "grid.txt"
+            path.write_text(write_instance(generate_instance(n, m, 100, 100, seed)), encoding="utf-8")
+            with pytest.raises(self.Reached):
+                main(["model", "--in", str(path), "--form", form, "--format", "mps", "--out", str(tmp_path / "m")])
+
+    # ti at n = 200, m = 2 would need about 7 GB with the compact records
+    # (about 10 GB before them); ti at n = 400 and pti at n = 400 more still.
+    @pytest.mark.parametrize(("form", "n", "m"), [
+        ("ti", 200, 2), ("ti", 400, 2), ("ti", 400, 4), ("pti", 400, 2), ("pti", 400, 4),
+    ])
+    def test_paper_grid_refused(self, form, n, m, stop_at_build, tmp_path, capsys):
+        for seed in (1, 2, 3):
+            path = tmp_path / "grid.txt"
+            path.write_text(write_instance(generate_instance(n, m, 100, 100, seed)), encoding="utf-8")
+            self.assert_refused_fast(capsys, "model", "--in", str(path), "--form", form,
+                                     "--out", str(tmp_path / "m"))
 
 
 class TestCompare:
+    def test_counts_match_built_models(self, tmp_path, capsys):
+        # compare counts variables without building the models
+        out = tmp_path / "cmp.csv"
+        run(capsys, "compare", "--n", "9", "--m", "3", "--pmax", "12", "--wmax", "9",
+            "--seeds", "3", "--seed", "40", "--out", str(out))
+        rows = out.read_text(encoding="utf-8").splitlines()[2:-1]
+        for row in rows:
+            seed, *counts = row.split(",")[:4]
+            inst = generate_instance(9, 3, 12, 9, int(seed))
+            path = tmp_path / "i.txt"
+            path.write_text(write_instance(inst), encoding="utf-8")
+            built = []
+            for form in ("ti", "af", "eaf"):
+                _, text = run(capsys, "model", "--in", str(path), "--form", form, "--out", str(tmp_path / "m.lp"))
+                built.append(text.split("variables: ")[1].split()[0])
+            assert counts == built
+
+    def test_paper_scale_not_refused(self, tmp_path, capsys):
+        # n = 100, m = 2 at the paper's p <= 100: ti alone has ~1.3e7 nonzeros
+        code, text = run(capsys, "compare", "--n", "100", "--m", "2", "--pmax", "100",
+                         "--wmax", "100", "--seeds", "1", "--out", str(tmp_path / "c.csv"))
+        assert code == 0
+        assert "mean_vars_ti: 253626.0" in text
+
     def test_csv_schema_and_ordering(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
         code, text = run(capsys, "compare", "--n", "12", "--m", "2", "--pmax", "10",

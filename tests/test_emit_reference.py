@@ -263,8 +263,8 @@ def ref_check_feasible(model, valuation):
 # ---------------------------------------------------------------------------
 # random hand-built models, each as a (position model, reference model) pair
 
-SHORT = st.text(alphabet="abxyzXY_019", min_size=1, max_size=10)
-LONG = st.text(alphabet="abxyzXY_019", min_size=60, max_size=90)  # alone exceed a 72-column line
+SHORT = st.text(alphabet="abxyzXY_019 ", min_size=1, max_size=10)  # a space splits no part
+LONG = st.text(alphabet="abxyzXY_019 ", min_size=60, max_size=90)  # alone exceed a 72-column line
 NAMES = st.one_of(SHORT, SHORT, SHORT, LONG)
 NUMS = st.one_of(
     st.integers(-30, 30),

@@ -104,13 +104,6 @@ class TestRecords:
         with pytest.raises(ValidationError):
             model.validate()
 
-    @pytest.mark.parametrize("bad", ["", "x y", "x\ty"])
-    def test_blank_or_spaced_name_rejected(self, bad):
-        model = MilpModel(name="tiny")
-        model.add_var(bad, 0, 1, BINARY)
-        with pytest.raises(ValidationError, match="whitespace"):
-            model.validate()
-
 
 class TestBuildTi:
     def test_demo_counts(self, demo):
