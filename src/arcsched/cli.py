@@ -379,19 +379,10 @@ def _decode_flow_solution(inst: Instance, graph, types, valuation, m: int) -> Sc
     """Schedule from a feasible valuation whose values are already integral."""
     flow = milp.valuation_to_flow(graph, valuation)
     paths = flowgraph.decompose_flow(graph, flow, m, types)
-    # over-covered jobs ride along at zero marginal cost in ties; keep first use
-    seen: set[int] = set()
-    machines = []
-    for path in paths:
-        kept = []
-        for j in path:
-            if j not in seen:
-                seen.add(j)
-                kept.append(j)
-        machines.append(sort_machine_wspt(inst, kept))
-    if len(seen) != inst.n:
+    # each member is handed out at most once, so the count shows full cover
+    if sum(map(len, paths)) != inst.n:
         raise ExternalSolverError("decoded flow does not cover every job")
-    return Schedule(machines=tuple(machines))
+    return Schedule(machines=tuple(sort_machine_wspt(inst, path) for path in paths))
 
 
 def cmd_solve_external(args) -> int:

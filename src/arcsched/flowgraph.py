@@ -10,11 +10,19 @@ One construction serves both networks: the reduced network over job
 types with start windows and a tightened loss-arc range [T', T). The
 straight per-job network is its special case with one type per job,
 full windows [0, T - p_j] and T' = 0.
+
+A network stores its arcs as three parallel arrays, ``tail``, ``head``
+and ``label``; position i in them is arc i, and arc i is variable i of
+the model built from the network. Label k >= 1 is job type k, label 0 a
+loss arc. The construction emits one arc order, job arcs by label and
+tail, then loss arcs by tail (see ``FlowGraph``).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 from .bounds import Horizon
 from .instance import Instance, JobType
@@ -27,27 +35,27 @@ class InfeasibleHorizonError(ValueError):
 
 
 @dataclass(frozen=True)
-class Arc:
-    """tail < head; label is a job/type id for kind 'job', 0 for 'loss'."""
-
-    tail: int
-    head: int
-    label: int
-    kind: str
-    capacity: int
-
-
-@dataclass(frozen=True)
 class FlowGraph:
+    """Time points (0, T and every reachable t) and arcs as parallel unsigned arrays.
+
+    Arc i runs from ``tail[i]`` to ``head[i]``; ``label[i]`` is its type
+    (1-based) or LOSS. Arc order: job arcs by label, then by ascending
+    tail; loss arcs last, by ascending tail. ``to_dot`` and
+    ``decompose_flow`` rely on this order. ``capacity[k]`` bounds every
+    arc of label k: m at LOSS, the multiplicity d_k of type k otherwise.
+    """
+
     T: int
     nodes: tuple[int, ...]
-    arcs: tuple[Arc, ...]
+    tail: array
+    head: array
+    label: array
+    capacity: tuple[int, ...]
 
-    def job_arcs(self) -> list[Arc]:
-        return [a for a in self.arcs if a.kind == "job"]
-
-    def loss_arcs(self) -> list[Arc]:
-        return [a for a in self.arcs if a.kind == "loss"]
+    @property
+    def arcs(self) -> range:
+        """Arc positions."""
+        return range(len(self.label))
 
 
 @dataclass(frozen=True)
@@ -56,30 +64,6 @@ class GraphStats:
     job_arc_count: int
     loss_arc_count: int
     variable_count: int
-
-
-def normal_patterns(p_list: list[tuple[int, int]], T: int) -> list[int]:
-    """Time points in {0..T} reachable as sums q_j * p_j with q_j <= mult_j.
-
-    ``p_list`` holds (processing time, multiplicity) pairs. Forward boolean
-    DP; 0 is always reachable.
-    """
-    if T < 0:
-        raise ValueError("horizon must be >= 0")
-    reachable = [False] * (T + 1)
-    reachable[0] = True
-    for p, mult in p_list:
-        if p < 1 or mult < 1:
-            raise ValueError(f"need p >= 1 and multiplicity >= 1, got ({p}, {mult})")
-        for t in range(T - p, -1, -1):
-            if not reachable[t]:
-                continue
-            for q in range(1, mult + 1):
-                nxt = t + q * p
-                if nxt > T or reachable[nxt]:
-                    break
-                reachable[nxt] = True
-    return [t for t, ok in enumerate(reachable) if ok]
 
 
 def build_eaf_graph(
@@ -112,7 +96,7 @@ def build_eaf_graph(
     tp = hor.T_prime if t_prime is None else t_prime
     reachable = [False] * (T + 1)
     reachable[0] = True
-    arcs: list[Arc] = []
+    tail, head, label = array("I"), array("I"), array("I")
     for tidx, (jt, (a, b)) in enumerate(zip(types, type_windows), start=1):
         p = jt.p
         starts: set[int] = set()
@@ -126,23 +110,26 @@ def build_eaf_graph(
                 reachable[s + p] = True
                 starts.add(s)
         for s in sorted(starts):
-            arcs.append(Arc(s, s + p, tidx, "job", jt.d))
+            tail.append(s)
+            head.append(s + p)
+            label.append(tidx)
     loss_from = [] if strict_figure else [0]
     loss_from += [t for t in range(max(tp, 1), T) if reachable[t]]
-    for t in loss_from:
-        arcs.append(Arc(t, T, LOSS, "loss", inst.m))
+    tail.extend(loss_from)
+    head.extend(repeat(T, len(loss_from)))
+    label.extend(repeat(LOSS, len(loss_from)))
     nodes = sorted({t for t, ok in enumerate(reachable) if ok} | {0, T})
-    return FlowGraph(T=T, nodes=tuple(nodes), arcs=tuple(arcs))
+    capacity = (inst.m, *(jt.d for jt in types))
+    return FlowGraph(T=T, nodes=tuple(nodes), tail=tail, head=head, label=label, capacity=capacity)
 
 
 def graph_stats(g: FlowGraph) -> GraphStats:
-    jobs = len(g.job_arcs())
-    losses = len(g.loss_arcs())
+    losses = g.label.count(LOSS)
     return GraphStats(
         node_count=len(g.nodes),
-        job_arc_count=jobs,
+        job_arc_count=len(g.label) - losses,
         loss_arc_count=losses,
-        variable_count=jobs + losses,
+        variable_count=len(g.label),
     )
 
 
@@ -152,74 +139,78 @@ def reduction_pct(before: float, after: float) -> float:
 
 
 def to_dot(g: FlowGraph) -> str:
-    """Deterministic DOT text; job arcs labeled, loss arcs dashed."""
+    """Deterministic DOT text in arc order; job arcs labeled, loss arcs dashed."""
     lines = ["digraph flow {", "  rankdir=LR;"]
     for t in g.nodes:
         lines.append(f"  {t};")
-    job_arcs = sorted(g.job_arcs(), key=lambda a: (a.label, a.tail))
-    for a in job_arcs:
-        label = f"j{a.label}" if a.capacity == 1 else f"j{a.label} (x{a.capacity})"
-        lines.append(f'  {a.tail} -> {a.head} [label="{label}"];')
-    for a in sorted(g.loss_arcs(), key=lambda a: a.tail):
-        lines.append(f"  {a.tail} -> {a.head} [style=dashed];")
+    for tail, head, k in zip(g.tail, g.head, g.label):
+        if k == LOSS:
+            lines.append(f"  {tail} -> {head} [style=dashed];")
+        else:
+            d = g.capacity[k]
+            text = f"j{k}" if d == 1 else f"j{k} (x{d})"
+            lines.append(f'  {tail} -> {head} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def decompose_flow(
     g: FlowGraph,
-    flow: dict[Arc, int],
+    flow: list[int],
     m: int,
     types: list[JobType],
 ) -> list[list[int]]:
     """Split an integral flow of value m into m source-to-sink paths.
 
-    Returns one job-id sequence per path. Arc labels are 1-based indices
-    into ``types``; each flow unit consumes the smallest remaining member
-    id of its type.
+    ``flow[i]`` is the flow on arc i. Returns one job-id sequence per path.
+    Arc labels are 1-based indices into ``types``; each flow unit consumes
+    the smallest remaining member id of its type. Demand is a lower bound,
+    so a solution may cover a type more than d times: a unit beyond the
+    type's multiplicity adds no job, and its machine idles over that arc.
+
+    Paths are walked in arc order: at each node, job arcs by label before
+    the loss arc.
 
     Raises:
         ValueError: flow violates a capacity or node conservation.
     """
-    arc_set = set(g.arcs)
-    for arc, v in flow.items():
-        if arc not in arc_set:
-            raise ValueError(f"flow on unknown arc {arc}")
-        if not (0 <= v <= arc.capacity):
-            raise ValueError(f"flow {v} outside [0, {arc.capacity}] on {arc}")
+    if len(flow) != len(g.label):
+        raise ValueError(f"flow has {len(flow)} entries for {len(g.label)} arcs")
+    for i, v in enumerate(flow):
+        cap = g.capacity[g.label[i]]
+        if not (0 <= v <= cap):
+            raise ValueError(f"flow {v} outside [0, {cap}] on arc {g.tail[i]} -> {g.head[i]} label {g.label[i]}")
 
     divergence: dict[int, int] = {t: 0 for t in g.nodes}
-    for arc, v in flow.items():
-        divergence[arc.tail] += v
-        divergence[arc.head] -= v
+    outgoing: dict[int, list[int]] = {}
+    for i in g.arcs:
+        if flow[i]:
+            divergence[g.tail[i]] += flow[i]
+            divergence[g.head[i]] -= flow[i]
+            outgoing.setdefault(g.tail[i], []).append(i)
     for t in g.nodes:
         want = m if t == 0 else -m if t == g.T else 0
         if divergence[t] != want:
             raise ValueError(f"flow does not conserve at node {t}: divergence {divergence[t]}, expected {want}")
 
-    residual = {arc: v for arc, v in flow.items() if v > 0}
-    # deterministic walk: job arcs before loss arcs, then by label and head
-    outgoing: dict[int, list[Arc]] = {}
-    for arc in residual:
-        outgoing.setdefault(arc.tail, []).append(arc)
-    for lst in outgoing.values():
-        lst.sort(key=lambda a: (a.kind != "job", a.label, a.head))
-
-    pools = {i: list(t.members) for i, t in enumerate(types, start=1)}
-
+    residual = list(flow)
+    pools = [iter(t.members) for t in types]
     paths: list[list[int]] = []
     for _ in range(m):
         node = 0
         path: list[int] = []
         while node != g.T:
-            arc = next((a for a in outgoing.get(node, ()) if residual.get(a, 0) > 0), None)
-            if arc is None:
+            i = next((i for i in outgoing.get(node, ()) if residual[i] > 0), None)
+            if i is None:
                 raise ValueError(f"walk stuck at node {node} with no residual out-arc")
-            residual[arc] -= 1
-            if arc.kind == "job":
-                path.append(pools[arc.label].pop(0))
-            node = arc.head
+            residual[i] -= 1
+            k = g.label[i]
+            if k != LOSS:
+                j = next(pools[k - 1], None)
+                if j is not None:
+                    path.append(j)
+            node = g.head[i]
         paths.append(path)
-    if any(v > 0 for v in residual.values()):
+    if any(residual):
         raise ValueError("flow decomposition left residual flow behind")
     return paths

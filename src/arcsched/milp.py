@@ -34,7 +34,7 @@ from itertools import groupby, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .flowgraph import LOSS, Arc, FlowGraph
+from .flowgraph import LOSS, FlowGraph
 from .instance import Instance, JobType, Schedule, ValidationError, completion_times
 
 Num = int | Fraction
@@ -298,8 +298,9 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
     return model.validate()
 
 
-def _arc_var(arc: Arc) -> str:
-    return f"x_{arc.tail}_{arc.head}_{arc.label}" if arc.kind == "job" else f"L_{arc.tail}"
+def _arc_var(tail: int, head: int, label: int) -> str:
+    """Model variable name of the arc ``tail -> head`` with ``label``."""
+    return f"L_{tail}" if label == LOSS else f"x_{tail}_{head}_{label}"
 
 
 def build_eaf_model(g: FlowGraph, types: list[JobType], m: int) -> MilpModel:
@@ -313,13 +314,13 @@ def build_eaf_model(g: FlowGraph, types: list[JobType], m: int) -> MilpModel:
     flow_cols = [array("I") for _ in g.nodes]
     flow_coefs = [array("q") for _ in g.nodes]
     demand_cols = [array("I") for _ in types]
-    for i, arc in enumerate(g.arcs):
-        if arc.kind == "job":
-            model.add_var(_arc_var(arc), 0, arc.capacity, INTEGER, obj=types[arc.label - 1].w * arc.tail)
-            demand_cols[arc.label - 1].append(i)
+    for i, (tail, head, k) in enumerate(zip(g.tail, g.head, g.label)):
+        if k == LOSS:
+            model.add_var(_arc_var(tail, head, k), 0, g.capacity[k], INTEGER)
         else:
-            model.add_var(_arc_var(arc), 0, arc.capacity, INTEGER)
-        out, into = row_of[arc.tail], row_of[arc.head]
+            model.add_var(_arc_var(tail, head, k), 0, g.capacity[k], INTEGER, obj=types[k - 1].w * tail)
+            demand_cols[k - 1].append(i)
+        out, into = row_of[tail], row_of[head]
         flow_cols[out].append(i)
         flow_coefs[out].append(1)
         flow_cols[into].append(i)
@@ -639,53 +640,52 @@ def schedule_to_assignment(
     if graph is None or types is None:
         raise ValueError("kind 'eaf' needs the graph and its types")
 
-    # arcs grouped by tail: a lookup key per arc would cost a tuple per arc
-    out_arcs: dict[int, list[Arc]] = {}
-    for arc in graph.arcs:
-        out_arcs.setdefault(arc.tail, []).append(arc)
+    # arc positions grouped by tail: a lookup key per arc would cost a tuple per arc
+    out_arcs: dict[int, list[int]] = {}
+    for i, tail in enumerate(graph.tail):
+        out_arcs.setdefault(tail, []).append(i)
 
-    def arc_at(tail: int, head: int, label: int) -> Arc | None:
-        return next((a for a in out_arcs.get(tail, ()) if a.head == head and a.label == label), None)
+    def arc_at(tail: int, head: int, label: int) -> int | None:
+        return next((i for i in out_arcs.get(tail, ()) if graph.head[i] == head and graph.label[i] == label), None)
 
     type_of: dict[int, int] = {}
     for tidx, jt in enumerate(types, start=1):
         for member in jt.members:
             type_of[member] = tidx
 
-    used: dict[Arc, int] = {}
+    used: dict[int, int] = {}  # uses per arc position
     for machine in sched.machines:
         t = 0
         for j in machine:
             p = inst.job(j).p
-            arc = arc_at(t, t + p, type_of[j])
-            if arc is None:
+            i = arc_at(t, t + p, type_of[j])
+            if i is None:
                 raise MappingError(f"no arc for job {j} starting at {t} (label {type_of[j]})")
-            used[arc] = used.get(arc, 0) + 1
+            used[i] = used.get(i, 0) + 1
             t += p
         if t < graph.T:
-            arc = arc_at(t, graph.T, LOSS)
-            if arc is None:
+            i = arc_at(t, graph.T, LOSS)
+            if i is None:
                 raise MappingError(f"machine completing at {t} has no loss arc to T={graph.T}")
-            used[arc] = used.get(arc, 0) + 1
+            used[i] = used.get(i, 0) + 1
         elif t > graph.T:
             raise MappingError(f"machine load {t} exceeds the horizon T={graph.T}")
-    return {_arc_var(arc): count for arc, count in used.items()}
+    return {_arc_var(graph.tail[i], graph.head[i], graph.label[i]): count for i, count in used.items()}
 
 
-def valuation_to_flow(g: FlowGraph, valuation: Valuation) -> dict[Arc, int]:
-    """Arc flows from a valuation over a graph's variables (rounded exact)."""
-    by_name = {_arc_var(a): a for a in g.arcs}
-    flow: dict[Arc, int] = {}
+def valuation_to_flow(g: FlowGraph, valuation: Valuation) -> list[int]:
+    """Flow per arc position from a valuation over a graph's variables (rounded exact)."""
+    position = {name: i for i, name in enumerate(map(_arc_var, g.tail, g.head, g.label))}
+    flow = [0] * len(g.arcs)
     for name, value in valuation.items():
         if name == _ONE:
             continue
-        if name not in by_name:
+        if name not in position:
             raise ValidationError(f"valuation references unknown arc variable {name}")
         v = Fraction(value)
         if v.denominator != 1:
             raise ValidationError(f"non-integral flow {value} on {name}")
-        if v != 0:
-            flow[by_name[name]] = int(v)
+        flow[position[name]] = int(v)
     return flow
 
 

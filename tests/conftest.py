@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from arcsched.bounds import horizon
-from arcsched.flowgraph import FlowGraph, build_eaf_graph
+from arcsched.flowgraph import LOSS, FlowGraph, build_eaf_graph
 from arcsched.instance import Instance, JobType, make_instance, parse_instance, singleton_types
 
 DEMO_TEXT = "4 2\n2 4\n5 7\n1 1\n4 3\n"
@@ -22,6 +22,21 @@ def straight_network(
     types = singleton_types(inst)
     windows = [(0, hor.T - t.p) for t in types]
     return build_eaf_graph(inst, hor, types, windows, strict_figure=strict_figure, t_prime=0), types
+
+
+def reachable_points(g: FlowGraph) -> list[int]:
+    """0 and the head of every job arc: the time points the construction reached."""
+    return sorted({0, *(h for h, k in zip(g.head, g.label) if k != LOSS)})
+
+
+def straight_points(parts: list[int], T: int) -> list[int]:
+    """Reachable points of the straight network over jobs of lengths ``parts``
+    at horizon T. A part longer than T is in no sum <= T, so it is left out
+    of the instance; with no part left the answer is [0]."""
+    fitting = [(p, 1) for p in parts if p <= T]
+    if not fitting:
+        return [0]
+    return reachable_points(straight_network(make_instance(1, fitting), T)[0])
 
 
 @pytest.fixture

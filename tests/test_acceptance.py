@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from arcsched.bounds import horizon, horizon_T, horizon_Tprime, time_windows, type_time_windows
-from arcsched.flowgraph import build_eaf_graph, graph_stats, normal_patterns
+from arcsched.flowgraph import build_eaf_graph, graph_stats
 from arcsched.heuristic import IlsConfig, ils
 from arcsched.instance import (
     Schedule,
@@ -34,7 +34,7 @@ from arcsched.milp import (
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
 
-from conftest import DEMO_TEXT, straight_network
+from conftest import DEMO_TEXT, straight_network, straight_points
 
 DEMO_OPT = Schedule(machines=((1, 3, 4), (2,)))
 
@@ -236,7 +236,7 @@ def test_criterion_6_normal_pattern_oracle(report):
         n = 1 + rng.below(15)
         parts = [1 + rng.below(10) for _ in range(n)]
         T = 1 + rng.below(1 + sum(parts))
-        if normal_patterns([(p, 1) for p in parts], T) != subset_sums(parts, T):
+        if straight_points(parts, T) != subset_sums(parts, T):
             mismatches += 1
     report("6 normal-patterns", mismatches == 0, f"mismatches={mismatches}/100")
 

@@ -4,6 +4,7 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -497,6 +498,26 @@ class TestSolveExternal:
         opt = brute_force_optimal(inst).optimum
         assert f"objective: {opt}" in text
         assert evaluate_schedule(inst, parse_schedule(out.read_text(encoding="utf-8"))) == opt
+
+    def test_over_covered_type_decodes(self, demo_file, tmp_path, capsys):
+        # demand rows are >= d, so this feasible solution may run job 3 twice
+        solver = tmp_path / "solver.py"
+        solver.write_text(
+            "import sys\n"
+            "names = 'x_0_2_1 x_2_7_2 x_7_8_3 x_0_1_3 x_1_5_4 L_5 ONE'.split()\n"
+            "with open(sys.argv[2], 'w') as f:\n"
+            "    f.writelines(f'{name} 1\\n' for name in names)\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "s.txt"
+        code, text = run(capsys, "solve-external", "--in", str(demo_file), "--form", "af",
+                         "--solver-cmd", f"{sys.executable} {solver} {{model}} {{solution}}",
+                         "--out", str(out))
+        assert code == 0
+        sched = parse_schedule(out.read_text(encoding="utf-8"))
+        assert sorted(j for machine in sched.machines for j in machine) == [1, 2, 3, 4]
+        fields = dict(line.split(": ", 1) for line in text.splitlines())
+        assert int(fields["objective"]) <= Fraction(fields["solver_objective"])
 
     def test_missing_binary_exit_code(self, demo_file, tmp_path, capsys):
         out = tmp_path / "s.txt"

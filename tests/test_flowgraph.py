@@ -1,23 +1,26 @@
-from itertools import combinations
+from argparse import Namespace
+from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcsched.bounds import horizon, time_windows, type_time_windows
+from arcsched.cli import _flow_network
 from arcsched.flowgraph import (
-    Arc,
-    FlowGraph,
+    LOSS,
     InfeasibleHorizonError,
     build_eaf_graph,
     decompose_flow,
     graph_stats,
-    normal_patterns,
     reduction_pct,
     to_dot,
 )
 from arcsched.instance import generate_instance, group_job_types, make_instance, wspt_order
 from arcsched.rng import SplitMix64
 
-from conftest import straight_network
+from conftest import reachable_points, straight_network, straight_points
 
 
 def subset_sums(parts: list[int], T: int) -> set[int]:
@@ -30,19 +33,47 @@ def subset_sums(parts: list[int], T: int) -> set[int]:
     return sums
 
 
+def arcs(g) -> list[tuple[int, int, int]]:
+    """(tail, head, label) per arc, in arc order."""
+    return list(zip(g.tail, g.head, g.label))
+
+
+def job_arcs(g) -> list[tuple[int, int, int]]:
+    return [a for a in arcs(g) if a[2] != LOSS]
+
+
+def loss_tails(g) -> list[int]:
+    return [t for t, _, k in arcs(g) if k == LOSS]
+
+
+def flow_of(g, units: dict[tuple[int, int, int], int]) -> list[int]:
+    """Flow per arc: ``units[(tail, head, label)]`` on that arc, 0 elsewhere."""
+    flow = [0] * len(g.arcs)
+    for arc, v in units.items():
+        flow[arcs(g).index(arc)] = v
+    return flow
+
+
 class TestNormalPatterns:
+    """The points a network reaches are the normal patterns: sums of
+    q_j * p_j <= T with q_j at most the multiplicity of j."""
+
     def test_demo_all_points_reachable(self, demo):
-        points = normal_patterns([(j.p, 1) for j in demo.jobs], 8)
-        assert points == list(range(9))
+        assert reachable_points(straight_network(demo, 8)[0]) == list(range(9))
 
     def test_single_part(self):
-        assert normal_patterns([(3, 1)], 3) == [0, 3]
+        assert straight_points([3], 3) == [0, 3]
 
     def test_two_parts(self):
-        assert normal_patterns([(2, 1), (5, 1)], 7) == [0, 2, 5, 7]
+        assert straight_points([2, 5], 7) == [0, 2, 5, 7]
 
     def test_multiplicity_expansion(self):
-        assert normal_patterns([(2, 3)], 7) == [0, 2, 4, 6]
+        # one type of three copies with a full window
+        inst = make_instance(1, [(2, 1)] * 3)
+        types = group_job_types(inst)
+        assert [t.d for t in types] == [3]
+        g = build_eaf_graph(inst, replace(horizon(inst), T=7), types, [(0, 7 - 2)], t_prime=0)
+        assert reachable_points(g) == [0, 2, 4, 6]
 
     def test_matches_subset_enumeration(self):
         rng = SplitMix64(13)
@@ -50,8 +81,7 @@ class TestNormalPatterns:
             n = 1 + rng.below(15)
             parts = [1 + rng.below(9) for _ in range(n)]
             T = 1 + rng.below(1 + sum(parts))
-            got = normal_patterns([(p, 1) for p in parts], T)
-            assert got == sorted(subset_sums(parts, T))
+            assert straight_points(parts, T) == sorted(subset_sums(parts, T))
 
 
 class TestAfGraph:
@@ -65,14 +95,14 @@ class TestAfGraph:
     def test_demo_strict_figure_loss_count(self, demo):
         g, _ = straight_network(demo, 8, strict_figure=True)
         assert graph_stats(g).loss_arc_count == 7
-        assert all(a.tail >= 1 for a in g.loss_arcs())
+        assert all(t >= 1 for t in loss_tails(g))
 
     def test_single_job(self):
         inst = make_instance(1, [(3, 1)])
         g, _ = straight_network(inst, 3)
         assert g.nodes == (0, 3)
-        assert [(a.tail, a.head, a.label) for a in g.job_arcs()] == [(0, 3, 1)]
-        assert [(a.tail, a.head) for a in g.loss_arcs()] == [(0, 3)]
+        assert job_arcs(g) == [(0, 3, 1)]
+        assert [(t, h) for t, h, k in arcs(g) if k == LOSS] == [(0, 3)]
 
     def test_horizon_too_small(self, demo):
         with pytest.raises(InfeasibleHorizonError):
@@ -82,7 +112,7 @@ class TestAfGraph:
         for seed in range(20):
             inst = generate_instance(n=10, m=2, p_max=12, w_max=12, seed=seed)
             g, types = straight_network(inst)
-            jobs = {types[a.label - 1].members[0] for a in g.job_arcs()}
+            jobs = {types[k - 1].members[0] for _, _, k in job_arcs(g)}
             assert jobs == set(range(1, 11))
 
     def test_tails_reachable_by_earlier_wspt_jobs(self):
@@ -95,8 +125,8 @@ class TestAfGraph:
             order = wspt_order(inst)
             reachable = {0}
             arcs_by_job = {}
-            for a in g.job_arcs():
-                arcs_by_job.setdefault(types[a.label - 1].members[0], set()).add(a.tail)
+            for t, _, k in job_arcs(g):
+                arcs_by_job.setdefault(types[k - 1].members[0], set()).add(t)
             for j in order:
                 p = inst.job(j).p
                 assert arcs_by_job[j] == {t for t in reachable if t + p <= T}
@@ -105,10 +135,44 @@ class TestAfGraph:
     def test_no_duplicate_arcs_and_tail_lt_head(self):
         inst = generate_instance(n=10, m=3, p_max=8, w_max=8, seed=4)
         g, _ = straight_network(inst)
-        triples = [(a.tail, a.head, a.label) for a in g.arcs]
+        triples = arcs(g)
         assert len(triples) == len(set(triples))
-        assert all(a.tail < a.head for a in g.arcs)
+        assert all(t < h for t, h, _ in triples)
         assert 0 in g.nodes and g.T in g.nodes
+
+
+FLAGS = ("no_types", "no_windows", "no_tprime", "strict_figure")
+
+
+class TestArcOrder:
+    """The arc order the FlowGraph docstring states, which ``to_dot`` and
+    ``decompose_flow`` rely on, over every reduction switch."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        m=st.integers(1, 4),
+        p_max=st.integers(1, 10),
+        w_max=st.integers(1, 10),
+    )
+    def test_order_and_shape(self, seed, n, m, p_max, w_max):
+        inst = generate_instance(n=n, m=m, p_max=p_max, w_max=w_max, seed=seed)
+        hor = horizon(inst)
+        for form, switches in product(("af", "eaf"), product((False, True), repeat=len(FLAGS))):
+            args = Namespace(**dict(zip(FLAGS, switches)))
+            types, g = _flow_network(inst, form, args)
+            # job arcs by label, then by tail; loss arcs last, by tail; and
+            # strictly increasing, so no (tail, label) repeats
+            keys = [(k == LOSS, k, t) for t, _, k in arcs(g)]
+            assert keys == sorted(set(keys))
+            for t, h, k in arcs(g):
+                assert t < h
+                assert h == (g.T if k == LOSS else t + types[k - 1].p)
+            assert g.capacity == (inst.m, *(jt.d for jt in types))
+            t_prime = 0 if form == "af" or args.no_tprime else hor.T_prime
+            want = [t for t in reachable_points(g) if max(t_prime, 1) <= t < g.T]
+            assert loss_tails(g) == (want if args.strict_figure else [0, *want])
 
 
 def eaf_pipeline(inst, strict_figure=False):
@@ -123,8 +187,8 @@ class TestEafGraph:
     def test_demo_job_arcs(self, demo):
         g, types, _ = eaf_pipeline(demo)
         by_label = {}
-        for a in g.job_arcs():
-            by_label.setdefault(a.label, []).append((a.tail, a.head))
+        for t, h, k in job_arcs(g):
+            by_label.setdefault(k, []).append((t, h))
         # singleton types in WSPT order mirror the job ids here
         assert by_label[1] == [(0, 2)]
         assert by_label[2] == [(0, 5), (2, 7)]
@@ -133,18 +197,18 @@ class TestEafGraph:
 
     def test_demo_loss_arcs(self, demo):
         g, _, hor = eaf_pipeline(demo)
-        tails = sorted(a.tail for a in g.loss_arcs())
+        tails = sorted(loss_tails(g))
         assert tails == [0, 4, 5, 6, 7]  # [T', T) plus the 0 escape
 
     def test_demo_strict_drops_zero_escape(self, demo):
         g, _, _ = eaf_pipeline(demo, strict_figure=True)
-        assert sorted(a.tail for a in g.loss_arcs()) == [4, 5, 6, 7]
+        assert sorted(loss_tails(g)) == [4, 5, 6, 7]
 
     def test_identical_jobs_chain(self, single_machine_triple):
         g, types, _ = eaf_pipeline(single_machine_triple)
         assert len(types) == 1 and types[0].d == 3
         assert g.nodes == (0, 2, 4, 6)
-        assert [(a.tail, a.head, a.capacity) for a in g.job_arcs()] == [
+        assert [(t, h, g.capacity[k]) for t, h, k in job_arcs(g)] == [
             (0, 2, 3),
             (2, 4, 3),
             (4, 6, 3),
@@ -195,19 +259,7 @@ class TestDot:
 class TestDecompose:
     def demo_flow(self, g):
         # labels are WSPT ranks; on the demo they equal the job ids
-        def arc(t, h, label, kind):
-            return next(
-                a for a in g.arcs if (a.tail, a.head, a.label, a.kind) == (t, h, label, kind)
-            )
-
-        return {
-            arc(0, 2, 1, "job"): 1,
-            arc(2, 3, 3, "job"): 1,
-            arc(3, 7, 4, "job"): 1,
-            arc(7, 8, 0, "loss"): 1,
-            arc(0, 5, 2, "job"): 1,
-            arc(5, 8, 0, "loss"): 1,
-        }
+        return flow_of(g, {(0, 2, 1): 1, (2, 3, 3): 1, (3, 7, 4): 1, (7, 8, 0): 1, (0, 5, 2): 1, (5, 8, 0): 1})
 
     def test_demo_paths(self, demo):
         g, types = straight_network(demo, 8)
@@ -217,34 +269,33 @@ class TestDecompose:
     def test_two_identical_jobs_capacity_two(self):
         inst = make_instance(2, [(2, 1), (2, 1)])
         g, types, hor = eaf_pipeline(inst)
-        arc = next(a for a in g.job_arcs() if a.tail == 0)
-        loss = next(a for a in g.loss_arcs() if a.tail == 2)
-        paths = decompose_flow(g, {arc: 2, loss: 2}, 2, types=types)
+        paths = decompose_flow(g, flow_of(g, {(0, 2, 1): 2, (2, g.T, LOSS): 2}), 2, types=types)
         assert paths == [[1], [2]]
 
     def test_idle_machine_via_zero_loss_arc(self):
         inst = make_instance(1, [(3, 1)])
         g, types = straight_network(inst, 3)
-        loss = next(a for a in g.loss_arcs() if a.tail == 0)
-        job = next(iter(g.job_arcs()))
         # flow of value 1: only the loss arc carries it
-        assert decompose_flow(g, {loss: 1}, 1, types) == [[]]
-        assert decompose_flow(g, {job: 1}, 1, types) == [[1]]
+        assert decompose_flow(g, flow_of(g, {(0, 3, LOSS): 1}), 1, types) == [[]]
+        assert decompose_flow(g, flow_of(g, {(0, 3, 1): 1}), 1, types) == [[1]]
+
+    def test_surplus_copy_adds_no_job(self, demo):
+        # demand rows are >= d: job 3 covered twice, the second time as idle
+        g, types = straight_network(demo, 8)
+        flow = flow_of(g, {(0, 2, 1): 1, (2, 7, 2): 1, (7, 8, 3): 1, (0, 1, 3): 1, (1, 5, 4): 1, (5, 8, 0): 1})
+        assert decompose_flow(g, flow, 2, types) == [[1, 2, 3], [4]]
 
     def test_conservation_violation_rejected(self, demo):
         g, types = straight_network(demo, 8)
-        flow = self.demo_flow(g)
-        bad = dict(flow)
-        first = next(iter(bad))
-        del bad[first]
+        bad = self.demo_flow(g)
+        bad[arcs(g).index((0, 2, 1))] = 0
         with pytest.raises(ValueError, match="conserve"):
             decompose_flow(g, bad, 2, types)
 
     def test_capacity_violation_rejected(self, demo):
         g, types = straight_network(demo, 8)
         flow = self.demo_flow(g)
-        job_arc = next(a for a in flow if a.kind == "job")
-        flow[job_arc] = 2
+        flow[arcs(g).index((0, 2, 1))] = 2
         with pytest.raises(ValueError, match="outside"):
             decompose_flow(g, flow, 2, types)
 
