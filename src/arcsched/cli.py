@@ -24,7 +24,6 @@ from . import bounds as bounds_mod
 from . import flowgraph, heuristic, milp, oracle
 from .instance import (
     Instance,
-    JobType,
     ParseError,
     Schedule,
     ValidationError,
@@ -91,8 +90,8 @@ def _read_instance(path: str) -> Instance:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
-def _flow_network(inst: Instance, form: str, args) -> tuple[list[JobType], flowgraph.FlowGraph]:
-    """Types and flow network of form af or eaf.
+def _flow_network(inst: Instance, form: str, args) -> flowgraph.FlowGraph:
+    """Flow network of form af or eaf.
 
     af is eaf with every reduction off: one type per job in WSPT order,
     windows [0, T - p_j] and T' = 0. The --no-* flags switch single
@@ -111,32 +110,29 @@ def _flow_network(inst: Instance, form: str, args) -> tuple[list[JobType], flowg
         windows = bounds_mod.type_time_windows(types, bounds_mod.time_windows(inst, hor.T))
     t_prime = 0 if straight or args.no_tprime else hor.T_prime
     milp.check_size(form, milp.flow_nonzeros(types, windows, hor.T, t_prime))
-    graph = flowgraph.build_eaf_graph(
-        inst, hor, types, windows, strict_figure=args.strict_figure, t_prime=t_prime
+    return flowgraph.build_eaf_graph(
+        inst, hor.T, types, windows, t_prime, strict_figure=args.strict_figure
     )
-    return types, graph
 
 
-def _build_model(
-    inst: Instance, form: str, args
-) -> tuple[milp.MilpModel, list[JobType] | None, flowgraph.FlowGraph | None]:
-    """Model of ``form``, plus its types and network for the flow forms.
+def _build_model(inst: Instance, form: str, args) -> tuple[milp.MilpModel, flowgraph.FlowGraph | None]:
+    """Model of ``form``, plus its network for the flow forms.
 
     Raises:
         milp.ModelSizeError: the model would exceed the size guard; checked
             before anything pseudo-polynomial is allocated.
     """
     if form in ("af", "eaf"):
-        types, graph = _flow_network(inst, form, args)
-        return milp.build_eaf_model(graph, types, inst.m), types, graph
+        graph = _flow_network(inst, form, args)
+        return milp.build_eaf_model(graph), graph
     T = bounds_mod.horizon_T(inst)
     milp.check_size(form, milp.estimate_nonzeros(inst, form, T))
     if form == "ciqp":
-        return milp.build_ciqp(inst), None, None
+        return milp.build_ciqp(inst), None
     if form == "ti":
-        return milp.build_ti(inst, T), None, None
+        return milp.build_ti(inst, T), None
     if form == "pti":
-        return milp.build_pti(inst, T), None, None
+        return milp.build_pti(inst, T), None
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -188,7 +184,7 @@ def cmd_model(args) -> int:
     report = RunReport(command="model")
     inst = _read_instance(args.infile)
     with report.phase("build"):
-        model, _, graph = _build_model(inst, args.form, args)
+        model, graph = _build_model(inst, args.form, args)
     with report.phase("emit"):
         if args.format == "lp":
             text = milp.emit_lp(model)
@@ -203,12 +199,12 @@ def cmd_model(args) -> int:
         "nonzeros": model.nonzeros(),
     }
     if graph is not None:
-        stats = flowgraph.graph_stats(graph)
+        losses = graph.label.count(flowgraph.LOSS)
         report.summary.update(
             {
-                "nodes": stats.node_count,
-                "job_arcs": stats.job_arc_count,
-                "loss_arcs": stats.loss_arc_count,
+                "nodes": len(graph.nodes),
+                "job_arcs": len(graph.label) - losses,
+                "loss_arcs": losses,
             }
         )
         if args.dot:
@@ -230,8 +226,7 @@ def cmd_compare(args) -> int:
             T = bounds_mod.horizon_T(inst)
             counts = [sum(T - job.p + 1 for job in inst.jobs)]
             for form in ("af", "eaf"):
-                _, graph = _flow_network(inst, form, args)
-                counts.append(flowgraph.graph_stats(graph).variable_count)
+                counts.append(len(_flow_network(inst, form, args).label))
             rows.append((seed, *counts))
     mean = lambda idx: sum(r[idx] for r in rows) / len(rows)
     mean_ti, mean_af, mean_eaf = mean(1), mean(2), mean(3)
@@ -311,10 +306,10 @@ def cmd_solve_exact(args) -> int:
 
 
 def _schedule_valuation(inst: Instance, sched: Schedule, form: str, args):
-    model, types, graph = _build_model(inst, form, args)
+    model, graph = _build_model(inst, form, args)
     if form == "ti":
         return model, milp.schedule_to_assignment(inst, sched, "ti", T=bounds_mod.horizon_T(inst))
-    return model, milp.schedule_to_assignment(inst, sched, "eaf", graph=graph, types=types)
+    return model, milp.schedule_to_assignment(inst, sched, "eaf", graph=graph)
 
 
 def cmd_check(args) -> int:
@@ -375,10 +370,14 @@ def _decode_ti_solution(inst: Instance, valuation) -> Schedule:
     return Schedule(machines=tuple(sort_machine_wspt(inst, mach) for mach in machines))
 
 
-def _decode_flow_solution(inst: Instance, graph, types, valuation, m: int) -> Schedule:
-    """Schedule from a feasible valuation whose values are already integral."""
-    flow = milp.valuation_to_flow(graph, valuation)
-    paths = flowgraph.decompose_flow(graph, flow, m, types)
+def _decode_flow_solution(inst: Instance, model, graph, valuation) -> Schedule:
+    """Schedule from a feasible valuation whose values are already integral.
+
+    Variable i of the model is arc i of ``graph``, so the flow is read by
+    position.
+    """
+    flow = [valuation.get(v.name, 0) for v in model.variables]
+    paths = flowgraph.decompose_flow(graph, flow)
     # each member is handed out at most once, so the count shows full cover
     if sum(map(len, paths)) != inst.n:
         raise ExternalSolverError("decoded flow does not cover every job")
@@ -392,7 +391,7 @@ def cmd_solve_external(args) -> int:
     if not solver_cmd:
         raise ExternalSolverError(f"no solver command; pass --solver-cmd or set {SOLVER_ENV}")
     with report.phase("build"):
-        model, types, graph = _build_model(inst, args.form, args)
+        model, graph = _build_model(inst, args.form, args)
     with tempfile.TemporaryDirectory(prefix="arcsched_") as tmp:
         model_path = Path(tmp) / "model.lp"
         solution_path = Path(tmp) / "model.sol"
@@ -430,7 +429,7 @@ def cmd_solve_external(args) -> int:
         if args.form == "ti":
             sched = _decode_ti_solution(inst, valuation)
         else:
-            sched = _decode_flow_solution(inst, graph, types, valuation, inst.m)
+            sched = _decode_flow_solution(inst, model, graph, valuation)
     objective = evaluate_schedule(inst, sched)
     if args.out:
         Path(args.out).write_text(write_schedule(inst, sched), encoding="utf-8")
@@ -535,7 +534,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, ValidationError, bounds_mod.InfeasibleWindowError,
             flowgraph.InfeasibleHorizonError, milp.MappingError,
-            milp.UnsupportedFormatError, FileNotFoundError) as exc:
+            milp.UnsupportedFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (oracle.SizeLimitError, milp.ModelSizeError) as exc:

@@ -14,8 +14,10 @@ full windows [0, T - p_j] and T' = 0.
 A network stores its arcs as three parallel arrays, ``tail``, ``head``
 and ``label``; position i in them is arc i, and arc i is variable i of
 the model built from the network. Label k >= 1 is job type k, label 0 a
-loss arc. The construction emits one arc order, job arcs by label and
-tail, then loss arcs by tail (see ``FlowGraph``).
+loss arc. The network carries the job types its labels index and one
+capacity per label, so it is the whole model input. The construction
+emits one arc order, job arcs by label and tail, then loss arcs by tail
+(see ``FlowGraph``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from array import array
 from dataclasses import dataclass
 from itertools import repeat
 
-from .bounds import Horizon
 from .instance import Instance, JobType
 
 LOSS = 0
@@ -41,8 +42,9 @@ class FlowGraph:
     Arc i runs from ``tail[i]`` to ``head[i]``; ``label[i]`` is its type
     (1-based) or LOSS. Arc order: job arcs by label, then by ascending
     tail; loss arcs last, by ascending tail. ``to_dot`` and
-    ``decompose_flow`` rely on this order. ``capacity[k]`` bounds every
-    arc of label k: m at LOSS, the multiplicity d_k of type k otherwise.
+    ``decompose_flow`` rely on this order. Label k is job type
+    ``types[k - 1]``. ``capacity[k]`` bounds every arc of label k: m at
+    LOSS, the multiplicity d_k of type k otherwise.
     """
 
     T: int
@@ -51,6 +53,7 @@ class FlowGraph:
     head: array
     label: array
     capacity: tuple[int, ...]
+    types: tuple[JobType, ...]
 
     @property
     def arcs(self) -> range:
@@ -58,21 +61,13 @@ class FlowGraph:
         return range(len(self.label))
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    node_count: int
-    job_arc_count: int
-    loss_arc_count: int
-    variable_count: int
-
-
 def build_eaf_graph(
     inst: Instance,
-    hor: Horizon,
+    T: int,
     types: list[JobType],
     type_windows: list[tuple[int, int]],
+    t_prime: int,
     strict_figure: bool = False,
-    t_prime: int | None = None,
 ) -> FlowGraph:
     """Reduced network over job types with start windows.
 
@@ -85,15 +80,13 @@ def build_eaf_graph(
     Loss arcs (t, T) exist for reachable t in [T', T) plus t = 0, which
     keeps a path for an idle machine; ``strict_figure`` always drops the
     t = 0 loss arc (the drawing convention in which an idle machine has no
-    path). ``t_prime`` overrides ``hor.T_prime``.
+    path).
 
     The straight per-job network is this construction with one type per
     job in WSPT order, windows [0, T - p_j] and ``t_prime=0``.
     """
-    T = hor.T
     if T < inst.p_max:
         raise InfeasibleHorizonError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
-    tp = hor.T_prime if t_prime is None else t_prime
     reachable = [False] * (T + 1)
     reachable[0] = True
     tail, head, label = array("I"), array("I"), array("I")
@@ -114,22 +107,14 @@ def build_eaf_graph(
             head.append(s + p)
             label.append(tidx)
     loss_from = [] if strict_figure else [0]
-    loss_from += [t for t in range(max(tp, 1), T) if reachable[t]]
+    loss_from += [t for t in range(max(t_prime, 1), T) if reachable[t]]
     tail.extend(loss_from)
     head.extend(repeat(T, len(loss_from)))
     label.extend(repeat(LOSS, len(loss_from)))
     nodes = sorted({t for t, ok in enumerate(reachable) if ok} | {0, T})
     capacity = (inst.m, *(jt.d for jt in types))
-    return FlowGraph(T=T, nodes=tuple(nodes), tail=tail, head=head, label=label, capacity=capacity)
-
-
-def graph_stats(g: FlowGraph) -> GraphStats:
-    losses = g.label.count(LOSS)
-    return GraphStats(
-        node_count=len(g.nodes),
-        job_arc_count=len(g.label) - losses,
-        loss_arc_count=losses,
-        variable_count=len(g.label),
+    return FlowGraph(
+        T=T, nodes=tuple(nodes), tail=tail, head=head, label=label, capacity=capacity, types=tuple(types)
     )
 
 
@@ -154,17 +139,13 @@ def to_dot(g: FlowGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def decompose_flow(
-    g: FlowGraph,
-    flow: list[int],
-    m: int,
-    types: list[JobType],
-) -> list[list[int]]:
-    """Split an integral flow of value m into m source-to-sink paths.
+def decompose_flow(g: FlowGraph, flow: list[int]) -> list[list[int]]:
+    """Split an integral flow of value m (the loss-arc capacity) into m
+    source-to-sink paths.
 
     ``flow[i]`` is the flow on arc i. Returns one job-id sequence per path.
-    Arc labels are 1-based indices into ``types``; each flow unit consumes
-    the smallest remaining member id of its type. Demand is a lower bound,
+    Each flow unit on a job arc consumes the smallest remaining member id
+    of the arc's type. Demand is a lower bound,
     so a solution may cover a type more than d times: a unit beyond the
     type's multiplicity adds no job, and its machine idles over that arc.
 
@@ -188,13 +169,14 @@ def decompose_flow(
             divergence[g.tail[i]] += flow[i]
             divergence[g.head[i]] -= flow[i]
             outgoing.setdefault(g.tail[i], []).append(i)
+    m = g.capacity[LOSS]
     for t in g.nodes:
         want = m if t == 0 else -m if t == g.T else 0
         if divergence[t] != want:
             raise ValueError(f"flow does not conserve at node {t}: divergence {divergence[t]}, expected {want}")
 
     residual = list(flow)
-    pools = [iter(t.members) for t in types]
+    pools = [iter(t.members) for t in g.types]
     paths: list[list[int]] = []
     for _ in range(m):
         node = 0

@@ -303,12 +303,14 @@ def _arc_var(tail: int, head: int, label: int) -> str:
     return f"L_{tail}" if label == LOSS else f"x_{tail}_{head}_{label}"
 
 
-def build_eaf_model(g: FlowGraph, types: list[JobType], m: int) -> MilpModel:
+def build_eaf_model(g: FlowGraph) -> MilpModel:
     """Reduced network model: integer per type arc, demand d per type.
 
     Variable i is arc i of the network. The objective constant counts
-    every scheduled copy, i.e. the sum of d * w * p over types.
+    every scheduled copy, i.e. the sum of d * w * p over the network's
+    types; the flow value m is the loss-arc capacity.
     """
+    types, m = g.types, g.capacity[LOSS]
     model = MilpModel(name=f"eaf_t{len(types)}_m{m}")
     row_of = {q: r for r, q in enumerate(g.nodes)}
     flow_cols = [array("I") for _ in g.nodes]
@@ -610,13 +612,12 @@ def schedule_to_assignment(
     *,
     T: int | None = None,
     graph: FlowGraph | None = None,
-    types: list[JobType] | None = None,
 ) -> Valuation:
     """Translate a schedule into a valuation of the matching model.
 
-    kind 'ti' needs T; 'eaf' needs the flow network and its type table
-    (the straight network is one with one type per job). Machines are
-    read in their given processing order.
+    kind 'ti' needs T; 'eaf' needs the flow network (the straight network
+    is one with one type per job). Machines are read in their given
+    processing order.
 
     Raises:
         MappingError: a start or completion time has no model variable,
@@ -637,8 +638,8 @@ def schedule_to_assignment(
 
     if kind != "eaf":
         raise ValueError(f"unknown kind {kind!r}")
-    if graph is None or types is None:
-        raise ValueError("kind 'eaf' needs the graph and its types")
+    if graph is None:
+        raise ValueError("kind 'eaf' needs the graph")
 
     # arc positions grouped by tail: a lookup key per arc would cost a tuple per arc
     out_arcs: dict[int, list[int]] = {}
@@ -649,7 +650,7 @@ def schedule_to_assignment(
         return next((i for i in out_arcs.get(tail, ()) if graph.head[i] == head and graph.label[i] == label), None)
 
     type_of: dict[int, int] = {}
-    for tidx, jt in enumerate(types, start=1):
+    for tidx, jt in enumerate(graph.types, start=1):
         for member in jt.members:
             type_of[member] = tidx
 
@@ -671,22 +672,6 @@ def schedule_to_assignment(
         elif t > graph.T:
             raise MappingError(f"machine load {t} exceeds the horizon T={graph.T}")
     return {_arc_var(graph.tail[i], graph.head[i], graph.label[i]): count for i, count in used.items()}
-
-
-def valuation_to_flow(g: FlowGraph, valuation: Valuation) -> list[int]:
-    """Flow per arc position from a valuation over a graph's variables (rounded exact)."""
-    position = {name: i for i, name in enumerate(map(_arc_var, g.tail, g.head, g.label))}
-    flow = [0] * len(g.arcs)
-    for name, value in valuation.items():
-        if name == _ONE:
-            continue
-        if name not in position:
-            raise ValidationError(f"valuation references unknown arc variable {name}")
-        v = Fraction(value)
-        if v.denominator != 1:
-            raise ValidationError(f"non-integral flow {value} on {name}")
-        flow[position[name]] = int(v)
-    return flow
 
 
 def parse_solution(text: str) -> Valuation:

@@ -1,27 +1,23 @@
-from dataclasses import replace
-
 import pytest
 
 from arcsched.bounds import horizon
 from arcsched.flowgraph import LOSS, FlowGraph, build_eaf_graph
-from arcsched.instance import Instance, JobType, make_instance, parse_instance, singleton_types
+from arcsched.instance import Instance, make_instance, parse_instance, singleton_types
 
 DEMO_TEXT = "4 2\n2 4\n5 7\n1 1\n4 3\n"
 
 
-def straight_network(
-    inst: Instance, T: int | None = None, strict_figure: bool = False
-) -> tuple[FlowGraph, list[JobType]]:
+def straight_network(inst: Instance, T: int | None = None, strict_figure: bool = False) -> FlowGraph:
     """The straight per-job network: the reduced network with every reduction off.
 
     One type per job in WSPT order, windows [0, T - p_j] and T' = 0, over
     the instance's horizon unless ``T`` is given. Arc labels are WSPT
-    ranks; the returned types map them back to job ids.
+    ranks; the graph's types map them back to job ids.
     """
-    hor = horizon(inst) if T is None else replace(horizon(inst), T=T)
+    T = horizon(inst).T if T is None else T
     types = singleton_types(inst)
-    windows = [(0, hor.T - t.p) for t in types]
-    return build_eaf_graph(inst, hor, types, windows, strict_figure=strict_figure, t_prime=0), types
+    windows = [(0, T - t.p) for t in types]
+    return build_eaf_graph(inst, T, types, windows, 0, strict_figure=strict_figure)
 
 
 def reachable_points(g: FlowGraph) -> list[int]:
@@ -36,7 +32,7 @@ def straight_points(parts: list[int], T: int) -> list[int]:
     fitting = [(p, 1) for p in parts if p <= T]
     if not fitting:
         return [0]
-    return reachable_points(straight_network(make_instance(1, fitting), T)[0])
+    return reachable_points(straight_network(make_instance(1, fitting), T))
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from arcsched.bounds import horizon, horizon_T, horizon_Tprime, time_windows, type_time_windows
-from arcsched.flowgraph import build_eaf_graph, graph_stats
+from arcsched.flowgraph import LOSS, build_eaf_graph
 from arcsched.heuristic import IlsConfig, ils
 from arcsched.instance import (
     Schedule,
@@ -54,30 +54,24 @@ def demo():
     return parse_instance(DEMO_TEXT)
 
 
-def eaf_context(inst):
+def eaf_network(inst):
     hor = horizon(inst)
     types = group_job_types(inst)
     windows = type_time_windows(types, time_windows(inst, hor.T))
-    return build_eaf_graph(inst, hor, types, windows), types
+    return build_eaf_graph(inst, hor.T, types, windows, hor.T_prime)
 
 
 def test_criterion_1_golden_network(demo, report):
     best_ms = min(_timed_af_build(demo) for _ in range(10))
-    g, _ = straight_network(demo, 8)
-    stats = graph_stats(g)
-    strict = graph_stats(straight_network(demo, 8, strict_figure=True)[0])
-    ok = (
-        stats.node_count == 9
-        and stats.job_arc_count == 11
-        and stats.loss_arc_count == 8
-        and strict.loss_arc_count == 7
-        and best_ms < 1.0
-    )
+    g = straight_network(demo, 8)
+    nodes, loss = len(g.nodes), g.label.count(LOSS)
+    job_arcs = len(g.label) - loss
+    strict_loss = straight_network(demo, 8, strict_figure=True).label.count(LOSS)
+    ok = nodes == 9 and job_arcs == 11 and loss == 8 and strict_loss == 7 and best_ms < 1.0
     report(
         "1 golden-network",
         ok,
-        f"nodes={stats.node_count} job_arcs={stats.job_arc_count} "
-        f"loss={stats.loss_arc_count}/{strict.loss_arc_count} build={best_ms:.3f}ms",
+        f"nodes={nodes} job_arcs={job_arcs} loss={loss}/{strict_loss} build={best_ms:.3f}ms",
     )
 
 
@@ -96,16 +90,10 @@ def test_criterion_2_optimum_reproduction(demo, report, tmp_path):
     mapped["ti"] = check_feasible(
         build_ti(demo, T), schedule_to_assignment(demo, DEMO_OPT, "ti", T=T)
     )
-    g, types = straight_network(demo, T)
-    mapped["af"] = check_feasible(
-        build_eaf_model(g, types, demo.m),
-        schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=g, types=types),
-    )
-    ge, types = eaf_context(demo)
-    mapped["eaf"] = check_feasible(
-        build_eaf_model(ge, types, demo.m),
-        schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=ge, types=types),
-    )
+    g = straight_network(demo, T)
+    mapped["af"] = check_feasible(build_eaf_model(g), schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=g))
+    ge = eaf_network(demo)
+    mapped["eaf"] = check_feasible(build_eaf_model(ge), schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=ge))
 
     external_value, external_note = _external_solve(tmp_path)
 
@@ -166,10 +154,10 @@ def test_criterion_4_equivalence_surrogate(report):
         result = brute_force_optimal(inst, enumerate_all=True)
         T = horizon(inst).T
         models = {"ti": (build_ti(inst, T), {"T": T})}
-        g, types = straight_network(inst, T)
-        models["af"] = (build_eaf_model(g, types, inst.m), {"graph": g, "types": types})
-        ge, types = eaf_context(inst)
-        models["eaf"] = (build_eaf_model(ge, types, inst.m), {"graph": ge, "types": types})
+        g = straight_network(inst, T)
+        models["af"] = (build_eaf_model(g), {"graph": g})
+        ge = eaf_network(inst)
+        models["eaf"] = (build_eaf_model(ge), {"graph": ge})
         for kind, (model, ctx) in models.items():
             best = None
             for sched in result.all_optima:
@@ -194,10 +182,8 @@ def test_criterion_5_variable_count_reproduction(report):
         inst = generate_instance(n=n, m=2, p_max=20, w_max=20, seed=seed)
         T = horizon(inst).T
         n_ti = len(build_ti(inst, T).variables)
-        g, types = straight_network(inst, T)
-        n_af = len(build_eaf_model(g, types, inst.m).variables)
-        ge, types = eaf_context(inst)
-        n_eaf = len(build_eaf_model(ge, types, inst.m).variables)
+        n_af = len(build_eaf_model(straight_network(inst, T)).variables)
+        n_eaf = len(build_eaf_model(eaf_network(inst)).variables)
         return n_ti, n_af, n_eaf
 
     rows30 = [counts(30, 3000 + i) for i in range(10)]

@@ -127,6 +127,18 @@ class TestModel:
                      "--out", str(tmp_path / "m.lp")])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["model", "--in", "{dir}", "--form", "ti", "--out", "{dir}/m.lp"],
+        ["model", "--in", "{demo}", "--form", "ti", "--out", "{dir}"],
+        ["check", "--in", "{demo}", "--sched", "{dir}", "--form", "af"],
+    ], ids=["model-in", "model-out", "check-sched"])
+    def test_directory_path_input_error(self, argv, demo_file, tmp_path, capsys):
+        # a directory where a file is expected is an OSError other than
+        # FileNotFoundError; it must exit 3 with a message, not a traceback
+        code = main([a.format(dir=tmp_path, demo=demo_file) for a in argv])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestModelSizeGuard:
     """Models too large to build are refused with exit 5 before any

@@ -1,11 +1,11 @@
 from argparse import Namespace
-from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcsched import milp
 from arcsched.bounds import horizon, time_windows, type_time_windows
 from arcsched.cli import _flow_network
 from arcsched.flowgraph import (
@@ -13,11 +13,10 @@ from arcsched.flowgraph import (
     InfeasibleHorizonError,
     build_eaf_graph,
     decompose_flow,
-    graph_stats,
     reduction_pct,
     to_dot,
 )
-from arcsched.instance import generate_instance, group_job_types, make_instance, wspt_order
+from arcsched.instance import generate_instance, group_job_types, make_instance, singleton_types, wspt_order
 from arcsched.rng import SplitMix64
 
 from conftest import reachable_points, straight_network, straight_points
@@ -54,12 +53,18 @@ def flow_of(g, units: dict[tuple[int, int, int], int]) -> list[int]:
     return flow
 
 
+def model_flow(g, valuation) -> list[int]:
+    """Flow per arc read from a valuation by variable position, as the CLI
+    decodes a solver solution: variable i of the model is arc i."""
+    return [valuation.get(v.name, 0) for v in milp.build_eaf_model(g).variables]
+
+
 class TestNormalPatterns:
     """The points a network reaches are the normal patterns: sums of
     q_j * p_j <= T with q_j at most the multiplicity of j."""
 
     def test_demo_all_points_reachable(self, demo):
-        assert reachable_points(straight_network(demo, 8)[0]) == list(range(9))
+        assert reachable_points(straight_network(demo, 8)) == list(range(9))
 
     def test_single_part(self):
         assert straight_points([3], 3) == [0, 3]
@@ -72,7 +77,7 @@ class TestNormalPatterns:
         inst = make_instance(1, [(2, 1)] * 3)
         types = group_job_types(inst)
         assert [t.d for t in types] == [3]
-        g = build_eaf_graph(inst, replace(horizon(inst), T=7), types, [(0, 7 - 2)], t_prime=0)
+        g = build_eaf_graph(inst, 7, types, [(0, 7 - 2)], 0)
         assert reachable_points(g) == [0, 2, 4, 6]
 
     def test_matches_subset_enumeration(self):
@@ -86,20 +91,19 @@ class TestNormalPatterns:
 
 class TestAfGraph:
     def test_demo_counts(self, demo):
-        g, _ = straight_network(demo, 8)
-        stats = graph_stats(g)
-        assert stats.node_count == 9
-        assert stats.job_arc_count == 11
-        assert stats.loss_arc_count == 8
+        g = straight_network(demo, 8)
+        assert len(g.nodes) == 9
+        assert len(g.label) - g.label.count(LOSS) == 11
+        assert g.label.count(LOSS) == 8
 
     def test_demo_strict_figure_loss_count(self, demo):
-        g, _ = straight_network(demo, 8, strict_figure=True)
-        assert graph_stats(g).loss_arc_count == 7
+        g = straight_network(demo, 8, strict_figure=True)
+        assert g.label.count(LOSS) == 7
         assert all(t >= 1 for t in loss_tails(g))
 
     def test_single_job(self):
         inst = make_instance(1, [(3, 1)])
-        g, _ = straight_network(inst, 3)
+        g = straight_network(inst, 3)
         assert g.nodes == (0, 3)
         assert job_arcs(g) == [(0, 3, 1)]
         assert [(t, h) for t, h, k in arcs(g) if k == LOSS] == [(0, 3)]
@@ -111,8 +115,8 @@ class TestAfGraph:
     def test_every_job_has_an_arc(self):
         for seed in range(20):
             inst = generate_instance(n=10, m=2, p_max=12, w_max=12, seed=seed)
-            g, types = straight_network(inst)
-            jobs = {types[k - 1].members[0] for _, _, k in job_arcs(g)}
+            g = straight_network(inst)
+            jobs = {g.types[k - 1].members[0] for _, _, k in job_arcs(g)}
             assert jobs == set(range(1, 11))
 
     def test_tails_reachable_by_earlier_wspt_jobs(self):
@@ -121,12 +125,12 @@ class TestAfGraph:
         for seed in range(10):
             inst = generate_instance(n=9, m=2, p_max=10, w_max=10, seed=seed)
             T = horizon(inst).T
-            g, types = straight_network(inst, T)
+            g = straight_network(inst, T)
             order = wspt_order(inst)
             reachable = {0}
             arcs_by_job = {}
             for t, _, k in job_arcs(g):
-                arcs_by_job.setdefault(types[k - 1].members[0], set()).add(t)
+                arcs_by_job.setdefault(g.types[k - 1].members[0], set()).add(t)
             for j in order:
                 p = inst.job(j).p
                 assert arcs_by_job[j] == {t for t in reachable if t + p <= T}
@@ -134,7 +138,7 @@ class TestAfGraph:
 
     def test_no_duplicate_arcs_and_tail_lt_head(self):
         inst = generate_instance(n=10, m=3, p_max=8, w_max=8, seed=4)
-        g, _ = straight_network(inst)
+        g = straight_network(inst)
         triples = arcs(g)
         assert len(triples) == len(set(triples))
         assert all(t < h for t, h, _ in triples)
@@ -146,7 +150,9 @@ FLAGS = ("no_types", "no_windows", "no_tprime", "strict_figure")
 
 class TestArcOrder:
     """The arc order the FlowGraph docstring states, which ``to_dot`` and
-    ``decompose_flow`` rely on, over every reduction switch."""
+    ``decompose_flow`` rely on, over every reduction switch; and arc i is
+    variable i of the model built from the graph, which the CLI decode
+    relies on."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -161,7 +167,9 @@ class TestArcOrder:
         hor = horizon(inst)
         for form, switches in product(("af", "eaf"), product((False, True), repeat=len(FLAGS))):
             args = Namespace(**dict(zip(FLAGS, switches)))
-            types, g = _flow_network(inst, form, args)
+            g = _flow_network(inst, form, args)
+            types = singleton_types(inst) if form == "af" or args.no_types else group_job_types(inst)
+            assert g.types == tuple(types)
             # job arcs by label, then by tail; loss arcs last, by tail; and
             # strictly increasing, so no (tail, label) repeats
             keys = [(k == LOSS, k, t) for t, _, k in arcs(g)]
@@ -173,6 +181,10 @@ class TestArcOrder:
             t_prime = 0 if form == "af" or args.no_tprime else hor.T_prime
             want = [t for t in reachable_points(g) if max(t_prime, 1) <= t < g.T]
             assert loss_tails(g) == (want if args.strict_figure else [0, *want])
+            model = milp.build_eaf_model(g)
+            assert len(model.variables) == len(g.label)
+            for i, v in enumerate(model.variables):
+                assert v.name == milp._arc_var(g.tail[i], g.head[i], g.label[i])
 
 
 def eaf_pipeline(inst, strict_figure=False):
@@ -180,12 +192,12 @@ def eaf_pipeline(inst, strict_figure=False):
     types = group_job_types(inst)
     tw = time_windows(inst, hor.T)
     windows = type_time_windows(types, tw)
-    return build_eaf_graph(inst, hor, types, windows, strict_figure=strict_figure), types, hor
+    return build_eaf_graph(inst, hor.T, types, windows, hor.T_prime, strict_figure=strict_figure)
 
 
 class TestEafGraph:
     def test_demo_job_arcs(self, demo):
-        g, types, _ = eaf_pipeline(demo)
+        g = eaf_pipeline(demo)
         by_label = {}
         for t, h, k in job_arcs(g):
             by_label.setdefault(k, []).append((t, h))
@@ -196,17 +208,17 @@ class TestEafGraph:
         assert by_label[4] == [(0, 4), (1, 5), (2, 6), (3, 7)]
 
     def test_demo_loss_arcs(self, demo):
-        g, _, hor = eaf_pipeline(demo)
+        g = eaf_pipeline(demo)
         tails = sorted(loss_tails(g))
         assert tails == [0, 4, 5, 6, 7]  # [T', T) plus the 0 escape
 
     def test_demo_strict_drops_zero_escape(self, demo):
-        g, _, _ = eaf_pipeline(demo, strict_figure=True)
+        g = eaf_pipeline(demo, strict_figure=True)
         assert sorted(loss_tails(g)) == [4, 5, 6, 7]
 
     def test_identical_jobs_chain(self, single_machine_triple):
-        g, types, _ = eaf_pipeline(single_machine_triple)
-        assert len(types) == 1 and types[0].d == 3
+        g = eaf_pipeline(single_machine_triple)
+        assert len(g.types) == 1 and g.types[0].d == 3
         assert g.nodes == (0, 2, 4, 6)
         assert [(t, h, g.capacity[k]) for t, h, k in job_arcs(g)] == [
             (0, 2, 3),
@@ -217,20 +229,19 @@ class TestEafGraph:
     def test_eaf_never_larger_than_af(self):
         for seed in range(50):
             inst = generate_instance(n=12, m=2 + seed % 3, p_max=15, w_max=15, seed=seed)
-            af = graph_stats(straight_network(inst)[0])
-            eaf = graph_stats(eaf_pipeline(inst)[0])
-            assert eaf.variable_count <= af.variable_count
-            assert set(eaf_pipeline(inst)[0].nodes) <= set(
-                straight_network(inst)[0].nodes
-            ) | {horizon(inst).T}
+            af = straight_network(inst)
+            eaf = eaf_pipeline(inst)
+            assert len(eaf.label) <= len(af.label)
+            assert set(eaf.nodes) <= set(af.nodes) | {horizon(inst).T}
 
 
 class TestStats:
     def test_single_job_graph(self):
         inst = make_instance(1, [(3, 1)])
-        stats = graph_stats(straight_network(inst, 3)[0])
-        assert (stats.node_count, stats.job_arc_count, stats.loss_arc_count) == (2, 1, 1)
-        assert stats.variable_count == 2
+        g = straight_network(inst, 3)
+        losses = g.label.count(LOSS)
+        assert (len(g.nodes), len(g.label) - losses, losses) == (2, 1, 1)
+        assert len(g.label) == 2
 
     def test_reduction_formula(self):
         assert reduction_pct(3.0, 1.8) == pytest.approx(40.0)
@@ -239,11 +250,11 @@ class TestStats:
 class TestDot:
     def test_single_arc_contract(self):
         inst = make_instance(1, [(3, 1)])
-        text = to_dot(straight_network(inst, 3)[0])
+        text = to_dot(straight_network(inst, 3))
         assert '0 -> 3 [label="j1"]' in text
 
     def test_demo_statement_counts(self, demo):
-        text = to_dot(straight_network(demo, 8)[0])
+        text = to_dot(straight_network(demo, 8))
         lines = text.splitlines()
         edges = [l for l in lines if "->" in l]
         nodes = [l for l in lines if l.strip().rstrip(";").isdigit()]
@@ -251,8 +262,8 @@ class TestDot:
         assert len(edges) == 19
 
     def test_deterministic(self, demo):
-        a = to_dot(straight_network(demo, 8)[0])
-        b = to_dot(straight_network(demo, 8)[0])
+        a = to_dot(straight_network(demo, 8))
+        b = to_dot(straight_network(demo, 8))
         assert a == b
 
 
@@ -262,42 +273,42 @@ class TestDecompose:
         return flow_of(g, {(0, 2, 1): 1, (2, 3, 3): 1, (3, 7, 4): 1, (7, 8, 0): 1, (0, 5, 2): 1, (5, 8, 0): 1})
 
     def test_demo_paths(self, demo):
-        g, types = straight_network(demo, 8)
-        paths = decompose_flow(g, self.demo_flow(g), 2, types)
+        g = straight_network(demo, 8)
+        paths = decompose_flow(g, self.demo_flow(g))
         assert paths == [[1, 3, 4], [2]]
 
     def test_two_identical_jobs_capacity_two(self):
         inst = make_instance(2, [(2, 1), (2, 1)])
-        g, types, hor = eaf_pipeline(inst)
-        paths = decompose_flow(g, flow_of(g, {(0, 2, 1): 2, (2, g.T, LOSS): 2}), 2, types=types)
+        g = eaf_pipeline(inst)
+        paths = decompose_flow(g, flow_of(g, {(0, 2, 1): 2, (2, g.T, LOSS): 2}))
         assert paths == [[1], [2]]
 
     def test_idle_machine_via_zero_loss_arc(self):
         inst = make_instance(1, [(3, 1)])
-        g, types = straight_network(inst, 3)
+        g = straight_network(inst, 3)
         # flow of value 1: only the loss arc carries it
-        assert decompose_flow(g, flow_of(g, {(0, 3, LOSS): 1}), 1, types) == [[]]
-        assert decompose_flow(g, flow_of(g, {(0, 3, 1): 1}), 1, types) == [[1]]
+        assert decompose_flow(g, flow_of(g, {(0, 3, LOSS): 1})) == [[]]
+        assert decompose_flow(g, flow_of(g, {(0, 3, 1): 1})) == [[1]]
 
     def test_surplus_copy_adds_no_job(self, demo):
         # demand rows are >= d: job 3 covered twice, the second time as idle
-        g, types = straight_network(demo, 8)
+        g = straight_network(demo, 8)
         flow = flow_of(g, {(0, 2, 1): 1, (2, 7, 2): 1, (7, 8, 3): 1, (0, 1, 3): 1, (1, 5, 4): 1, (5, 8, 0): 1})
-        assert decompose_flow(g, flow, 2, types) == [[1, 2, 3], [4]]
+        assert decompose_flow(g, flow) == [[1, 2, 3], [4]]
 
     def test_conservation_violation_rejected(self, demo):
-        g, types = straight_network(demo, 8)
+        g = straight_network(demo, 8)
         bad = self.demo_flow(g)
         bad[arcs(g).index((0, 2, 1))] = 0
         with pytest.raises(ValueError, match="conserve"):
-            decompose_flow(g, bad, 2, types)
+            decompose_flow(g, bad)
 
     def test_capacity_violation_rejected(self, demo):
-        g, types = straight_network(demo, 8)
+        g = straight_network(demo, 8)
         flow = self.demo_flow(g)
         flow[arcs(g).index((0, 2, 1))] = 2
         with pytest.raises(ValueError, match="outside"):
-            decompose_flow(g, flow, 2, types)
+            decompose_flow(g, flow)
 
 
 class TestFlowRoundTrip:
@@ -321,37 +332,37 @@ class TestFlowRoundTrip:
         return sorted(sum(inst.job(j).p for j in machine) for machine in machines)
 
     def test_af_round_trip_on_oracle_optima(self):
-        from arcsched.milp import schedule_to_assignment, valuation_to_flow
+        from arcsched.milp import schedule_to_assignment
         from arcsched.oracle import brute_force_optimal
 
         for seed in range(15):
             inst = generate_instance(n=7 + seed % 3, m=2 + seed % 2, p_max=10, w_max=10, seed=seed)
-            g, types = straight_network(inst)
+            g = straight_network(inst)
             result = brute_force_optimal(inst, enumerate_all=True)
             for sched in result.all_optima:
                 if max(sum(inst.job(j).p for j in mm) for mm in sched.machines) > g.T:
                     continue
-                valuation = schedule_to_assignment(inst, sched, "eaf", graph=g, types=types)
-                paths = decompose_flow(g, valuation_to_flow(g, valuation), inst.m, types)
+                valuation = schedule_to_assignment(inst, sched, "eaf", graph=g)
+                paths = decompose_flow(g, model_flow(g, valuation))
                 assert sorted(j for path in paths for j in path) == list(range(1, inst.n + 1))
                 assert self.starts_by_type(inst, paths) == self.starts_by_type(inst, sched.machines)
                 assert self.completions(inst, paths) == self.completions(inst, sched.machines)
 
     def test_eaf_round_trip_on_oracle_schedule(self):
-        from arcsched.milp import MappingError, schedule_to_assignment, valuation_to_flow
+        from arcsched.milp import MappingError, schedule_to_assignment
         from arcsched.oracle import brute_force_optimal
 
         checked = 0
         for seed in range(15):
             inst = generate_instance(n=8, m=2, p_max=6, w_max=6, seed=seed)
-            g, types, _ = eaf_pipeline(inst)
+            g = eaf_pipeline(inst)
             result = brute_force_optimal(inst, enumerate_all=True)
             for sched in result.all_optima:
                 try:
-                    valuation = schedule_to_assignment(inst, sched, "eaf", graph=g, types=types)
+                    valuation = schedule_to_assignment(inst, sched, "eaf", graph=g)
                 except MappingError:
                     continue  # windows only guarantee some optimum survives
-                paths = decompose_flow(g, valuation_to_flow(g, valuation), inst.m, types=types)
+                paths = decompose_flow(g, model_flow(g, valuation))
                 assert sorted(j for path in paths for j in path) == list(range(1, inst.n + 1))
                 assert self.starts_by_type(inst, paths) == self.starts_by_type(inst, sched.machines)
                 assert self.completions(inst, paths) == self.completions(inst, sched.machines)

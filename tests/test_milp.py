@@ -43,16 +43,16 @@ DEMO_OPT = Schedule(machines=((1, 3, 4), (2,)))
 
 
 def af_context(inst):
-    g, types = straight_network(inst)
-    return g, types, build_eaf_model(g, types, inst.m)
+    g = straight_network(inst)
+    return g, build_eaf_model(g)
 
 
 def eaf_context(inst):
     hor = horizon(inst)
     types = group_job_types(inst)
     windows = type_time_windows(types, time_windows(inst, hor.T))
-    g = build_eaf_graph(inst, hor, types, windows)
-    return g, types, build_eaf_model(g, types, inst.m)
+    g = build_eaf_graph(inst, hor.T, types, windows, hor.T_prime)
+    return g, build_eaf_model(g)
 
 
 class TestRecords:
@@ -189,7 +189,7 @@ class TestBuildPti:
 
 class TestAfModel:
     def test_demo_counts(self, demo):
-        _, _, model = af_context(demo)
+        _, model = af_context(demo)
         job_vars = [v for v in model.variables if v.name.startswith("x_")]
         assert len(job_vars) == 11
         assert all(v.kind == INTEGER and v.ub == 1 for v in job_vars)
@@ -199,8 +199,8 @@ class TestAfModel:
         assert sum(n.startswith("demand_") for n in names) == 4
 
     def test_demo_optimal_valuation(self, demo):
-        g, types, model = af_context(demo)
-        valuation = schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=g, types=types)
+        g, model = af_context(demo)
+        valuation = schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=g)
         report = check_feasible(model, valuation)
         assert report.feasible
         assert report.objective == 67
@@ -208,7 +208,7 @@ class TestAfModel:
 
     def test_single_job_source_conservation(self):
         inst = make_instance(1, [(3, 5)])
-        _, _, model = af_context(inst)
+        _, model = af_context(inst)
         flow0 = next(c for c in model.constraints if c.name == "flow_0")
         assert sorted((model.variables[pos].name, coef) for pos, coef in flow0.terms) == [("L_0", 1), ("x_0_3_1", 1)]
         assert flow0.sense == "=" and flow0.rhs == 1
@@ -216,27 +216,27 @@ class TestAfModel:
 
 class TestEafModel:
     def test_demo_same_optimum_valuation(self, demo):
-        g, types, model = eaf_context(demo)
-        valuation = schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=g, types=types)
+        g, model = eaf_context(demo)
+        valuation = schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=g)
         report = check_feasible(model, valuation)
         assert report.feasible
         assert report.objective == 67
 
     def test_identical_jobs_chain_objective(self, single_machine_triple):
-        g, types, model = eaf_context(single_machine_triple)
+        _, model = eaf_context(single_machine_triple)
         valuation = {"x_0_2_1": 1, "x_2_4_1": 1, "x_4_6_1": 1}
         report = check_feasible(model, valuation)
         assert report.feasible
         assert report.objective == 5 * (2 + 4 + 6)
 
     def test_demand_met_by_single_arc_at_capacity(self, single_machine_triple):
-        _, _, model = eaf_context(single_machine_triple)
+        _, model = eaf_context(single_machine_triple)
         report = check_feasible(model, {"x_0_2_1": 3})
         demand = next(c for c in model.constraints if c.name.startswith("demand"))
         assert f"constraint {demand.name}" not in report.violations
 
     def test_objective_constant_counts_every_copy(self, single_machine_triple):
-        _, _, model = eaf_context(single_machine_triple)
+        _, model = eaf_context(single_machine_triple)
         assert model.obj_constant == 3 * 5 * 2
 
 
@@ -246,8 +246,8 @@ class TestVariableCounts:
             inst = generate_instance(n=12, m=2 + seed % 3, p_max=15, w_max=15, seed=seed)
             T = horizon(inst).T
             n_ti = len(build_ti(inst, T).variables)
-            n_af = len(af_context(inst)[2].variables)
-            n_eaf = len(eaf_context(inst)[2].variables)
+            n_af = len(af_context(inst)[1].variables)
+            n_eaf = len(eaf_context(inst)[1].variables)
             assert n_eaf <= n_af <= n_ti
 
 
@@ -267,7 +267,7 @@ class TestEmitLp:
         assert lines[-1] == "End"
 
     def test_deterministic(self, demo):
-        _, _, model = af_context(demo)
+        _, model = af_context(demo)
         assert emit_lp(model) == emit_lp(model)
 
     def test_constant_realized_via_fixed_variable(self, demo):
@@ -323,23 +323,23 @@ class TestScheduleToAssignment:
 
     def test_empty_machine_gets_zero_loss(self):
         inst = make_instance(2, [(3, 5)])
-        g, types = straight_network(inst)
+        g = straight_network(inst)
         sched = Schedule(machines=((1,), ()))
-        valuation = schedule_to_assignment(inst, sched, "eaf", graph=g, types=types)
+        valuation = schedule_to_assignment(inst, sched, "eaf", graph=g)
         assert valuation["L_0"] == 1
 
     def test_non_wspt_order_raises_mapping_error(self, demo):
-        g, types = straight_network(demo, 8)
+        g = straight_network(demo, 8)
         shifted = Schedule(machines=((3, 1, 4), (2,)))  # job 1 would start at 1
         with pytest.raises(MappingError, match="job 1"):
-            schedule_to_assignment(demo, shifted, "eaf", graph=g, types=types)
+            schedule_to_assignment(demo, shifted, "eaf", graph=g)
 
     def test_eaf_start_outside_window_raises(self, demo):
-        g, types, _ = eaf_context(demo)
+        g, _ = eaf_context(demo)
         # machine [2, 4]: job 4 starts at 5 > b = 4, arc absent
         sched = Schedule(machines=((2, 4), (1, 3)))
         with pytest.raises(MappingError):
-            schedule_to_assignment(demo, sched, "eaf", graph=g, types=types)
+            schedule_to_assignment(demo, sched, "eaf", graph=g)
 
 
 class TestCheckFeasible:
@@ -363,11 +363,11 @@ class TestCheckFeasible:
             objs = []
             model = build_ti(inst, T)
             objs.append(check_feasible(model, schedule_to_assignment(inst, sched, "ti", T=T)))
-            g, types, model_af = af_context(inst)
-            objs.append(check_feasible(model_af, schedule_to_assignment(inst, sched, "eaf", graph=g, types=types)))
-            ge, types, model_eaf = eaf_context(inst)
+            g, model_af = af_context(inst)
+            objs.append(check_feasible(model_af, schedule_to_assignment(inst, sched, "eaf", graph=g)))
+            ge, model_eaf = eaf_context(inst)
             objs.append(
-                check_feasible(model_eaf, schedule_to_assignment(inst, sched, "eaf", graph=ge, types=types))
+                check_feasible(model_eaf, schedule_to_assignment(inst, sched, "eaf", graph=ge))
             )
             assert all(r.feasible for r in objs)
             assert {r.objective for r in objs} == {opt}
@@ -394,8 +394,8 @@ class TestObjectiveAgreement:
                 model = build_ti(inst, T)
                 rep = check_feasible(model, schedule_to_assignment(inst, sched, "ti", T=T))
                 assert rep.feasible and rep.objective == value
-                g, types, model_af = af_context(inst)
-                rep = check_feasible(model_af, schedule_to_assignment(inst, sched, "eaf", graph=g, types=types))
+                g, model_af = af_context(inst)
+                rep = check_feasible(model_af, schedule_to_assignment(inst, sched, "eaf", graph=g))
                 assert rep.feasible and rep.objective == value
         assert mapped >= 50
 
@@ -435,7 +435,7 @@ class TestLpRoundTripSolve:
         return {k: round(v) for k, v in valuation.items() if k in declared and round(v)}
 
     def test_demo_af_lp_solves_to_67(self, demo, tmp_path):
-        _, _, model = af_context(demo)
+        _, model = af_context(demo)
         report = check_feasible(model, self.solve(model, tmp_path))
         assert report.feasible
         assert report.objective == 67
@@ -453,7 +453,7 @@ class TestLpRoundTripSolve:
             inst = generate_instance(n=7, m=2, p_max=10, w_max=10, seed=900 + seed)
             opt = brute_force_optimal(inst).optimum
             T = horizon(inst).T
-            models = {"ti": build_ti(inst, T), "af": af_context(inst)[2], "eaf": eaf_context(inst)[2]}
+            models = {"ti": build_ti(inst, T), "af": af_context(inst)[1], "eaf": eaf_context(inst)[1]}
             for form, model in models.items():
                 valuation = self.solve(model, tmp_path / f"{form}{seed}")
                 report = check_feasible(model, valuation)
