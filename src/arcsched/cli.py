@@ -4,6 +4,11 @@ Subcommands: gen, bounds, model, compare, solve-heur, solve-exact, check,
 solve-external. Exit codes: 0 success, 2 usage error, 3 input/validation
 error, 4 external-solver error, 5 size-guard refusal (the oracle's m**n
 guard or a model estimated above milp.MAX_MODEL_BYTES).
+
+``main`` is the one command frame. It creates the run report and hands it
+to the subcommand's ``cmd_*`` function, which only computes and fills the
+report in; then ``main`` prints it and returns 0. An exception becomes
+exit 5, 4 or 3 with a one-line message on stderr, and no report.
 """
 
 from __future__ import annotations
@@ -24,9 +29,7 @@ from . import bounds as bounds_mod
 from . import flowgraph, heuristic, milp, oracle
 from .instance import (
     Instance,
-    ParseError,
     Schedule,
-    ValidationError,
     evaluate_schedule,
     generate_instance,
     group_job_types,
@@ -59,6 +62,7 @@ class RunReport:
     outputs: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     deterministic: bool = True
+    lines: list = field(default_factory=list)  # printed last, as they stand
 
     def print(self, out=None) -> None:
         out = out or sys.stdout
@@ -73,6 +77,8 @@ class RunReport:
             print(f"wrote: {path}", file=out)
         if not self.deterministic:
             print("deterministic: no (wall-clock budget)", file=out)
+        for line in self.lines:
+            print(line, file=out)
 
     @contextmanager
     def phase(self, name: str):
@@ -86,8 +92,11 @@ def _digest(inst: Instance) -> dict:
     return {"n": inst.n, "m": inst.m, "sum_p": inst.total_p, "p_max": inst.p_max}
 
 
-def _read_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+def _read_instance(path: str, report: RunReport) -> Instance:
+    """Parse the instance file and put its digest on the report."""
+    inst = parse_instance(Path(path).read_text(encoding="utf-8"))
+    report.digest = _digest(inst)
+    return inst
 
 
 def _flow_network(inst: Instance, form: str, args) -> flowgraph.FlowGraph:
@@ -150,39 +159,30 @@ def _add_reduction_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-tprime", action="store_true", help="keep loss arcs below T' (eaf)")
 
 
-def cmd_gen(args) -> int:
-    report = RunReport(command="gen")
+def cmd_gen(args, report: RunReport) -> None:
     with report.phase("generate"):
         inst = generate_instance(args.n, args.m, args.pmax, args.wmax, args.seed)
     Path(args.out).write_text(write_instance(inst), encoding="utf-8")
     report.digest = _digest(inst)
     report.outputs.append(args.out)
-    report.print()
-    return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    report = RunReport(command="bounds")
-    inst = _read_instance(args.infile)
+def cmd_bounds(args, report: RunReport) -> None:
+    inst = _read_instance(args.infile, report)
     with report.phase("bounds"):
         hor = bounds_mod.horizon(inst)
         tw = bounds_mod.time_windows(inst, hor.T)
-    report.digest = _digest(inst)
     report.summary = {
         "H_min": hor.H_min,
         "H_max": hor.H_max,
         "T": hor.T,
         "T_prime": hor.T_prime,
     }
-    report.print()
-    for j in range(1, inst.n + 1):
-        print(f"window job {j}: [{tw.a[j]}, {tw.b[j]}]")
-    return EXIT_OK
+    report.lines = [f"window job {j}: [{tw.a[j]}, {tw.b[j]}]" for j in range(1, inst.n + 1)]
 
 
-def cmd_model(args) -> int:
-    report = RunReport(command="model")
-    inst = _read_instance(args.infile)
+def cmd_model(args, report: RunReport) -> None:
+    inst = _read_instance(args.infile, report)
     with report.phase("build"):
         model, graph = _build_model(inst, args.form, args)
     with report.phase("emit"):
@@ -191,7 +191,6 @@ def cmd_model(args) -> int:
         else:
             text = milp.emit_mps(model)
     Path(args.out).write_text(text, encoding="utf-8")
-    report.digest = _digest(inst)
     report.summary = {
         "form": args.form,
         "variables": len(model.variables),
@@ -211,12 +210,9 @@ def cmd_model(args) -> int:
             Path(args.dot).write_text(flowgraph.to_dot(graph), encoding="utf-8")
             report.outputs.append(args.dot)
     report.outputs.append(args.out)
-    report.print()
-    return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    report = RunReport(command="compare")
+def cmd_compare(args, report: RunReport) -> None:
     rows = []
     with report.phase("compare"):
         for i in range(args.seeds):
@@ -250,8 +246,6 @@ def cmd_compare(args) -> int:
         "mean_red_eaf_vs_af_pct": f"{flowgraph.reduction_pct(mean_af, mean_eaf):.2f}",
     }
     report.outputs.append(args.out)
-    report.print()
-    return EXIT_OK
 
 
 def _heur_budgets(n: int, iters: int | None, time_limit: float | None) -> tuple[int, float | None]:
@@ -268,9 +262,8 @@ def _heur_budgets(n: int, iters: int | None, time_limit: float | None) -> tuple[
     return iters, time_limit
 
 
-def cmd_solve_heur(args) -> int:
-    report = RunReport(command="solve-heur")
-    inst = _read_instance(args.infile)
+def cmd_solve_heur(args, report: RunReport) -> None:
+    inst = _read_instance(args.infile, report)
     iters, time_limit = _heur_budgets(inst.n, args.iters, args.time)
     cfg = heuristic.IlsConfig(
         seed=args.seed,
@@ -282,27 +275,20 @@ def cmd_solve_heur(args) -> int:
     with report.phase("ils"):
         result = heuristic.ils(inst, cfg)
     Path(args.out).write_text(write_schedule(inst, result.schedule), encoding="utf-8")
-    report.digest = _digest(inst)
     report.summary = {"objective": result.value, "iterations": result.iterations}
     report.outputs.append(args.out)
     report.deterministic = time_limit is None
-    report.print()
-    return EXIT_OK
 
 
-def cmd_solve_exact(args) -> int:
-    report = RunReport(command="solve-exact")
-    inst = _read_instance(args.infile)
+def cmd_solve_exact(args, report: RunReport) -> None:
+    inst = _read_instance(args.infile, report)
     with report.phase("oracle"):
         result = oracle.brute_force_optimal(inst, enumerate_all=args.all_optima)
     Path(args.out).write_text(write_schedule(inst, result.schedule), encoding="utf-8")
-    report.digest = _digest(inst)
     report.summary = {"objective": result.optimum}
     if args.all_optima:
         report.summary["optimal_assignments"] = len(result.all_optima)
     report.outputs.append(args.out)
-    report.print()
-    return EXIT_OK
 
 
 def _schedule_valuation(inst: Instance, sched: Schedule, form: str, args):
@@ -312,14 +298,12 @@ def _schedule_valuation(inst: Instance, sched: Schedule, form: str, args):
     return model, milp.schedule_to_assignment(inst, sched, "eaf", graph=graph)
 
 
-def cmd_check(args) -> int:
-    report = RunReport(command="check")
-    inst = _read_instance(args.infile)
+def cmd_check(args, report: RunReport) -> None:
+    inst = _read_instance(args.infile, report)
     sched = parse_schedule(Path(args.sched).read_text(encoding="utf-8"))
     with report.phase("check"):
         model, valuation = _schedule_valuation(inst, sched, args.form, args)
         result = milp.check_feasible(model, valuation)
-    report.digest = _digest(inst)
     report.summary = {
         "form": args.form,
         "feasible": result.feasible,
@@ -327,8 +311,6 @@ def cmd_check(args) -> int:
     }
     if not result.feasible:
         report.summary["violated"] = ", ".join(result.violations[:10])
-    report.print()
-    return EXIT_OK
 
 
 def _integralize(valuation: dict, kinds: dict) -> dict:
@@ -384,9 +366,8 @@ def _decode_flow_solution(inst: Instance, model, graph, valuation) -> Schedule:
     return Schedule(machines=tuple(sort_machine_wspt(inst, path) for path in paths))
 
 
-def cmd_solve_external(args) -> int:
-    report = RunReport(command="solve-external")
-    inst = _read_instance(args.infile)
+def cmd_solve_external(args, report: RunReport) -> None:
+    inst = _read_instance(args.infile, report)
     solver_cmd = (args.solver_cmd or os.environ.get(SOLVER_ENV) or "").strip()
     if not solver_cmd:
         raise ExternalSolverError(f"no solver command; pass --solver-cmd or set {SOLVER_ENV}")
@@ -434,14 +415,11 @@ def cmd_solve_external(args) -> int:
     if args.out:
         Path(args.out).write_text(write_schedule(inst, sched), encoding="utf-8")
         report.outputs.append(args.out)
-    report.digest = _digest(inst)
     report.summary = {
         "form": args.form,
         "solver_objective": feas.objective,
         "objective": objective,
     }
-    report.print()
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,22 +508,21 @@ def main(argv=None) -> int:
             parser.error("form ciqp has a quadratic objective; MPS is unsupported, use --format lp")
         if args.dot and args.form not in ("af", "eaf"):
             parser.error(f"form {args.form} has no flow network; --dot needs af or eaf")
+    report = RunReport(command=args.cmd)
+    # the guard errors subclass ValueError, so their clause comes first
     try:
-        return args.func(args)
-    except (ParseError, ValidationError, bounds_mod.InfeasibleWindowError,
-            flowgraph.InfeasibleHorizonError, milp.MappingError,
-            milp.UnsupportedFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        args.func(args, report)
+        report.print()
     except (oracle.SizeLimitError, milp.ModelSizeError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except ExternalSolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ separated.
 
 Schedule (UTF-8 text): line ``objective V``; then m lines
 ``machine k: j1 j2 ...`` with 1-based job ids in processing order. An empty
-machine emits ``machine k:``.
+machine emits ``machine k:``. A schedule with other than m machine lines
+fails validation against its instance.
 """
 
 from __future__ import annotations
@@ -205,6 +206,8 @@ def singleton_types(inst: Instance) -> list[JobType]:
 
 
 def _check_partition(inst: Instance, sched: Schedule) -> None:
+    if sched.m != inst.m:
+        raise ValidationError(f"schedule has {sched.m} machines, the instance has {inst.m}")
     seen: set[int] = set()
     for machine in sched.machines:
         for j in machine:

@@ -76,8 +76,6 @@ def brute_force_optimal(inst: Instance, enumerate_all: bool = False) -> OracleRe
                 best_assignments.clear()
             if cost == best_cost:
                 best_assignments.append(tuple(assign[:]))
-                if not enumerate_all and len(best_assignments) > 1:
-                    del best_assignments[:-1]
             return
         job = jobs[idx]
         # first-use canonical form: may reuse any open machine or open the next
@@ -99,8 +97,7 @@ def brute_force_optimal(inst: Instance, enumerate_all: bool = False) -> OracleRe
         return _canonical_schedule(inst, machines)
 
     schedules = [to_schedule(a) for a in best_assignments]
-    for sched in schedules[:1]:
-        assert evaluate_schedule(inst, sched) == best_cost
+    assert evaluate_schedule(inst, schedules[0]) == best_cost
     return OracleResult(
         optimum=best_cost,
         schedule=schedules[0],

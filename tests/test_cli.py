@@ -476,6 +476,21 @@ class TestCheck:
         assert code == 0
         assert "feasible: True" in text
 
+    @pytest.mark.parametrize("lines", [2, 4])
+    @pytest.mark.parametrize("form", ["ti", "af", "eaf"])
+    def test_machine_count_must_be_m(self, form, lines, tmp_path, capsys):
+        # every form refuses a schedule for the wrong number of machines
+        inst, sched = tmp_path / "i.txt", tmp_path / "s.txt"
+        inst.write_text("2 3\n1 1\n1 2\n", encoding="utf-8")
+        machines = ["1", "2"] + [""] * (lines - 2)
+        sched.write_text("objective 3\n" + "".join(
+            f"machine {k}: {body}\n" for k, body in enumerate(machines, start=1)), encoding="utf-8")
+        code = main(["check", "--in", str(inst), "--sched", str(sched), "--form", form])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == f"error: schedule has {lines} machines, the instance has 3\n"
+
 
 class TestSolveExternal:
     def shim_cmd(self) -> str:
