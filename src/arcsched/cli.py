@@ -29,19 +29,20 @@ from . import bounds as bounds_mod
 from . import flowgraph, heuristic, milp, oracle
 from .instance import (
     Instance,
-    Schedule,
+    completion_times,
     evaluate_schedule,
     generate_instance,
     group_job_types,
     parse_instance,
     parse_schedule,
     singleton_types,
-    sort_machine_wspt,
     write_instance,
     write_schedule,
 )
 
 SOLVER_ENV = "ARCSCHED_SOLVER_CMD"
+# farthest a solver value on an integer variable may sit from an integer
+INTEGRALITY_TOLERANCE = Fraction(1, 10**6)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -291,18 +292,16 @@ def cmd_solve_exact(args, report: RunReport) -> None:
     report.outputs.append(args.out)
 
 
-def _schedule_valuation(inst: Instance, sched: Schedule, form: str, args):
-    model, graph = _build_model(inst, form, args)
-    if form == "ti":
-        return model, milp.schedule_to_assignment(inst, sched, "ti", T=bounds_mod.horizon_T(inst))
-    return model, milp.schedule_to_assignment(inst, sched, "eaf", graph=graph)
-
-
 def cmd_check(args, report: RunReport) -> None:
     inst = _read_instance(args.infile, report)
     sched = parse_schedule(Path(args.sched).read_text(encoding="utf-8"))
     with report.phase("check"):
-        model, valuation = _schedule_valuation(inst, sched, args.form, args)
+        completion_times(inst, sched)  # a schedule that does not fit the instance fails before the build
+        model, graph = _build_model(inst, args.form, args)
+        if args.form == "ti":
+            valuation = milp.schedule_to_assignment(inst, sched, "ti", T=bounds_mod.horizon_T(inst))
+        else:
+            valuation = milp.schedule_to_assignment(inst, sched, "eaf", graph=graph)
         result = milp.check_feasible(model, valuation)
     report.summary = {
         "form": args.form,
@@ -311,59 +310,6 @@ def cmd_check(args, report: RunReport) -> None:
     }
     if not result.feasible:
         report.summary["violated"] = ", ".join(result.violations[:10])
-
-
-def _integralize(valuation: dict, kinds: dict) -> dict:
-    """Round solver floats on integer variables; exact checks come after.
-
-    Raises:
-        ExternalSolverError: a value sits farther than 1e-6 from an integer.
-    """
-    cleaned = {}
-    for name, value in valuation.items():
-        v = Fraction(value)
-        if kinds[name] in (milp.BINARY, milp.INTEGER):
-            nearest = int(v + Fraction(1, 2)) if v >= 0 else -int(-v + Fraction(1, 2))
-            if abs(v - nearest) > Fraction(1, 10**6):
-                raise ExternalSolverError(f"non-integral value {value} for integer variable {name}")
-            v = nearest
-        if v:
-            cleaned[name] = v
-    return cleaned
-
-
-def _decode_ti_solution(inst: Instance, valuation) -> Schedule:
-    starts: dict[int, int] = {}
-    for name, value in valuation.items():
-        if not name.startswith("x_") or Fraction(value) < Fraction(1, 2):
-            continue
-        _, j, t = name.split("_")
-        starts[int(j)] = int(t)
-    if sorted(starts) != list(range(1, inst.n + 1)):
-        raise ExternalSolverError("solution does not start every job exactly once")
-    free = [0] * inst.m
-    machines: list[list[int]] = [[] for _ in range(inst.m)]
-    for j in sorted(starts, key=lambda j: (starts[j], j)):
-        k = next((k for k in range(inst.m) if free[k] <= starts[j]), None)
-        if k is None:
-            raise ExternalSolverError(f"job {j} start {starts[j]} overlaps all machines")
-        machines[k].append(j)
-        free[k] = starts[j] + inst.job(j).p
-    return Schedule(machines=tuple(sort_machine_wspt(inst, mach) for mach in machines))
-
-
-def _decode_flow_solution(inst: Instance, model, graph, valuation) -> Schedule:
-    """Schedule from a feasible valuation whose values are already integral.
-
-    Variable i of the model is arc i of ``graph``, so the flow is read by
-    position.
-    """
-    flow = [valuation.get(v.name, 0) for v in model.variables]
-    paths = flowgraph.decompose_flow(graph, flow)
-    # each member is handed out at most once, so the count shows full cover
-    if sum(map(len, paths)) != inst.n:
-        raise ExternalSolverError("decoded flow does not cover every job")
-    return Schedule(machines=tuple(sort_machine_wspt(inst, path) for path in paths))
 
 
 def cmd_solve_external(args, report: RunReport) -> None:
@@ -393,24 +339,25 @@ def cmd_solve_external(args, report: RunReport) -> None:
         if not solution_path.exists():
             raise ExternalSolverError("solver wrote no solution file")
         try:
-            valuation = milp.parse_solution(solution_path.read_text(encoding="utf-8"))
+            solution = milp.parse_solution(solution_path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ExternalSolverError(f"unparsable solution file: {exc}") from exc
     with report.phase("decode"):
-        kinds = {v.name: v.kind for v in model.variables}
-        valuation = _integralize(
-            {name: value for name, value in valuation.items() if name in kinds}, kinds
-        )
-        feas = milp.check_feasible(model, valuation)
+        # every ti, af and eaf variable is integral: round the solver's floats, then check exactly
+        values = []
+        for v in model.variables:
+            x = solution.get(v.name, 0)
+            nearest = round(x)
+            if abs(x - nearest) > INTEGRALITY_TOLERANCE:
+                raise ExternalSolverError(f"non-integral value {x} for integer variable {v.name}")
+            values.append(nearest)
+        feas = milp.check_feasible(model, {v.name: x for v, x in zip(model.variables, values) if x})
         if not feas.feasible:
             raise ExternalSolverError(
                 "solver solution violates the model (artifact bug): "
                 + ", ".join(feas.violations[:5])
             )
-        if args.form == "ti":
-            sched = _decode_ti_solution(inst, valuation)
-        else:
-            sched = _decode_flow_solution(inst, model, graph, valuation)
+        sched = milp.assignment_to_schedule(inst, model, values, graph)
     objective = evaluate_schedule(inst, sched)
     if args.out:
         Path(args.out).write_text(write_schedule(inst, sched), encoding="utf-8")

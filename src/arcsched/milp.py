@@ -4,7 +4,8 @@ Models are plain records of variables, linear constraints and a linear
 (optionally quadratic) objective with exact rational coefficients. A
 variable's name lives only on its record; rows and quadratic terms refer
 to variables by position. Models are emitted as LP or MPS text and never
-solved in-process; an external solver can be driven through the CLI.
+solved in-process; an external solver can be driven through the CLI, and
+``assignment_to_schedule`` decodes its integral answer.
 
 Formulations
 ------------
@@ -34,8 +35,8 @@ from itertools import groupby, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .flowgraph import LOSS, FlowGraph
-from .instance import Instance, JobType, Schedule, ValidationError, completion_times
+from .flowgraph import LOSS, FlowGraph, decompose_flow
+from .instance import Instance, JobType, Schedule, ValidationError, completion_times, sort_machine_wspt
 
 Num = int | Fraction
 
@@ -48,8 +49,10 @@ CONTINUOUS = "continuous"
 # ``flow_nonzeros``) times the form's peak RSS per estimated nonzero. The
 # rates are the largest measured over LP and MPS, m = 2 and 4, p and w in
 # U[1, 100]; they differ because per-variable records and names weigh more
-# where a variable has few entries. The budget leaves room on an 8 GB host.
-BYTES_PER_NONZERO = {"ti": 142, "pti": 462, "af": 340, "eaf": 364, "ciqp": 380}
+# where a variable has few entries. af is eaf with every reduction off, so the
+# one flow builder has one rate, the larger of the two measured. The budget
+# leaves room on an 8 GB host.
+BYTES_PER_NONZERO = {"ti": 142, "pti": 462, "af": 364, "eaf": 364, "ciqp": 380}
 MAX_MODEL_BYTES = 6 * 10**9
 
 
@@ -672,6 +675,33 @@ def schedule_to_assignment(
         elif t > graph.T:
             raise MappingError(f"machine load {t} exceeds the horizon T={graph.T}")
     return {_arc_var(graph.tail[i], graph.head[i], graph.label[i]): count for i, count in used.items()}
+
+
+def assignment_to_schedule(inst: Instance, model: MilpModel, values: list[int], graph: FlowGraph | None) -> Schedule:
+    """Schedule from an integral assignment that ``check_feasible`` accepted.
+
+    ``values[i]`` is the value of variable i of ``model``. A flow model,
+    built from ``graph``, is split into machine paths; a ti model
+    (``graph`` None) reads each job's start from the name of its nonzero
+    x_{j}_{t} and fills machines by start time, where the cap_t <= m rows
+    leave a machine free at every start. Each machine is then sorted by
+    WSPT, so the objective is at most the model's.
+    """
+    if graph is not None:
+        machines = decompose_flow(graph, values)
+    else:
+        starts = []
+        for v, x in zip(model.variables, values):
+            if x:
+                _, j, t = v.name.split("_")
+                starts.append((int(t), int(j)))
+        free = [0] * inst.m
+        machines = [[] for _ in range(inst.m)]
+        for t, j in sorted(starts):
+            k = next(k for k in range(inst.m) if free[k] <= t)
+            machines[k].append(j)
+            free[k] = t + inst.job(j).p
+    return Schedule(machines=tuple(sort_machine_wspt(inst, machine) for machine in machines))
 
 
 def parse_solution(text: str) -> Valuation:

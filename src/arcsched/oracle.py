@@ -14,6 +14,7 @@ package is validated against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .instance import Instance, Schedule, evaluate_schedule
 
@@ -87,7 +88,12 @@ def brute_force_optimal(inst: Instance, enumerate_all: bool = False) -> OracleRe
             loads[k] -= job.p
         assign[idx] = 0
 
-    dfs(0, 0, 0)
+    if m == 1:
+        # the one canonical assignment, found without a search n levels deep
+        best_cost = sum(job.w * c for job, c in zip(jobs, accumulate(job.p for job in jobs)))
+        best_assignments.append(tuple(assign))
+    else:
+        dfs(0, 0, 0)
     assert best_cost is not None
 
     def to_schedule(a: tuple[int, ...]) -> Schedule:

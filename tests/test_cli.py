@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from arcsched import flowgraph, milp
+from arcsched import cli, flowgraph, milp
 from arcsched.bounds import horizon, time_windows, type_time_windows
 from arcsched.cli import main
 from arcsched.heuristic import IlsConfig
@@ -208,6 +208,17 @@ class TestModelSizeGuard:
         # the guard fires while building, before the solver would run
         self.assert_refused_fast(capsys, "solve-external", "--in", str(huge_p), "--form", form,
                                  "--solver-cmd", "false")
+
+    @pytest.mark.parametrize("form", ["af", "eaf"])
+    def test_one_network_one_verdict(self, form, tmp_path, capsys):
+        # af and eaf with every reduction off are one network, bounded at 1.7e7 nonzeros
+        inst = tmp_path / "i.txt"
+        inst.write_text("2 1\n1700000 1\n1700000 2\n", encoding="utf-8")
+        code = main(["model", "--in", str(inst), "--form", form, "--no-windows", "--no-types", "--no-tprime",
+                     "--out", str(tmp_path / "m.lp")])
+        assert (code, *capsys.readouterr()) == (5, "", f"refused: form {form} model may hold 1.7e+07 nonzeros,"
+                                                        " about 6.19 GB, above the model guard of 6 GB\n")
+        assert not (tmp_path / "m.lp").exists()
 
     def test_compare_refused(self, tmp_path, capsys):
         self.assert_refused_fast(capsys, "compare", "--n", "3", "--m", "2", "--pmax", "10000000000",
@@ -444,6 +455,21 @@ class TestSolveExact:
         code = main(["solve-exact", "--in", str(big), "--out", str(tmp_path / "s.txt")])
         assert code == 5
 
+    def test_one_machine_many_jobs(self, tmp_path, capsys):
+        # m**n = 1 passes the guard; a search n levels deep would overflow the stack
+        inst = generate_instance(n=1500, m=1, p_max=5, w_max=5, seed=1)
+        f, out = tmp_path / "i.txt", tmp_path / "s.txt"
+        f.write_text(write_instance(inst), encoding="utf-8")
+        code, text = run(capsys, "solve-exact", "--in", str(f), "--out", str(out), "--all-optima")
+        assert code == 0
+        t, wspt = 0, 0
+        for j in inst.wspt_ids:
+            t += inst.job(j).p
+            wspt += inst.job(j).w * t
+        fields = dict(line.split(": ", 1) for line in text.splitlines())
+        assert (fields["objective"], fields["optimal_assignments"]) == (str(wspt), "1")
+        assert parse_schedule(out.read_text(encoding="utf-8")).machines == (inst.wspt_ids,)
+
     def test_two_jobs_two_machines(self, tmp_path, capsys):
         f = tmp_path / "i.txt"
         f.write_text("2 2\n3 4\n5 2\n", encoding="utf-8")
@@ -490,6 +516,25 @@ class TestCheck:
         assert code == 3
         assert out == ""
         assert err == f"error: schedule has {lines} machines, the instance has 3\n"
+
+
+    @pytest.mark.parametrize(("machines", "message"), [
+        (["1 2 3 4"], "schedule has 1 machines, the instance has 2"),
+        (["1 3 4", "2 9"], "schedule references unknown job id 9"),
+        (["1 3", "2"], "schedule misses jobs [4]"),
+    ])
+    @pytest.mark.parametrize("form", ["ti", "af", "eaf"])
+    def test_schedule_checked_before_the_build(self, form, machines, message, demo_file, tmp_path,
+                                               capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("model built for a schedule that does not fit the instance")
+
+        monkeypatch.setattr(cli, "_build_model", build)
+        sched = tmp_path / "s.txt"
+        sched.write_text("objective 0\n" + "".join(
+            f"machine {k}: {body}\n" for k, body in enumerate(machines, start=1)), encoding="utf-8")
+        code = main(["check", "--in", str(demo_file), "--sched", str(sched), "--form", form])
+        assert (code, *capsys.readouterr()) == (3, "", f"error: {message}\n")
 
 
 class TestSolveExternal:
@@ -545,6 +590,45 @@ class TestSolveExternal:
         assert sorted(j for machine in sched.machines for j in machine) == [1, 2, 3, 4]
         fields = dict(line.split(": ", 1) for line in text.splitlines())
         assert int(fields["objective"]) <= Fraction(fields["solver_objective"])
+
+    # (form, solver script body, stderr); the script gets the model and solution paths
+    FAILING_SOLVERS = {
+        "solver_fails": (
+            "af",
+            "sys.stderr.write('no license\\n'); sys.exit(3)",
+            "solver error: solver exited with 3; stderr:\nno license\n",
+        ),
+        "no_solution_file": ("eaf", "pass", "solver error: solver wrote no solution file\n"),
+        "unparsable_line": (
+            "af",
+            "open(sys.argv[2], 'w').write('x_0_2_1 1 2\\n')",
+            "solver error: unparsable solution file: solution line 1: expected 'name value',"
+            " got 'x_0_2_1 1 2'\n",
+        ),
+        "non_integral": (
+            "af",
+            "open(sys.argv[2], 'w').write('x_0_2_1 0.5\\nONE 1\\n')",
+            "solver error: non-integral value 1/2 for integer variable x_0_2_1\n",
+        ),
+        "all_zeros": (
+            "ti",
+            "open(sys.argv[2], 'w').write('x_1_0 0\\n')",
+            "solver error: solver solution violates the model (artifact bug): constraint assign_1,"
+            " constraint assign_2, constraint assign_3, constraint assign_4\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAILING_SOLVERS))
+    def test_solver_failure_exits_4(self, case, demo_file, tmp_path, capsys):
+        form, body, stderr = self.FAILING_SOLVERS[case]
+        solver = tmp_path / "solver.py"
+        solver.write_text(f"import sys\n{body}\n", encoding="utf-8")
+        out = tmp_path / "s.txt"
+        code = main(["solve-external", "--in", str(demo_file), "--form", form,
+                     "--solver-cmd", f"{sys.executable} {solver} {{model}} {{solution}}",
+                     "--out", str(out)])
+        assert (code, *capsys.readouterr()) == (4, "", stderr)
+        assert not out.exists()
 
     def test_missing_binary_exit_code(self, demo_file, tmp_path, capsys):
         out = tmp_path / "s.txt"

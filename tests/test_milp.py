@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arcsched.bounds import horizon, time_windows, type_time_windows
 from arcsched.flowgraph import build_eaf_graph
@@ -24,6 +26,7 @@ from arcsched.milp import (
     MappingError,
     MilpModel,
     UnsupportedFormatError,
+    assignment_to_schedule,
     build_ciqp,
     build_eaf_model,
     build_pti,
@@ -340,6 +343,44 @@ class TestScheduleToAssignment:
         sched = Schedule(machines=((2, 4), (1, 3)))
         with pytest.raises(MappingError):
             schedule_to_assignment(demo, sched, "eaf", graph=g)
+
+
+class TestAssignmentToSchedule:
+    def test_ti_packs_each_machine(self):
+        # job 3 starts at 5 after an idle gap; the decoded machine runs it at 1
+        inst = make_instance(2, [(1, 1), (5, 1), (1, 1)])
+        model = build_ti(inst, horizon(inst).T)
+        valuation = {"x_1_0": 1, "x_2_0": 1, "x_3_5": 1}
+        assert check_feasible(model, valuation).objective == 12
+        values = [valuation.get(v.name, 0) for v in model.variables]
+        sched = assignment_to_schedule(inst, model, values, None)
+        assert sched.machines == ((1, 3), (2,))
+        assert evaluate_schedule(inst, sched) == 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 8), m=st.integers(1, 3), data=st.data())
+    def test_round_trip(self, seed, n, m, data):
+        inst = generate_instance(n=n, m=m, p_max=9, w_max=9, seed=seed)
+        on = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        sched = Schedule(machines=tuple(
+            sort_machine_wspt(inst, [j for j, k in zip(range(1, n + 1), on) if k == machine])
+            for machine in range(m)))
+        value = evaluate_schedule(inst, sched)
+        T = horizon(inst).T
+        for graph, model in ((None, build_ti(inst, T)), af_context(inst), eaf_context(inst)):
+            try:
+                if graph is None:
+                    valuation = schedule_to_assignment(inst, sched, "ti", T=T)
+                else:
+                    valuation = schedule_to_assignment(inst, sched, "eaf", graph=graph)
+            except MappingError:  # a load beyond T, or a start outside an eaf window
+                assume(False)
+            report = check_feasible(model, valuation)
+            assert report.feasible and report.objective == value
+            values = [valuation.get(v.name, 0) for v in model.variables]
+            decoded = assignment_to_schedule(inst, model, values, graph)
+            assert sorted(j for machine in decoded.machines for j in machine) == list(range(1, n + 1))
+            assert evaluate_schedule(inst, decoded) <= value
 
 
 class TestCheckFeasible:
