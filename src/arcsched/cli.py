@@ -3,7 +3,7 @@
 Subcommands: gen, bounds, model, compare, solve-heur, solve-exact, check,
 solve-external. Exit codes: 0 success, 2 usage error, 3 input/validation
 error, 4 external-solver error, 5 size-guard refusal (the oracle's m**n
-guard or a model estimated above milp.MAX_MODEL_BYTES).
+guard, or a model or m machines estimated above milp.MAX_MODEL_BYTES).
 
 ``main`` is the one command frame. It creates the run report and hands it
 to the subcommand's ``cmd_*`` function, which only computes and fills the
@@ -43,6 +43,10 @@ from .instance import (
 SOLVER_ENV = "ARCSCHED_SOLVER_CMD"
 # farthest a solver value on an integer variable may sit from an integer
 INTEGRALITY_TOLERANCE = Fraction(1, 10**6)
+
+# peak RSS per machine of solve-heur at n = 2, m = 10^5: the largest of the
+# commands that build a schedule (solve-exact, solve-external: at most 117 B)
+BYTES_PER_MACHINE = 367
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -98,6 +102,17 @@ def _read_instance(path: str, report: RunReport) -> Instance:
     inst = parse_instance(Path(path).read_text(encoding="utf-8"))
     report.digest = _digest(inst)
     return inst
+
+
+def _check_machines(inst: Instance) -> None:
+    """Refuse (milp.ModelSizeError) an instance whose m machines alone would
+    take a schedule past milp.MAX_MODEL_BYTES, before any per-machine list."""
+    need = inst.m * BYTES_PER_MACHINE
+    if need > milp.MAX_MODEL_BYTES:
+        raise milp.ModelSizeError(
+            f"m = {inst.m} machines need about {need / 1e9:.3g} GB for a schedule,"
+            f" above the model guard of {milp.MAX_MODEL_BYTES / 1e9:.3g} GB"
+        )
 
 
 def _flow_network(inst: Instance, form: str, args) -> flowgraph.FlowGraph:
@@ -219,9 +234,7 @@ def cmd_compare(args, report: RunReport) -> None:
         for i in range(args.seeds):
             seed = args.seed + i
             inst = generate_instance(args.n, args.m, args.pmax, args.wmax, seed)
-            # ti has x_{j}_{t} for t = 0..T - p_j; af/eaf one variable per arc
-            T = bounds_mod.horizon_T(inst)
-            counts = [sum(T - job.p + 1 for job in inst.jobs)]
+            counts = [milp.ti_offsets(inst, bounds_mod.horizon_T(inst))[-1]]
             for form in ("af", "eaf"):
                 counts.append(len(_flow_network(inst, form, args).label))
             rows.append((seed, *counts))
@@ -265,6 +278,7 @@ def _heur_budgets(n: int, iters: int | None, time_limit: float | None) -> tuple[
 
 def cmd_solve_heur(args, report: RunReport) -> None:
     inst = _read_instance(args.infile, report)
+    _check_machines(inst)
     iters, time_limit = _heur_budgets(inst.n, args.iters, args.time)
     cfg = heuristic.IlsConfig(
         seed=args.seed,
@@ -283,6 +297,7 @@ def cmd_solve_heur(args, report: RunReport) -> None:
 
 def cmd_solve_exact(args, report: RunReport) -> None:
     inst = _read_instance(args.infile, report)
+    _check_machines(inst)
     with report.phase("oracle"):
         result = oracle.brute_force_optimal(inst, enumerate_all=args.all_optima)
     Path(args.out).write_text(write_schedule(inst, result.schedule), encoding="utf-8")
@@ -298,11 +313,8 @@ def cmd_check(args, report: RunReport) -> None:
     with report.phase("check"):
         completion_times(inst, sched)  # a schedule that does not fit the instance fails before the build
         model, graph = _build_model(inst, args.form, args)
-        if args.form == "ti":
-            valuation = milp.schedule_to_assignment(inst, sched, "ti", T=bounds_mod.horizon_T(inst))
-        else:
-            valuation = milp.schedule_to_assignment(inst, sched, "eaf", graph=graph)
-        result = milp.check_feasible(model, valuation)
+        values = milp.schedule_to_assignment(inst, sched, bounds_mod.horizon_T(inst), graph)
+        result = milp.check_feasible(model, values)
     report.summary = {
         "form": args.form,
         "feasible": result.feasible,
@@ -314,6 +326,7 @@ def cmd_check(args, report: RunReport) -> None:
 
 def cmd_solve_external(args, report: RunReport) -> None:
     inst = _read_instance(args.infile, report)
+    _check_machines(inst)
     solver_cmd = (args.solver_cmd or os.environ.get(SOLVER_ENV) or "").strip()
     if not solver_cmd:
         raise ExternalSolverError(f"no solver command; pass --solver-cmd or set {SOLVER_ENV}")
@@ -351,13 +364,13 @@ def cmd_solve_external(args, report: RunReport) -> None:
             if abs(x - nearest) > INTEGRALITY_TOLERANCE:
                 raise ExternalSolverError(f"non-integral value {x} for integer variable {v.name}")
             values.append(nearest)
-        feas = milp.check_feasible(model, {v.name: x for v, x in zip(model.variables, values) if x})
+        feas = milp.check_feasible(model, values)
         if not feas.feasible:
             raise ExternalSolverError(
                 "solver solution violates the model (artifact bug): "
                 + ", ".join(feas.violations[:5])
             )
-        sched = milp.assignment_to_schedule(inst, model, values, graph)
+        sched = milp.assignment_to_schedule(inst, values, bounds_mod.horizon_T(inst), graph)
     objective = evaluate_schedule(inst, sched)
     if args.out:
         Path(args.out).write_text(write_schedule(inst, sched), encoding="utf-8")

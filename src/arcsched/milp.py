@@ -3,13 +3,15 @@
 Models are plain records of variables, linear constraints and a linear
 (optionally quadratic) objective with exact rational coefficients. A
 variable's name lives only on its record; rows and quadratic terms refer
-to variables by position. Models are emitted as LP or MPS text and never
-solved in-process; an external solver can be driven through the CLI, and
-``assignment_to_schedule`` decodes its integral answer.
+to variables by position, and a valuation is one value per position, so
+the schedule mapping, the exact check and the decode read no name. Models
+are emitted as LP or MPS text and never solved in-process; an external
+solver can be driven through the CLI.
 
 Formulations
 ------------
-ti    binaries x_{j}_{t}: job j starts at time t.
+ti    binaries x_{j}_{t}: job j starts at time t; ``ti_offsets`` gives
+      their positions.
 ciqp  binaries x_{j}_{k}: job j runs on machine k; quadratic objective
       from the WSPT completion-time recursion.
 pti   continuous x_{j}_{k}_{t}: unit parts of j finished at t on k, plus
@@ -28,10 +30,10 @@ time.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import accumulate, groupby, repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -65,7 +67,7 @@ class UnsupportedFormatError(ValueError):
 
 
 class ModelSizeError(ValueError):
-    """The model's estimated peak memory exceeds MAX_MODEL_BYTES."""
+    """A model, or the machines of a schedule, would need more than MAX_MODEL_BYTES."""
 
 
 class Variable(NamedTuple):
@@ -206,8 +208,14 @@ def check_size(form: str, nonzeros: int) -> None:
 # builders
 
 
+def ti_offsets(inst: Instance, T: int) -> list[int]:
+    """Layout of a ti model: x_{j}_{t} sits at ``offsets[j - 1] + t`` for
+    t = 0..T-p_j, and ``offsets[-1]`` is the variable count."""
+    return list(accumulate((T - job.p + 1 for job in inst.jobs), initial=0))
+
+
 def build_ti(inst: Instance, T: int) -> MilpModel:
-    """Time-indexed model: start binaries over t = 0..T-p_j.
+    """Time-indexed model: start binaries over t = 0..T-p_j, laid out by ``ti_offsets``.
 
     Objective sum of w_j * t * x_{j}_{t} plus the constant sum of w_j p_j;
     one assignment constraint per job and one machine-capacity constraint
@@ -216,18 +224,17 @@ def build_ti(inst: Instance, T: int) -> MilpModel:
     if T < inst.p_max:
         raise ValidationError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
     model = MilpModel(name=f"ti_n{inst.n}_m{inst.m}")
-    first = []  # position of x_{j}_{0}; x_{j}_{t} follows it at + t
+    offsets = ti_offsets(inst, T)
     for job in inst.jobs:
-        first.append(len(model.variables))
         for t in range(0, T - job.p + 1):
             model.add_var(f"x_{job.id}_{t}", 0, 1, BINARY, obj=job.w * t)
     model.obj_constant = sum(j.w * j.p for j in inst.jobs)
     pos = array("I", range(len(model.variables)))  # rows copy slices of it
-    for job, base in zip(inst.jobs, first):
+    for job, base in zip(inst.jobs, offsets):
         model.add_constraint(f"assign_{job.id}", pos[base : base + T - job.p + 1], "=", 1)
     for t in range(0, T):
         cols = array("I")
-        for job, base in zip(inst.jobs, first):
+        for job, base in zip(inst.jobs, offsets):
             lo = max(0, t + 1 - job.p)
             hi = min(t, T - job.p)
             cols += pos[base + lo : base + hi + 1]
@@ -301,11 +308,6 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
     return model.validate()
 
 
-def _arc_var(tail: int, head: int, label: int) -> str:
-    """Model variable name of the arc ``tail -> head`` with ``label``."""
-    return f"L_{tail}" if label == LOSS else f"x_{tail}_{head}_{label}"
-
-
 def build_eaf_model(g: FlowGraph) -> MilpModel:
     """Reduced network model: integer per type arc, demand d per type.
 
@@ -321,9 +323,9 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
     demand_cols = [array("I") for _ in types]
     for i, (tail, head, k) in enumerate(zip(g.tail, g.head, g.label)):
         if k == LOSS:
-            model.add_var(_arc_var(tail, head, k), 0, g.capacity[k], INTEGER)
+            model.add_var(f"L_{tail}", 0, g.capacity[k], INTEGER)
         else:
-            model.add_var(_arc_var(tail, head, k), 0, g.capacity[k], INTEGER, obj=types[k - 1].w * tail)
+            model.add_var(f"x_{tail}_{head}_{k}", 0, g.capacity[k], INTEGER, obj=types[k - 1].w * tail)
             demand_cols[k - 1].append(i)
         out, into = row_of[tail], row_of[head]
         flow_cols[out].append(i)
@@ -558,9 +560,7 @@ def emit_mps(model: MilpModel) -> str:
 
 
 # ---------------------------------------------------------------------------
-# valuations
-
-Valuation = dict[str, Num]
+# valuations: one value per variable position
 
 
 @dataclass(frozen=True)
@@ -570,79 +570,59 @@ class FeasibilityReport:
     objective: Fraction
 
 
-def check_feasible(model: MilpModel, valuation: Valuation) -> FeasibilityReport:
-    """Exact bound/constraint evaluation of a valuation (missing vars = 0).
+def check_feasible(model: MilpModel, values: Sequence[Num]) -> FeasibilityReport:
+    """Exact bound/constraint evaluation of ``values[i]``, the value of variable i.
 
     Integrality is not checked; the report covers bounds and linear
     constraints, and the objective includes the model constant and any
-    quadratic terms. Values are held by variable position, as ints where
-    integral, so rows sum in integers and Fractions appear only where a
-    value is fractional.
+    quadratic terms. A value that is not an int (a float, a Fraction) is
+    read exactly as a Fraction, so rows of int values sum in integers.
 
     Raises:
-        ValidationError: valuation names a variable the model lacks.
+        ValidationError: ``values`` does not hold one value per variable.
     """
     variables = model.variables
-    position = {v.name: i for i, v in enumerate(variables)}
-    values: list[Num] = [0] * len(variables)
-    for name, value in valuation.items():
-        i = position.get(name)
-        if i is None:
-            raise ValidationError(f"valuation references unknown variable {name}")
-        x = Fraction(value)
-        values[i] = x.numerator if x.denominator == 1 else x
+    if len(values) != len(variables):
+        raise ValidationError(f"valuation has {len(values)} values for {len(variables)} variables")
+    exact = [x if type(x) is int else Fraction(x) for x in values]
 
     violations = [
-        f"bound {v.name}" for v, x in zip(variables, values) if x < v.lb or (v.ub is not None and x > v.ub)
+        f"bound {v.name}" for v, x in zip(variables, exact) if x < v.lb or (v.ub is not None and x > v.ub)
     ]
     for c in model.constraints:
-        picked = map(values.__getitem__, c.cols)
+        picked = map(exact.__getitem__, c.cols)
         lhs = sum(picked) if c.coefs is None else sum(map(mul, picked, c.coefs))
         ok = lhs <= c.rhs if c.sense == "<=" else lhs >= c.rhs if c.sense == ">=" else lhs == c.rhs
         if not ok:
             violations.append(f"constraint {c.name}")
-    touched = map(position.__getitem__, valuation)
-    objective = Fraction(model.obj_constant) + sum(values[i] * variables[i].obj for i in touched)
+    objective = Fraction(model.obj_constant) + sum(x * v.obj for v, x in zip(variables, exact) if x)
     for a, b, coef in model.quad_terms:
-        objective += values[a] * values[b] * coef
+        objective += exact[a] * exact[b] * coef
     return FeasibilityReport(feasible=not violations, violations=tuple(violations), objective=objective)
 
 
-def schedule_to_assignment(
-    inst: Instance,
-    sched: Schedule,
-    kind: str,
-    *,
-    T: int | None = None,
-    graph: FlowGraph | None = None,
-) -> Valuation:
-    """Translate a schedule into a valuation of the matching model.
+def schedule_to_assignment(inst: Instance, sched: Schedule, T: int, graph: FlowGraph | None) -> list[int]:
+    """The value of each variable of the model that encodes the schedule.
 
-    kind 'ti' needs T; 'eaf' needs the flow network (the straight network
-    is one with one type per job). Machines are read in their given
-    processing order.
+    ``graph`` None means the ti model over horizon ``T``; otherwise the
+    flow model built from ``graph`` (the straight network is one with one
+    type per job). Machines are read in their given processing order.
 
     Raises:
         MappingError: a start or completion time has no model variable,
             which signals the schedule fell outside the reduced network.
     """
     comp = completion_times(inst, sched)
-    starts = {j: comp[j] - inst.job(j).p for j in comp}
 
-    if kind == "ti":
-        if T is None:
-            raise ValueError("kind 'ti' needs T")
-        valuation: Valuation = {}
-        for j, s in starts.items():
-            if s > T - inst.job(j).p:
-                raise MappingError(f"job {j} starts at {s}, beyond T - p = {T - inst.job(j).p}")
-            valuation[f"x_{j}_{s}"] = 1
-        return valuation
-
-    if kind != "eaf":
-        raise ValueError(f"unknown kind {kind!r}")
     if graph is None:
-        raise ValueError("kind 'eaf' needs the graph")
+        offsets = ti_offsets(inst, T)
+        values = [0] * offsets[-1]
+        for j, c in comp.items():
+            p = inst.job(j).p
+            if c > T:
+                raise MappingError(f"job {j} starts at {c - p}, beyond T - p = {T - p}")
+            values[offsets[j - 1] + c - p] = 1
+        return values
 
     # arc positions grouped by tail: a lookup key per arc would cost a tuple per arc
     out_arcs: dict[int, list[int]] = {}
@@ -657,7 +637,7 @@ def schedule_to_assignment(
         for member in jt.members:
             type_of[member] = tidx
 
-    used: dict[int, int] = {}  # uses per arc position
+    values = [0] * len(graph.label)  # uses per arc
     for machine in sched.machines:
         t = 0
         for j in machine:
@@ -665,36 +645,35 @@ def schedule_to_assignment(
             i = arc_at(t, t + p, type_of[j])
             if i is None:
                 raise MappingError(f"no arc for job {j} starting at {t} (label {type_of[j]})")
-            used[i] = used.get(i, 0) + 1
+            values[i] += 1
             t += p
         if t < graph.T:
             i = arc_at(t, graph.T, LOSS)
             if i is None:
                 raise MappingError(f"machine completing at {t} has no loss arc to T={graph.T}")
-            used[i] = used.get(i, 0) + 1
+            values[i] += 1
         elif t > graph.T:
             raise MappingError(f"machine load {t} exceeds the horizon T={graph.T}")
-    return {_arc_var(graph.tail[i], graph.head[i], graph.label[i]): count for i, count in used.items()}
+    return values
 
 
-def assignment_to_schedule(inst: Instance, model: MilpModel, values: list[int], graph: FlowGraph | None) -> Schedule:
+def assignment_to_schedule(inst: Instance, values: list[int], T: int, graph: FlowGraph | None) -> Schedule:
     """Schedule from an integral assignment that ``check_feasible`` accepted.
 
-    ``values[i]`` is the value of variable i of ``model``. A flow model,
-    built from ``graph``, is split into machine paths; a ti model
-    (``graph`` None) reads each job's start from the name of its nonzero
-    x_{j}_{t} and fills machines by start time, where the cap_t <= m rows
-    leave a machine free at every start. Each machine is then sorted by
-    WSPT, so the objective is at most the model's.
+    ``values[i]`` is the value of variable i. A flow model, built from
+    ``graph``, is split into machine paths; a ti model over horizon ``T``
+    (``graph`` None) reads each job's start from the one 1 in its block of
+    ``ti_offsets`` and fills machines by start time, where the cap_t <= m
+    rows leave a machine free at every start. Each machine is then sorted
+    by WSPT, so the objective is at most the model's.
     """
     if graph is not None:
         machines = decompose_flow(graph, values)
     else:
+        offsets = ti_offsets(inst, T)
         starts = []
-        for v, x in zip(model.variables, values):
-            if x:
-                _, j, t = v.name.split("_")
-                starts.append((int(t), int(j)))
+        for job, lo, hi in zip(inst.jobs, offsets, offsets[1:]):
+            starts.append((values.index(1, lo, hi) - lo, job.id))
         free = [0] * inst.m
         machines = [[] for _ in range(inst.m)]
         for t, j in sorted(starts):
@@ -704,9 +683,9 @@ def assignment_to_schedule(inst: Instance, model: MilpModel, values: list[int], 
     return Schedule(machines=tuple(sort_machine_wspt(inst, machine) for machine in machines))
 
 
-def parse_solution(text: str) -> Valuation:
+def parse_solution(text: str) -> dict[str, Fraction]:
     """Read 'name value' lines; '#' starts a comment, blanks are skipped."""
-    valuation: Valuation = {}
+    valuation: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

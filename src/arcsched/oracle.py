@@ -48,10 +48,13 @@ def brute_force_optimal(inst: Instance, enumerate_all: bool = False) -> OracleRe
     Raises:
         SizeLimitError: when m**n exceeds SIZE_GUARD.
     """
-    if inst.m**inst.n > SIZE_GUARD:
-        raise SizeLimitError(
-            f"m**n = {inst.m}**{inst.n} exceeds the enumeration guard {SIZE_GUARD:.0e}"
-        )
+    size = 1
+    for _ in range(inst.n):  # stops past the guard, so m**n is never built
+        size *= inst.m
+        if size > SIZE_GUARD:
+            raise SizeLimitError(
+                f"m**n = {inst.m}**{inst.n} exceeds the enumeration guard {SIZE_GUARD:.0e}"
+            )
 
     order = inst.wspt_ids
     jobs = [inst.job(j) for j in order]

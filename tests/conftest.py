@@ -20,6 +20,14 @@ def straight_network(inst: Instance, T: int | None = None, strict_figure: bool =
     return build_eaf_graph(inst, T, types, windows, 0, strict_figure=strict_figure)
 
 
+def by_position(model, named: dict) -> list:
+    """One value per variable of ``model``: ``named[name]`` on the named
+    variables, 0 elsewhere. Every name must be one of the model's."""
+    names = [v.name for v in model.variables]
+    assert set(named) <= set(names), sorted(set(named) - set(names))
+    return [named.get(name, 0) for name in names]
+
+
 def reachable_points(g: FlowGraph) -> list[int]:
     """0 and the head of every job arc: the time points the construction reached."""
     return sorted({0, *(h for h, k in zip(g.head, g.label) if k != LOSS)})

@@ -88,12 +88,12 @@ def test_criterion_2_optimum_reproduction(demo, report, tmp_path):
     mapped = {}
     T = horizon_T(demo)
     mapped["ti"] = check_feasible(
-        build_ti(demo, T), schedule_to_assignment(demo, DEMO_OPT, "ti", T=T)
+        build_ti(demo, T), schedule_to_assignment(demo, DEMO_OPT, T, None)
     )
     g = straight_network(demo, T)
-    mapped["af"] = check_feasible(build_eaf_model(g), schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=g))
+    mapped["af"] = check_feasible(build_eaf_model(g), schedule_to_assignment(demo, DEMO_OPT, T, g))
     ge = eaf_network(demo)
-    mapped["eaf"] = check_feasible(build_eaf_model(ge), schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=ge))
+    mapped["eaf"] = check_feasible(build_eaf_model(ge), schedule_to_assignment(demo, DEMO_OPT, ge.T, ge))
 
     external_value, external_note = _external_solve(tmp_path)
 
@@ -153,16 +153,16 @@ def test_criterion_4_equivalence_surrogate(report):
         inst = generate_instance(n=6 + i % 4, m=2 + i % 2, p_max=20, w_max=20, seed=1000 + i)
         result = brute_force_optimal(inst, enumerate_all=True)
         T = horizon(inst).T
-        models = {"ti": (build_ti(inst, T), {"T": T})}
+        models = {"ti": (build_ti(inst, T), None)}
         g = straight_network(inst, T)
-        models["af"] = (build_eaf_model(g), {"graph": g})
+        models["af"] = (build_eaf_model(g), g)
         ge = eaf_network(inst)
-        models["eaf"] = (build_eaf_model(ge), {"graph": ge})
-        for kind, (model, ctx) in models.items():
+        models["eaf"] = (build_eaf_model(ge), ge)
+        for kind, (model, graph) in models.items():
             best = None
             for sched in result.all_optima:
                 try:
-                    valuation = schedule_to_assignment(inst, sched, "ti" if kind == "ti" else "eaf", **ctx)
+                    valuation = schedule_to_assignment(inst, sched, T, graph)
                 except MappingError:
                     continue
                 rep = check_feasible(model, valuation)

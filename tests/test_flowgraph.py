@@ -53,12 +53,6 @@ def flow_of(g, units: dict[tuple[int, int, int], int]) -> list[int]:
     return flow
 
 
-def model_flow(g, valuation) -> list[int]:
-    """Flow per arc read from a valuation by variable position, as the CLI
-    decodes a solver solution: variable i of the model is arc i."""
-    return [valuation.get(v.name, 0) for v in milp.build_eaf_model(g).variables]
-
-
 class TestNormalPatterns:
     """The points a network reaches are the normal patterns: sums of
     q_j * p_j <= T with q_j at most the multiplicity of j."""
@@ -183,8 +177,8 @@ class TestArcOrder:
             assert loss_tails(g) == (want if args.strict_figure else [0, *want])
             model = milp.build_eaf_model(g)
             assert len(model.variables) == len(g.label)
-            for i, v in enumerate(model.variables):
-                assert v.name == milp._arc_var(g.tail[i], g.head[i], g.label[i])
+            for v, (t, h, k) in zip(model.variables, arcs(g)):
+                assert v.name == (f"L_{t}" if k == LOSS else f"x_{t}_{h}_{k}")
 
 
 def eaf_pipeline(inst, strict_figure=False):
@@ -342,8 +336,7 @@ class TestFlowRoundTrip:
             for sched in result.all_optima:
                 if max(sum(inst.job(j).p for j in mm) for mm in sched.machines) > g.T:
                     continue
-                valuation = schedule_to_assignment(inst, sched, "eaf", graph=g)
-                paths = decompose_flow(g, model_flow(g, valuation))
+                paths = decompose_flow(g, schedule_to_assignment(inst, sched, g.T, g))
                 assert sorted(j for path in paths for j in path) == list(range(1, inst.n + 1))
                 assert self.starts_by_type(inst, paths) == self.starts_by_type(inst, sched.machines)
                 assert self.completions(inst, paths) == self.completions(inst, sched.machines)
@@ -359,10 +352,10 @@ class TestFlowRoundTrip:
             result = brute_force_optimal(inst, enumerate_all=True)
             for sched in result.all_optima:
                 try:
-                    valuation = schedule_to_assignment(inst, sched, "eaf", graph=g)
+                    flow = schedule_to_assignment(inst, sched, g.T, g)
                 except MappingError:
                     continue  # windows only guarantee some optimum survives
-                paths = decompose_flow(g, model_flow(g, valuation))
+                paths = decompose_flow(g, flow)
                 assert sorted(j for path in paths for j in path) == list(range(1, inst.n + 1))
                 assert self.starts_by_type(inst, paths) == self.starts_by_type(inst, sched.machines)
                 assert self.completions(inst, paths) == self.completions(inst, sched.machines)

@@ -1,0 +1,75 @@
+"""The machine-count guard of the commands that build a schedule.
+
+An instance whose m machines alone would take a schedule past
+``milp.MAX_MODEL_BYTES`` is refused with exit 5 before anything per
+machine is allocated. Each command runs in a child process under an
+address-space limit and a timeout, so a regression fails the test instead
+of exhausting the host's memory.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SHIM = f"{sys.executable} {Path(__file__).parent / 'lp_shim.py'} {{model}} {{solution}}"
+ADDRESS_SPACE = 1 << 30
+HUGE = {  # m**n = 1e8 passes the oracle's own guard
+    "m1e9": "2 1000000000\n3 1\n2 5\n",
+    "m1e8": "1 100000000\n3 1\n",
+}
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "arcsched.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=_limit_memory,
+    )
+
+
+@pytest.fixture
+def huge(tmp_path) -> dict[str, str]:
+    paths = {}
+    for label, text in HUGE.items():
+        path = tmp_path / f"{label}.txt"
+        path.write_text(text, encoding="utf-8")
+        paths[label] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "label, command, flags",
+    [
+        ("m1e9", "solve-heur", ["--seed", "1"]),
+        ("m1e8", "solve-exact", []),
+        ("m1e9", "solve-exact", []),
+        *(("m1e9", "solve-external", ["--form", form, "--solver-cmd", SHIM]) for form in ("ti", "af", "eaf")),
+    ],
+)
+def test_huge_machine_count_refused(huge, tmp_path, label, command, flags):
+    out = tmp_path / "out.sched"
+    res = run_cli(command, "--in", huge[label], *flags, "--out", str(out))
+    m = HUGE[label].split()[1]
+    assert (res.returncode, res.stdout) == (5, "")
+    assert res.stderr.startswith(f"refused: m = {m} machines need about"), res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", sorted(HUGE))
+def test_huge_machine_count_still_modelled(huge, tmp_path, label):
+    for argv in (
+        ["model", "--form", "ti", "--out", str(tmp_path / "ti.lp")],
+        ["model", "--form", "eaf", "--out", str(tmp_path / "eaf.lp")],
+        ["bounds"],
+    ):
+        res = run_cli(argv[0], "--in", huge[label], *argv[1:])
+        assert res.returncode == 0, (argv, res.stderr)

@@ -36,11 +36,12 @@ from arcsched.milp import (
     emit_mps,
     parse_solution,
     schedule_to_assignment,
+    ti_offsets,
 )
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
 
-from conftest import straight_network
+from conftest import by_position, straight_network
 
 DEMO_OPT = Schedule(machines=((1, 3, 4), (2,)))
 
@@ -124,7 +125,7 @@ class TestBuildTi:
     def test_demo_optimal_valuation(self, demo):
         model = build_ti(demo, 8)
         valuation = {"x_1_0": 1, "x_2_0": 1, "x_3_2": 1, "x_4_3": 1}
-        report = check_feasible(model, valuation)
+        report = check_feasible(model, by_position(model, valuation))
         assert report.feasible
         assert report.objective == 67
 
@@ -145,7 +146,7 @@ class TestBuildCiqp:
     def test_single_machine_two_jobs_objective(self):
         inst = make_instance(1, [(3, 5), (4, 2)])  # job 1 precedes job 2
         model = build_ciqp(inst)
-        report = check_feasible(model, {"x_1_1": 1, "x_2_1": 1})
+        report = check_feasible(model, by_position(model, {"x_1_1": 1, "x_2_1": 1}))
         assert report.feasible
         # w1 p1 + w2 (p2 + p1)
         assert report.objective == 5 * 3 + 2 * (4 + 3)
@@ -153,13 +154,13 @@ class TestBuildCiqp:
     def test_symmetric_relaxation_tight(self, demo):
         valuation = {f"x_{j}_{k}": Fraction(1, 2) for j in range(1, 5) for k in (1, 2)}
         model = build_ciqp(demo)
-        report = check_feasible(model, valuation)
+        report = check_feasible(model, by_position(model, valuation))
         assert report.feasible  # every assignment row holds with equality
 
     def test_objective_matches_schedule_eval(self, demo):
         model = build_ciqp(demo)
         valuation = {"x_1_1": 1, "x_3_1": 1, "x_4_1": 1, "x_2_2": 1}
-        report = check_feasible(model, valuation)
+        report = check_feasible(model, by_position(model, valuation))
         assert report.objective == 67
 
 
@@ -185,7 +186,7 @@ class TestBuildPti:
         # non-preemptive run when parts are contiguous
         inst = make_instance(1, [(2, 4)])
         model = build_pti(inst, 2)
-        report = check_feasible(model, {"x_1_1_1": 1, "x_1_1_2": 1, "y_1_1": 1})
+        report = check_feasible(model, by_position(model, {"x_1_1_1": 1, "x_1_1_2": 1, "y_1_1": 1}))
         assert report.feasible
         assert report.objective == 4 * 2  # w * C
 
@@ -203,10 +204,11 @@ class TestAfModel:
 
     def test_demo_optimal_valuation(self, demo):
         g, model = af_context(demo)
-        valuation = schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=g)
-        report = check_feasible(model, valuation)
+        values = schedule_to_assignment(demo, DEMO_OPT, g.T, g)
+        report = check_feasible(model, values)
         assert report.feasible
         assert report.objective == 67
+        valuation = {v.name: x for v, x in zip(model.variables, values)}
         assert valuation["L_7"] == 1 and valuation["L_5"] == 1
 
     def test_single_job_source_conservation(self):
@@ -220,21 +222,20 @@ class TestAfModel:
 class TestEafModel:
     def test_demo_same_optimum_valuation(self, demo):
         g, model = eaf_context(demo)
-        valuation = schedule_to_assignment(demo, DEMO_OPT, "eaf", graph=g)
-        report = check_feasible(model, valuation)
+        report = check_feasible(model, schedule_to_assignment(demo, DEMO_OPT, g.T, g))
         assert report.feasible
         assert report.objective == 67
 
     def test_identical_jobs_chain_objective(self, single_machine_triple):
         _, model = eaf_context(single_machine_triple)
         valuation = {"x_0_2_1": 1, "x_2_4_1": 1, "x_4_6_1": 1}
-        report = check_feasible(model, valuation)
+        report = check_feasible(model, by_position(model, valuation))
         assert report.feasible
         assert report.objective == 5 * (2 + 4 + 6)
 
     def test_demand_met_by_single_arc_at_capacity(self, single_machine_triple):
         _, model = eaf_context(single_machine_triple)
-        report = check_feasible(model, {"x_0_2_1": 3})
+        report = check_feasible(model, by_position(model, {"x_0_2_1": 3}))
         demand = next(c for c in model.constraints if c.name.startswith("demand"))
         assert f"constraint {demand.name}" not in report.violations
 
@@ -321,28 +322,29 @@ class TestEmitMps:
 
 class TestScheduleToAssignment:
     def test_demo_ti_valuation(self, demo):
-        valuation = schedule_to_assignment(demo, DEMO_OPT, "ti", T=8)
-        assert valuation == {"x_1_0": 1, "x_2_0": 1, "x_3_2": 1, "x_4_3": 1}
+        values = schedule_to_assignment(demo, DEMO_OPT, 8, None)
+        assert values == by_position(build_ti(demo, 8), {"x_1_0": 1, "x_2_0": 1, "x_3_2": 1, "x_4_3": 1})
 
     def test_empty_machine_gets_zero_loss(self):
         inst = make_instance(2, [(3, 5)])
         g = straight_network(inst)
         sched = Schedule(machines=((1,), ()))
-        valuation = schedule_to_assignment(inst, sched, "eaf", graph=g)
+        values = schedule_to_assignment(inst, sched, g.T, g)
+        valuation = {v.name: x for v, x in zip(build_eaf_model(g).variables, values)}
         assert valuation["L_0"] == 1
 
     def test_non_wspt_order_raises_mapping_error(self, demo):
         g = straight_network(demo, 8)
         shifted = Schedule(machines=((3, 1, 4), (2,)))  # job 1 would start at 1
         with pytest.raises(MappingError, match="job 1"):
-            schedule_to_assignment(demo, shifted, "eaf", graph=g)
+            schedule_to_assignment(demo, shifted, g.T, g)
 
     def test_eaf_start_outside_window_raises(self, demo):
         g, _ = eaf_context(demo)
         # machine [2, 4]: job 4 starts at 5 > b = 4, arc absent
         sched = Schedule(machines=((2, 4), (1, 3)))
         with pytest.raises(MappingError):
-            schedule_to_assignment(demo, sched, "eaf", graph=g)
+            schedule_to_assignment(demo, sched, g.T, g)
 
 
 class TestAssignmentToSchedule:
@@ -350,10 +352,9 @@ class TestAssignmentToSchedule:
         # job 3 starts at 5 after an idle gap; the decoded machine runs it at 1
         inst = make_instance(2, [(1, 1), (5, 1), (1, 1)])
         model = build_ti(inst, horizon(inst).T)
-        valuation = {"x_1_0": 1, "x_2_0": 1, "x_3_5": 1}
-        assert check_feasible(model, valuation).objective == 12
-        values = [valuation.get(v.name, 0) for v in model.variables]
-        sched = assignment_to_schedule(inst, model, values, None)
+        values = by_position(model, {"x_1_0": 1, "x_2_0": 1, "x_3_5": 1})
+        assert check_feasible(model, values).objective == 12
+        sched = assignment_to_schedule(inst, values, horizon(inst).T, None)
         assert sched.machines == ((1, 3), (2,))
         assert evaluate_schedule(inst, sched) == 8
 
@@ -369,31 +370,56 @@ class TestAssignmentToSchedule:
         T = horizon(inst).T
         for graph, model in ((None, build_ti(inst, T)), af_context(inst), eaf_context(inst)):
             try:
-                if graph is None:
-                    valuation = schedule_to_assignment(inst, sched, "ti", T=T)
-                else:
-                    valuation = schedule_to_assignment(inst, sched, "eaf", graph=graph)
+                values = schedule_to_assignment(inst, sched, T, graph)
             except MappingError:  # a load beyond T, or a start outside an eaf window
                 assume(False)
-            report = check_feasible(model, valuation)
+            report = check_feasible(model, values)
             assert report.feasible and report.objective == value
-            values = [valuation.get(v.name, 0) for v in model.variables]
-            decoded = assignment_to_schedule(inst, model, values, graph)
+            decoded = assignment_to_schedule(inst, values, T, graph)
             assert sorted(j for machine in decoded.machines for j in machine) == list(range(1, n + 1))
             assert evaluate_schedule(inst, decoded) <= value
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 8), m=st.integers(1, 3), data=st.data())
+    def test_ti_idle_time_any_order(self, seed, n, m, data):
+        # each job gets a machine and an idle gap before it, in any order on
+        # its machine: the ti variables, not a schedule, are the draw
+        inst = generate_instance(n=n, m=m, p_max=9, w_max=9, seed=seed)
+        on = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        gaps = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(1, n + 1)))
+        free = [0] * m
+        starts = {}
+        for j in order:
+            starts[j] = free[on[j - 1]] + gaps[j - 1]
+            free[on[j - 1]] = starts[j] + inst.job(j).p
+        T = horizon(inst).T
+        assume(all(s <= T - inst.job(j).p for j, s in starts.items()))
+        offsets = ti_offsets(inst, T)
+        values = [0] * offsets[-1]
+        for j, s in starts.items():
+            values[offsets[j - 1] + s] = 1
+        value = sum(inst.job(j).w * (s + inst.job(j).p) for j, s in starts.items())
+        report = check_feasible(build_ti(inst, T), values)
+        assert report.feasible and report.objective == value
+        decoded = assignment_to_schedule(inst, values, T, None)
+        assert sorted(j for machine in decoded.machines for j in machine) == list(range(1, n + 1))
+        assert evaluate_schedule(inst, decoded) <= value
 
 
 class TestCheckFeasible:
     def test_all_zero_ti_lists_assignments(self, demo):
         model = build_ti(demo, 8)
-        report = check_feasible(model, {})
+        report = check_feasible(model, [0] * len(model.variables))
         assert not report.feasible
         assert {f"constraint assign_{j}" for j in range(1, 5)} <= set(report.violations)
 
-    def test_unknown_variable_rejected(self, demo):
+    def test_wrong_length_rejected(self, demo):
         model = build_ti(demo, 8)
-        with pytest.raises(ValidationError):
-            check_feasible(model, {"x_9_9": 1})
+        for length in (0, len(model.variables) - 1, len(model.variables) + 1):
+            with pytest.raises(ValidationError, match=f"{length} values for 24 variables"):
+                check_feasible(model, [0] * length)
 
     def test_oracle_optimum_identical_across_models(self):
         for seed in range(20):
@@ -403,12 +429,12 @@ class TestCheckFeasible:
             T = horizon(inst).T
             objs = []
             model = build_ti(inst, T)
-            objs.append(check_feasible(model, schedule_to_assignment(inst, sched, "ti", T=T)))
+            objs.append(check_feasible(model, schedule_to_assignment(inst, sched, T, None)))
             g, model_af = af_context(inst)
-            objs.append(check_feasible(model_af, schedule_to_assignment(inst, sched, "eaf", graph=g)))
+            objs.append(check_feasible(model_af, schedule_to_assignment(inst, sched, T, g)))
             ge, model_eaf = eaf_context(inst)
             objs.append(
-                check_feasible(model_eaf, schedule_to_assignment(inst, sched, "eaf", graph=ge))
+                check_feasible(model_eaf, schedule_to_assignment(inst, sched, T, ge))
             )
             assert all(r.feasible for r in objs)
             assert {r.objective for r in objs} == {opt}
@@ -433,10 +459,10 @@ class TestObjectiveAgreement:
                 mapped += 1
                 value = evaluate_schedule(inst, sched)
                 model = build_ti(inst, T)
-                rep = check_feasible(model, schedule_to_assignment(inst, sched, "ti", T=T))
+                rep = check_feasible(model, schedule_to_assignment(inst, sched, T, None))
                 assert rep.feasible and rep.objective == value
                 g, model_af = af_context(inst)
-                rep = check_feasible(model_af, schedule_to_assignment(inst, sched, "eaf", graph=g))
+                rep = check_feasible(model_af, schedule_to_assignment(inst, sched, T, g))
                 assert rep.feasible and rep.objective == value
         assert mapped >= 50
 
@@ -464,7 +490,7 @@ except ImportError:
 class TestLpRoundTripSolve:
     """Emit LP, solve it in an external process, confirm the optimum."""
 
-    def solve(self, model, tmp_path) -> dict:
+    def solve(self, model, tmp_path) -> list[int]:
         tmp_path.mkdir(parents=True, exist_ok=True)
         lp = tmp_path / "model.lp"
         sol = tmp_path / "model.sol"
@@ -472,8 +498,7 @@ class TestLpRoundTripSolve:
         shim = Path(__file__).parent / "lp_shim.py"
         subprocess.run([sys.executable, str(shim), str(lp), str(sol)], check=True)
         valuation = parse_solution(sol.read_text(encoding="utf-8"))
-        declared = {v.name for v in model.variables}
-        return {k: round(v) for k, v in valuation.items() if k in declared and round(v)}
+        return [round(valuation.get(v.name, 0)) for v in model.variables]
 
     def test_demo_af_lp_solves_to_67(self, demo, tmp_path):
         _, model = af_context(demo)

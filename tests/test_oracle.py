@@ -62,6 +62,16 @@ class TestGuard:
         with pytest.raises(SizeLimitError, match="2\\*\\*30"):
             brute_force_optimal(inst)
 
+    def test_verdict_at_the_bound(self):
+        # m**n = 1e8 is enumerated, one more job is refused
+        for m, n in ((10, 8), (10**4, 2)):
+            accepted = generate_instance(n=n, m=m, p_max=5, w_max=5, seed=1)
+            result = brute_force_optimal(accepted)
+            assert evaluate_schedule(accepted, result.schedule) == result.optimum
+            refused = generate_instance(n=n + 1, m=m, p_max=5, w_max=5, seed=1)
+            with pytest.raises(SizeLimitError, match=f"{m}\\*\\*{n + 1}"):
+                brute_force_optimal(refused)
+
 
 class TestEnumerateAll:
     def test_all_optima_evaluate_to_optimum(self):
