@@ -3,7 +3,9 @@
 Every machine is kept in WSPT order at all times: intra-machine search is
 unnecessary (resorting is optimal for a fixed assignment), so the
 neighborhoods only move jobs between machines and each move is followed
-by a per-machine WSPT resort.
+by a per-machine WSPT resort. A run keeps one state of rank lists; moves
+replace lists and never edit one, so a shallow copy of the machine list
+is a snapshot to roll a rejected candidate back to.
 
 Neighborhoods: shift (move one job), swap(1,1) (exchange one job each
 way), swap(2,1) (two jobs against one). The descent draws a random
@@ -21,10 +23,12 @@ swap pays that correction once on each machine, -2 p_lo w_hi in total.
 In swap(2,1) the two jobs x < y that leave machine a meet again on
 machine b, so the cross term p_x w_y enters twice: once for the
 removal from a and once for the insertion into b. All deltas are exact
-integers, equal to recomputing both machines. A scan costs O(n) for the
-sums, then O(n m log n) for shift, O(n^2) for swap(1,1), and O(n^2)
-Python steps for swap(2,1), each a vector add and min over the n/m jobs
-of the receiving machine. Only the winning move's rank lists are built.
+integers, equal to recomputing both machines. Empty machines price every
+move alike, so a scan covers only the m' <= min(m, n + 1) machines that
+hold a job or are the first empty one: O(n) for the sums, O(n m' log n)
+for shift, O(n^2) for swap(1,1), and O(n^2) Python steps for swap(2,1),
+each a vector add and min over the n/m' jobs of the receiving machine.
+Only the winning move's rank lists are built.
 
 The scan order and the first-strictly-best tie-break are fixed, so a
 seed and an iteration budget determine the whole search: the chosen
@@ -35,12 +39,12 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
-from .instance import Instance, Schedule, evaluate_schedule, wspt_rank
+from .instance import Instance, Schedule
 from .rng import SplitMix64
 
 SHIFT, SWAP11, SWAP21 = 0, 1, 2
@@ -75,7 +79,7 @@ class IlsResult:
 
 
 class _Work:
-    """Mutable search state: machines as ascending lists of WSPT ranks."""
+    """Search state: machines as ascending lists of WSPT ranks."""
 
     __slots__ = ("p", "w", "ids", "machines")
 
@@ -88,16 +92,18 @@ class _Work:
     def to_schedule(self) -> Schedule:
         return Schedule(machines=tuple(tuple(self.ids[r] for r in ranks) for ranks in self.machines))
 
-    @classmethod
-    def from_schedule(cls, inst: Instance, sched: Schedule) -> "_Work":
-        work = cls(inst)
-        rank_of = wspt_rank(inst)
-        for k, machine in enumerate(sched.machines):
-            work.machines[k] = sorted(rank_of[j] for j in machine)
-        return work
+    def value(self) -> int:
+        """Total weighted completion time of the state."""
+        total = 0
+        for ranks in self.machines:
+            t = 0
+            for r in ranks:
+                t += self.p[r]
+                total += self.w[r] * t
+        return total
 
 
-def grasp_construct(inst: Instance, rng: SplitMix64, alpha: float) -> Schedule:
+def _grasp_construct(work: _Work, rng: SplitMix64, alpha: float) -> None:
     """Greedy randomized construction over the WSPT-ordered jobs.
 
     Each job goes to a machine drawn uniformly from those whose load is
@@ -105,8 +111,8 @@ def grasp_construct(inst: Instance, rng: SplitMix64, alpha: float) -> Schedule:
     the pick is the least-loaded machine, ties to the lowest index, and
     the generator is not consulted. Machines end WSPT-sorted.
     """
-    work = _Work(inst)
-    loads = [0] * inst.m
+    work.machines = [[] for _ in work.machines]
+    loads = [0] * len(work.machines)
     for r in range(len(work.ids)):
         lo, hi = min(loads), max(loads)
         if alpha == 0:
@@ -117,7 +123,6 @@ def grasp_construct(inst: Instance, rng: SplitMix64, alpha: float) -> Schedule:
             k = candidates[rng.below(len(candidates))]
         work.machines[k].append(r)  # ranks arrive in order, so each list stays ascending
         loads[k] += work.p[r]
-    return work.to_schedule()
 
 
 def _best_move(work: _Work, neighborhood: int) -> tuple[int, int, int, list[int], list[int]] | None:
@@ -127,14 +132,15 @@ def _best_move(work: _Work, neighborhood: int) -> tuple[int, int, int, list[int]
     scanned in a fixed order and the first strictly best one wins.
     """
     p, w, machines = work.p, work.w, work.machines
-    m = len(machines)
-    prefix, suffix, removal = [], [], []
-    for ranks in machines:
+    empty = next((k for k, ranks in enumerate(machines) if not ranks), None)
+    scan = [(k, ranks) for k, ranks in enumerate(machines) if ranks or k == empty]
+    prefix, suffix, removal = {}, {}, {}
+    for k, ranks in scan:
         P = list(accumulate((p[r] for r in ranks), initial=0))
         S = list(accumulate((w[r] for r in reversed(ranks)), initial=0))[::-1]
-        prefix.append(P)
-        suffix.append(S)
-        removal.append([-(w[r] * (P[i] + p[r]) + p[r] * S[i + 1]) for i, r in enumerate(ranks)])
+        prefix[k] = P
+        suffix[k] = S
+        removal[k] = [-(w[r] * (P[i] + p[r]) + p[r] * S[i + 1]) for i, r in enumerate(ranks)]
 
     def insertion(k: int, r: int) -> int:
         q = bisect_right(machines[k], r)
@@ -157,18 +163,18 @@ def _best_move(work: _Work, neighborhood: int) -> tuple[int, int, int, list[int]
 
     best: tuple[int, int, int, tuple[int, ...], tuple[int, ...]] | None = None
     if neighborhood == SHIFT:
-        for ka, a in enumerate(machines):
+        for ka, a in scan:
             for i, r in enumerate(a):
-                for kb in range(m):
+                for kb, _ in scan:
                     if kb == ka:
                         continue
                     delta = removal[ka][i] + insertion(kb, r)
                     if best is None or delta < best[0]:
                         best = (delta, ka, kb, (i,), ())
     elif neighborhood == SWAP11:
-        for ka in range(m):
-            for kb in range(ka + 1, m):
-                if not machines[ka] or not machines[kb]:
+        for x, (ka, a) in enumerate(scan):
+            for kb, b in scan[x + 1 :]:
+                if not a or not b:
                     continue
                 C, H, _ = pair_tables(ka, kb)
                 for i, row in enumerate(H):
@@ -176,11 +182,11 @@ def _best_move(work: _Work, neighborhood: int) -> tuple[int, int, int, list[int]
                     if best is None or C[i] + low < best[0]:
                         best = (C[i] + low, ka, kb, (i,), (row.index(low),))
     elif neighborhood == SWAP21:
-        for ka, a in enumerate(machines):
+        for ka, a in scan:
             if len(a) < 2:
                 continue
-            for kb in range(m):
-                if kb == ka or not machines[kb]:
+            for kb, b in scan:
+                if kb == ka or not b:
                     continue
                 C, H, G = pair_tables(ka, kb)
                 for i in range(len(a)):
@@ -201,7 +207,8 @@ def _best_move(work: _Work, neighborhood: int) -> tuple[int, int, int, list[int]
     return delta, ka, kb, new_a, new_b
 
 
-def _rvnd_work(work: _Work, rng: SplitMix64) -> None:
+def _rvnd(work: _Work, rng: SplitMix64) -> None:
+    """Randomized variable neighborhood descent; never worsens the state."""
     pending = list(_ALL_NEIGHBORHOODS)
     while pending:
         idx = rng.below(len(pending))
@@ -215,36 +222,23 @@ def _rvnd_work(work: _Work, rng: SplitMix64) -> None:
             pending.pop(idx)
 
 
-def rvnd(inst: Instance, sched: Schedule, rng: SplitMix64) -> Schedule:
-    """Randomized variable neighborhood descent; never worsens the input."""
-    work = _Work.from_schedule(inst, sched)
-    _rvnd_work(work, rng)
-    return work.to_schedule()
+def _perturb(work: _Work, rng: SplitMix64, strength: int) -> None:
+    """Apply ``strength`` random job moves, each machine kept WSPT-sorted.
 
-
-def perturb(inst: Instance, sched: Schedule, rng: SplitMix64, strength: int) -> Schedule:
-    """Apply ``strength`` random job moves, then resort every machine.
-
-    With a single machine there is nowhere to move, so the input comes
-    back unchanged.
+    With a single machine there is nowhere to move, so the state is left
+    as it is and the generator is not consulted.
     """
-    if inst.m == 1:
-        return sched
-    work = _Work.from_schedule(inst, sched)
-    machine_of = [0] * inst.n
-    for k, ranks in enumerate(work.machines):
-        for r in ranks:
-            machine_of[r] = k
+    n, m = len(work.ids), len(work.machines)
+    if m == 1:
+        return
     for _ in range(strength):
-        r = rng.below(inst.n)
-        ka = machine_of[r]
-        kb = rng.below(inst.m - 1)
+        r = rng.below(n)
+        ka = next(k for k, ranks in enumerate(work.machines) if r in ranks)
+        kb = rng.below(m - 1)
         if kb >= ka:
             kb += 1
-        work.machines[ka].remove(r)
-        insort(work.machines[kb], r)
-        machine_of[r] = kb
-    return work.to_schedule()
+        work.machines[ka] = [x for x in work.machines[ka] if x != r]
+        work.machines[kb] = sorted([*work.machines[kb], r])
 
 
 def ils(inst: Instance, cfg: IlsConfig, monitor=None) -> IlsResult:
@@ -263,29 +257,30 @@ def ils(inst: Instance, cfg: IlsConfig, monitor=None) -> IlsResult:
     def out_of_time() -> bool:
         return cfg.time_limit is not None and time.monotonic() - t0 >= cfg.time_limit
 
-    current = rvnd(inst, grasp_construct(inst, rng, cfg.alpha), rng)
-    current_value = evaluate_schedule(inst, current)
-    best, best_value = current, current_value
-    iterations = 1
-    if monitor is not None:
-        monitor(iterations, best_value)
-    stale = 0
-    while iterations < cfg.iterations and not out_of_time():
-        iterations += 1
+    work = _Work(inst)
+    best, best_value = None, math.inf
+    stale = RESTART_AFTER  # the first iteration constructs
+    for iterations in range(1, cfg.iterations + 1):
         if stale >= RESTART_AFTER:
-            current = rvnd(inst, grasp_construct(inst, rng, cfg.alpha), rng)
-            current_value = evaluate_schedule(inst, current)
+            _grasp_construct(work, rng, cfg.alpha)
+            _rvnd(work, rng)
+            current_value = work.value()
             stale = 0
         else:
-            candidate = rvnd(inst, perturb(inst, current, rng, cfg.strength), rng)
-            value = evaluate_schedule(inst, candidate)
+            current = work.machines[:]
+            _perturb(work, rng, cfg.strength)
+            _rvnd(work, rng)
+            value = work.value()
             if value < current_value:
-                current, current_value = candidate, value
+                current_value = value
                 stale = 0
             else:
+                work.machines = current
                 stale += 1
         if current_value < best_value:
-            best, best_value = current, current_value
+            best, best_value = work.to_schedule(), current_value
         if monitor is not None:
             monitor(iterations, best_value)
+        if out_of_time():
+            break
     return IlsResult(schedule=best, value=best_value, iterations=iterations)

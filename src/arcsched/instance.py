@@ -85,6 +85,11 @@ class Instance:
         """
         return tuple(j.id for j in sorted(self.jobs, key=lambda j: (Fraction(-j.w, j.p), j.id)))
 
+    @cached_property
+    def wspt_ranks(self) -> dict[int, int]:
+        """Job id -> 0-based position in ``wspt_ids``, cached alike."""
+        return {j: r for r, j in enumerate(self.wspt_ids)}
+
 
 def make_instance(m: int, pw_pairs: Sequence[tuple[int, int]]) -> Instance:
     """Build an Instance from (p, w) pairs, assigning ids 1..n in order."""
@@ -182,11 +187,6 @@ def wspt_order(inst: Instance) -> list[int]:
     return list(inst.wspt_ids)
 
 
-def wspt_rank(inst: Instance) -> dict[int, int]:
-    """Map job id -> position (0-based) in the WSPT order."""
-    return {j: r for r, j in enumerate(inst.wspt_ids)}
-
-
 def group_job_types(inst: Instance) -> list[JobType]:
     """Merge jobs with identical (p, w) into types, in WSPT order.
 
@@ -240,8 +240,7 @@ def evaluate_schedule(inst: Instance, sched: Schedule) -> int:
 
 
 def sort_machine_wspt(inst: Instance, machine: Iterable[int]) -> tuple[int, ...]:
-    rank = wspt_rank(inst)
-    return tuple(sorted(machine, key=rank.__getitem__))
+    return tuple(sorted(machine, key=inst.wspt_ranks.__getitem__))
 
 
 def write_schedule(inst: Instance, sched: Schedule) -> str:

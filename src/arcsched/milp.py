@@ -683,9 +683,9 @@ def assignment_to_schedule(inst: Instance, values: list[int], T: int, graph: Flo
     return Schedule(machines=tuple(sort_machine_wspt(inst, machine) for machine in machines))
 
 
-def parse_solution(text: str) -> dict[str, Fraction]:
+def parse_solution(text: str) -> dict[str, Num]:
     """Read 'name value' lines; '#' starts a comment, blanks are skipped."""
-    valuation: dict[str, Fraction] = {}
+    valuation: dict[str, Num] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -694,8 +694,8 @@ def parse_solution(text: str) -> dict[str, Fraction]:
         if len(parts) != 2:
             raise ValueError(f"solution line {lineno}: expected 'name value', got {line!r}")
         name, value = parts
-        try:
-            valuation[name] = Fraction(value)
+        try:  # a plain integer skips Fraction's parse and its rounding later
+            valuation[name] = int(value) if value.isdecimal() else Fraction(value)
         except ValueError:
             raise ValueError(f"solution line {lineno}: bad numeric value {value!r}") from None
     return valuation

@@ -11,11 +11,11 @@ from arcsched.heuristic import (
     SWAP21,
     IlsConfig,
     _best_move,
+    _grasp_construct,
+    _perturb,
+    _rvnd,
     _Work,
-    grasp_construct,
     ils,
-    perturb,
-    rvnd,
 )
 from arcsched.instance import (
     Schedule,
@@ -23,14 +23,26 @@ from arcsched.instance import (
     generate_instance,
     make_instance,
     wspt_order,
-    wspt_rank,
 )
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
 
 
+def state(inst, machines) -> _Work:
+    """A search state that holds ``machines``, job ids per machine."""
+    work = _Work(inst)
+    work.machines = [sorted(inst.wspt_ranks[j] for j in machine) for machine in machines]
+    return work
+
+
+def construct(inst, rng, alpha) -> _Work:
+    work = _Work(inst)
+    _grasp_construct(work, rng, alpha)
+    return work
+
+
 def machines_wspt_sorted(inst, sched) -> bool:
-    rank = wspt_rank(inst)
+    rank = inst.wspt_ranks
     return all(
         all(rank[a] < rank[b] for a, b in zip(machine, machine[1:]))
         for machine in sched.machines
@@ -39,39 +51,41 @@ def machines_wspt_sorted(inst, sched) -> bool:
 
 class TestGraspConstruct:
     def test_alpha_zero_is_greedy_on_fig(self, demo):
-        sched = grasp_construct(demo, SplitMix64(1), alpha=0)
+        sched = construct(demo, SplitMix64(1), alpha=0).to_schedule()
         assert sched == Schedule(machines=((1, 3, 4), (2,)))
         assert evaluate_schedule(demo, sched) == 67
 
     def test_alpha_zero_ignores_rng_state(self, demo):
-        a = grasp_construct(demo, SplitMix64(1), alpha=0)
-        b = grasp_construct(demo, SplitMix64(999), alpha=0)
+        a = construct(demo, SplitMix64(1), alpha=0).to_schedule()
+        b = construct(demo, SplitMix64(999), alpha=0).to_schedule()
         assert a == b
 
     def test_machines_always_wspt_sorted(self):
         for seed in range(20):
             inst = generate_instance(n=12, m=3, p_max=10, w_max=10, seed=seed)
-            sched = grasp_construct(inst, SplitMix64(seed), alpha=0.5)
+            sched = construct(inst, SplitMix64(seed), alpha=0.5).to_schedule()
             assert machines_wspt_sorted(inst, sched)
 
     def test_partition_complete(self):
         inst = generate_instance(n=15, m=4, p_max=10, w_max=10, seed=8)
-        sched = grasp_construct(inst, SplitMix64(3), alpha=1.0)
+        sched = construct(inst, SplitMix64(3), alpha=1.0).to_schedule()
         assert sorted(j for mach in sched.machines for j in mach) == list(range(1, 16))
 
 
 class TestRvnd:
     def test_demo_reaches_optimum_from_weak_start(self, demo):
-        start = Schedule(machines=((1, 2), (3, 4)))  # value 73
-        out = rvnd(demo, start, SplitMix64(5))
-        assert evaluate_schedule(demo, out) == 67
+        work = state(demo, ((1, 2), (3, 4)))  # value 73
+        _rvnd(work, SplitMix64(5))
+        assert evaluate_schedule(demo, work.to_schedule()) == 67
 
     def test_never_worsens(self):
         for seed in range(100):
             inst = generate_instance(n=9, m=3, p_max=10, w_max=10, seed=seed)
             rng = SplitMix64(seed)
-            start = grasp_construct(inst, rng, alpha=1.0)
-            out = rvnd(inst, start, rng)
+            work = construct(inst, rng, alpha=1.0)
+            start = work.to_schedule()
+            _rvnd(work, rng)
+            out = work.to_schedule()
             assert evaluate_schedule(inst, out) <= evaluate_schedule(inst, start)
             assert machines_wspt_sorted(inst, out)
 
@@ -79,36 +93,57 @@ class TestRvnd:
         for seed in range(15):
             inst = generate_instance(n=7, m=2, p_max=10, w_max=10, seed=seed)
             opt = brute_force_optimal(inst)
-            out = rvnd(inst, opt.schedule, SplitMix64(seed))
-            assert evaluate_schedule(inst, out) == opt.optimum
+            work = state(inst, opt.schedule.machines)
+            _rvnd(work, SplitMix64(seed))
+            assert evaluate_schedule(inst, work.to_schedule()) == opt.optimum
 
     def test_idempotent_at_local_optimum(self):
         inst = generate_instance(n=10, m=3, p_max=10, w_max=10, seed=42)
         rng = SplitMix64(7)
-        once = rvnd(inst, grasp_construct(inst, rng, alpha=0.3), rng)
-        twice = rvnd(inst, once, SplitMix64(8))
-        assert evaluate_schedule(inst, twice) == evaluate_schedule(inst, once)
+        work = construct(inst, rng, alpha=0.3)
+        _rvnd(work, rng)
+        once = work.to_schedule()
+        _rvnd(work, SplitMix64(8))
+        assert evaluate_schedule(inst, work.to_schedule()) == evaluate_schedule(inst, once)
 
 
 class TestPerturb:
     def test_single_machine_identity(self):
         inst = make_instance(1, [(2, 3), (4, 1), (1, 5)])
         sched = Schedule(machines=((3, 1, 2),))
-        assert perturb(inst, sched, SplitMix64(0), strength=3) == sched
+        work, rng = state(inst, sched.machines), SplitMix64(0)
+        _perturb(work, rng, strength=3)
+        assert work.to_schedule() == sched
+        assert rng.next_u64() == SplitMix64(0).next_u64()  # no draw
 
     def test_valid_schedule_and_lower_bound(self, demo):
         opt = Schedule(machines=((1, 3, 4), (2,)))
         for seed in range(50):
-            out = perturb(demo, opt, SplitMix64(seed), strength=1)
+            work = state(demo, opt.machines)
+            _perturb(work, SplitMix64(seed), strength=1)
+            out = work.to_schedule()
             assert sorted(j for mach in out.machines for j in mach) == [1, 2, 3, 4]
             assert machines_wspt_sorted(demo, out)
             assert evaluate_schedule(demo, out) >= 67
 
     def test_deterministic(self, demo):
         opt = Schedule(machines=((1, 3, 4), (2,)))
-        a = perturb(demo, opt, SplitMix64(11), strength=3)
-        b = perturb(demo, opt, SplitMix64(11), strength=3)
-        assert a == b
+        a, b = state(demo, opt.machines), state(demo, opt.machines)
+        _perturb(a, SplitMix64(11), strength=3)
+        _perturb(b, SplitMix64(11), strength=3)
+        assert a.to_schedule() == b.to_schedule()
+
+    def test_lists_never_edited_in_place(self):
+        # ils rolls a rejected candidate back to a shallow copy of the machines
+        for seed in range(30):
+            inst = generate_instance(n=10, m=3, p_max=10, w_max=10, seed=seed)
+            rng = SplitMix64(seed)
+            work = construct(inst, rng, alpha=1.0)
+            snapshot = work.machines[:]
+            contents = [list(ranks) for ranks in snapshot]
+            _perturb(work, rng, strength=3)
+            _rvnd(work, rng)
+            assert [list(ranks) for ranks in snapshot] == contents
 
 
 class TestIls:
@@ -319,13 +354,15 @@ class TestGoldenTrajectories:
         n, m, p_max, w_max, inst_seed, seed, steps = case
         inst = generate_instance(n=n, m=m, p_max=p_max, w_max=w_max, seed=inst_seed)
         rng = SplitMix64(seed)
-        sched = rvnd(inst, grasp_construct(inst, rng, 0.3), rng)
-        walk = [evaluate_schedule(inst, sched)]
+        work = construct(inst, rng, 0.3)
+        _rvnd(work, rng)
+        walk = [evaluate_schedule(inst, work.to_schedule())]
         for _ in range(steps):
-            sched = rvnd(inst, perturb(inst, sched, rng, 2), rng)
-            walk.append(evaluate_schedule(inst, sched))
+            _perturb(work, rng, 2)
+            _rvnd(work, rng)
+            walk.append(evaluate_schedule(inst, work.to_schedule()))
         assert walk == values
-        assert sched == Schedule(machines=machines)
+        assert work.to_schedule() == Schedule(machines=machines)
 
 
 def reference_best_move(p, w, machines, neighborhood):
@@ -390,18 +427,18 @@ def reference_best_move(p, w, machines, neighborhood):
 def search_states(draw):
     """A random instance and a random assignment, machines WSPT-sorted.
 
-    Small n against up to five machines leaves empty and single-job
-    machines in most draws; p, w within [1, 2] make tied deltas common,
+    Small n against up to eight machines leaves several empty machines and
+    single-job machines in most draws, so the scan's first-empty shortcut
+    meets the brute force; p, w within [1, 2] make tied deltas common,
     which exercises the first-best tie-break.
     """
-    m = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 8))
     top = draw(st.sampled_from([2, 30]))
     values = st.integers(1, top)
     jobs = draw(st.lists(st.tuples(values, values), min_size=1, max_size=11))
     owner = draw(st.lists(st.integers(0, m - 1), min_size=len(jobs), max_size=len(jobs)))
     inst = make_instance(m, jobs)
-    machines = tuple(tuple(j for j in range(1, inst.n + 1) if owner[j - 1] == k) for k in range(m))
-    return _Work.from_schedule(inst, Schedule(machines=machines))
+    return state(inst, [[j for j in range(1, inst.n + 1) if owner[j - 1] == k] for k in range(m)])
 
 
 class TestBestMove:
@@ -413,6 +450,14 @@ class TestBestMove:
             want = reference_best_move(work.p, work.w, before, neighborhood)
             assert _best_move(work, neighborhood) == want
             assert work.machines == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_states())
+    def test_value_matches_schedule(self, work):
+        # job r + 1 of this instance is the job of WSPT rank r
+        inst = make_instance(len(work.machines), list(zip(work.p, work.w)))
+        sched = Schedule(machines=tuple(tuple(r + 1 for r in ranks) for ranks in work.machines))
+        assert work.value() == evaluate_schedule(inst, sched)
 
     def test_unknown_neighborhood(self, demo):
         with pytest.raises(ValueError):

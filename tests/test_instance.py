@@ -163,6 +163,8 @@ class TestWsptOrder:
         read, fresh = parse_instance(text), parse_instance(text)
         assert read.wspt_ids is read.wspt_ids  # sorted once, then cached
         assert "wspt_ids" in vars(read) and "wspt_ids" not in vars(fresh)
+        assert read.wspt_ranks is read.wspt_ranks
+        assert [read.wspt_ranks[j] for j in read.wspt_ids] == list(range(read.n))
         assert read == fresh
         assert hash(read) == hash(fresh)
         assert repr(read) == repr(fresh)

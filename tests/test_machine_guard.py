@@ -4,7 +4,8 @@ An instance whose m machines alone would take a schedule past
 ``milp.MAX_MODEL_BYTES`` is refused with exit 5 before anything per
 machine is allocated. Each command runs in a child process under an
 address-space limit and a timeout, so a regression fails the test instead
-of exhausting the host's memory.
+of exhausting the host's memory. A large m under the guard must still be
+searched quickly, as the ILS only scans the machines that hold a job.
 """
 
 import os
@@ -62,6 +63,17 @@ def test_huge_machine_count_refused(huge, tmp_path, label, command, flags):
     assert (res.returncode, res.stdout) == (5, "")
     assert res.stderr.startswith(f"refused: m = {m} machines need about"), res.stderr
     assert not out.exists()
+
+
+def test_large_machine_count_searched(tmp_path):
+    # m = 1e5 is under the guard; the ILS scans only the occupied machines
+    # and the first empty one, so two jobs take well under a second here
+    path, out = tmp_path / "m1e5.txt", tmp_path / "out.sched"
+    path.write_text("2 100000\n3 1\n2 5\n", encoding="utf-8")
+    res = run_cli("solve-heur", "--in", str(path), "--seed", "1", "--iters", "1", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "objective 13" and len(lines) == 1 + 100000
 
 
 @pytest.mark.parametrize("label", sorted(HUGE))

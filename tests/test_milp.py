@@ -477,6 +477,12 @@ class TestSolutionFile:
         with pytest.raises(ValueError, match="line 1"):
             parse_solution("x_1_0 one\n")
 
+    def test_plain_integers_read_as_int(self):
+        valuation = parse_solution("a 3\nb 2.0\nc 1/2\nd -1\ne 1e0\n")
+        assert valuation == {"a": 3, "b": 2, "c": Fraction(1, 2), "d": -1, "e": 1}
+        assert type(valuation["a"]) is int
+        assert all(type(valuation[k]) is Fraction for k in "bcde")
+
 
 try:
     import scipy  # noqa: F401
