@@ -32,6 +32,8 @@ from .milp import (
     emit_mps,
     parse_solution,
     schedule_to_assignment,
+    write_lp,
+    write_mps,
 )
 from .oracle import OracleResult, brute_force_optimal
 from .rng import SplitMix64

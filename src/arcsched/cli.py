@@ -201,15 +201,12 @@ def cmd_model(args, report: RunReport) -> None:
     inst = _read_instance(args.infile, report)
     with report.phase("build"):
         model, graph = _build_model(inst, args.form, args)
-    with report.phase("emit"):
-        if args.format == "lp":
-            text = milp.emit_lp(model)
-        else:
-            text = milp.emit_mps(model)
-    Path(args.out).write_text(text, encoding="utf-8")
+    write = milp.write_lp if args.format == "lp" else milp.write_mps
+    with report.phase("emit"), open(args.out, "w", encoding="utf-8") as fh:
+        write(model, fh)
     report.summary = {
         "form": args.form,
-        "variables": len(model.variables),
+        "variables": model.num_vars,
         "constraints": len(model.constraints),
         "nonzeros": model.nonzeros(),
     }
@@ -335,7 +332,8 @@ def cmd_solve_external(args, report: RunReport) -> None:
     with tempfile.TemporaryDirectory(prefix="arcsched_") as tmp:
         model_path = Path(tmp) / "model.lp"
         solution_path = Path(tmp) / "model.sol"
-        model_path.write_text(milp.emit_lp(model), encoding="utf-8")
+        with open(model_path, "w", encoding="utf-8") as fh:
+            milp.write_lp(model, fh)
         try:  # split before substituting, so a path with spaces stays one word
             cmd = [word.format(model=model_path, solution=solution_path) for word in shlex.split(solver_cmd)]
         except (ValueError, KeyError, IndexError) as exc:
@@ -358,11 +356,11 @@ def cmd_solve_external(args, report: RunReport) -> None:
     with report.phase("decode"):
         # every ti, af and eaf variable is integral: round the solver's floats, then check exactly
         values = []
-        for v in model.variables:
-            x = solution.get(v.name, 0)
+        for name in model.names():
+            x = solution.get(name, 0)
             nearest = round(x)
             if abs(x - nearest) > INTEGRALITY_TOLERANCE:
-                raise ExternalSolverError(f"non-integral value {x} for integer variable {v.name}")
+                raise ExternalSolverError(f"non-integral value {x} for integer variable {name}")
             values.append(nearest)
         feas = milp.check_feasible(model, values)
         if not feas.feasible:

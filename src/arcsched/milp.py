@@ -1,12 +1,15 @@
 """Solver-agnostic MILP records for the five formulations, plus emission.
 
 Models are plain records of variables, linear constraints and a linear
-(optionally quadratic) objective with exact rational coefficients. A
-variable's name lives only on its record; rows and quadratic terms refer
+(optionally quadratic) objective with exact rational coefficients.
+Variables are held as column blocks: a run of positions with one kind,
+one pair of bounds, an objective coefficient per variable and one name
+rule, so no name is stored; names are made only by the writers, the
+violation messages and the solution lookup. Rows and quadratic terms refer
 to variables by position, and a valuation is one value per position, so
 the schedule mapping, the exact check and the decode read no name. Models
-are emitted as LP or MPS text and never solved in-process; an external
-solver can be driven through the CLI.
+are streamed to a file as LP or MPS text and never solved in-process; an
+external solver can be driven through the CLI.
 
 Formulations
 ------------
@@ -29,13 +32,14 @@ time.
 
 from __future__ import annotations
 
+import io
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from operator import mul
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .flowgraph import LOSS, FlowGraph, decompose_flow
 from .instance import Instance, JobType, Schedule, ValidationError, completion_times, sort_machine_wspt
@@ -71,11 +75,36 @@ class ModelSizeError(ValueError):
 
 
 class Variable(NamedTuple):
+    """One variable's record, made on demand by ``MilpModel.columns``."""
+
     name: str
     lb: Num
     ub: Num | None
     kind: str
     obj: Num = 0
+
+
+@dataclass(frozen=True)
+class VarBlock:
+    """Variables at consecutive positions that share a kind and bounds.
+
+    ``obj[i]`` is the objective coefficient of the block's i-th variable,
+    so ``len(obj)`` is the block's size. ``names()`` makes the block's
+    names in order from its name rule; no name is stored.
+    """
+
+    kind: str
+    lb: Num
+    ub: Num | None
+    obj: Sequence[Num]
+    names: Callable[[], Iterable[str]]
+
+    def __len__(self) -> int:
+        return len(self.obj)
+
+
+def _single(name: str, lb: Num, ub: Num | None, kind: str, obj: Num) -> VarBlock:
+    return VarBlock(kind, lb, ub, (obj,), lambda: (name,))
 
 
 @dataclass(frozen=True)
@@ -101,15 +130,29 @@ class Constraint:
 @dataclass
 class MilpModel:
     name: str
-    variables: list[Variable] = field(default_factory=list)
+    blocks: list[VarBlock] = field(default_factory=list)  # variables, in position order
     constraints: list[Constraint] = field(default_factory=list)
     obj_constant: Num = 0
     quad_terms: list[tuple[int, int, Num]] = field(default_factory=list)  # positions and coefficient
 
+    @property
+    def num_vars(self) -> int:
+        return sum(map(len, self.blocks))
+
+    def names(self) -> Iterator[str]:
+        """Every variable name, in position order, made from the block rules."""
+        return chain.from_iterable(b.names() for b in self.blocks)
+
+    def columns(self) -> Iterator[Variable]:
+        """Every variable's record, in position order."""
+        for b in self.blocks:
+            for name, obj in zip(b.names(), b.obj):
+                yield Variable(name, b.lb, b.ub, b.kind, obj)
+
     def add_var(self, name: str, lb: Num, ub: Num | None, kind: str, obj: Num = 0) -> int:
-        """Append a variable; returns its position."""
-        self.variables.append(Variable(name, lb, ub, kind, obj))
-        return len(self.variables) - 1
+        """Append a one-variable block; returns the variable's position."""
+        self.blocks.append(_single(name, lb, ub, kind, obj))
+        return self.num_vars - 1
 
     def add_constraint(self, name: str, cols, sense: str, rhs: Num, coefs=None) -> None:
         """Append a row over variable positions ``cols``; ``coefs=None`` means all ones.
@@ -130,14 +173,16 @@ class MilpModel:
         return sum(len(c.cols) for c in self.constraints) + len(self.quad_terms)
 
     def validate(self) -> "MilpModel":
-        names = [v.name for v in self.variables]
+        # a block of several variables names them by a rule over distinct
+        # arguments, so only one-variable blocks (add_var) can repeat a name
+        names = [name for b in self.blocks if len(b) == 1 for name in b.names()]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValidationError(f"duplicate variable names: {dupes}")
-        for v in self.variables:
-            if v.ub is not None and v.lb > v.ub:
-                raise ValidationError(f"variable {v.name}: lb {v.lb} > ub {v.ub}")
-        n = len(names)
+        for b in self.blocks:
+            if b.ub is not None and b.lb > b.ub:
+                raise ValidationError(f"variable {next(iter(b.names()))}: lb {b.lb} > ub {b.ub}")
+        n = self.num_vars
         for c in self.constraints:
             if c.sense not in ("<=", "=", ">="):
                 raise ValidationError(f"constraint {c.name}: bad sense {c.sense!r}")
@@ -225,11 +270,12 @@ def build_ti(inst: Instance, T: int) -> MilpModel:
         raise ValidationError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
     model = MilpModel(name=f"ti_n{inst.n}_m{inst.m}")
     offsets = ti_offsets(inst, T)
-    for job in inst.jobs:
-        for t in range(0, T - job.p + 1):
-            model.add_var(f"x_{job.id}_{t}", 0, 1, BINARY, obj=job.w * t)
+    for job in inst.jobs:  # one block per job, t = 0..T-p_j
+        size = T - job.p + 1
+        names = lambda j=job.id, size=size: (f"x_{j}_{t}" for t in range(size))
+        model.blocks.append(VarBlock(BINARY, 0, 1, range(0, job.w * size, job.w), names))
     model.obj_constant = sum(j.w * j.p for j in inst.jobs)
-    pos = array("I", range(len(model.variables)))  # rows copy slices of it
+    pos = array("I", range(offsets[-1]))  # rows copy slices of it
     for job, base in zip(inst.jobs, offsets):
         model.add_constraint(f"assign_{job.id}", pos[base : base + T - job.p + 1], "=", 1)
     for t in range(0, T):
@@ -253,10 +299,10 @@ def build_ciqp(inst: Instance) -> MilpModel:
     """
     m = inst.m
     model = MilpModel(name=f"ciqp_n{inst.n}_m{m}")
-    # x_{j}_{k} sits at position (j - 1) * m + k - 1
+    # x_{j}_{k} sits at position (j - 1) * m + k - 1, in job j's block
     for job in inst.jobs:
-        for k in range(1, m + 1):
-            model.add_var(f"x_{job.id}_{k}", 0, 1, BINARY, obj=job.w * job.p)
+        names = lambda j=job.id: (f"x_{j}_{k}" for k in range(1, m + 1))
+        model.blocks.append(VarBlock(BINARY, 0, 1, [job.w * job.p] * m, names))
     order = inst.wspt_ids
     for pos, j in enumerate(order):
         wj = inst.job(j).w
@@ -281,18 +327,16 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
         raise ValidationError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
     m = inst.m
     model = MilpModel(name=f"pti_n{inst.n}_m{m}")
-    # x_{j}_{k}_{t} sits at ((j - 1) * m + k - 1) * T + t - 1, y_{j}_{k} at
-    # ys + (j - 1) * m + k - 1
-    for job in inst.jobs:
-        for k in range(1, m + 1):
-            for t in range(1, T + 1):
-                coef = Fraction(job.w, job.p) * (Fraction(t) + Fraction(job.p - 1, 2))
-                model.add_var(f"x_{job.id}_{k}_{t}", 0, None, CONTINUOUS, obj=coef)
-    ys = len(model.variables)
-    for job in inst.jobs:
-        for k in range(1, m + 1):
-            model.add_var(f"y_{job.id}_{k}", 0, 1, BINARY)
-    pos = array("I", range(len(model.variables)))  # rows copy slices of it
+    # x_{j}_{k}_{t} sits at ((j - 1) * m + k - 1) * T + t - 1, in job j's
+    # block, and y_{j}_{k} at ys + (j - 1) * m + k - 1
+    for job in inst.jobs:  # the T coefficients of a job repeat on each machine
+        coefs = [Fraction(job.w, job.p) * (Fraction(t) + Fraction(job.p - 1, 2)) for t in range(1, T + 1)]
+        names = lambda j=job.id: (f"x_{j}_{k}_{t}" for k in range(1, m + 1) for t in range(1, T + 1))
+        model.blocks.append(VarBlock(CONTINUOUS, 0, None, coefs * m, names))
+    ys = model.num_vars
+    names = lambda: (f"y_{job.id}_{k}" for job in inst.jobs for k in range(1, m + 1))
+    model.blocks.append(VarBlock(BINARY, 0, 1, [0] * (inst.n * m), names))
+    pos = array("I", range(model.num_vars))  # rows copy slices of it
     for job in inst.jobs:
         for k in range(1, m + 1):
             base = ((job.id - 1) * m + k - 1) * T
@@ -311,21 +355,32 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
 def build_eaf_model(g: FlowGraph) -> MilpModel:
     """Reduced network model: integer per type arc, demand d per type.
 
-    Variable i is arc i of the network. The objective constant counts
-    every scheduled copy, i.e. the sum of d * w * p over the network's
-    types; the flow value m is the loss-arc capacity.
+    Variable i is arc i of the network, named x_{tail}_{head}_{label} or,
+    for a loss arc, L_{tail}; each run of arcs with one label is a block
+    whose names are read from the graph arrays. The objective constant
+    counts every scheduled copy, i.e. the sum of d * w * p over the
+    network's types; the flow value m is the loss-arc capacity.
     """
     types, m = g.types, g.capacity[LOSS]
     model = MilpModel(name=f"eaf_t{len(types)}_m{m}")
+    start = 0
+    for k, run in groupby(g.label):
+        end = start + sum(1 for _ in run)
+        if k == LOSS:
+            names = lambda s=start, e=end: (f"L_{t}" for t in g.tail[s:e])
+            obj = [0] * (end - start)
+        else:
+            names = lambda s=start, e=end, k=k: (f"x_{t}_{h}_{k}" for t, h in zip(g.tail[s:e], g.head[s:e]))
+            w = types[k - 1].w
+            obj = array("q", [w * t for t in g.tail[start:end]])
+        model.blocks.append(VarBlock(INTEGER, 0, g.capacity[k], obj, names))
+        start = end
     row_of = {q: r for r, q in enumerate(g.nodes)}
     flow_cols = [array("I") for _ in g.nodes]
     flow_coefs = [array("q") for _ in g.nodes]
     demand_cols = [array("I") for _ in types]
     for i, (tail, head, k) in enumerate(zip(g.tail, g.head, g.label)):
-        if k == LOSS:
-            model.add_var(f"L_{tail}", 0, g.capacity[k], INTEGER)
-        else:
-            model.add_var(f"x_{tail}_{head}_{k}", 0, g.capacity[k], INTEGER, obj=types[k - 1].w * tail)
+        if k != LOSS:
             demand_cols[k - 1].append(i)
         out, into = row_of[tail], row_of[head]
         flow_cols[out].append(i)
@@ -370,105 +425,122 @@ def _fmt_num(x: Num) -> str:
     return format(float(x), ".15g")
 
 
-def _wrap(parts: list[str], indent: str = "   ", width: int = 72) -> str:
+def _wrap(parts: Iterable[str], indent: str = "   ", width: int = 72, end: str = "") -> Iterator[str]:
     """Greedy fill of ``parts``, one space apart, into lines of at most
-    ``width`` columns; a part that would overflow opens a line at ``indent``."""
-    lines: list[str] = []
+    ``width`` columns; a part that would overflow opens a line at ``indent``.
+    ``end`` is appended to the last line."""
     current = ""
     for part in parts:
         if not current:
             current = part
         elif len(current) + 1 + len(part) > width:
-            lines.append(current)
+            yield current
             current = indent + part
         else:
             current += " " + part
     if current:
-        lines.append(current)
-    return "\n".join(lines)
+        yield current + end
 
 
-def _signed(names: list[str], plus: list[str], minus: list[str], cols, coefs) -> list[str]:
-    """LP text of each nonzero entry ``coefs[k]`` on position ``cols[k]``, with its sign."""
-    return [
-        plus[i] if coef == 1 else minus[i] if coef == -1 else
-        f"+ {_fmt_num(coef)} {names[i]}" if coef > 0 else f"- {_fmt_num(-coef)} {names[i]}"
+def _signed(plus: list[str], cols: Iterable[int], coefs: Iterable[Num]) -> Iterator[str]:
+    """LP text of each nonzero entry ``coefs[k]`` on position ``cols[k]``,
+    with its sign; ``plus[i]`` is "+ name" of variable i."""
+    return (
+        plus[i] if coef == 1 else "-" + plus[i][1:] if coef == -1 else
+        f"+ {_fmt_num(coef)} {plus[i][2:]}" if coef > 0 else f"- {_fmt_num(-coef)} {plus[i][2:]}"
         for i, coef in zip(cols, coefs)
         if coef
-    ]
+    )
 
 
-def _sum_text(lead: str, parts: list[str]) -> str:
+def _sum_lines(lead: str, parts: Iterable[str], end: str = "") -> Iterator[str]:
     """``lead`` and the wrapped signed ``parts``, the first without its plus
-    sign; "0" when there are none."""
-    if not parts:
-        return lead + "0"
-    first = parts[0]
-    parts[0] = lead + (first[2:] if first[0] == "+" else first)
-    return _wrap(parts)
+    sign, then ``end``; "0" when there are none."""
+    parts = iter(parts)
+    first = next(parts, None)
+    if first is None:
+        return iter((lead + "0" + end,))
+    return _wrap(chain((lead + (first[2:] if first[0] == "+" else first),), parts), end=end)
 
 
-def _with_constant(model: MilpModel) -> list[Variable]:
-    """The model's variables, with ONE appended when there is a constant."""
-    variables = list(model.variables)
-    if model.obj_constant != 0:
-        variables.append(Variable(_ONE, 1, 1, CONTINUOUS, obj=model.obj_constant))
-    return variables
+def _with_constant(model: MilpModel) -> list[VarBlock]:
+    """The model's blocks, with ONE appended when there is a constant."""
+    if model.obj_constant == 0:
+        return model.blocks
+    return [*model.blocks, _single(_ONE, 1, 1, CONTINUOUS, model.obj_constant)]
+
+
+def _lp_bound(b: VarBlock) -> tuple[str, str] | None:
+    """Text before and after a name in the Bounds line of each variable of
+    ``b``; None when its variables need no line."""
+    if b.kind == BINARY:
+        return None
+    if b.ub is not None and b.lb == b.ub:
+        return " ", f" = {_fmt_num(b.lb)}"
+    if b.ub is None:
+        return (" ", f" >= {_fmt_num(b.lb)}") if b.lb != 0 else None
+    return f" {_fmt_num(b.lb)} <= ", f" <= {_fmt_num(b.ub)}"
+
+
+def _lp_lines(model: MilpModel) -> Iterator[str]:
+    """The lines of the LP text. Each variable's "+ name" is built once; a
+    row is the run of them, wrapped at 72 columns."""
+    blocks = _with_constant(model)
+    plus = ["+ " + name for b in blocks for name in b.names()]
+    yield f"\\ {model.name}"
+    yield "Minimize"
+    yield from _sum_lines(" obj: ", _signed(plus, range(len(plus)), chain.from_iterable(b.obj for b in blocks)))
+    if model.quad_terms:
+        quad = (
+            f"{'+' if 2 * coef > 0 else '-'} {_fmt_num(abs(2 * coef))} {plus[a][2:]} * {plus[b][2:]}"
+            for a, b, coef in model.quad_terms
+        )
+        first = next(quad)
+        yield from _wrap(chain(("   + [", first[2:] if first[0] == "+" else first), quad, ("] / 2",)))
+    yield "Subject To"
+    for c in model.constraints:
+        parts = map(plus.__getitem__, c.cols) if c.coefs is None else _signed(plus, c.cols, c.coefs)
+        yield from _sum_lines(f" {c.name}: ", parts, f" {c.sense} {_fmt_num(c.rhs)}")
+    # the later sections cut each name from its "+ name"
+    spans = [plus[start : start + len(b)] for b, start in zip(blocks, accumulate(map(len, blocks), initial=0))]
+    bounded = [(span, rule) for b, span in zip(blocks, spans) if (rule := _lp_bound(b))]
+    if bounded:
+        yield "Bounds"
+        for span, (before, after) in bounded:
+            yield from (before + p[2:] + after for p in span)
+    for title, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
+        listed = chain.from_iterable(span for b, span in zip(blocks, spans) if b.kind == kind)
+        first = next(listed, None)
+        if first is not None:
+            yield title
+            yield from _wrap(chain((" " + first[2:],), (p[2:] for p in listed)), indent="  ")
+    yield "End"
+
+
+# lines per write: a write stays a small part of any but the smallest file
+_LINES_PER_WRITE = 256
+
+
+def _write_lines(fh: TextIO, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to ``fh``, a batch of lines per write."""
+    lines = iter(lines)
+    while batch := list(islice(lines, _LINES_PER_WRITE)):
+        batch.append("")
+        fh.write("\n".join(batch))
+
+
+def write_lp(model: MilpModel, fh: TextIO) -> None:
+    """Write CPLEX-LP-style text, deterministic for a given model record,
+    to the open text file ``fh`` as it is made: the whole text is never
+    held in memory."""
+    _write_lines(fh, _lp_lines(model))
 
 
 def emit_lp(model: MilpModel) -> str:
-    """CPLEX-LP-style text, deterministic for a given model record.
-
-    Each variable's "+ name" and "- name" are built once; a row is the run
-    of them, wrapped at 72 columns.
-    """
-    variables = _with_constant(model)
-    names = [v.name for v in variables]
-    plus = ["+ " + name for name in names]
-    minus = ["- " + name for name in names]
-    out: list[str] = [f"\\ {model.name}", "Minimize"]
-    objective = _signed(names, plus, minus, range(len(variables)), [v.obj for v in variables])
-    out.append(_sum_text(" obj: ", objective))
-    if model.quad_terms:
-        quad_parts: list[str] = ["   + ["]
-        for a, b, coef in model.quad_terms:
-            doubled = 2 * coef
-            body = f"{_fmt_num(abs(doubled))} {names[a]} * {names[b]}"
-            if len(quad_parts) == 1:
-                quad_parts.append(body if doubled > 0 else f"- {body}")
-            else:
-                quad_parts.append(f"+ {body}" if doubled > 0 else f"- {body}")
-        quad_parts.append("] / 2")
-        out.append(_wrap(quad_parts))
-    out.append("Subject To")
-    for c in model.constraints:
-        if c.coefs is None:
-            parts = list(map(plus.__getitem__, c.cols))
-        else:
-            parts = _signed(names, plus, minus, c.cols, c.coefs)
-        out.append(f"{_sum_text(f' {c.name}: ', parts)} {c.sense} {_fmt_num(c.rhs)}")
-    bound_lines = []
-    for v in variables:
-        if v.kind == BINARY:
-            continue
-        if v.ub is not None and v.lb == v.ub:
-            bound_lines.append(f" {v.name} = {_fmt_num(v.lb)}")
-        elif v.ub is None:
-            if v.lb != 0:
-                bound_lines.append(f" {v.name} >= {_fmt_num(v.lb)}")
-        else:
-            bound_lines.append(f" {_fmt_num(v.lb)} <= {v.name} <= {_fmt_num(v.ub)}")
-    if bound_lines:
-        out.append("Bounds")
-        out.extend(bound_lines)
-    for title, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
-        listed = [v.name for v in variables if v.kind == kind]
-        if listed:
-            out.append(title)
-            listed[0] = " " + listed[0]
-            out.append(_wrap(listed, indent="  "))
-    out.append("End")
-    return "\n".join(out) + "\n"
+    """The text ``write_lp`` writes."""
+    out = io.StringIO()
+    write_lp(model, out)
+    return out.getvalue()
 
 
 def _field(x: Num) -> str:
@@ -497,25 +569,31 @@ def _pairs(head: str, entries: list[str]) -> list[str]:
     return [(head + a + b).rstrip() for a, b in zip(pairs, pairs)]
 
 
-def emit_mps(model: MilpModel) -> str:
-    """Aligned MPS text with INTORG/INTEND integrality markers.
+def _mps_bounds(b: VarBlock) -> list[tuple[str, str]]:
+    """(type, value) of each BOUNDS line of a non-binary variable of ``b``."""
+    if b.ub is not None and b.lb == b.ub:
+        return [("FX", _fmt_num(b.lb))]
+    lower = [("LO", _fmt_num(b.lb))] if b.lb != 0 else []
+    return lower + ([("UP", _fmt_num(b.ub))] if b.ub is not None else [])
+
+
+def _mps_lines(model: MilpModel) -> Iterator[str]:
+    """The lines of the MPS text.
 
     Rows are turned into per-column lists of "row value" entries; each row
     name is padded once and, within a row, each distinct coefficient
     formatted once.
-
-    Raises:
-        UnsupportedFormatError: for models with quadratic objectives.
     """
     if model.quad_terms:
         raise UnsupportedFormatError("MPS cannot carry a quadratic objective; emit LP instead")
-    variables = _with_constant(model)
-    w_name = max(10, max((len(v.name) for v in variables), default=10) + 1)
+    blocks = _with_constant(model)
+    w_name = max(10, max(map(len, chain.from_iterable(b.names() for b in blocks)), default=10) + 1)
     w_row = max(10, max((len(c.name) for c in model.constraints), default=10) + 1)
 
     # per column, its "row value" entries in row order, COST first
     cost = f"{'COST':<{w_row}}"
-    col_entries: list[list[str]] = [[cost + _field(v.obj)] if v.obj != 0 else [] for v in variables]
+    objs = chain.from_iterable(b.obj for b in blocks)
+    col_entries: list[list[str]] = [[cost + _field(obj)] if obj != 0 else [] for obj in objs]
     for c in model.constraints:
         row = f"{c.name:<{w_row}}"
         texts: dict[int, str] = {}
@@ -526,37 +604,61 @@ def emit_mps(model: MilpModel) -> str:
                 text = texts[k] = row + _field(k)
             col_entries[i].append(text)
 
-    out = [f"NAME          {model.name}", "ROWS", " N  COST"]
+    yield f"NAME          {model.name}"
+    yield "ROWS"
+    yield " N  COST"
     sense_tag = {"<=": "L", "=": "E", ">=": "G"}
-    out.extend(f" {sense_tag[c.sense]}  {c.name}" for c in model.constraints)
-    out.append("COLUMNS")
+    yield from (f" {sense_tag[c.sense]}  {c.name}" for c in model.constraints)
+    yield "COLUMNS"
     marker = 0
-    columns = zip(variables, col_entries)
-    for integral, group in groupby(columns, key=lambda column: column[0].kind in (BINARY, INTEGER)):
+    columns = iter(col_entries)
+    for integral, group in groupby(blocks, key=lambda b: b.kind in (BINARY, INTEGER)):
         if integral:
-            out.append(f"    MARKER{marker:<{w_name - 6}}'MARKER'                 'INTORG'")
-        for v, entries in group:  # a column with no entry still gets a zero cost
-            out.extend(_pairs(f"    {v.name:<{w_name}}", entries or [cost + _field(0)]))
+            yield f"    MARKER{marker:<{w_name - 6}}'MARKER'                 'INTORG'"
+        for b in group:
+            # names first: zip stops at the block's last name, before taking
+            # the next block's entries
+            for name, entries in zip(b.names(), columns):  # a column with no entry still gets a zero cost
+                yield from _pairs(f"    {name:<{w_name}}", entries or [cost + _field(0)])
         if integral:
-            out.append(f"    MARKER{marker + 1:<{w_name - 6}}'MARKER'                 'INTEND'")
+            yield f"    MARKER{marker + 1:<{w_name - 6}}'MARKER'                 'INTEND'"
             marker += 2
-    out.append("RHS")
+    yield "RHS"
     rhs_entries = [f"{c.name:<{w_row}}" + _field(c.rhs) for c in model.constraints if c.rhs != 0]
-    out.extend(_pairs(f"    {'RHS':<{w_name}}", rhs_entries))
-    out.append("BOUNDS")
+    yield from _pairs(f"    {'RHS':<{w_name}}", rhs_entries)
+    yield "BOUNDS"
     bnd = f"{'BND':<{w_name - 1}}"
-    for v in variables:
-        if v.kind == BINARY:
-            out.append(f" BV {bnd}{v.name}")
-        elif v.ub is not None and v.lb == v.ub:
-            out.append(f" FX {bnd}{v.name:<{w_name}}{_fmt_num(v.lb)}")
-        else:
-            if v.lb != 0:
-                out.append(f" LO {bnd}{v.name:<{w_name}}{_fmt_num(v.lb)}")
-            if v.ub is not None:
-                out.append(f" UP {bnd}{v.name:<{w_name}}{_fmt_num(v.ub)}")
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    for b in blocks:
+        if b.kind == BINARY:
+            yield from (f" BV {bnd}{name}" for name in b.names())
+            continue
+        marks = [(f" {tag} {bnd}", value) for tag, value in _mps_bounds(b)]
+        for name in b.names():
+            for head, value in marks:
+                yield f"{head}{name:<{w_name}}{value}"
+    yield "ENDATA"
+
+
+def write_mps(model: MilpModel, fh: TextIO) -> None:
+    """Write aligned MPS text with INTORG/INTEND integrality markers to the
+    open text file ``fh`` as it is made.
+
+    Raises:
+        UnsupportedFormatError: for models with quadratic objectives,
+            before anything is written.
+    """
+    _write_lines(fh, _mps_lines(model))
+
+
+def emit_mps(model: MilpModel) -> str:
+    """The text ``write_mps`` writes.
+
+    Raises:
+        UnsupportedFormatError: for models with quadratic objectives.
+    """
+    out = io.StringIO()
+    write_mps(model, out)
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -581,21 +683,27 @@ def check_feasible(model: MilpModel, values: Sequence[Num]) -> FeasibilityReport
     Raises:
         ValidationError: ``values`` does not hold one value per variable.
     """
-    variables = model.variables
-    if len(values) != len(variables):
-        raise ValidationError(f"valuation has {len(values)} values for {len(variables)} variables")
+    n = model.num_vars
+    if len(values) != n:
+        raise ValidationError(f"valuation has {len(values)} values for {n} variables")
     exact = [x if type(x) is int else Fraction(x) for x in values]
 
-    violations = [
-        f"bound {v.name}" for v, x in zip(variables, exact) if x < v.lb or (v.ub is not None and x > v.ub)
-    ]
+    out_of_bounds: list[int] = []
+    objective = Fraction(model.obj_constant)
+    start = 0
+    for b in model.blocks:
+        part = exact[start : start + len(b)]
+        out_of_bounds += [start + i for i, x in enumerate(part) if x < b.lb or (b.ub is not None and x > b.ub)]
+        objective += sum(x * c for x, c in zip(part, b.obj) if x)
+        start += len(b)
+    names = list(model.names()) if out_of_bounds else []
+    violations = [f"bound {names[i]}" for i in out_of_bounds]
     for c in model.constraints:
         picked = map(exact.__getitem__, c.cols)
         lhs = sum(picked) if c.coefs is None else sum(map(mul, picked, c.coefs))
         ok = lhs <= c.rhs if c.sense == "<=" else lhs >= c.rhs if c.sense == ">=" else lhs == c.rhs
         if not ok:
             violations.append(f"constraint {c.name}")
-    objective = Fraction(model.obj_constant) + sum(x * v.obj for v, x in zip(variables, exact) if x)
     for a, b, coef in model.quad_terms:
         objective += exact[a] * exact[b] * coef
     return FeasibilityReport(feasible=not violations, violations=tuple(violations), objective=objective)

@@ -23,7 +23,7 @@ def straight_network(inst: Instance, T: int | None = None, strict_figure: bool =
 def by_position(model, named: dict) -> list:
     """One value per variable of ``model``: ``named[name]`` on the named
     variables, 0 elsewhere. Every name must be one of the model's."""
-    names = [v.name for v in model.variables]
+    names = list(model.names())
     assert set(named) <= set(names), sorted(set(named) - set(names))
     return [named.get(name, 0) for name in names]
 

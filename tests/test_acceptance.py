@@ -181,9 +181,9 @@ def test_criterion_5_variable_count_reproduction(report):
     def counts(n, seed):
         inst = generate_instance(n=n, m=2, p_max=20, w_max=20, seed=seed)
         T = horizon(inst).T
-        n_ti = len(build_ti(inst, T).variables)
-        n_af = len(build_eaf_model(straight_network(inst, T)).variables)
-        n_eaf = len(build_eaf_model(eaf_network(inst)).variables)
+        n_ti = build_ti(inst, T).num_vars
+        n_af = build_eaf_model(straight_network(inst, T)).num_vars
+        n_eaf = build_eaf_model(eaf_network(inst)).num_vars
         return n_ti, n_af, n_eaf
 
     rows30 = [counts(30, 3000 + i) for i in range(10)]

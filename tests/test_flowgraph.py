@@ -176,9 +176,9 @@ class TestArcOrder:
             want = [t for t in reachable_points(g) if max(t_prime, 1) <= t < g.T]
             assert loss_tails(g) == (want if args.strict_figure else [0, *want])
             model = milp.build_eaf_model(g)
-            assert len(model.variables) == len(g.label)
-            for v, (t, h, k) in zip(model.variables, arcs(g)):
-                assert v.name == (f"L_{t}" if k == LOSS else f"x_{t}_{h}_{k}")
+            assert model.num_vars == len(g.label)
+            for name, (t, h, k) in zip(model.names(), arcs(g)):
+                assert name == (f"L_{t}" if k == LOSS else f"x_{t}_{h}_{k}")
 
 
 def eaf_pipeline(inst, strict_figure=False):

@@ -37,6 +37,8 @@ from arcsched.milp import (
     parse_solution,
     schedule_to_assignment,
     ti_offsets,
+    write_lp,
+    write_mps,
 )
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
@@ -112,14 +114,14 @@ class TestRecords:
 class TestBuildTi:
     def test_demo_counts(self, demo):
         model = build_ti(demo, 8)
-        assert len(model.variables) == 24  # 7 + 4 + 8 + 5 start binaries
+        assert model.num_vars == 24  # 7 + 4 + 8 + 5 start binaries
         assert len(model.constraints) == 12  # 4 assignment + 8 capacity
         assert model.obj_constant == 56
 
     def test_single_job_model(self):
         inst = make_instance(1, [(3, 5)])
         model = build_ti(inst, 3)
-        assert [v.name for v in model.variables] == ["x_1_0"]
+        assert list(model.names()) == ["x_1_0"]
         assert model.obj_constant == 15
 
     def test_demo_optimal_valuation(self, demo):
@@ -133,13 +135,13 @@ class TestBuildTi:
         model = build_ti(demo, 8)
         for c in model.constraints:
             for pos, _ in c.terms:
-                assert 0 <= pos < len(model.variables)
+                assert 0 <= pos < model.num_vars
 
 
 class TestBuildCiqp:
     def test_demo_counts(self, demo):
         model = build_ciqp(demo)
-        assert len(model.variables) == 8
+        assert model.num_vars == 8
         assert len(model.constraints) == 4
         assert len(model.quad_terms) == 12  # 6 ordered pairs x 2 machines
 
@@ -167,18 +169,18 @@ class TestBuildCiqp:
 class TestBuildPti:
     def test_demo_variable_count(self, demo):
         model = build_pti(demo, 8)
-        assert len(model.variables) == 4 * 2 * 8 + 8
+        assert model.num_vars == 4 * 2 * 8 + 8
 
     def test_objective_coefficient_example(self):
         inst = make_instance(1, [(2, 4)])
         model = build_pti(inst, 4)
-        coef = next(v.obj for v in model.variables if v.name == "x_1_1_3")
+        coef = next(v.obj for v in model.columns() if v.name == "x_1_1_3")
         assert coef == 7  # (4/2) * (3 + 1/2)
 
     def test_unit_job_coefficient(self):
         inst = make_instance(1, [(1, 9)])
         model = build_pti(inst, 1)
-        coef = next(v.obj for v in model.variables if v.name == "x_1_1_1")
+        coef = next(v.obj for v in model.columns() if v.name == "x_1_1_1")
         assert coef == 9
 
     def test_preemptive_split_feasible(self):
@@ -194,10 +196,10 @@ class TestBuildPti:
 class TestAfModel:
     def test_demo_counts(self, demo):
         _, model = af_context(demo)
-        job_vars = [v for v in model.variables if v.name.startswith("x_")]
+        job_vars = [v for v in model.columns() if v.name.startswith("x_")]
         assert len(job_vars) == 11
         assert all(v.kind == INTEGER and v.ub == 1 for v in job_vars)
-        assert sum(v.name.startswith("L_") and v.kind == INTEGER for v in model.variables) == 8
+        assert sum(v.name.startswith("L_") and v.kind == INTEGER for v in model.columns()) == 8
         names = [c.name for c in model.constraints]
         assert sum(n.startswith("flow_") for n in names) == 9
         assert sum(n.startswith("demand_") for n in names) == 4
@@ -208,14 +210,15 @@ class TestAfModel:
         report = check_feasible(model, values)
         assert report.feasible
         assert report.objective == 67
-        valuation = {v.name: x for v, x in zip(model.variables, values)}
+        valuation = dict(zip(model.names(), values))
         assert valuation["L_7"] == 1 and valuation["L_5"] == 1
 
     def test_single_job_source_conservation(self):
         inst = make_instance(1, [(3, 5)])
         _, model = af_context(inst)
         flow0 = next(c for c in model.constraints if c.name == "flow_0")
-        assert sorted((model.variables[pos].name, coef) for pos, coef in flow0.terms) == [("L_0", 1), ("x_0_3_1", 1)]
+        names = list(model.names())
+        assert sorted((names[pos], coef) for pos, coef in flow0.terms) == [("L_0", 1), ("x_0_3_1", 1)]
         assert flow0.sense == "=" and flow0.rhs == 1
 
 
@@ -249,9 +252,9 @@ class TestVariableCounts:
         for seed in range(30):
             inst = generate_instance(n=12, m=2 + seed % 3, p_max=15, w_max=15, seed=seed)
             T = horizon(inst).T
-            n_ti = len(build_ti(inst, T).variables)
-            n_af = len(af_context(inst)[1].variables)
-            n_eaf = len(eaf_context(inst)[1].variables)
+            n_ti = build_ti(inst, T).num_vars
+            n_af = af_context(inst)[1].num_vars
+            n_eaf = eaf_context(inst)[1].num_vars
             assert n_eaf <= n_af <= n_ti
 
 
@@ -320,6 +323,36 @@ class TestEmitMps:
         assert emit_mps(model) == emit_mps(model)
 
 
+class WriteLog:
+    """A text file that keeps each ``write()`` it is given."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("form", ["ti", "af"])
+    @pytest.mark.parametrize("write, emit", [(write_lp, emit_lp), (write_mps, emit_mps)])
+    def test_text_streams_in_small_writes(self, form, write, emit):
+        inst = generate_instance(n=30, m=2, p_max=20, w_max=20, seed=1)
+        model = build_ti(inst, horizon(inst).T) if form == "ti" else af_context(inst)[1]
+        log = WriteLog()
+        write(model, log)
+        text = "".join(log.writes)
+        assert text == emit(model)
+        assert max(map(len, log.writes)) < len(text) / 10
+
+    def test_quadratic_mps_refused_before_any_write(self, demo):
+        log = WriteLog()
+        with pytest.raises(UnsupportedFormatError):
+            write_mps(build_ciqp(demo), log)
+        assert log.writes == []
+
+
 class TestScheduleToAssignment:
     def test_demo_ti_valuation(self, demo):
         values = schedule_to_assignment(demo, DEMO_OPT, 8, None)
@@ -330,7 +363,7 @@ class TestScheduleToAssignment:
         g = straight_network(inst)
         sched = Schedule(machines=((1,), ()))
         values = schedule_to_assignment(inst, sched, g.T, g)
-        valuation = {v.name: x for v, x in zip(build_eaf_model(g).variables, values)}
+        valuation = dict(zip(build_eaf_model(g).names(), values))
         assert valuation["L_0"] == 1
 
     def test_non_wspt_order_raises_mapping_error(self, demo):
@@ -411,13 +444,13 @@ class TestAssignmentToSchedule:
 class TestCheckFeasible:
     def test_all_zero_ti_lists_assignments(self, demo):
         model = build_ti(demo, 8)
-        report = check_feasible(model, [0] * len(model.variables))
+        report = check_feasible(model, [0] * model.num_vars)
         assert not report.feasible
         assert {f"constraint assign_{j}" for j in range(1, 5)} <= set(report.violations)
 
     def test_wrong_length_rejected(self, demo):
         model = build_ti(demo, 8)
-        for length in (0, len(model.variables) - 1, len(model.variables) + 1):
+        for length in (0, model.num_vars - 1, model.num_vars + 1):
             with pytest.raises(ValidationError, match=f"{length} values for 24 variables"):
                 check_feasible(model, [0] * length)
 
@@ -504,7 +537,7 @@ class TestLpRoundTripSolve:
         shim = Path(__file__).parent / "lp_shim.py"
         subprocess.run([sys.executable, str(shim), str(lp), str(sol)], check=True)
         valuation = parse_solution(sol.read_text(encoding="utf-8"))
-        return [round(valuation.get(v.name, 0)) for v in model.variables]
+        return [round(valuation.get(name, 0)) for name in model.names()]
 
     def test_demo_af_lp_solves_to_67(self, demo, tmp_path):
         _, model = af_context(demo)
