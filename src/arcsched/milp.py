@@ -320,7 +320,8 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
     """Preemption-shaped model over unit parts finished at t = 1..T.
 
     The objective prices a unit part of job j finished at t at
-    (w_j / p_j) * (t + (p_j - 1) / 2), kept as exact fractions; linking
+    (w_j / p_j) * (t + (p_j - 1) / 2) = w_j (2t + p_j - 1) / (2 p_j), made
+    as one exact fraction each; linking
     constraints force all p_j parts onto the machine chosen by y_{j}_{k}.
     """
     if T < inst.p_max:
@@ -330,7 +331,7 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
     # x_{j}_{k}_{t} sits at ((j - 1) * m + k - 1) * T + t - 1, in job j's
     # block, and y_{j}_{k} at ys + (j - 1) * m + k - 1
     for job in inst.jobs:  # the T coefficients of a job repeat on each machine
-        coefs = [Fraction(job.w, job.p) * (Fraction(t) + Fraction(job.p - 1, 2)) for t in range(1, T + 1)]
+        coefs = [Fraction(job.w * (2 * t + job.p - 1), 2 * job.p) for t in range(1, T + 1)]
         names = lambda j=job.id: (f"x_{j}_{k}_{t}" for k in range(1, m + 1) for t in range(1, T + 1))
         model.blocks.append(VarBlock(CONTINUOUS, 0, None, coefs * m, names))
     ys = model.num_vars
