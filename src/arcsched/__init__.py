@@ -4,7 +4,7 @@ variable-reduction preprocessing, an iterated-local-search heuristic, and
 a brute-force oracle for desk-scale validation."""
 
 from .bounds import Horizon, TimeWindows, h_bounds, horizon, horizon_T, horizon_Tprime, time_windows, type_time_windows
-from .flowgraph import FlowGraph, build_eaf_graph, decompose_flow, to_dot
+from .flowgraph import FlowGraph, build_eaf_graph, decompose_flow, to_dot, write_dot
 from .heuristic import IlsConfig, IlsResult, ils
 from .instance import (
     Instance,

@@ -202,8 +202,12 @@ def cmd_model(args, report: RunReport) -> None:
     with report.phase("build"):
         model, graph = _build_model(inst, args.form, args)
     write = milp.write_lp if args.format == "lp" else milp.write_mps
-    with report.phase("emit"), open(args.out, "w", encoding="utf-8") as fh:
-        write(model, fh)
+    with report.phase("emit"):
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write(model, fh)
+        if args.dot:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                flowgraph.write_dot(graph, fh)
     report.summary = {
         "form": args.form,
         "variables": model.num_vars,
@@ -219,9 +223,8 @@ def cmd_model(args, report: RunReport) -> None:
                 "loss_arcs": losses,
             }
         )
-        if args.dot:
-            Path(args.dot).write_text(flowgraph.to_dot(graph), encoding="utf-8")
-            report.outputs.append(args.dot)
+    if args.dot:
+        report.outputs.append(args.dot)
     report.outputs.append(args.out)
 
 

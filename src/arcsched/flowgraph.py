@@ -22,9 +22,12 @@ emits one arc order, job arcs by label and tail, then loss arcs by tail
 
 from __future__ import annotations
 
+import io
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, islice, repeat
+from typing import TextIO
 
 from .instance import Instance, JobType
 
@@ -41,7 +44,7 @@ class FlowGraph:
 
     Arc i runs from ``tail[i]`` to ``head[i]``; ``label[i]`` is its type
     (1-based) or LOSS. Arc order: job arcs by label, then by ascending
-    tail; loss arcs last, by ascending tail. ``to_dot`` and
+    tail; loss arcs last, by ascending tail. ``write_dot`` and
     ``decompose_flow`` rely on this order. Label k is job type
     ``types[k - 1]``. ``capacity[k]`` bounds every arc of label k: m at
     LOSS, the multiplicity d_k of type k otherwise.
@@ -123,20 +126,36 @@ def reduction_pct(before: float, after: float) -> float:
     return 100.0 * (1.0 - after / before)
 
 
+# lines per write: a write stays a small part of any but the smallest file
+_LINES_PER_WRITE = 256
+
+
+def _write_lines(fh: TextIO, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to ``fh``, a batch of lines per
+    write; the DOT writer and the LP and MPS writers of ``milp`` share it."""
+    lines = iter(lines)
+    while batch := list(islice(lines, _LINES_PER_WRITE)):
+        batch.append("")
+        fh.write("\n".join(batch))
+
+
+def write_dot(g: FlowGraph, fh: TextIO) -> None:
+    """Write deterministic DOT text in arc order, job arcs labeled and loss
+    arcs dashed, to the open text file ``fh`` as it is made."""
+    # the attribute text of each label (LOSS is 0), so an arc line is one format call
+    attrs = [" [style=dashed];"]
+    for k, d in enumerate(g.capacity[1:], start=1):
+        attrs.append(f' [label="j{k}"];' if d == 1 else f' [label="j{k} (x{d})"];')
+    nodes = map("  {};".format, g.nodes)
+    arcs = map("  {} -> {}{}".format, g.tail, g.head, map(attrs.__getitem__, g.label))
+    _write_lines(fh, chain(("digraph flow {", "  rankdir=LR;"), nodes, arcs, ("}",)))
+
+
 def to_dot(g: FlowGraph) -> str:
-    """Deterministic DOT text in arc order; job arcs labeled, loss arcs dashed."""
-    lines = ["digraph flow {", "  rankdir=LR;"]
-    for t in g.nodes:
-        lines.append(f"  {t};")
-    for tail, head, k in zip(g.tail, g.head, g.label):
-        if k == LOSS:
-            lines.append(f"  {tail} -> {head} [style=dashed];")
-        else:
-            d = g.capacity[k]
-            text = f"j{k}" if d == 1 else f"j{k} (x{d})"
-            lines.append(f'  {tail} -> {head} [label="{text}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """The text ``write_dot`` writes."""
+    out = io.StringIO()
+    write_dot(g, out)
+    return out.getvalue()
 
 
 def decompose_flow(g: FlowGraph, flow: list[int]) -> list[list[int]]:

@@ -9,7 +9,9 @@ violation messages and the solution lookup. Rows and quadratic terms refer
 to variables by position, and a valuation is one value per position, so
 the schedule mapping, the exact check and the decode read no name. Models
 are streamed to a file as LP or MPS text and never solved in-process; an
-external solver can be driven through the CLI.
+external solver can be driven through the CLI. The MPS writer reads the
+rows through a column index (one 4-byte text id per nonzero, grouped by
+column) and keeps no per-column list of entries.
 
 Formulations
 ------------
@@ -33,15 +35,17 @@ time.
 from __future__ import annotations
 
 import io
+import re
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, chain, groupby, islice, repeat
 from operator import mul
 from typing import NamedTuple, TextIO
 
-from .flowgraph import LOSS, FlowGraph, decompose_flow
+from .flowgraph import LOSS, FlowGraph, _write_lines, decompose_flow
 from .instance import Instance, JobType, Schedule, ValidationError, completion_times, sort_machine_wspt
 
 Num = int | Fraction
@@ -426,21 +430,42 @@ def _fmt_num(x: Num) -> str:
     return format(float(x), ".15g")
 
 
+# parts joined per slice of ``_wrap``: a few lines' worth, never a whole row
+_WRAP_PARTS = 1024
+
+
+@cache
+def _line_pattern(room: int) -> re.Pattern:
+    """One line of parts joined by newlines, at most ``room`` characters:
+    the longest run of whole parts that fits, or one part alone that does
+    not; the newline after it is consumed."""
+    return re.compile(rf"(.{{1,{room}}}|[^\n]+)(?:\n|\Z)", re.S)
+
+
 def _wrap(parts: Iterable[str], indent: str = "   ", width: int = 72, end: str = "") -> Iterator[str]:
     """Greedy fill of ``parts``, one space apart, into lines of at most
     ``width`` columns; a part that would overflow opens a line at ``indent``.
-    ``end`` is appended to the last line."""
-    current = ""
-    for part in parts:
-        if not current:
-            current = part
-        elif len(current) + 1 + len(part) > width:
-            yield current
-            current = indent + part
-        else:
-            current += " " + part
-    if current:
-        yield current + end
+    ``end`` is appended to the last line.
+
+    Parts are joined by newlines a slice at a time, and the slice is cut
+    into lines by one pattern scan; the open last line is carried into the
+    next slice. No part holds a newline, as it would end the line.
+    """
+    parts = iter(parts)
+    carry = ""  # the open line, with its indent and its spaces
+    while chunk := list(islice(parts, _WRAP_PARTS)):
+        text = "\n".join(chunk) if not carry else carry + "\n" + "\n".join(chunk)
+        # the open line holds its indent already, so it is cut at the full width
+        first = _line_pattern(width).match(text)
+        if first.end() == len(text):
+            carry = text.replace("\n", " ")
+            continue
+        *lines, last = _line_pattern(width - len(indent)).findall(text, first.end())
+        yield first[1].replace("\n", " ")
+        yield from [indent + line.replace("\n", " ") for line in lines]
+        carry = indent + last.replace("\n", " ")
+    if carry:
+        yield carry + end
 
 
 def _signed(plus: list[str], cols: Iterable[int], coefs: Iterable[Num]) -> Iterator[str]:
@@ -518,18 +543,6 @@ def _lp_lines(model: MilpModel) -> Iterator[str]:
     yield "End"
 
 
-# lines per write: a write stays a small part of any but the smallest file
-_LINES_PER_WRITE = 256
-
-
-def _write_lines(fh: TextIO, lines: Iterable[str]) -> None:
-    """Write each of ``lines`` and a newline to ``fh``, a batch of lines per write."""
-    lines = iter(lines)
-    while batch := list(islice(lines, _LINES_PER_WRITE)):
-        batch.append("")
-        fh.write("\n".join(batch))
-
-
 def write_lp(model: MilpModel, fh: TextIO) -> None:
     """Write CPLEX-LP-style text, deterministic for a given model record,
     to the open text file ``fh`` as it is made: the whole text is never
@@ -549,16 +562,53 @@ def _field(x: Num) -> str:
     return f"{x:<14}" if type(x) is int else f"{_fmt_num(x):<14}"
 
 
-def _row_entries(c: Constraint) -> Iterable[tuple[int, int]]:
-    """(position, coefficient) per column of the row: repeated positions
-    summed in first-appearance order, zero sums dropped."""
-    pairs = zip(c.cols, repeat(1) if c.coefs is None else c.coefs)
-    if len(set(c.cols)) != len(c.cols):
-        acc: dict[int, int] = {}
-        for i, k in pairs:
-            acc[i] = acc.get(i, 0) + k
-        pairs = acc.items()
-    return pairs if c.coefs is None else [(i, k) for i, k in pairs if k]
+def _row_columns(c: Constraint) -> tuple[Sequence[int], Sequence[int] | None]:
+    """The row's entries as MPS writes them: its positions and coefficients
+    (None when all are 1), repeated positions summed in first-appearance
+    order and zero sums dropped. A row with no repeated position and no zero
+    coefficient is returned as it is stored."""
+    if (c.coefs is None or 0 not in c.coefs) and len(set(c.cols)) == len(c.cols):
+        return c.cols, c.coefs
+    acc: dict[int, int] = {}
+    for i, k in zip(c.cols, repeat(1) if c.coefs is None else c.coefs):
+        acc[i] = acc.get(i, 0) + k
+    entries = [(i, k) for i, k in acc.items() if k]
+    return [i for i, _ in entries], [k for _, k in entries]
+
+
+def _column_index(model: MilpModel, num_cols: int, w_row: int) -> tuple[array, array, list[str]]:
+    """The rows transposed to columns: column i's "row value" entries, in
+    row order, are ``texts[ids[e]]`` for e in ``range(starts[i], starts[i + 1])``.
+
+    ``texts`` holds one padded row name and value per distinct (row,
+    coefficient), so no entry text is made per nonzero.
+    """
+    rows = [_row_columns(c) for c in model.constraints]
+    fill = [0] * num_cols  # entries per column, then the next free slot of each
+    for cols, _ in rows:
+        for i in cols:
+            fill[i] += 1
+    starts = array("I", accumulate(fill, initial=0))
+    fill[:] = starts[:-1]
+    ids = array("I", [0]) * starts[-1]
+    texts: list[str] = []
+    for c, (cols, coefs) in zip(model.constraints, rows):
+        row = f"{c.name:<{w_row}}"
+        if coefs is None:  # one text for the whole row
+            tid = len(texts)
+            texts.append(row + _field(1))
+            for i in cols:
+                e = fill[i]
+                ids[e] = tid
+                fill[i] = e + 1
+            continue
+        tid_of = {k: tid for tid, k in enumerate(dict.fromkeys(coefs), start=len(texts))}
+        texts += [row + _field(k) for k in tid_of]
+        for i, tid in zip(cols, map(tid_of.__getitem__, coefs)):
+            e = fill[i]
+            ids[e] = tid
+            fill[i] = e + 1
+    return starts, ids, texts
 
 
 def _pairs(head: str, entries: list[str]) -> list[str]:
@@ -581,29 +631,16 @@ def _mps_bounds(b: VarBlock) -> list[tuple[str, str]]:
 def _mps_lines(model: MilpModel) -> Iterator[str]:
     """The lines of the MPS text.
 
-    Rows are turned into per-column lists of "row value" entries; each row
-    name is padded once and, within a row, each distinct coefficient
-    formatted once.
+    COLUMNS reads the rows through a column index (``_column_index``) and
+    formats each column's COST entry as it writes the column, so no
+    per-column list of entries is kept.
     """
     if model.quad_terms:
         raise UnsupportedFormatError("MPS cannot carry a quadratic objective; emit LP instead")
     blocks = _with_constant(model)
     w_name = max(10, max(map(len, chain.from_iterable(b.names() for b in blocks)), default=10) + 1)
     w_row = max(10, max((len(c.name) for c in model.constraints), default=10) + 1)
-
-    # per column, its "row value" entries in row order, COST first
-    cost = f"{'COST':<{w_row}}"
-    objs = chain.from_iterable(b.obj for b in blocks)
-    col_entries: list[list[str]] = [[cost + _field(obj)] if obj != 0 else [] for obj in objs]
-    for c in model.constraints:
-        row = f"{c.name:<{w_row}}"
-        texts: dict[int, str] = {}
-        for i, k in _row_entries(c):
-            try:
-                text = texts[k]
-            except KeyError:
-                text = texts[k] = row + _field(k)
-            col_entries[i].append(text)
+    starts, ids, texts = _column_index(model, sum(map(len, blocks)), w_row)
 
     yield f"NAME          {model.name}"
     yield "ROWS"
@@ -611,16 +648,32 @@ def _mps_lines(model: MilpModel) -> Iterator[str]:
     sense_tag = {"<=": "L", "=": "E", ">=": "G"}
     yield from (f" {sense_tag[c.sense]}  {c.name}" for c in model.constraints)
     yield "COLUMNS"
+    # a data line is head, a padded entry and an entry with its padding cut
+    ends = [t.rstrip() for t in texts]
+    head = f"    {{:<{w_name}}}".format
+    cost = f"{'COST':<{w_row}}{{:<14}}".format  # the COST entry of a number's text
+    no_cost = cost("0")
+    spans = zip(starts, islice(starts, 1, None))  # shared by the blocks, in position order
     marker = 0
-    columns = iter(col_entries)
     for integral, group in groupby(blocks, key=lambda b: b.kind in (BINARY, INTEGER)):
         if integral:
             yield f"    MARKER{marker:<{w_name - 6}}'MARKER'                 'INTORG'"
         for b in group:
+            # an array or range holds ints, which format as _fmt_num does
+            costs = map(cost, b.obj if isinstance(b.obj, (array, range)) else map(_fmt_num, b.obj))
             # names first: zip stops at the block's last name, before taking
-            # the next block's entries
-            for name, entries in zip(b.names(), columns):  # a column with no entry still gets a zero cost
-                yield from _pairs(f"    {name:<{w_name}}", entries or [cost + _field(0)])
+            # the next block's span
+            for h, c, (s, e) in zip(map(head, b.names()), costs, spans):
+                if s == e:  # a column in no row still gets its COST entry, zero or not
+                    yield (h + c).rstrip()
+                    continue
+                if c != no_cost:  # the COST entry pairs with the first row entry
+                    yield h + c + ends[ids[s]]
+                    s += 1
+                pairs = iter(ids[s:e])
+                yield from [h + texts[x] + ends[y] for x, y in zip(pairs, pairs)]
+                if (e - s) % 2:
+                    yield h + ends[ids[e - 1]]
         if integral:
             yield f"    MARKER{marker + 1:<{w_name - 6}}'MARKER'                 'INTEND'"
             marker += 2
@@ -631,12 +684,12 @@ def _mps_lines(model: MilpModel) -> Iterator[str]:
     bnd = f"{'BND':<{w_name - 1}}"
     for b in blocks:
         if b.kind == BINARY:
-            yield from (f" BV {bnd}{name}" for name in b.names())
-            continue
-        marks = [(f" {tag} {bnd}", value) for tag, value in _mps_bounds(b)]
-        for name in b.names():
-            for head, value in marks:
-                yield f"{head}{name:<{w_name}}{value}"
+            yield from map(f" BV {bnd}{{}}".format, b.names())
+        elif marks := _mps_bounds(b):
+            # one template per variable; an LO and an UP line are one "line"
+            # holding a newline, which writes the same bytes
+            template = "\n".join(f" {tag} {bnd}{{0:<{w_name}}}{value}" for tag, value in marks)
+            yield from map(template.format, b.names())
     yield "ENDATA"
 
 

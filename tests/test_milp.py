@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arcsched import milp
 from arcsched.bounds import horizon, time_windows, type_time_windows
-from arcsched.flowgraph import build_eaf_graph
+from arcsched.flowgraph import build_eaf_graph, to_dot, write_dot
 from arcsched.instance import (
     Schedule,
     ValidationError,
@@ -26,6 +28,7 @@ from arcsched.milp import (
     MappingError,
     MilpModel,
     UnsupportedFormatError,
+    _wrap,
     assignment_to_schedule,
     build_ciqp,
     build_eaf_model,
@@ -351,6 +354,70 @@ class TestWriters:
         with pytest.raises(UnsupportedFormatError):
             write_mps(build_ciqp(demo), log)
         assert log.writes == []
+
+    def test_dot_streams_in_small_writes(self):
+        g = straight_network(generate_instance(n=30, m=2, p_max=20, w_max=20, seed=1))
+        log = WriteLog()
+        write_dot(g, log)
+        text = "".join(log.writes)
+        assert text == to_dot(g)
+        assert max(map(len, log.writes)) < len(text) / 10
+
+    def test_mps_memory_per_nonzero(self):
+        # The MPS writer holds a column index of 4-byte ids plus a running
+        # offset per column: 20.5 B of traced peak per nonzero on this model
+        # (40,039 nonzeros). The bound is that figure with a 1.5x margin; one
+        # list of entry strings per column, as the writer once kept, measured
+        # 69.6 B.
+        model = af_context(generate_instance(n=60, m=2, p_max=20, w_max=20, seed=1))[1]
+        tracemalloc.start()
+        try:
+            write_mps(model, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / model.nonzeros() < 31
+
+
+class Discard:
+    """A text file that keeps nothing."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+class TestWrap:
+    """``_wrap`` against the greedy fill it replaced, one part at a time."""
+
+    @staticmethod
+    def greedy(parts, indent, width, end):
+        current = ""
+        for part in parts:
+            if not current:
+                current = part
+            elif len(current) + 1 + len(part) > width:
+                yield current
+                current = indent + part
+            else:
+                current += " " + part
+        if current:
+            yield current + end
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.lists(st.text(alphabet="ab +-*/[]_09", min_size=1, max_size=30), max_size=60),
+        indent=st.sampled_from(["  ", "   "]),
+        width=st.integers(8, 72),
+        end=st.sampled_from(["", " <= 3"]),
+        slice_parts=st.integers(1, 5),
+    )
+    def test_matches_greedy_fill(self, parts, indent, width, end, slice_parts):
+        # small slices put line ends, long parts and carried lines across slice edges
+        default, milp._WRAP_PARTS = milp._WRAP_PARTS, slice_parts
+        try:
+            assert list(_wrap(parts, indent, width, end)) == list(self.greedy(parts, indent, width, end))
+        finally:
+            milp._WRAP_PARTS = default
 
 
 class TestScheduleToAssignment:
