@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import io
 from array import array
-from collections.abc import Iterable
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
+from operator import add
 from typing import TextIO
 
 from .instance import Instance, JobType
@@ -95,20 +97,19 @@ def build_eaf_graph(
     tail, head, label = array("I"), array("I"), array("I")
     for tidx, (jt, (a, b)) in enumerate(zip(types, type_windows), start=1):
         p = jt.p
+        last = min(b, T - p)  # the last start in the window that completes by T
+        # every mark below lands after its start, so the window is read as it
+        # stood before this type: a batch opens at each reachable time in it
+        opens = list(compress(range(a, last + 1), reachable[a : last + 1]))
         starts: set[int] = set()
-        for t in range(min(b, T - p), a - 1, -1):
-            if not reachable[t]:
-                continue
-            for q in range(1, jt.d + 1):
-                s = t + (q - 1) * p
-                if s > b or s + p > T:
-                    break
-                reachable[s + p] = True
-                starts.add(s)
-        for s in sorted(starts):
-            tail.append(s)
-            head.append(s + p)
-            label.append(tidx)
+        for shift in range(0, jt.d * p, p):  # copy q of a batch starts (q - 1) p later
+            starts.update(map(add, opens[: bisect_right(opens, last - shift)], repeat(shift)))
+        ordered = sorted(starts)
+        for s in ordered:
+            reachable[s + p] = True
+        tail.extend(ordered)
+        head.extend(map(add, ordered, repeat(p)))
+        label.extend(repeat(tidx, len(ordered)))
     loss_from = [] if strict_figure else [0]
     loss_from += [t for t in range(max(t_prime, 1), T) if reachable[t]]
     tail.extend(loss_from)
@@ -126,15 +127,38 @@ def reduction_pct(before: float, after: float) -> float:
     return 100.0 * (1.0 - after / before)
 
 
-# lines per write: a write stays a small part of any but the smallest file
-_LINES_PER_WRITE = 256
+# characters per write: a write stays a small part of any but the smallest
+# file; a run longer than this is written alone
+_FLUSH_CHARS = 4096
+# lines per run of ``_runs``
+_RUN_LINES = 128
 
 
-def _write_lines(fh: TextIO, lines: Iterable[str]) -> None:
-    """Write each of ``lines`` and a newline to ``fh``, a batch of lines per
-    write; the DOT writer and the LP and MPS writers of ``milp`` share it."""
+def _runs(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` as runs of up to ``_RUN_LINES`` lines, each joined by newlines."""
     lines = iter(lines)
-    while batch := list(islice(lines, _LINES_PER_WRITE)):
+    while run := list(islice(lines, _RUN_LINES)):
+        yield "\n".join(run)
+
+
+def _write_runs(fh: TextIO, runs: Iterable[str]) -> None:
+    """Write each of ``runs`` and a newline to ``fh``; the DOT writer and the
+    LP and MPS writers of ``milp`` share it.
+
+    A run is one or more lines joined by newlines. It is never empty: an
+    empty run would write a blank line. Runs are gathered and written
+    together while they hold at most ``_FLUSH_CHARS`` characters.
+    """
+    batch: list[str] = []
+    size = 0
+    for run in runs:
+        if size + len(run) > _FLUSH_CHARS and batch:
+            batch.append("")
+            fh.write("\n".join(batch))
+            batch, size = [], 0
+        batch.append(run)
+        size += len(run) + 1
+    if batch:
         batch.append("")
         fh.write("\n".join(batch))
 
@@ -148,7 +172,7 @@ def write_dot(g: FlowGraph, fh: TextIO) -> None:
         attrs.append(f' [label="j{k}"];' if d == 1 else f' [label="j{k} (x{d})"];')
     nodes = map("  {};".format, g.nodes)
     arcs = map("  {} -> {}{}".format, g.tail, g.head, map(attrs.__getitem__, g.label))
-    _write_lines(fh, chain(("digraph flow {", "  rankdir=LR;"), nodes, arcs, ("}",)))
+    _write_runs(fh, _runs(chain(("digraph flow {", "  rankdir=LR;"), nodes, arcs, ("}",))))
 
 
 def to_dot(g: FlowGraph) -> str:

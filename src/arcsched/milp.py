@@ -9,9 +9,11 @@ violation messages and the solution lookup. Rows and quadratic terms refer
 to variables by position, and a valuation is one value per position, so
 the schedule mapping, the exact check and the decode read no name. Models
 are streamed to a file as LP or MPS text and never solved in-process; an
-external solver can be driven through the CLI. The MPS writer reads the
-rows through a column index (one 4-byte text id per nonzero, grouped by
-column) and keeps no per-column list of entries.
+external solver can be driven through the CLI. The writers make the text
+as runs of lines (``flowgraph._write_runs``), each built by map, join and
+str.replace calls over a whole run, not line by line. The MPS writer reads
+the rows through a column index (one 4-byte text id per nonzero, grouped
+by column) and keeps no per-column list of entries.
 
 Formulations
 ------------
@@ -41,11 +43,11 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, groupby, islice, repeat
-from operator import mul
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import add, attrgetter, itemgetter, lt, mul, not_, or_, sub, truth
 from typing import NamedTuple, TextIO
 
-from .flowgraph import LOSS, FlowGraph, _write_lines, decompose_flow
+from .flowgraph import _RUN_LINES, LOSS, FlowGraph, _runs, _write_runs, decompose_flow
 from .instance import Instance, JobType, Schedule, ValidationError, completion_times, sort_machine_wspt
 
 Num = int | Fraction
@@ -368,25 +370,31 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
     """
     types, m = g.types, g.capacity[LOSS]
     model = MilpModel(name=f"eaf_t{len(types)}_m{m}")
+    demand_cols = [array("I") for _ in types]
+    # names are joined from "_t", the text of each time point t, made once
+    stems = [f"_{t}" for t in range(g.T + 1)]
     start = 0
     for k, run in groupby(g.label):
-        end = start + sum(1 for _ in run)
+        end = start + len(list(run))
         if k == LOSS:
-            names = lambda s=start, e=end: (f"L_{t}" for t in g.tail[s:e])
-            obj = [0] * (end - start)
+            names = lambda s=start, e=end: map("L".__add__, map(stems.__getitem__, g.tail[s:e]))
+            obj = array("q", [0]) * (end - start)
         else:
-            names = lambda s=start, e=end, k=k: (f"x_{t}_{h}_{k}" for t, h in zip(g.tail[s:e], g.head[s:e]))
-            w = types[k - 1].w
-            obj = array("q", [w * t for t in g.tail[start:end]])
+            names = lambda s=start, e=end, k=k: map(
+                add,
+                map("x".__add__, map(stems.__getitem__, g.tail[s:e])),
+                map(add, map(stems.__getitem__, g.head[s:e]), repeat(f"_{k}")),
+            )
+            obj = array("q", map(mul, g.tail[start:end], repeat(types[k - 1].w)))
+            demand_cols[k - 1].extend(range(start, end))
         model.blocks.append(VarBlock(INTEGER, 0, g.capacity[k], obj, names))
         start = end
-    row_of = {q: r for r, q in enumerate(g.nodes)}
+    row_of = [0] * (g.T + 1)  # the row of each node, by its time
+    for r, q in enumerate(g.nodes):
+        row_of[q] = r
     flow_cols = [array("I") for _ in g.nodes]
     flow_coefs = [array("q") for _ in g.nodes]
-    demand_cols = [array("I") for _ in types]
-    for i, (tail, head, k) in enumerate(zip(g.tail, g.head, g.label)):
-        if k != LOSS:
-            demand_cols[k - 1].append(i)
+    for i, (tail, head) in enumerate(zip(g.tail, g.head)):
         out, into = row_of[tail], row_of[head]
         flow_cols[out].append(i)
         flow_coefs[out].append(1)
@@ -447,9 +455,10 @@ def _wrap(parts: Iterable[str], indent: str = "   ", width: int = 72, end: str =
     ``width`` columns; a part that would overflow opens a line at ``indent``.
     ``end`` is appended to the last line.
 
-    Parts are joined by newlines a slice at a time, and the slice is cut
-    into lines by one pattern scan; the open last line is carried into the
-    next slice. No part holds a newline, as it would end the line.
+    Yields runs of lines (see ``flowgraph._write_runs``). Parts are joined
+    by newlines a slice at a time, and the slice is cut into lines by one
+    pattern scan; its finished lines are one run, and the open last line is
+    carried into the next slice. No part holds a newline or a NUL.
     """
     parts = iter(parts)
     carry = ""  # the open line, with its indent and its spaces
@@ -461,22 +470,44 @@ def _wrap(parts: Iterable[str], indent: str = "   ", width: int = 72, end: str =
             carry = text.replace("\n", " ")
             continue
         *lines, last = _line_pattern(width - len(indent)).findall(text, first.end())
-        yield first[1].replace("\n", " ")
-        yield from [indent + line.replace("\n", " ") for line in lines]
+        # NUL marks the line breaks while the newlines between parts become spaces
+        yield ("\0" + indent).join([first[1], *lines]).replace("\n", " ").replace("\0", "\n")
         carry = indent + last.replace("\n", " ")
     if carry:
         yield carry + end
 
 
-def _signed(plus: list[str], cols: Iterable[int], coefs: Iterable[Num]) -> Iterator[str]:
-    """LP text of each nonzero entry ``coefs[k]`` on position ``cols[k]``,
-    with its sign; ``plus[i]`` is "+ name" of variable i."""
-    return (
-        plus[i] if coef == 1 else "-" + plus[i][1:] if coef == -1 else
-        f"+ {_fmt_num(coef)} {plus[i][2:]}" if coef > 0 else f"- {_fmt_num(-coef)} {plus[i][2:]}"
-        for i, coef in zip(cols, coefs)
-        if coef
-    )
+# the sign of a "+ name" part; a coefficient of 1 replaces it by this same
+# object, which leaves the part as it is, with no copy
+_PLUS = "+ "
+_name = itemgetter(slice(2, None))  # the name of a "+ name" part
+
+
+def _sign(k: Num) -> str:
+    """The LP text before a variable's name for the coefficient ``k``; "" for 0."""
+    if not k:
+        return ""
+    if k == 1:
+        return _PLUS
+    if k == -1:
+        return "- "
+    return f"+ {_fmt_num(k)} " if k > 0 else f"- {_fmt_num(-k)} "
+
+
+def _signed(coefs: Sequence[Num], plus: Iterable[str]) -> Iterator[str]:
+    """LP text of each nonzero ``coefs[k]`` on the k-th of ``plus``, the
+    variables' "+ name" parts."""
+    if not isinstance(coefs, (array, range)):  # a list or tuple may hold Fractions
+        signs = list(map(_sign, coefs))
+        return map(str.replace, compress(plus, signs), repeat(_PLUS), filter(None, signs), repeat(1))
+    if 0 in coefs:
+        plus, coefs = compress(plus, coefs), array("q", filter(None, coefs))
+    if min(coefs, default=2) >= 2:  # as the flow and ti objectives are
+        # an f-string per term: str.format parses its template on every call,
+        # and a map over it measured slower than this
+        return (f"+ {k} {p[2:]}" for k, p in zip(coefs, plus))
+    sign = {k: _sign(k) for k in set(coefs)}  # a row holds few distinct coefficients
+    return map(str.replace, plus, repeat(_PLUS), map(sign.__getitem__, coefs), repeat(1))
 
 
 def _sum_lines(lead: str, parts: Iterable[str], end: str = "") -> Iterator[str]:
@@ -490,10 +521,13 @@ def _sum_lines(lead: str, parts: Iterable[str], end: str = "") -> Iterator[str]:
 
 
 def _with_constant(model: MilpModel) -> list[VarBlock]:
-    """The model's blocks, with ONE appended when there is a constant."""
-    if model.obj_constant == 0:
-        return model.blocks
-    return [*model.blocks, _single(_ONE, 1, 1, CONTINUOUS, model.obj_constant)]
+    """The model's blocks that hold a variable, with ONE appended when there
+    is a constant. An empty block would open a section, or a pair of
+    integrality markers, with no line in it."""
+    blocks = [b for b in model.blocks if len(b)]
+    if model.obj_constant != 0:
+        blocks.append(_single(_ONE, 1, 1, CONTINUOUS, model.obj_constant))
+    return blocks
 
 
 def _lp_bound(b: VarBlock) -> tuple[str, str] | None:
@@ -508,14 +542,15 @@ def _lp_bound(b: VarBlock) -> tuple[str, str] | None:
     return f" {_fmt_num(b.lb)} <= ", f" <= {_fmt_num(b.ub)}"
 
 
-def _lp_lines(model: MilpModel) -> Iterator[str]:
-    """The lines of the LP text. Each variable's "+ name" is built once; a
-    row is the run of them, wrapped at 72 columns."""
+def _lp_runs(model: MilpModel) -> Iterator[str]:
+    """The LP text as runs of lines. Each variable's "+ name" is built once;
+    a row is the run of them, signed and wrapped at 72 columns."""
     blocks = _with_constant(model)
-    plus = ["+ " + name for b in blocks for name in b.names()]
-    yield f"\\ {model.name}"
-    yield "Minimize"
-    yield from _sum_lines(" obj: ", _signed(plus, range(len(plus)), chain.from_iterable(b.obj for b in blocks)))
+    plus = list(map(_PLUS.__add__, chain.from_iterable(b.names() for b in blocks)))
+    edges = list(accumulate(map(len, blocks), initial=0))
+    spans = list(zip(blocks, edges, edges[1:]))  # the "+ name" parts of a block are plus[s:e]
+    yield f"\\ {model.name}\nMinimize"
+    yield from _sum_lines(" obj: ", chain.from_iterable(_signed(b.obj, plus[s:e]) for b, s, e in spans))
     if model.quad_terms:
         quad = (
             f"{'+' if 2 * coef > 0 else '-'} {_fmt_num(abs(2 * coef))} {plus[a][2:]} * {plus[b][2:]}"
@@ -525,21 +560,22 @@ def _lp_lines(model: MilpModel) -> Iterator[str]:
         yield from _wrap(chain(("   + [", first[2:] if first[0] == "+" else first), quad, ("] / 2",)))
     yield "Subject To"
     for c in model.constraints:
-        parts = map(plus.__getitem__, c.cols) if c.coefs is None else _signed(plus, c.cols, c.coefs)
+        row = map(plus.__getitem__, c.cols)
+        parts = row if c.coefs is None else _signed(c.coefs, row)
         yield from _sum_lines(f" {c.name}: ", parts, f" {c.sense} {_fmt_num(c.rhs)}")
     # the later sections cut each name from its "+ name"
-    spans = [plus[start : start + len(b)] for b, start in zip(blocks, accumulate(map(len, blocks), initial=0))]
-    bounded = [(span, rule) for b, span in zip(blocks, spans) if (rule := _lp_bound(b))]
+    bounded = [(rule, s, e) for b, s, e in spans if (rule := _lp_bound(b))]
     if bounded:
         yield "Bounds"
-        for span, (before, after) in bounded:
-            yield from (before + p[2:] + after for p in span)
+        for (before, after), s, e in bounded:
+            for k in range(s, e, _RUN_LINES):
+                yield before + (after + "\n" + before).join(map(_name, plus[k : min(e, k + _RUN_LINES)])) + after
     for title, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
-        listed = chain.from_iterable(span for b, span in zip(blocks, spans) if b.kind == kind)
+        listed = map(_name, chain.from_iterable(plus[s:e] for b, s, e in spans if b.kind == kind))
         first = next(listed, None)
         if first is not None:
             yield title
-            yield from _wrap(chain((" " + first[2:],), (p[2:] for p in listed)), indent="  ")
+            yield from _wrap(chain((" " + first,), listed), indent="  ")
     yield "End"
 
 
@@ -547,7 +583,7 @@ def write_lp(model: MilpModel, fh: TextIO) -> None:
     """Write CPLEX-LP-style text, deterministic for a given model record,
     to the open text file ``fh`` as it is made: the whole text is never
     held in memory."""
-    _write_lines(fh, _lp_lines(model))
+    _write_runs(fh, _lp_runs(model))
 
 
 def emit_lp(model: MilpModel) -> str:
@@ -567,10 +603,13 @@ def _row_columns(c: Constraint) -> tuple[Sequence[int], Sequence[int] | None]:
     (None when all are 1), repeated positions summed in first-appearance
     order and zero sums dropped. A row with no repeated position and no zero
     coefficient is returned as it is stored."""
-    if (c.coefs is None or 0 not in c.coefs) and len(set(c.cols)) == len(c.cols):
-        return c.cols, c.coefs
+    cols = c.cols
+    if (c.coefs is None or 0 not in c.coefs) and (
+        all(map(lt, cols, islice(cols, 1, None))) or len(set(cols)) == len(cols)  # builders make rising rows
+    ):
+        return cols, c.coefs
     acc: dict[int, int] = {}
-    for i, k in zip(c.cols, repeat(1) if c.coefs is None else c.coefs):
+    for i, k in zip(cols, repeat(1) if c.coefs is None else c.coefs):
         acc[i] = acc.get(i, 0) + k
     entries = [(i, k) for i, k in acc.items() if k]
     return [i for i, _ in entries], [k for _, k in entries]
@@ -584,12 +623,13 @@ def _column_index(model: MilpModel, num_cols: int, w_row: int) -> tuple[array, a
     coefficient), so no entry text is made per nonzero.
     """
     rows = [_row_columns(c) for c in model.constraints]
-    fill = [0] * num_cols  # entries per column, then the next free slot of each
+    counts = [0] * num_cols  # small ints, which the interpreter shares
     for cols, _ in rows:
         for i in cols:
-            fill[i] += 1
-    starts = array("I", accumulate(fill, initial=0))
-    fill[:] = starts[:-1]
+            counts[i] += 1
+    starts = array("I", accumulate(counts, initial=0))
+    del counts
+    fill = starts[:-1]  # the next free slot of each column
     ids = array("I", [0]) * starts[-1]
     texts: list[str] = []
     for c, (cols, coefs) in zip(model.constraints, rows):
@@ -611,13 +651,67 @@ def _column_index(model: MilpModel, num_cols: int, w_row: int) -> tuple[array, a
     return starts, ids, texts
 
 
-def _pairs(head: str, entries: list[str]) -> list[str]:
-    """MPS data lines: ``head`` then two entries each, trailing padding cut.
-    An odd ``entries`` list is padded in place with an empty entry."""
-    if len(entries) % 2:
-        entries.append("")
-    pairs = iter(entries)
-    return [(head + a + b).rstrip() for a, b in zip(pairs, pairs)]
+# columns per COLUMNS run: a run makes one iterable per entry of a column,
+# so a run of fewer columns than this costs more per column where columns
+# have many entries (ti: 52 entries each, 4 columns in 128 lines doubled the
+# time of its MPS text)
+_RUN_COLUMNS = 64
+
+
+def _column_runs(
+    blocks: list[VarBlock], index: tuple[array, array, list[str]], w_name: int, w_row: int
+) -> Iterator[str]:
+    """The COLUMNS lines of the variables of ``blocks``, integrality markers
+    included, as runs of up to ``_RUN_COLUMNS`` columns.
+
+    A column's entries are its COST entry, when its cost is not zero or it
+    is in no row, then its row entries; a line is the column's name and two
+    entries, padding cut, and an odd column's last line holds one entry.
+    Consecutive columns with as many row entries and the same COST rule
+    have one layout, so a run of them is one join over the texts of their
+    fields, the row entries read from strided slices of the index.
+    """
+    starts, ids, texts = index
+    ends = [t.rstrip() for t in texts]
+    names = chain.from_iterable(b.names() for b in blocks)
+    # an array or range holds ints, whose str is their _fmt_num text
+    values = chain.from_iterable(
+        map(str if isinstance(b.obj, (array, range)) else _fmt_num, b.obj) for b in blocks
+    )
+    integral = chain.from_iterable(repeat(b.kind in (BINARY, INTEGER), len(b)) for b in blocks)
+    counts = list(map(sub, starts[1:], starts[:-1]))
+    with_cost = map(or_, chain.from_iterable(map(truth, b.obj) for b in blocks), map(not_, counts))
+    cost = f"{'COST':<{w_row}}"
+    c = marker = 0
+    inside = False  # between an INTORG and its INTEND marker
+    for (integer, priced, count), same in groupby(zip(integral, with_cost, counts)):
+        if integer != inside:
+            yield f"    MARKER{marker:<{w_name - 6}}'MARKER'                 '{'INTORG' if integer else 'INTEND'}'"
+            marker += 1
+            inside = integer
+        size = priced + count
+        # an entry ends its line on an odd place in the column or as its last
+        last = [k % 2 == 1 or k == size - 1 for k in range(size)]
+        left = len(list(same))
+        while left:
+            n = min(left, _RUN_COLUMNS)
+            heads = list(map(str.ljust, islice(names, n), repeat(w_name)))
+            fields = []  # the texts of each entry of the n columns, as iterables to join
+            if priced:
+                value = islice(values, n)
+                fields.append([repeat(cost), value if last[0] else map(str.ljust, value, repeat(14))])
+            else:
+                next(islice(values, n, n), None)
+            first = starts[c]
+            for r in range(count):
+                table = ends if last[priced + r] else texts
+                fields.append([map(table.__getitem__, ids[first + r : first + n * count : count])])
+            lines = [[repeat("\n    "), heads, *chain.from_iterable(fields[k : k + 2])] for k in range(0, size, 2)]
+            yield "".join(chain.from_iterable(zip(*chain.from_iterable(lines))))[1:]
+            c += n
+            left -= n
+    if inside:
+        yield f"    MARKER{marker:<{w_name - 6}}'MARKER'                 'INTEND'"
 
 
 def _mps_bounds(b: VarBlock) -> list[tuple[str, str]]:
@@ -628,8 +722,24 @@ def _mps_bounds(b: VarBlock) -> list[tuple[str, str]]:
     return lower + ([("UP", _fmt_num(b.ub))] if b.ub is not None else [])
 
 
-def _mps_lines(model: MilpModel) -> Iterator[str]:
-    """The lines of the MPS text.
+def _bound_runs(blocks: list[VarBlock], w_name: int) -> Iterator[str]:
+    """The BOUNDS lines of the variables of ``blocks``, a run per
+    ``_RUN_LINES`` variables of a block, each run one join."""
+    bnd = f"{'BND':<{w_name - 1}}"
+    for b in blocks:
+        names = iter(b.names())
+        if b.kind == BINARY:
+            head = f" BV {bnd}"
+            while chunk := list(islice(names, _RUN_LINES)):
+                yield head + ("\n" + head).join(chunk)
+        elif marks := _mps_bounds(b):
+            while chunk := list(map(str.ljust, islice(names, _RUN_LINES), repeat(w_name))):
+                fields = chain.from_iterable((repeat(f"\n {tag} {bnd}"), chunk, repeat(value)) for tag, value in marks)
+                yield "".join(chain.from_iterable(zip(*fields)))[1:]
+
+
+def _mps_runs(model: MilpModel) -> Iterator[str]:
+    """The MPS text as runs of lines.
 
     COLUMNS reads the rows through a column index (``_column_index``) and
     formats each column's COST entry as it writes the column, so no
@@ -640,56 +750,24 @@ def _mps_lines(model: MilpModel) -> Iterator[str]:
     blocks = _with_constant(model)
     w_name = max(10, max(map(len, chain.from_iterable(b.names() for b in blocks)), default=10) + 1)
     w_row = max(10, max((len(c.name) for c in model.constraints), default=10) + 1)
-    starts, ids, texts = _column_index(model, sum(map(len, blocks)), w_row)
+    index = _column_index(model, sum(map(len, blocks)), w_row)
 
-    yield f"NAME          {model.name}"
-    yield "ROWS"
-    yield " N  COST"
+    rows = model.constraints
     sense_tag = {"<=": "L", "=": "E", ">=": "G"}
-    yield from (f" {sense_tag[c.sense]}  {c.name}" for c in model.constraints)
+    yield f"NAME          {model.name}\nROWS\n N  COST"
+    yield from _runs(
+        map(" {}  {}".format, map(sense_tag.__getitem__, map(attrgetter("sense"), rows)), map(attrgetter("name"), rows))
+    )
     yield "COLUMNS"
-    # a data line is head, a padded entry and an entry with its padding cut
-    ends = [t.rstrip() for t in texts]
-    head = f"    {{:<{w_name}}}".format
-    cost = f"{'COST':<{w_row}}{{:<14}}".format  # the COST entry of a number's text
-    no_cost = cost("0")
-    spans = zip(starts, islice(starts, 1, None))  # shared by the blocks, in position order
-    marker = 0
-    for integral, group in groupby(blocks, key=lambda b: b.kind in (BINARY, INTEGER)):
-        if integral:
-            yield f"    MARKER{marker:<{w_name - 6}}'MARKER'                 'INTORG'"
-        for b in group:
-            # an array or range holds ints, which format as _fmt_num does
-            costs = map(cost, b.obj if isinstance(b.obj, (array, range)) else map(_fmt_num, b.obj))
-            # names first: zip stops at the block's last name, before taking
-            # the next block's span
-            for h, c, (s, e) in zip(map(head, b.names()), costs, spans):
-                if s == e:  # a column in no row still gets its COST entry, zero or not
-                    yield (h + c).rstrip()
-                    continue
-                if c != no_cost:  # the COST entry pairs with the first row entry
-                    yield h + c + ends[ids[s]]
-                    s += 1
-                pairs = iter(ids[s:e])
-                yield from [h + texts[x] + ends[y] for x, y in zip(pairs, pairs)]
-                if (e - s) % 2:
-                    yield h + ends[ids[e - 1]]
-        if integral:
-            yield f"    MARKER{marker + 1:<{w_name - 6}}'MARKER'                 'INTEND'"
-            marker += 2
+    yield from _column_runs(blocks, index, w_name, w_row)
     yield "RHS"
-    rhs_entries = [f"{c.name:<{w_row}}" + _field(c.rhs) for c in model.constraints if c.rhs != 0]
-    yield from _pairs(f"    {'RHS':<{w_name}}", rhs_entries)
+    rhs = list(map(attrgetter("rhs"), rows))
+    named = map(f"{{:<{w_row}}}".format, compress(map(attrgetter("name"), rows), rhs))
+    # an empty entry pairs with the last one when their number is odd
+    entries = chain(map(add, named, map(_field, filter(None, rhs))), ("",))
+    yield from _runs(map(str.rstrip, map(f"    {'RHS':<{w_name}}{{}}{{}}".format, entries, entries)))
     yield "BOUNDS"
-    bnd = f"{'BND':<{w_name - 1}}"
-    for b in blocks:
-        if b.kind == BINARY:
-            yield from map(f" BV {bnd}{{}}".format, b.names())
-        elif marks := _mps_bounds(b):
-            # one template per variable; an LO and an UP line are one "line"
-            # holding a newline, which writes the same bytes
-            template = "\n".join(f" {tag} {bnd}{{0:<{w_name}}}{value}" for tag, value in marks)
-            yield from map(template.format, b.names())
+    yield from _bound_runs(blocks, w_name)
     yield "ENDATA"
 
 
@@ -701,7 +779,7 @@ def write_mps(model: MilpModel, fh: TextIO) -> None:
         UnsupportedFormatError: for models with quadratic objectives,
             before anything is written.
     """
-    _write_lines(fh, _mps_lines(model))
+    _write_runs(fh, _mps_runs(model))
 
 
 def emit_mps(model: MilpModel) -> str:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arcsched import milp
+from arcsched import flowgraph, milp
 from arcsched.bounds import horizon, time_windows, type_time_windows
 from arcsched.flowgraph import build_eaf_graph, to_dot, write_dot
 from arcsched.instance import (
@@ -28,6 +28,7 @@ from arcsched.milp import (
     MappingError,
     MilpModel,
     UnsupportedFormatError,
+    VarBlock,
     _wrap,
     assignment_to_schedule,
     build_ciqp,
@@ -378,6 +379,26 @@ class TestWriters:
             tracemalloc.stop()
         assert peak / model.nonzeros() < 31
 
+    @pytest.mark.parametrize(
+        "runs, write, emit", [(milp._lp_runs, write_lp, emit_lp), (milp._mps_runs, write_mps, emit_mps)]
+    )
+    def test_large_block_writes_bounded_runs(self, runs, write, emit):
+        # One block of 12,000 variables: a join per block, or a batch of a
+        # fixed number of runs, would make a run or a write grow with it.
+        size = 12_000
+        names = lambda: (f"x_{i}_{2 * i + 7}_3" for i in range(size))
+        model = MilpModel(name="big", blocks=[VarBlock(INTEGER, 0, 9, array("q", range(0, 3 * size, 3)), names)])
+        model.add_constraint("all", range(size), "<=", 40)
+        model.add_constraint("alternate", range(size), "=", 0, coefs=[(-1) ** i for i in range(size)])
+        for r in range(0, size, 100):
+            model.add_constraint(f"part_{r}", range(r, r + 100), ">=", 1)
+        sizes = list(map(len, runs(model.validate())))
+        assert 0 < min(sizes) and max(sizes) <= 32_768
+        log = WriteLog()
+        write(model, log)
+        assert max(map(len, log.writes)) <= flowgraph._FLUSH_CHARS + max(sizes) + 1
+        assert "".join(log.writes) == emit(model)
+
 
 class Discard:
     """A text file that keeps nothing."""
@@ -387,7 +408,11 @@ class Discard:
 
 
 class TestWrap:
-    """``_wrap`` against the greedy fill it replaced, one part at a time."""
+    """``_wrap`` against the greedy fill it replaced, one part at a time.
+
+    ``_wrap`` yields runs of lines joined by newlines; joined and split
+    again they must be the greedy lines, and no run may be empty.
+    """
 
     @staticmethod
     def greedy(parts, indent, width, end):
@@ -415,7 +440,10 @@ class TestWrap:
         # small slices put line ends, long parts and carried lines across slice edges
         default, milp._WRAP_PARTS = milp._WRAP_PARTS, slice_parts
         try:
-            assert list(_wrap(parts, indent, width, end)) == list(self.greedy(parts, indent, width, end))
+            runs = list(_wrap(parts, indent, width, end))
+            assert "" not in runs
+            lines = "\n".join(runs).split("\n") if runs else []
+            assert lines == list(self.greedy(parts, indent, width, end))
         finally:
             milp._WRAP_PARTS = default
 
