@@ -127,40 +127,26 @@ def reduction_pct(before: float, after: float) -> float:
     return 100.0 * (1.0 - after / before)
 
 
-# characters per write: a write stays a small part of any but the smallest
-# file; a run longer than this is written alone
-_FLUSH_CHARS = 4096
 # lines per run of ``_runs``
 _RUN_LINES = 128
 
 
-def _runs(lines: Iterable[str]) -> Iterator[str]:
-    """``lines`` as runs of up to ``_RUN_LINES`` lines, each joined by newlines."""
+def _runs(lines: Iterable[str], before: str = "", after: str = "") -> Iterator[str]:
+    """``lines`` as runs of up to ``_RUN_LINES`` lines joined by newlines,
+    each line put between ``before`` and ``after``."""
     lines = iter(lines)
+    glue = after + "\n" + before
     while run := list(islice(lines, _RUN_LINES)):
-        yield "\n".join(run)
+        yield before + glue.join(run) + after
 
 
 def _write_runs(fh: TextIO, runs: Iterable[str]) -> None:
-    """Write each of ``runs`` and a newline to ``fh``; the DOT writer and the
-    LP and MPS writers of ``milp`` share it.
-
-    A run is one or more lines joined by newlines. It is never empty: an
-    empty run would write a blank line. Runs are gathered and written
-    together while they hold at most ``_FLUSH_CHARS`` characters.
-    """
-    batch: list[str] = []
-    size = 0
+    """Write each of ``runs`` and a newline to ``fh``, one write per run; the
+    DOT writer and the LP and MPS writers of ``milp`` share it. A run is one
+    or more lines joined by newlines, never empty (that would write a blank
+    line), and bounded by its writer, so a write stays small."""
     for run in runs:
-        if size + len(run) > _FLUSH_CHARS and batch:
-            batch.append("")
-            fh.write("\n".join(batch))
-            batch, size = [], 0
-        batch.append(run)
-        size += len(run) + 1
-    if batch:
-        batch.append("")
-        fh.write("\n".join(batch))
+        fh.write(run + "\n")
 
 
 def write_dot(g: FlowGraph, fh: TextIO) -> None:

@@ -7,13 +7,14 @@ one pair of bounds, an objective coefficient per variable and one name
 rule, so no name is stored; names are made only by the writers, the
 violation messages and the solution lookup. Rows and quadratic terms refer
 to variables by position, and a valuation is one value per position, so
-the schedule mapping, the exact check and the decode read no name. Models
-are streamed to a file as LP or MPS text and never solved in-process; an
-external solver can be driven through the CLI. The writers make the text
-as runs of lines (``flowgraph._write_runs``), each built by map, join and
-str.replace calls over a whole run, not line by line. The MPS writer reads
-the rows through a column index (one 4-byte text id per nonzero, grouped
-by column) and keeps no per-column list of entries.
+the schedule mapping, the exact check and the decode read no name. Rows
+hold strictly rising positions and nonzero coefficients (``validate``).
+Models are streamed to a file as LP or MPS text and never solved
+in-process; an external solver can be driven through the CLI. The writers
+make the text as runs of lines (``flowgraph._write_runs``), each built by
+map, join and str.replace calls over a whole run, not line by line. The MPS
+writer reads the rows through a column index (one 4-byte text id per
+nonzero, grouped by column) and keeps no per-column list of entries.
 
 Formulations
 ------------
@@ -117,8 +118,8 @@ def _single(name: str, lb: Num, ub: Num | None, kind: str, obj: Num) -> VarBlock
 class Constraint:
     """One linear row: entry ``coefs[i]`` on the variable at position ``cols[i]``.
 
-    ``cols`` holds unsigned 32-bit positions; ``coefs`` is None when every
-    entry is 1.
+    ``cols`` holds unsigned 32-bit positions in strictly rising order;
+    ``coefs`` holds nonzero integers, or is None when every entry is 1.
     """
 
     name: str
@@ -161,7 +162,8 @@ class MilpModel:
         return self.num_vars - 1
 
     def add_constraint(self, name: str, cols, sense: str, rhs: Num, coefs=None) -> None:
-        """Append a row over variable positions ``cols``; ``coefs=None`` means all ones.
+        """Append a row over variable positions ``cols``, which must strictly
+        rise; ``coefs`` must be nonzero, and None means all ones.
 
         Raises:
             ValidationError: a position or coefficient is not an integer.
@@ -179,12 +181,20 @@ class MilpModel:
         return sum(len(c.cols) for c in self.constraints) + len(self.quad_terms)
 
     def validate(self) -> "MilpModel":
+        """The model, once each row's positions strictly rise below ``num_vars``
+        and its coefficients are nonzero integers; the writers take no other.
+
+        Raises:
+            ValidationError: naming the variable or row at fault.
+        """
         # a block of several variables names them by a rule over distinct
         # arguments, so only one-variable blocks (add_var) can repeat a name
         names = [name for b in self.blocks if len(b) == 1 for name in b.names()]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValidationError(f"duplicate variable names: {dupes}")
+        if _ONE in names:
+            raise ValidationError(f"variable name {_ONE} is kept for the objective constant")
         for b in self.blocks:
             if b.ub is not None and b.lb > b.ub:
                 raise ValidationError(f"variable {next(iter(b.names()))}: lb {b.lb} > ub {b.ub}")
@@ -194,12 +204,15 @@ class MilpModel:
                 raise ValidationError(f"constraint {c.name}: bad sense {c.sense!r}")
             if not (isinstance(c.cols, array) and c.cols.typecode == "I"):
                 raise ValidationError(f"constraint {c.name}: positions must be an unsigned int array")
-            if c.cols and max(c.cols) >= n:
+            if not all(map(lt, c.cols, islice(c.cols, 1, None))):
+                raise ValidationError(f"constraint {c.name}: positions must strictly rise")
+            if c.cols and c.cols[-1] >= n:
                 raise ValidationError(f"constraint {c.name} references a variable position outside 0..{n - 1}")
             if c.coefs is not None and not (
                 isinstance(c.coefs, array) and c.coefs.typecode == "q" and len(c.coefs) == len(c.cols)
+                and 0 not in c.coefs
             ):
-                raise ValidationError(f"constraint {c.name}: coefficients must be {len(c.cols)} integers")
+                raise ValidationError(f"constraint {c.name}: coefficients must be {len(c.cols)} nonzero integers")
         for a, b, _ in self.quad_terms:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValidationError(f"quadratic term references a variable position outside 0..{n - 1}")
@@ -412,7 +425,7 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
 # ---------------------------------------------------------------------------
 # emission
 
-_ONE = "ONE"
+_ONE = "ONE"  # the constant column, a name validate keeps from hand-built variables
 
 
 def _fmt_num(x: Num) -> str:
@@ -568,8 +581,7 @@ def _lp_runs(model: MilpModel) -> Iterator[str]:
     if bounded:
         yield "Bounds"
         for (before, after), s, e in bounded:
-            for k in range(s, e, _RUN_LINES):
-                yield before + (after + "\n" + before).join(map(_name, plus[k : min(e, k + _RUN_LINES)])) + after
+            yield from _runs(map(_name, plus[s:e]), before, after)
     for title, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
         listed = map(_name, chain.from_iterable(plus[s:e] for b, s, e in spans if b.kind == kind))
         first = next(listed, None)
@@ -580,9 +592,9 @@ def _lp_runs(model: MilpModel) -> Iterator[str]:
 
 
 def write_lp(model: MilpModel, fh: TextIO) -> None:
-    """Write CPLEX-LP-style text, deterministic for a given model record,
-    to the open text file ``fh`` as it is made: the whole text is never
-    held in memory."""
+    """Write CPLEX-LP-style text, deterministic for a given validated model
+    record, to the open text file ``fh`` as it is made: the whole text is
+    never held in memory."""
     _write_runs(fh, _lp_runs(model))
 
 
@@ -595,24 +607,7 @@ def emit_lp(model: MilpModel) -> str:
 
 def _field(x: Num) -> str:
     """An MPS value field: the number padded to 14."""
-    return f"{x:<14}" if type(x) is int else f"{_fmt_num(x):<14}"
-
-
-def _row_columns(c: Constraint) -> tuple[Sequence[int], Sequence[int] | None]:
-    """The row's entries as MPS writes them: its positions and coefficients
-    (None when all are 1), repeated positions summed in first-appearance
-    order and zero sums dropped. A row with no repeated position and no zero
-    coefficient is returned as it is stored."""
-    cols = c.cols
-    if (c.coefs is None or 0 not in c.coefs) and (
-        all(map(lt, cols, islice(cols, 1, None))) or len(set(cols)) == len(cols)  # builders make rising rows
-    ):
-        return cols, c.coefs
-    acc: dict[int, int] = {}
-    for i, k in zip(cols, repeat(1) if c.coefs is None else c.coefs):
-        acc[i] = acc.get(i, 0) + k
-    entries = [(i, k) for i, k in acc.items() if k]
-    return [i for i, _ in entries], [k for _, k in entries]
+    return f"{_fmt_num(x):<14}"
 
 
 def _column_index(model: MilpModel, num_cols: int, w_row: int) -> tuple[array, array, list[str]]:
@@ -622,29 +617,25 @@ def _column_index(model: MilpModel, num_cols: int, w_row: int) -> tuple[array, a
     ``texts`` holds one padded row name and value per distinct (row,
     coefficient), so no entry text is made per nonzero.
     """
-    rows = [_row_columns(c) for c in model.constraints]
     counts = [0] * num_cols  # small ints, which the interpreter shares
-    for cols, _ in rows:
-        for i in cols:
+    for c in model.constraints:
+        for i in c.cols:
             counts[i] += 1
     starts = array("I", accumulate(counts, initial=0))
     del counts
     fill = starts[:-1]  # the next free slot of each column
     ids = array("I", [0]) * starts[-1]
     texts: list[str] = []
-    for c, (cols, coefs) in zip(model.constraints, rows):
+    for c in model.constraints:
         row = f"{c.name:<{w_row}}"
-        if coefs is None:  # one text for the whole row
-            tid = len(texts)
+        if c.coefs is None:  # one text for the whole row
+            tids = repeat(len(texts))
             texts.append(row + _field(1))
-            for i in cols:
-                e = fill[i]
-                ids[e] = tid
-                fill[i] = e + 1
-            continue
-        tid_of = {k: tid for tid, k in enumerate(dict.fromkeys(coefs), start=len(texts))}
-        texts += [row + _field(k) for k in tid_of]
-        for i, tid in zip(cols, map(tid_of.__getitem__, coefs)):
+        else:
+            tid_of = {k: tid for tid, k in enumerate(dict.fromkeys(c.coefs), start=len(texts))}
+            texts += [row + _field(k) for k in tid_of]
+            tids = map(tid_of.__getitem__, c.coefs)
+        for i, tid in zip(c.cols, tids):
             e = fill[i]
             ids[e] = tid
             fill[i] = e + 1
@@ -729,9 +720,7 @@ def _bound_runs(blocks: list[VarBlock], w_name: int) -> Iterator[str]:
     for b in blocks:
         names = iter(b.names())
         if b.kind == BINARY:
-            head = f" BV {bnd}"
-            while chunk := list(islice(names, _RUN_LINES)):
-                yield head + ("\n" + head).join(chunk)
+            yield from _runs(names, f" BV {bnd}")
         elif marks := _mps_bounds(b):
             while chunk := list(map(str.ljust, islice(names, _RUN_LINES), repeat(w_name))):
                 fields = chain.from_iterable((repeat(f"\n {tag} {bnd}"), chunk, repeat(value)) for tag, value in marks)
@@ -772,8 +761,8 @@ def _mps_runs(model: MilpModel) -> Iterator[str]:
 
 
 def write_mps(model: MilpModel, fh: TextIO) -> None:
-    """Write aligned MPS text with INTORG/INTEND integrality markers to the
-    open text file ``fh`` as it is made.
+    """Write aligned MPS text with INTORG/INTEND integrality markers for a
+    validated model record to the open text file ``fh`` as it is made.
 
     Raises:
         UnsupportedFormatError: for models with quadratic objectives,

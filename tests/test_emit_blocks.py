@@ -2,18 +2,21 @@
 
 The writers format whole blocks at a time, with paths that depend on the
 block's objective type (an int ``array``, a ``range``, a list) and on a
-row's coefficients (none, only 1 and -1, or others, zeros included), and
+row's coefficients (none, only 1 and -1, or others), and
 they join lines into runs, where an empty run would write a blank line.
 Each model here is turned into the reference's named-term records through
 ``MilpModel.columns()``, and both texts must be equal byte for byte.
 """
 
+import re
 from array import array
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcsched.instance import ValidationError
 from arcsched.milp import BINARY, CONTINUOUS, INTEGER, MilpModel, VarBlock, emit_lp, emit_mps
 
 from test_emit_reference import NUMS, RefConstraint, RefModel, ref_emit_lp, ref_emit_mps
@@ -122,8 +125,8 @@ def objectives(size):
     return st.one_of(int_arrays(size), ranges(size), st.lists(NUMS, min_size=size, max_size=size))
 
 
-# a row's coefficients: all 1 (None), only 1 and -1 as flow rows, or others with zeros
-ROW_COEFS = st.sampled_from([None, [1, -1], [-2, -1, 0, 1, 2]])
+# a row's coefficients: all 1 (None), only 1 and -1 as flow rows, or others
+ROW_COEFS = st.sampled_from([None, [1, -1], [-2, -1, 1, 2]])
 
 
 @st.composite
@@ -138,7 +141,7 @@ def block_models(draw):
         model.blocks.append(block(kind, lb, ub, draw(objectives(size)), f"{prefix}{b}_"))
     n = model.num_vars
     for r in range(draw(st.integers(0, 5))):
-        cols = draw(st.lists(st.integers(0, n - 1), max_size=30)) if n else []
+        cols = sorted(draw(st.lists(st.integers(0, n - 1), max_size=min(n, 30), unique=True))) if n else []
         values = draw(ROW_COEFS)
         coefs = None if values is None else draw(st.lists(st.sampled_from(values), min_size=len(cols), max_size=len(cols)))
         model.add_constraint(f"row{r}", cols, draw(st.sampled_from(["<=", "=", ">="])), draw(NUMS), coefs=coefs)
@@ -150,3 +153,64 @@ def block_models(draw):
 @given(model=block_models())
 def test_block_models_match_named_term_reference(model):
     both_texts(model)
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis: rows off the contract (positions that do not strictly rise, or
+# a zero coefficient) are refused, and their canonical form is emitted as the
+# reference emits it
+
+
+@st.composite
+def faulty_rows(draw):
+    """(positions, coefficients or None) of a row that breaks the contract
+    one way: a repeated position, a falling pair or a zero coefficient."""
+    fault = draw(st.sampled_from(["repeat", "falling", "zero"]))
+    cols = sorted(draw(st.lists(st.integers(0, 7), min_size=2 if fault == "falling" else 1, unique=True)))
+    coefs = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=len(cols), max_size=len(cols)))
+    k = draw(st.integers(0, len(cols) - (2 if fault == "falling" else 1)))
+    if fault == "repeat":
+        cols.insert(k + 1, cols[k])
+        coefs.insert(k + 1, draw(st.integers(-4, 4)))
+    elif fault == "falling":
+        cols[k : k + 2] = cols[k + 1], cols[k]
+        coefs[k : k + 2] = coefs[k + 1], coefs[k]
+    else:
+        coefs[k] = 0
+    if fault != "zero" and set(coefs) == {1} and draw(st.booleans()):
+        coefs = None  # every entry 1
+    return cols, coefs
+
+
+def canonical(cols, coefs):
+    """The row with its positions sorted, repeats summed and zero sums dropped."""
+    acc = {}
+    for i, k in zip(cols, [1] * len(cols) if coefs is None else coefs):
+        acc[i] = acc.get(i, 0) + k
+    kept = sorted(i for i in acc if acc[i])
+    return kept, [acc[i] for i in kept]
+
+
+def row_model(row, objs):
+    """Eight integer variables, a canonical row on each side of ``row`` (named "bad")."""
+    model = MilpModel(name="rows")
+    for i, obj in enumerate(objs):
+        model.add_var(f"v{i}", 0, 9, INTEGER, obj)
+    model.add_constraint("before", [0, 3], "<=", 5, coefs=[2, -1])
+    model.add_constraint("bad", row[0], ">=", 1, coefs=row[1])
+    model.add_constraint("after", [1, 7], "=", 2)
+    return model
+
+
+@settings(max_examples=150, deadline=None)
+@given(row=faulty_rows(), objs=st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+def test_rows_off_the_contract_are_refused_and_canonical_rows_match_the_reference(row, objs):
+    raw = row_model(row, objs)
+    with pytest.raises(ValidationError, match=re.escape("constraint bad:")):
+        raw.validate()
+    fixed = row_model(canonical(*row), objs).validate()
+    ref = reference(fixed)
+    assert emit_lp(fixed) == ref_emit_lp(ref)
+    # the reference sums repeats and drops zeros in MPS, so the raw row's
+    # reference text is the canonical row's
+    assert emit_mps(fixed) == ref_emit_mps(ref) == ref_emit_mps(reference(raw))

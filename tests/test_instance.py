@@ -270,6 +270,47 @@ class TestScheduleFile:
             parse_schedule("objective 1\nnot a machine line\n")
 
 
+# comment lines, some that would read as data, and blank lines
+COMMENTS = st.lists(st.sampled_from(["# note", "#", "  # 3 4", "#machine 1: 2", "# objective 9", ""]), max_size=2)
+
+
+def with_comments(data, text: str) -> str:
+    """``text`` with drawn comment and blank lines before, between and after its lines."""
+    lines = []
+    for line in [*text.splitlines(), None]:
+        lines += data.draw(COMMENTS)
+        if line is not None:
+            lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+INSTANCES = st.builds(
+    make_instance,
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)), min_size=1, max_size=10),
+)
+
+
+class TestRoundTrips:
+    @settings(max_examples=100, deadline=None)
+    @given(inst=INSTANCES, data=st.data())
+    def test_instance_text_round_trip(self, inst, data):
+        text = write_instance(inst)
+        assert parse_instance(text) == inst
+        assert parse_instance(with_comments(data, text)) == inst
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=INSTANCES, data=st.data())
+    def test_schedule_text_round_trip(self, inst, data):
+        # every job on a drawn machine, in a drawn order; m > n leaves machines empty
+        order = data.draw(st.permutations(range(1, inst.n + 1)))
+        where = data.draw(st.lists(st.integers(0, inst.m - 1), min_size=inst.n, max_size=inst.n))
+        sched = Schedule(machines=tuple(tuple(j for j, k in zip(order, where) if k == i) for i in range(inst.m)))
+        text = write_schedule(inst, sched)
+        assert parse_schedule(text) == sched
+        assert parse_schedule(with_comments(data, text)) == sched
+
+
 class TestInvariants:
     def test_instance_rejects_bad_ids(self):
         with pytest.raises(ValidationError):
