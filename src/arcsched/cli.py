@@ -144,13 +144,19 @@ def _build_model(inst: Instance, form: str, args) -> tuple[milp.MilpModel, flowg
     """Model of ``form``, plus its network for the flow forms.
 
     Raises:
-        milp.ModelSizeError: the model would exceed the size guard; checked
-            before anything pseudo-polynomial is allocated.
+        milp.ModelSizeError: the model would exceed the size guard, or a ti,
+            af or eaf objective coefficient, at most w_j (T - p_j), would not
+            fit in 64 bits; checked before anything pseudo-polynomial is allocated.
     """
+    T = bounds_mod.horizon_T(inst)
+    job = max(inst.jobs, key=lambda j: j.w * (T - j.p))
+    if form in ("ti", "af", "eaf") and job.w * (T - job.p) > 2**63 - 1:
+        raise milp.ModelSizeError(
+            f"job {job.id}: the objective coefficient w (T - p) = {job.w} * {T - job.p} is above 2^63 - 1"
+        )
     if form in ("af", "eaf"):
         graph = _flow_network(inst, form, args)
         return milp.build_eaf_model(graph), graph
-    T = bounds_mod.horizon_T(inst)
     milp.check_size(form, milp.estimate_nonzeros(inst, form, T))
     if form == "ciqp":
         return milp.build_ciqp(inst), None
@@ -215,7 +221,7 @@ def cmd_model(args, report: RunReport) -> None:
         "nonzeros": model.nonzeros(),
     }
     if graph is not None:
-        losses = graph.label.count(flowgraph.LOSS)
+        losses = len(graph.runs[flowgraph.LOSS])
         report.summary.update(
             {
                 "nodes": len(graph.nodes),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import io
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
@@ -46,8 +46,8 @@ class FlowGraph:
 
     Arc i runs from ``tail[i]`` to ``head[i]``; ``label[i]`` is its type
     (1-based) or LOSS. Arc order: job arcs by label, then by ascending
-    tail; loss arcs last, by ascending tail. ``write_dot`` and
-    ``decompose_flow`` rely on this order. Label k is job type
+    tail; loss arcs last, by ascending tail. ``runs[k]`` is the range of
+    label k's positions, which ``arc`` bisects by tail. Label k is job type
     ``types[k - 1]``. ``capacity[k]`` bounds every arc of label k: m at
     LOSS, the multiplicity d_k of type k otherwise.
     """
@@ -59,11 +59,18 @@ class FlowGraph:
     label: array
     capacity: tuple[int, ...]
     types: tuple[JobType, ...]
+    runs: tuple[range, ...]
 
     @property
     def arcs(self) -> range:
         """Arc positions."""
         return range(len(self.label))
+
+    def arc(self, tail: int, label: int) -> int | None:
+        """Position of the arc labelled ``label`` that leaves ``tail``, or None."""
+        run = self.runs[label]
+        i = bisect_left(self.tail, tail, run.start, run.stop)
+        return i if i < run.stop and self.tail[i] == tail else None
 
 
 def build_eaf_graph(
@@ -95,6 +102,7 @@ def build_eaf_graph(
     reachable = [False] * (T + 1)
     reachable[0] = True
     tail, head, label = array("I"), array("I"), array("I")
+    runs = []
     for tidx, (jt, (a, b)) in enumerate(zip(types, type_windows), start=1):
         p = jt.p
         last = min(b, T - p)  # the last start in the window that completes by T
@@ -110,15 +118,18 @@ def build_eaf_graph(
         tail.extend(ordered)
         head.extend(map(add, ordered, repeat(p)))
         label.extend(repeat(tidx, len(ordered)))
+        runs.append(range(len(tail) - len(ordered), len(tail)))
     loss_from = [] if strict_figure else [0]
     loss_from += [t for t in range(max(t_prime, 1), T) if reachable[t]]
     tail.extend(loss_from)
     head.extend(repeat(T, len(loss_from)))
     label.extend(repeat(LOSS, len(loss_from)))
+    runs.insert(LOSS, range(len(tail) - len(loss_from), len(tail)))
     nodes = sorted({t for t, ok in enumerate(reachable) if ok} | {0, T})
     capacity = (inst.m, *(jt.d for jt in types))
     return FlowGraph(
-        T=T, nodes=tuple(nodes), tail=tail, head=head, label=label, capacity=capacity, types=tuple(types)
+        T=T, nodes=tuple(nodes), tail=tail, head=head, label=label, capacity=capacity, types=tuple(types),
+        runs=tuple(runs),
     )
 
 
@@ -179,41 +190,31 @@ def decompose_flow(g: FlowGraph, flow: list[int]) -> list[list[int]]:
     type's multiplicity adds no job, and its machine idles over that arc.
 
     Paths are walked in arc order: at each node, job arcs by label before
-    the loss arc.
+    the loss arc. As arcs run forward in time, the walks check conservation:
+    a flow conserves exactly when no walk gets stuck and the walks use it up.
 
     Raises:
         ValueError: flow violates a capacity or node conservation.
     """
     if len(flow) != len(g.label):
         raise ValueError(f"flow has {len(flow)} entries for {len(g.label)} arcs")
-    for i, v in enumerate(flow):
-        cap = g.capacity[g.label[i]]
+    outgoing: dict[int, list[int]] = {}
+    for i in compress(g.arcs, flow):
+        v, cap = flow[i], g.capacity[g.label[i]]
         if not (0 <= v <= cap):
             raise ValueError(f"flow {v} outside [0, {cap}] on arc {g.tail[i]} -> {g.head[i]} label {g.label[i]}")
-
-    divergence: dict[int, int] = {t: 0 for t in g.nodes}
-    outgoing: dict[int, list[int]] = {}
-    for i in g.arcs:
-        if flow[i]:
-            divergence[g.tail[i]] += flow[i]
-            divergence[g.head[i]] -= flow[i]
-            outgoing.setdefault(g.tail[i], []).append(i)
-    m = g.capacity[LOSS]
-    for t in g.nodes:
-        want = m if t == 0 else -m if t == g.T else 0
-        if divergence[t] != want:
-            raise ValueError(f"flow does not conserve at node {t}: divergence {divergence[t]}, expected {want}")
+        outgoing.setdefault(g.tail[i], []).append(i)
 
     residual = list(flow)
     pools = [iter(t.members) for t in g.types]
     paths: list[list[int]] = []
-    for _ in range(m):
+    for _ in range(g.capacity[LOSS]):
         node = 0
         path: list[int] = []
         while node != g.T:
             i = next((i for i in outgoing.get(node, ()) if residual[i] > 0), None)
             if i is None:
-                raise ValueError(f"walk stuck at node {node} with no residual out-arc")
+                raise ValueError(f"flow does not conserve: a walk is stuck at node {node} with no residual out-arc")
             residual[i] -= 1
             k = g.label[i]
             if k != LOSS:
@@ -223,5 +224,5 @@ def decompose_flow(g: FlowGraph, flow: list[int]) -> list[list[int]]:
             node = g.head[i]
         paths.append(path)
     if any(residual):
-        raise ValueError("flow decomposition left residual flow behind")
+        raise ValueError("flow does not conserve: the walks left flow behind")
     return paths

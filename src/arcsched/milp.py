@@ -246,11 +246,13 @@ def flow_nonzeros(types: list[JobType], windows: list[tuple[int, int]], T: int, 
 
     Type k has at most one job arc per start in [a_k, min(b_k, T - p_k)];
     loss arcs leave 0 and points in [max(T', 1), T). Every arc sits in two
-    flow rows and a job arc also in its type's demand row.
+    flow rows and a job arc also in its type's demand row. A time point
+    counts as a quarter nonzero: the build's tables over 0..T take about
+    80 B a point, which a network of few arcs over a long horizon needs.
     """
     job_arcs = sum(max(0, min(b, T - jt.p) - a + 1) for jt, (a, b) in zip(types, windows))
     loss_arcs = 1 + max(0, T - max(t_prime, 1))
-    return 3 * job_arcs + 2 * loss_arcs
+    return 3 * job_arcs + 2 * loss_arcs + T // 4 + 1
 
 
 def check_size(form: str, nonzeros: int) -> None:
@@ -376,19 +378,18 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
     """Reduced network model: integer per type arc, demand d per type.
 
     Variable i is arc i of the network, named x_{tail}_{head}_{label} or,
-    for a loss arc, L_{tail}; each run of arcs with one label is a block
-    whose names are read from the graph arrays. The objective constant
-    counts every scheduled copy, i.e. the sum of d * w * p over the
-    network's types; the flow value m is the loss-arc capacity.
+    for a loss arc, L_{tail}; each label's run ``g.runs[k]`` is a block,
+    whose names are read from the graph arrays, and a type's run is its
+    demand row. The objective constant counts every scheduled copy, i.e.
+    the sum of d * w * p over the network's types; the flow value m is the
+    loss-arc capacity.
     """
     types, m = g.types, g.capacity[LOSS]
     model = MilpModel(name=f"eaf_t{len(types)}_m{m}")
-    demand_cols = [array("I") for _ in types]
     # names are joined from "_t", the text of each time point t, made once
     stems = [f"_{t}" for t in range(g.T + 1)]
-    start = 0
-    for k, run in groupby(g.label):
-        end = start + len(list(run))
+    for k in (*range(1, len(g.runs)), LOSS):  # the runs in arc order
+        start, end = g.runs[k].start, g.runs[k].stop
         if k == LOSS:
             names = lambda s=start, e=end: map("L".__add__, map(stems.__getitem__, g.tail[s:e]))
             obj = array("q", [0]) * (end - start)
@@ -399,9 +400,7 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
                 map(add, map(stems.__getitem__, g.head[s:e]), repeat(f"_{k}")),
             )
             obj = array("q", map(mul, g.tail[start:end], repeat(types[k - 1].w)))
-            demand_cols[k - 1].extend(range(start, end))
         model.blocks.append(VarBlock(INTEGER, 0, g.capacity[k], obj, names))
-        start = end
     row_of = [0] * (g.T + 1)  # the row of each node, by its time
     for r, q in enumerate(g.nodes):
         row_of[q] = r
@@ -417,8 +416,8 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
     for q, cols, coefs in zip(g.nodes, flow_cols, flow_coefs):
         rhs = m if q == 0 else -m if q == g.T else 0
         model.add_constraint(f"flow_{q}", cols, "=", rhs, coefs=coefs)
-    for tidx, (jt, cols) in enumerate(zip(types, demand_cols), start=1):
-        model.add_constraint(f"demand_{tidx}", cols, ">=", jt.d)
+    for tidx, jt in enumerate(types, start=1):
+        model.add_constraint(f"demand_{tidx}", g.runs[tidx], ">=", jt.d)
     return model.validate()
 
 
@@ -835,7 +834,9 @@ def schedule_to_assignment(inst: Instance, sched: Schedule, T: int, graph: FlowG
 
     ``graph`` None means the ti model over horizon ``T``; otherwise the
     flow model built from ``graph`` (the straight network is one with one
-    type per job). Machines are read in their given processing order.
+    type per job). Machines are read in their given processing order: a
+    job takes its type's arc at its start (``FlowGraph.arc``), a machine
+    that ends before T the loss arc at its end; every arc ends by T.
 
     Raises:
         MappingError: a start or completion time has no model variable,
@@ -853,14 +854,6 @@ def schedule_to_assignment(inst: Instance, sched: Schedule, T: int, graph: FlowG
             values[offsets[j - 1] + c - p] = 1
         return values
 
-    # arc positions grouped by tail: a lookup key per arc would cost a tuple per arc
-    out_arcs: dict[int, list[int]] = {}
-    for i, tail in enumerate(graph.tail):
-        out_arcs.setdefault(tail, []).append(i)
-
-    def arc_at(tail: int, head: int, label: int) -> int | None:
-        return next((i for i in out_arcs.get(tail, ()) if graph.head[i] == head and graph.label[i] == label), None)
-
     type_of: dict[int, int] = {}
     for tidx, jt in enumerate(graph.types, start=1):
         for member in jt.members:
@@ -870,19 +863,16 @@ def schedule_to_assignment(inst: Instance, sched: Schedule, T: int, graph: FlowG
     for machine in sched.machines:
         t = 0
         for j in machine:
-            p = inst.job(j).p
-            i = arc_at(t, t + p, type_of[j])
+            i = graph.arc(t, type_of[j])
             if i is None:
                 raise MappingError(f"no arc for job {j} starting at {t} (label {type_of[j]})")
             values[i] += 1
-            t += p
+            t += inst.job(j).p
         if t < graph.T:
-            i = arc_at(t, graph.T, LOSS)
+            i = graph.arc(t, LOSS)
             if i is None:
                 raise MappingError(f"machine completing at {t} has no loss arc to T={graph.T}")
             values[i] += 1
-        elif t > graph.T:
-            raise MappingError(f"machine load {t} exceeds the horizon T={graph.T}")
     return values
 
 

@@ -211,14 +211,43 @@ class TestModelSizeGuard:
 
     @pytest.mark.parametrize("form", ["af", "eaf"])
     def test_one_network_one_verdict(self, form, tmp_path, capsys):
-        # af and eaf with every reduction off are one network, bounded at 1.7e7 nonzeros
+        # af and eaf with every reduction off are one network: 1.7e7 nonzeros
+        # and a quarter of one for each of the T + 1 = 3.4e6 + 1 time points
         inst = tmp_path / "i.txt"
         inst.write_text("2 1\n1700000 1\n1700000 2\n", encoding="utf-8")
         code = main(["model", "--in", str(inst), "--form", form, "--no-windows", "--no-types", "--no-tprime",
                      "--out", str(tmp_path / "m.lp")])
-        assert (code, *capsys.readouterr()) == (5, "", f"refused: form {form} model may hold 1.7e+07 nonzeros,"
-                                                        " about 6.19 GB, above the model guard of 6 GB\n")
+        assert (code, *capsys.readouterr()) == (5, "", f"refused: form {form} model may hold 1.79e+07 nonzeros,"
+                                                        " about 6.5 GB, above the model guard of 6 GB\n")
         assert not (tmp_path / "m.lp").exists()
+
+    # w_j (T - p_j) above 2**63 - 1 overflowed the int64 objective arrays
+    # (OverflowError); a job of p = 10**11 makes 5 nonzeros, but the build's
+    # tables over its T + 1 time points raised MemoryError
+    REFUSED = {
+        "weight": ("3 1\n2 1000000000000000000000\n2 1000000000000000000000\n1 1\n",
+                   "objective 6000000000000000000005\nmachine 1: 1 2 3\n",
+                   "job 1: the objective coefficient w (T - p) = 1000000000000000000000 * 3 is above 2^63 - 1"),
+        "horizon": ("1 1\n100000000000 1\n", "objective 100000000000\nmachine 1: 1\n", "model guard"),
+    }
+
+    @pytest.mark.parametrize("case, form", [("weight", "ti"), ("weight", "af"), ("weight", "eaf"), ("horizon", "eaf")])
+    @pytest.mark.parametrize(
+        "cmd",
+        [("model", "--out", "m.lp"), ("model", "--format", "mps", "--out", "m.lp"), ("check", "--sched", "i.sched"),
+         ("solve-external", "--solver-cmd", "false")],
+        ids=["model-lp", "model-mps", "check", "solve-external"],
+    )
+    def test_refused_before_the_build(self, case, form, cmd, tmp_path, capsys, monkeypatch):
+        text, sched, reason = self.REFUSED[case]
+        monkeypatch.chdir(tmp_path)
+        Path("i.txt").write_text(text, encoding="utf-8")
+        Path("i.sched").write_text(sched, encoding="utf-8")
+        with self.deadline(5.0):
+            code = main([*cmd, "--in", "i.txt", "--form", form])
+        err = capsys.readouterr().err
+        assert code == 5 and err.startswith("refused:") and reason in err, err
+        assert not Path("m.lp").exists()
 
     def test_compare_refused(self, tmp_path, capsys):
         self.assert_refused_fast(capsys, "compare", "--n", "3", "--m", "2", "--pmax", "10000000000",

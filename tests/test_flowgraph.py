@@ -180,6 +180,29 @@ class TestArcOrder:
             for name, (t, h, k) in zip(model.names(), arcs(g)):
                 assert name == (f"L_{t}" if k == LOSS else f"x_{t}_{h}_{k}")
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        m=st.integers(1, 4),
+        p_max=st.integers(1, 10),
+        w_max=st.integers(1, 10),
+    )
+    def test_runs_and_arc_lookup(self, seed, n, m, p_max, w_max):
+        # runs[k] holds exactly the positions labelled k, and arc(t, k) is
+        # the first arc a linear scan finds with tail t and label k
+        inst = generate_instance(n=n, m=m, p_max=p_max, w_max=w_max, seed=seed)
+        for form, switches in product(("af", "eaf"), product((False, True), repeat=len(FLAGS))):
+            g = _flow_network(inst, form, Namespace(**dict(zip(FLAGS, switches))))
+            scan: dict[tuple[int, int], int] = {}
+            for i, (t, _, k) in enumerate(arcs(g)):
+                scan.setdefault((t, k), i)
+            assert len(g.runs) == len(g.types) + 1
+            for k, run in enumerate(g.runs):
+                assert list(run) == [i for i in g.arcs if g.label[i] == k]
+                for t in range(g.T + 1):
+                    assert g.arc(t, k) == scan.get((t, k))
+
 
 def eaf_pipeline(inst, strict_figure=False):
     hor = horizon(inst)
@@ -302,6 +325,20 @@ class TestDecompose:
         flow = self.demo_flow(g)
         flow[arcs(g).index((0, 2, 1))] = 2
         with pytest.raises(ValueError, match="outside"):
+            decompose_flow(g, flow)
+
+    @pytest.mark.parametrize(
+        "arc, value, match",
+        [
+            ((0, 1, 3), 1, "conserve"),  # a surplus unit no walk uses: flow left behind
+            ((0, 5, 2), -1, "outside"),
+        ],
+    )
+    def test_bad_entry_rejected(self, demo, arc, value, match):
+        g = straight_network(demo, 8)
+        flow = self.demo_flow(g)
+        flow[arcs(g).index(arc)] = value
+        with pytest.raises(ValueError, match=match):
             decompose_flow(g, flow)
 
 
