@@ -3,32 +3,37 @@
 Subcommands: gen, bounds, model, compare, solve-heur, solve-exact, check,
 solve-external. Exit codes: 0 success, 2 usage error, 3 input/validation
 error, 4 external-solver error, 5 size-guard refusal (the oracle's m**n
-guard, or a model or m machines estimated above milp.MAX_MODEL_BYTES).
+guard, or a model, the search's swap tables or m machines estimated above
+instance.MAX_MODEL_BYTES).
 
 ``main`` is the one command frame. It creates the run report and hands it
 to the subcommand's ``cmd_*`` function, which only computes and fills the
 report in; then ``main`` prints it and returns 0. An exception becomes
 exit 5, 4 or 3 with a one-line message on stderr, and no report.
+
+The layer modules and the modules only solve-external uses are bound
+lazily: each is in ``sys.modules`` once this module is imported, but its
+code runs on the first attribute access, so a command runs only the layers
+it uses (solve-heur: instance, rng and heuristic).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
-import shlex
-import subprocess
 import sys
-import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from . import flowgraph, heuristic, milp, oracle
 from .instance import (
     Instance,
+    ModelSizeError,
+    SizeLimitError,
+    check_bytes,
     completion_times,
     evaluate_schedule,
     generate_instance,
@@ -39,6 +44,29 @@ from .instance import (
     write_instance,
     write_schedule,
 )
+
+
+def _lazy(name: str):
+    """Module ``name``, registered now and executed on its first attribute access."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
+    return module
+
+
+bounds_mod = _lazy(f"{__package__}.bounds")
+flowgraph = _lazy(f"{__package__}.flowgraph")
+heuristic = _lazy(f"{__package__}.heuristic")
+milp = _lazy(f"{__package__}.milp")
+oracle = _lazy(f"{__package__}.oracle")
+shlex, subprocess, tempfile = _lazy("shlex"), _lazy("subprocess"), _lazy("tempfile")
 
 SOLVER_ENV = "ARCSCHED_SOLVER_CMD"
 # farthest a solver value on an integer variable may sit from an integer
@@ -105,14 +133,9 @@ def _read_instance(path: str, report: RunReport) -> Instance:
 
 
 def _check_machines(inst: Instance) -> None:
-    """Refuse (milp.ModelSizeError) an instance whose m machines alone would
-    take a schedule past milp.MAX_MODEL_BYTES, before any per-machine list."""
-    need = inst.m * BYTES_PER_MACHINE
-    if need > milp.MAX_MODEL_BYTES:
-        raise milp.ModelSizeError(
-            f"m = {inst.m} machines need about {need / 1e9:.3g} GB for a schedule,"
-            f" above the model guard of {milp.MAX_MODEL_BYTES / 1e9:.3g} GB"
-        )
+    """Refuse (ModelSizeError) an instance whose m machines alone would take
+    a schedule past instance.MAX_MODEL_BYTES, before any per-machine list."""
+    check_bytes(inst.m * BYTES_PER_MACHINE, f"m = {inst.m} machines need")
 
 
 def _flow_network(inst: Instance, form: str, args) -> flowgraph.FlowGraph:
@@ -123,7 +146,7 @@ def _flow_network(inst: Instance, form: str, args) -> flowgraph.FlowGraph:
     reductions off for eaf.
 
     Raises:
-        milp.ModelSizeError: the model would exceed the size guard; checked
+        ModelSizeError: the model would exceed the size guard; checked
             from the types and windows before the network is allocated.
     """
     hor = bounds_mod.horizon(inst)
@@ -144,14 +167,14 @@ def _build_model(inst: Instance, form: str, args) -> tuple[milp.MilpModel, flowg
     """Model of ``form``, plus its network for the flow forms.
 
     Raises:
-        milp.ModelSizeError: the model would exceed the size guard, or a ti,
+        ModelSizeError: the model would exceed the size guard, or a ti,
             af or eaf objective coefficient, at most w_j (T - p_j), would not
             fit in 64 bits; checked before anything pseudo-polynomial is allocated.
     """
     T = bounds_mod.horizon_T(inst)
     job = max(inst.jobs, key=lambda j: j.w * (T - j.p))
     if form in ("ti", "af", "eaf") and job.w * (T - job.p) > 2**63 - 1:
-        raise milp.ModelSizeError(
+        raise ModelSizeError(
             f"job {job.id}: the objective coefficient w (T - p) = {job.w} * {T - job.p} is above 2^63 - 1"
         )
     if form in ("af", "eaf"):
@@ -285,6 +308,7 @@ def _heur_budgets(n: int, iters: int | None, time_limit: float | None) -> tuple[
 def cmd_solve_heur(args, report: RunReport) -> None:
     inst = _read_instance(args.infile, report)
     _check_machines(inst)
+    heuristic.check_size(inst)
     iters, time_limit = _heur_budgets(inst.n, args.iters, args.time)
     cfg = heuristic.IlsConfig(
         seed=args.seed,
@@ -480,7 +504,7 @@ def main(argv=None) -> int:
     try:
         args.func(args, report)
         report.print()
-    except (oracle.SizeLimitError, milp.ModelSizeError) as exc:
+    except (SizeLimitError, ModelSizeError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except ExternalSolverError as exc:

@@ -4,18 +4,17 @@ Every machine is kept in WSPT order at all times: intra-machine search is
 unnecessary (resorting is optimal for a fixed assignment), so the
 neighborhoods only move jobs between machines and each move is followed
 by a per-machine WSPT resort. A run keeps one state of rank lists; moves
-replace lists and never edit one, so a shallow copy of the machine list
-is a snapshot to roll a rejected candidate back to.
+replace lists and never edit one.
 
 Neighborhoods: shift (move one job), swap(1,1) (exchange one job each
 way), swap(2,1) (two jobs against one). The descent draws a random
 neighborhood, takes its best neighbor, and restarts the neighborhood list
 on strict improvement.
 
-Moves are priced without building neighbors. Each scan first takes, per
-machine with ranks b, prefix sums P[i] of p over b[:i] and suffix sums
-S[i] of w over b[i:]. Removing the job r at position i then changes the
-machine's cost by -(w_r (P[i] + p_r) + p_r S[i+1]), and inserting r at
+Moves are priced without building neighbors. Per machine with ranks b the
+state keeps prefix sums P[i] of p over b[:i] and suffix sums S[i] of w
+over b[i:]. Removing the job r at position i then changes the machine's
+cost by -(w_r (P[i] + p_r) + p_r S[i+1]), and inserting r at
 q = bisect_right(b, r) by w_r (P[q] + p_r) + p_r S[q]. When one job x
 leaves a machine that another job z enters, z's insertion is corrected
 by -p_x w_z if x precedes z in WSPT order and by -p_z w_x otherwise; a
@@ -23,12 +22,37 @@ swap pays that correction once on each machine, -2 p_lo w_hi in total.
 In swap(2,1) the two jobs x < y that leave machine a meet again on
 machine b, so the cross term p_x w_y enters twice: once for the
 removal from a and once for the insertion into b. All deltas are exact
-integers, equal to recomputing both machines. Empty machines price every
-move alike, so a scan covers only the m' <= min(m, n + 1) machines that
-hold a job or are the first empty one: O(n) for the sums, O(n m' log n)
-for shift, O(n^2) for swap(1,1), and O(n^2) Python steps for swap(2,1),
-each a vector add and min over the n/m' jobs of the receiving machine.
-Only the winning move's rank lists are built.
+integers, equal to recomputing both machines.
+
+Per machine pair lo < hi holding a and b the state keeps C[i], the price
+of a[i] leaving lo for hi, and F[u], the price of b[u] leaving hi for lo:
+C and F are the shift prices both ways. With G[i][u] = -2 p_lo w_hi and
+H[i][u] = F[u] + G[i][u], a swap(1,1) costs C[i] + H[i][u], a swap(2,1)
+of a[i], a[j] against b[u] costs C[i] + C[j] + 2 p_a[i] w_a[j] + H[i][u]
++ G[j][u], and the other direction reads the transposes of G and of
+C + G. So one set of tables serves all four move kinds of a pair, and the
+pair keeps its first strictly best move per neighborhood. Tables are
+valid while the machines hold the lists they were built from, compared
+by identity: a move replaces two lists, so a scan after it reprices only
+the pairs that touch those two machines, and a rejected candidate rolls
+back to the old lists together with their tables. The global best is
+taken over the pairs' bests by the key of the old scan order, (delta,
+ka, i, kb) for shift and (delta, ka, kb, positions) for the swaps, so the
+first strictly best move still wins.
+
+Between scans the state keeps its pairs and their tables G and H only
+within TABLE_BUDGET, priced at measured rates; above it a scan builds
+them, uses them and drops them, as every scan did before. A pair's
+tables take O(|a| |b|) memory and no table spans all n jobs. On a 2-core
+VM, at n = 400, m = 10 an ILS iteration takes 2.6 s, against 5.3 s when
+every scan repriced every pair.
+
+Empty machines price every move alike, so a scan covers only the m' <=
+min(m, n + 1) machines that hold a job or are the first empty one. The
+state keeps the set of occupied machines, so no step of an iteration
+walks all m lists. Per repriced pair a scan costs O(|a| log |b|) for the
+shift prices, O(|a| |b|) for swap(1,1) and O(|a|^2 |b|) vector steps for
+swap(2,1). Only the winning move's rank lists are built.
 
 The scan order and the first-strictly-best tie-break are fixed, so a
 seed and an iteration budget determine the whole search: the chosen
@@ -39,17 +63,41 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, count, repeat
+from operator import add, mul
 
-from .instance import Instance, Schedule
+from .instance import Instance, Schedule, approx, check_bytes
 from .rng import SplitMix64
 
 SHIFT, SWAP11, SWAP21 = 0, 1, 2
 _ALL_NEIGHBORHOODS = (SHIFT, SWAP11, SWAP21)
 RESTART_AFTER = 50  # non-improving perturbations before a fresh construction
+_UNPRICED = object()  # a neighborhood a pair has not priced yet
+
+# Peak RSS per job pair (i, u) of one machine pair's swap tables, G and H
+# plus the transposes a swap(2,1) scan reads: 131 B measured in one scan at
+# n = 1400, m = 2, plus 4%.
+BYTES_PER_PAIR_ENTRY = 136
+# Peak RSS per machine pair kept between scans, its three best moves priced:
+# 1.22-1.29 KB measured with one job per machine (n = 300 and 500).
+BYTES_PER_PAIR = 1300
+# Between scans the state keeps its machine pairs while two states' pairs,
+# at most min(m, n + 1)^2, fit in this budget (min(m, n + 1) <= 227), and
+# their tables G and H while two states' tables, at most n^2 job pairs, fit
+# too (n <= 702).
+TABLE_BUDGET = 2**26
+
+
+def check_size(inst: Instance) -> None:
+    """Refuse (ModelSizeError) an instance whose largest machine pair, n^2 / 4
+    job pairs when two machines hold every job, would take the swap tables
+    past the model guard."""
+    if inst.m > 1:
+        entries = (inst.n // 2) * ((inst.n + 1) // 2)
+        check_bytes(entries * BYTES_PER_PAIR_ENTRY,
+                    f"n = {inst.n} jobs: the swap tables of one machine pair, {approx(entries)} job pairs, need")
 
 
 @dataclass(frozen=True)
@@ -78,26 +126,191 @@ class IlsResult:
     iterations: int
 
 
-class _Work:
-    """Search state: machines as ascending lists of WSPT ranks."""
+class _Row:
+    """One machine's ranks, the p and w of its jobs, their prefix sums P of
+    p, suffix sums S of w, and removal prices R."""
 
-    __slots__ = ("p", "w", "ids", "machines")
+    __slots__ = ("ranks", "p", "w", "P", "S", "R")
+
+    def __init__(self, ranks: list[int], p: list[int], w: list[int]):
+        self.ranks = ranks
+        self.p = ps = [p[r] for r in ranks]
+        self.w = ws = [w[r] for r in ranks]
+        self.P = P = list(accumulate(ps, initial=0))
+        self.S = S = list(accumulate(reversed(ws), initial=0))[::-1]
+        self.R = [-(wr * (P[i] + pr) + pr * S[i + 1]) for i, (pr, wr) in enumerate(zip(ps, ws))]
+
+    def receive(self, src: _Row) -> list[int]:
+        """Price of each job of ``src`` leaving it alone for this machine."""
+        P, S = self.P, self.S
+        places = map(bisect_right, repeat(self.ranks), src.ranks)
+        return [R + wr * (P[q] + pr) + pr * S[q] for R, pr, wr, q in zip(src.R, src.p, src.w, places)]
+
+
+def _swap21(C: list[int], H: list[list[int]], G: list, p_out: list[int], w_out: list[int]) -> tuple[int, ...]:
+    """First strictly best (delta, i, j, u) of a swap(2,1) that sends jobs i < j
+    of one machine (at least two) against job u of the other, from that
+    direction's C, H and G."""
+    best = None
+    for i in range(len(C) - 1):
+        # low[j - i - 1] = min over u of H[i][u] + G[j][u], for each j > i
+        low = map(min, map(map, repeat(add), repeat(H[i]), G[i + 1 :]))
+        cost = list(map(add, map(add, C[i + 1 :], map(mul, w_out[i + 1 :], repeat(2 * p_out[i]))), low))
+        delta = C[i] + min(cost)
+        if best is None or delta < best[0]:
+            best = (delta, i, i + 1 + cost.index(delta - C[i]))
+    delta, i, j = best
+    row = list(map(add, H[i], G[j]))
+    return delta, i, j, row.index(min(row))
+
+
+class _Pair:
+    """Move prices between machines lo < hi while they hold the rows ``ra``
+    and ``rb``: the shift prices C and F, the swap tables G and H, and per
+    neighborhood the first strictly best move as its scan key (None when
+    there is none). The prices are dropped once every neighborhood is priced."""
+
+    __slots__ = ("lo", "hi", "ra", "rb", "C", "F", "G", "H", "moves")
+
+    def __init__(self, lo: int, hi: int, ra: _Row, rb: _Row):
+        self.lo, self.hi, self.ra, self.rb = lo, hi, ra, rb
+        self.C = C = rb.receive(ra)
+        self.F = F = ra.receive(rb)
+        self.G = self.H = None
+        shift = [(min(out), k, out.index(min(out)), to) for out, k, to in ((C, lo, hi), (F, hi, lo)) if out]
+        self.moves = [min(shift, default=None), _UNPRICED, _UNPRICED]
+
+    def best(self, neighborhood: int, keep: bool) -> tuple | None:
+        """Scan key of this pair's first strictly best move of ``neighborhood``;
+        without ``keep``, G and H are dropped once used."""
+        move = self.moves[neighborhood]
+        if move is _UNPRICED:
+            move = self.moves[neighborhood] = self._swap(neighborhood) if self.C and self.F else None
+            if _UNPRICED not in self.moves:
+                self.C = self.F = self.G = self.H = None
+            elif not keep:
+                self.G = self.H = None
+        return move
+
+    def _swap(self, neighborhood: int) -> tuple:
+        ra, rb, lo, hi, C, F = self.ra, self.rb, self.lo, self.hi, self.C, self.F
+        if self.G is None:
+            b, pb, wb = rb.ranks, rb.p, rb.w
+            self.G = G = []
+            for x, px, wx in zip(ra.ranks, ra.p, ra.w):  # b's jobs before x in WSPT order, then those after it
+                q = bisect_right(b, x)
+                row = list(map(mul, pb[:q], repeat(-2 * wx)))
+                row += map(mul, wb[q:], repeat(-2 * px))
+                G.append(row)
+            self.H = [list(map(add, F, row)) for row in G]
+        G, H = self.G, self.H
+        if neighborhood == SWAP11:
+            low = list(map(min, H))
+            cost = list(map(add, C, low))
+            i = cost.index(min(cost))
+            return cost[i], lo, hi, i, H[i].index(low[i])
+        moves = []
+        if len(C) > 1:
+            delta, *at = _swap21(C, H, G, ra.p, ra.w)
+            moves.append((delta, lo, hi, *at))
+        if len(F) > 1:
+            Gt = list(zip(*G))
+            Ht = [list(map(add, C, col)) for col in Gt]
+            delta, *at = _swap21(F, Ht, Gt, rb.p, rb.w)
+            moves.append((delta, hi, lo, *at))
+        return min(moves, default=None)
+
+
+class _Work:
+    """Search state: machines as ascending lists of WSPT ranks, the set of
+    occupied machines, and the pricing tables of the scanned machines."""
+
+    __slots__ = ("p", "w", "ids", "keep_pairs", "keep_tables", "occupied", "_machines", "_rows", "_pairs", "_saved")
 
     def __init__(self, inst: Instance):
         self.ids = inst.wspt_ids
         self.p = [inst.job(j).p for j in self.ids]
         self.w = [inst.job(j).w for j in self.ids]
-        self.machines: list[list[int]] = [[] for _ in range(inst.m)]
+        self.keep_pairs = min(inst.m, inst.n + 1) ** 2 * BYTES_PER_PAIR <= TABLE_BUDGET
+        self.keep_tables = inst.n * inst.n * BYTES_PER_PAIR_ENTRY <= TABLE_BUDGET
+        self.machines = [[] for _ in range(inst.m)]
+
+    @property
+    def machines(self) -> list[list[int]]:
+        return self._machines
+
+    @machines.setter
+    def machines(self, machines: list[list[int]]) -> None:
+        self._machines = machines
+        self.occupied = {k for k, ranks in enumerate(machines) if ranks}
+        self._rows, self._pairs, self._saved = {}, {}, None
+
+    def put(self, k: int, ranks: list[int]) -> None:
+        """Replace machine k's list; the old list is never edited."""
+        self._machines[k] = ranks
+        if ranks:
+            self.occupied.add(k)
+        else:
+            self.occupied.discard(k)
+
+    def scan(self) -> list[int]:
+        """The occupied machines and the first empty one, in index order."""
+        scan = sorted(self.occupied)
+        empty = next(k for k in count() if k not in self.occupied)  # at most n
+        if empty < len(self._machines):
+            insort(scan, empty)
+        return scan
+
+    def assign(self, lists: dict[int, list[int]], rows: dict | None = None, pairs: dict | None = None) -> None:
+        """Machine k gets lists[k], every other machine none; ``rows`` and
+        ``pairs`` are the tables of that state, if known."""
+        for k in self.occupied.difference(lists):
+            self._machines[k] = []
+        for k, ranks in lists.items():
+            self._machines[k] = ranks
+        self.occupied = {k for k, ranks in lists.items() if ranks}
+        self._rows, self._pairs = rows or {}, pairs or {}
+
+    def save(self) -> None:
+        """Snapshot the scanned machines' lists and their tables."""
+        self._saved = ({k: self._machines[k] for k in self.scan()}, self._rows, self._pairs)
+
+    def restore(self) -> None:
+        """Roll back to the last snapshot; its tables are valid again."""
+        self.assign(*self._saved)
+
+    def best(self, neighborhood: int) -> tuple | None:
+        """Key of the first strictly best move of ``neighborhood``; rebuilds
+        the tables of the machines and pairs whose lists changed."""
+        p, w, machines = self.p, self.w, self._machines
+        scan = self.scan()
+        rows, pairs = {}, {}
+        for k in scan:
+            row = self._rows.get(k)
+            rows[k] = row if row is not None and row.ranks is machines[k] else _Row(machines[k], p, w)
+        best = None
+        for x, lo in enumerate(scan):
+            for hi in scan[x + 1 :]:
+                pair = self._pairs.get((lo, hi))
+                if pair is None or pair.ra is not rows[lo] or pair.rb is not rows[hi]:
+                    pair = _Pair(lo, hi, rows[lo], rows[hi])
+                if self.keep_pairs:
+                    pairs[lo, hi] = pair
+                move = pair.best(neighborhood, self.keep_tables)
+                if move is not None and (best is None or move < best):
+                    best = move
+        self._rows, self._pairs = rows, pairs
+        return best
 
     def to_schedule(self) -> Schedule:
-        return Schedule(machines=tuple(tuple(self.ids[r] for r in ranks) for ranks in self.machines))
+        return Schedule(machines=tuple(tuple(self.ids[r] for r in ranks) for ranks in self._machines))
 
     def value(self) -> int:
         """Total weighted completion time of the state."""
         total = 0
-        for ranks in self.machines:
+        for k in self.occupied:
             t = 0
-            for r in ranks:
+            for r in self._machines[k]:
                 t += self.p[r]
                 total += self.w[r] * t
         return total
@@ -107,22 +320,48 @@ def _grasp_construct(work: _Work, rng: SplitMix64, alpha: float) -> None:
     """Greedy randomized construction over the WSPT-ordered jobs.
 
     Each job goes to a machine drawn uniformly from those whose load is
-    within alpha * (max load - min load) of the minimum. With alpha = 0
-    the pick is the least-loaded machine, ties to the lowest index, and
-    the generator is not consulted. Machines end WSPT-sorted.
+    within alpha * (max load - min load) of the minimum, counted in index
+    order. With alpha = 0 the pick is the least-loaded machine, ties to the
+    lowest index, and the generator is not consulted. Machines end
+    WSPT-sorted. Only the machines given a job are visited: every other
+    one has load 0, so they are counted, not walked.
     """
-    work.machines = [[] for _ in work.machines]
-    loads = [0] * len(work.machines)
+    m = len(work.machines)
+    loads: dict[int, int] = {}  # machine -> load, for the machines given a job
+    lists: dict[int, list[int]] = {}
+    busy: list[int] = []  # their indices, ascending
     for r in range(len(work.ids)):
-        lo, hi = min(loads), max(loads)
+        idle = m - len(busy)
+        lo = 0 if idle else min(loads.values())
         if alpha == 0:
-            k = loads.index(lo)
+            k = next(k for k in count() if k not in loads) if idle else min(busy, key=loads.__getitem__)
         else:
-            threshold = lo + alpha * (hi - lo)
-            candidates = [i for i, load in enumerate(loads) if load <= threshold]
-            k = candidates[rng.below(len(candidates))]
-        work.machines[k].append(r)  # ranks arrive in order, so each list stays ascending
+            threshold = lo + alpha * (max(loads.values(), default=0) - lo)
+            t = rng.below(idle + sum(loads[k] <= threshold for k in busy))
+            k = _nth_below(busy, loads, threshold, t)
+        if k not in loads:
+            insort(busy, k)
+            loads[k], lists[k] = 0, []
+        lists[k].append(r)  # ranks arrive in order, so each list stays ascending
         loads[k] += work.p[r]
+    work.assign(lists)
+
+
+def _nth_below(busy: list[int], loads: dict[int, int], threshold: float, t: int) -> int:
+    """Index of the t-th machine (from 0, in index order) with load <= threshold;
+    the machines not in ``busy`` have load 0."""
+    after = -1
+    for k in busy:
+        gap = k - after - 1  # idle machines between two busy ones
+        if t < gap:
+            return after + 1 + t
+        t -= gap
+        if loads[k] <= threshold:
+            if t == 0:
+                return k
+            t -= 1
+        after = k
+    return after + 1 + t
 
 
 def _best_move(work: _Work, neighborhood: int) -> tuple[int, int, int, list[int], list[int]] | None:
@@ -131,77 +370,21 @@ def _best_move(work: _Work, neighborhood: int) -> tuple[int, int, int, list[int]
     Returns (delta, ka, kb, new_ranks_a, new_ranks_b). Candidates are
     scanned in a fixed order and the first strictly best one wins.
     """
-    p, w, machines = work.p, work.w, work.machines
-    empty = next((k for k, ranks in enumerate(machines) if not ranks), None)
-    scan = [(k, ranks) for k, ranks in enumerate(machines) if ranks or k == empty]
-    prefix, suffix, removal = {}, {}, {}
-    for k, ranks in scan:
-        P = list(accumulate((p[r] for r in ranks), initial=0))
-        S = list(accumulate((w[r] for r in reversed(ranks)), initial=0))[::-1]
-        prefix[k] = P
-        suffix[k] = S
-        removal[k] = [-(w[r] * (P[i] + p[r]) + p[r] * S[i + 1]) for i, r in enumerate(ranks)]
-
-    def insertion(k: int, r: int) -> int:
-        q = bisect_right(machines[k], r)
-        return w[r] * (prefix[k][q] + p[r]) + p[r] * suffix[k][q]
-
-    def pair_tables(ka: int, kb: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
-        """Parts of the swap deltas between machines ka (ranks a) and kb (ranks b).
-
-        C[i] prices a[i] leaving ka for kb, F[u] prices b[u] leaving kb
-        for ka, and G[i][u] = -2 p_lo w_hi corrects the pair a[i], b[u].
-        Returns C, H with H[i][u] = F[u] + G[i][u], and G: a swap(1,1)
-        costs C[i] + H[i][u], a swap(2,1) of a[i], a[j] against b[u]
-        costs C[i] + C[j] + 2 p_a[i] w_a[j] + H[i][u] + G[j][u].
-        """
-        a, b = machines[ka], machines[kb]
-        C = [removal[ka][i] + insertion(kb, x) for i, x in enumerate(a)]
-        F = [removal[kb][u] + insertion(ka, y) for u, y in enumerate(b)]
-        G = [[-2 * p[x] * w[y] if x < y else -2 * p[y] * w[x] for y in b] for x in a]
-        return C, [list(map(add, F, row)) for row in G], G
-
-    best: tuple[int, int, int, tuple[int, ...], tuple[int, ...]] | None = None
-    if neighborhood == SHIFT:
-        for ka, a in scan:
-            for i, r in enumerate(a):
-                for kb, _ in scan:
-                    if kb == ka:
-                        continue
-                    delta = removal[ka][i] + insertion(kb, r)
-                    if best is None or delta < best[0]:
-                        best = (delta, ka, kb, (i,), ())
-    elif neighborhood == SWAP11:
-        for x, (ka, a) in enumerate(scan):
-            for kb, b in scan[x + 1 :]:
-                if not a or not b:
-                    continue
-                C, H, _ = pair_tables(ka, kb)
-                for i, row in enumerate(H):
-                    low = min(row)
-                    if best is None or C[i] + low < best[0]:
-                        best = (C[i] + low, ka, kb, (i,), (row.index(low),))
-    elif neighborhood == SWAP21:
-        for ka, a in scan:
-            if len(a) < 2:
-                continue
-            for kb, b in scan:
-                if kb == ka or not b:
-                    continue
-                C, H, G = pair_tables(ka, kb)
-                for i in range(len(a)):
-                    for j in range(i + 1, len(a)):
-                        low = min(map(add, H[i], G[j]))
-                        delta = C[i] + C[j] + 2 * p[a[i]] * w[a[j]] + low
-                        if best is None or delta < best[0]:
-                            u = list(map(add, H[i], G[j])).index(low)
-                            best = (delta, ka, kb, (i, j), (u,))
-    else:
+    if neighborhood not in _ALL_NEIGHBORHOODS:
         raise ValueError(f"unknown neighborhood {neighborhood}")
+    best = work.best(neighborhood)
     if best is None:
         return None
-    delta, ka, kb, out_a, out_b = best
-    a, b = machines[ka], machines[kb]
+    if neighborhood == SHIFT:
+        delta, ka, i, kb = best
+        out_a, out_b = (i,), ()
+    elif neighborhood == SWAP11:
+        delta, ka, kb, i, u = best
+        out_a, out_b = (i,), (u,)
+    else:
+        delta, ka, kb, i, j, u = best
+        out_a, out_b = (i, j), (u,)
+    a, b = work.machines[ka], work.machines[kb]
     new_a = sorted([r for i, r in enumerate(a) if i not in out_a] + [b[u] for u in out_b])
     new_b = sorted([r for u, r in enumerate(b) if u not in out_b] + [a[i] for i in out_a])
     return delta, ka, kb, new_a, new_b
@@ -215,8 +398,8 @@ def _rvnd(work: _Work, rng: SplitMix64) -> None:
         best = _best_move(work, pending[idx])
         if best is not None and best[0] < 0:
             _, ka, kb, new_a, new_b = best
-            work.machines[ka] = new_a
-            work.machines[kb] = new_b
+            work.put(ka, new_a)
+            work.put(kb, new_b)
             pending = list(_ALL_NEIGHBORHOODS)
         else:
             pending.pop(idx)
@@ -228,17 +411,18 @@ def _perturb(work: _Work, rng: SplitMix64, strength: int) -> None:
     With a single machine there is nowhere to move, so the state is left
     as it is and the generator is not consulted.
     """
-    n, m = len(work.ids), len(work.machines)
+    machines = work.machines
+    n, m = len(work.ids), len(machines)
     if m == 1:
         return
     for _ in range(strength):
         r = rng.below(n)
-        ka = next(k for k, ranks in enumerate(work.machines) if r in ranks)
+        ka = next(k for k in work.occupied if r in machines[k])
         kb = rng.below(m - 1)
         if kb >= ka:
             kb += 1
-        work.machines[ka] = [x for x in work.machines[ka] if x != r]
-        work.machines[kb] = sorted([*work.machines[kb], r])
+        work.put(ka, [x for x in machines[ka] if x != r])
+        work.put(kb, sorted([*machines[kb], r]))
 
 
 def ils(inst: Instance, cfg: IlsConfig, monitor=None) -> IlsResult:
@@ -267,7 +451,7 @@ def ils(inst: Instance, cfg: IlsConfig, monitor=None) -> IlsResult:
             current_value = work.value()
             stale = 0
         else:
-            current = work.machines[:]
+            work.save()
             _perturb(work, rng, cfg.strength)
             _rvnd(work, rng)
             value = work.value()
@@ -275,7 +459,7 @@ def ils(inst: Instance, cfg: IlsConfig, monitor=None) -> IlsResult:
                 current_value = value
                 stale = 0
             else:
-                work.machines = current
+                work.restore()
                 stale += 1
         if current_value < best_value:
             best, best_value = work.to_schedule(), current_value

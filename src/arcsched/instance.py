@@ -36,6 +36,55 @@ class ValidationError(ValueError):
     """A value object violates its invariants."""
 
 
+# The CLI refuses (exit 5) an input whose estimated peak memory exceeds
+# MAX_MODEL_BYTES: a model, the swap tables of a search, or the machines of a
+# schedule. The budget leaves room on an 8 GB host.
+MAX_MODEL_BYTES = 6 * 10**9
+
+
+class ModelSizeError(ValueError):
+    """A model, a search or the machines of a schedule would need more than MAX_MODEL_BYTES."""
+
+
+class SizeLimitError(ValueError):
+    """Instance exceeds the oracle's m**n enumeration guard."""
+
+
+def approx(num: int, den: int = 1) -> str:
+    """num / den (num >= 0, den > 0) to three significant digits, as
+    ``format(num / den, ".3g")`` writes it, but in integer arithmetic, so a
+    number past the float range prints too."""
+    if num == 0:
+        return "0"
+    # e with 10**e <= num / den < 10**(e + 1), from a first guess within 1
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while num * 10 ** max(0, -e) < den * 10 ** max(0, e):
+        e -= 1
+    while num * 10 ** max(0, -e - 1) >= den * 10 ** max(0, e + 1):
+        e += 1
+    scale = den * 10 ** max(0, e - 2)
+    q, r = divmod(num * 10 ** max(0, 2 - e), scale)
+    if 2 * r > scale or (2 * r == scale and q % 2):  # half to even, as float formatting
+        q += 1
+    if q == 1000:
+        q, e = 100, e + 1
+    if -4 <= e < 3:
+        whole, frac = divmod(q, 10 ** (2 - e))
+        frac_text = f"{frac:0{2 - e}d}".rstrip("0") if e < 2 else ""
+        return f"{whole}.{frac_text}" if frac_text else str(whole)
+    mantissa = f"{q // 100}.{q % 100:02d}".rstrip("0").rstrip(".")
+    return f"{mantissa}e{e:+03d}"
+
+
+def check_bytes(need: int, what: str) -> None:
+    """Refuse (ModelSizeError) a need of memory above MAX_MODEL_BYTES; the
+    message is ``what`` followed by the need and the guard, in GB."""
+    if need > MAX_MODEL_BYTES:
+        raise ModelSizeError(
+            f"{what} about {approx(need, 10**9)} GB, above the model guard of {approx(MAX_MODEL_BYTES, 10**9)} GB"
+        )
+
+
 @dataclass(frozen=True)
 class Job:
     """One job: 1-based id, processing time p >= 1, weight w >= 1."""

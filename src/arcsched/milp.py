@@ -49,7 +49,17 @@ from operator import add, attrgetter, itemgetter, lt, mul, not_, or_, sub, truth
 from typing import NamedTuple, TextIO
 
 from .flowgraph import _RUN_LINES, LOSS, FlowGraph, _runs, _write_runs, decompose_flow
-from .instance import Instance, JobType, Schedule, ValidationError, completion_times, sort_machine_wspt
+from .instance import (
+    Instance,
+    JobType,
+    Schedule,
+    ValidationError,
+    approx,
+    check_bytes,
+    completion_times,
+    sort_machine_wspt,
+)
+from .instance import MAX_MODEL_BYTES, ModelSizeError  # the guard's old home keeps its names
 
 Num = int | Fraction
 
@@ -58,15 +68,13 @@ INTEGER = "integer"
 CONTINUOUS = "continuous"
 
 # The CLI refuses a model whose estimated peak memory, build plus emission,
-# exceeds MAX_MODEL_BYTES: a nonzero bound (``estimate_nonzeros``,
+# exceeds instance.MAX_MODEL_BYTES: a nonzero bound (``estimate_nonzeros``,
 # ``flow_nonzeros``) times the form's peak RSS per estimated nonzero. The
 # rates are the largest measured over LP and MPS, m = 2 and 4, p and w in
 # U[1, 100]; they differ because per-variable records and names weigh more
 # where a variable has few entries. af is eaf with every reduction off, so the
-# one flow builder has one rate, the larger of the two measured. The budget
-# leaves room on an 8 GB host.
+# one flow builder has one rate, the larger of the two measured.
 BYTES_PER_NONZERO = {"ti": 142, "pti": 462, "af": 364, "eaf": 364, "ciqp": 380}
-MAX_MODEL_BYTES = 6 * 10**9
 
 
 class MappingError(ValueError):
@@ -75,10 +83,6 @@ class MappingError(ValueError):
 
 class UnsupportedFormatError(ValueError):
     """Requested emission format cannot represent the model."""
-
-
-class ModelSizeError(ValueError):
-    """A model, or the machines of a schedule, would need more than MAX_MODEL_BYTES."""
 
 
 class Variable(NamedTuple):
@@ -262,12 +266,7 @@ def check_size(form: str, nonzeros: int) -> None:
     Raises:
         ModelSizeError: the memory estimate is above the guard.
     """
-    need = nonzeros * BYTES_PER_NONZERO[form]
-    if need > MAX_MODEL_BYTES:
-        raise ModelSizeError(
-            f"form {form} model may hold {nonzeros:.3g} nonzeros, about {need / 1e9:.3g} GB,"
-            f" above the model guard of {MAX_MODEL_BYTES / 1e9:.3g} GB"
-        )
+    check_bytes(nonzeros * BYTES_PER_NONZERO[form], f"form {form} model may hold {approx(nonzeros)} nonzeros,")
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .instance import Instance, Schedule, evaluate_schedule
+from .instance import Instance, Schedule, SizeLimitError, evaluate_schedule
 
 SIZE_GUARD = 10**8
 DOMINANCE_KEYS = 2**16  # keys the dominance table takes, which bounds its memory
-
-
-class SizeLimitError(ValueError):
-    """Instance exceeds the m**n enumeration guard."""
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcsched import heuristic
 from arcsched.heuristic import (
     SHIFT,
     SWAP11,
@@ -70,6 +71,38 @@ class TestGraspConstruct:
         inst = generate_instance(n=15, m=4, p_max=10, w_max=10, seed=8)
         sched = construct(inst, SplitMix64(3), alpha=1.0).to_schedule()
         assert sorted(j for mach in sched.machines for j in mach) == list(range(1, 16))
+
+
+def reference_construct(p, m, rng, alpha):
+    """The construction as a walk over all m loads per job."""
+    machines, loads = [[] for _ in range(m)], [0] * m
+    for r in range(len(p)):
+        lo, hi = min(loads), max(loads)
+        if alpha == 0:
+            k = loads.index(lo)
+        else:
+            threshold = lo + alpha * (hi - lo)
+            candidates = [i for i, load in enumerate(loads) if load <= threshold]
+            k = candidates[rng.below(len(candidates))]
+        machines[k].append(r)
+        loads[k] += p[r]
+    return machines
+
+
+class TestConstructMatchesFullWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.lists(st.integers(1, 20), min_size=1, max_size=15),
+        st.sampled_from([0, 0.3, 0.5, 1.0]),
+        st.integers(0, 2**32),
+    )
+    def test_same_machines_and_draws(self, m, ps, alpha, seed):
+        inst = make_instance(m, [(p, 1) for p in ps])
+        work, rng, ref_rng = _Work(inst), SplitMix64(seed), SplitMix64(seed)
+        _grasp_construct(work, rng, alpha)
+        assert work.machines == reference_construct(work.p, m, ref_rng, alpha)
+        assert rng.next_u64() == ref_rng.next_u64()
 
 
 class TestRvnd:
@@ -462,3 +495,99 @@ class TestBestMove:
     def test_unknown_neighborhood(self, demo):
         with pytest.raises(ValueError):
             _best_move(_Work(demo), 3)
+
+
+class TestGoldenWithoutKeptTables:
+    """Above the table budget a scan builds and drops each pair's swap
+    tables; the search takes the same moves."""
+
+    @pytest.mark.parametrize("case, trajectory, machines", GOLDEN_ILS)
+    def test_ils(self, case, trajectory, machines, monkeypatch):
+        monkeypatch.setattr(heuristic, "TABLE_BUDGET", 0)
+        n, m, p_max, w_max, inst_seed, seed, iterations, alpha = case
+        inst = generate_instance(n=n, m=m, p_max=p_max, w_max=w_max, seed=inst_seed)
+        assert not _Work(inst).keep_pairs
+        trace = []
+        result = ils(inst, IlsConfig(seed=seed, iterations=iterations, alpha=alpha),
+                     monitor=lambda it, value: trace.append(value))
+        assert trace == trajectory
+        assert result.schedule == Schedule(machines=machines)
+
+
+def fresh(work: _Work) -> _Work:
+    """A new state that holds copies of ``work``'s machines and no table."""
+    # job r + 1 of this instance is the job of WSPT rank r
+    other = _Work(make_instance(len(work.machines), list(zip(work.p, work.w))))
+    other.machines = [list(ranks) for ranks in work.machines]
+    return other
+
+
+class _NoWalk(list):
+    """Machine lists that fail the test when something walks all of them."""
+
+    def __iter__(self):
+        raise AssertionError("walked all m machine lists")
+
+
+class TestCachedTables:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        search_states(),
+        st.lists(st.sampled_from(["construct", "descent", "perturb", "save", "restore"]), max_size=10),
+        st.integers(0, 2**32),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_walk_matches_a_fresh_state(self, work, steps, seed, keep_pairs, keep_tables):
+        work.keep_pairs, work.keep_tables = keep_pairs, keep_tables
+        rng = SplitMix64(seed)
+        saved = None
+        for step in ["descent", *steps]:
+            if step == "construct":
+                _grasp_construct(work, rng, 0.5)
+                saved = None  # a new state has no snapshot
+            elif step == "descent":
+                _rvnd(work, rng)
+            elif step == "perturb":
+                _perturb(work, rng, 2)
+            elif step == "save":
+                work.save()
+                saved = [list(ranks) for ranks in work.machines]
+            elif saved is not None:
+                work.restore()
+                assert work.machines == saved
+            assert work.occupied == {k for k, ranks in enumerate(work.machines) if ranks}
+            other = fresh(work)
+            assert work.value() == other.value()
+            for neighborhood in (SHIFT, SWAP11, SWAP21):
+                assert _best_move(work, neighborhood) == _best_move(other, neighborhood)
+
+    def test_rollback_keeps_the_tables(self, monkeypatch):
+        inst = generate_instance(n=30, m=4, p_max=50, w_max=50, seed=2)
+        rng = SplitMix64(3)
+        work = construct(inst, rng, 0.3)
+        _rvnd(work, rng)  # its last three scans price every neighborhood of this state
+        work.save()
+        _perturb(work, rng, 2)
+        _rvnd(work, rng)
+        work.restore()
+
+        def rebuilt(*args):
+            raise AssertionError("a table was rebuilt after the rollback")
+
+        monkeypatch.setattr(heuristic, "_Row", rebuilt)
+        monkeypatch.setattr(heuristic, "_Pair", rebuilt)
+        for neighborhood in (SHIFT, SWAP11, SWAP21):
+            _best_move(work, neighborhood)
+
+    def test_iteration_does_not_walk_all_machines(self):
+        inst = make_instance(10**5, [(3, 1), (2, 5), (4, 4), (1, 1)])
+        rng = SplitMix64(1)
+        work = construct(inst, rng, 0.3)
+        work._machines = _NoWalk(work.machines)
+        for _ in range(20):
+            work.save()
+            _perturb(work, rng, 2)
+            _rvnd(work, rng)
+            assert work.value() > 0
+            work.restore()

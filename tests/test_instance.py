@@ -10,6 +10,7 @@ from arcsched.instance import (
     ParseError,
     Schedule,
     ValidationError,
+    approx,
     evaluate_schedule,
     generate_instance,
     group_job_types,
@@ -319,3 +320,27 @@ class TestInvariants:
     def test_instance_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             make_instance(1, [(1, 0)])
+
+
+class TestApprox:
+    """Three significant digits in integer arithmetic, as float formatting
+    writes them, for numbers past the float range too."""
+
+    @settings(max_examples=500)
+    @given(st.integers(0, 2**53))
+    def test_matches_float_formatting(self, value):
+        # below 2**53 the float is exact, so both round the same number
+        assert approx(value) == format(float(value), ".3g")
+
+    @pytest.mark.parametrize(
+        "num, den, text",
+        [(6_500_000_000, 10**9, "6.5"), (6 * 10**9, 10**9, "6"), (1, 10**9, "1e-09"),
+         (123, 10**5, "0.00123"), (999_500, 1, "1e+06"), (17_900_000, 1, "1.79e+07")],
+    )
+    def test_fractions(self, num, den, text):
+        assert approx(num, den) == text == format(num / den, ".3g")
+
+    def test_past_the_float_range(self):
+        assert approx(10**400) == "1e+400"
+        assert approx(367 * 10**400, 10**9) == "3.67e+393"
+        assert approx(2 * 10**5000 - 1) == "2e+5000"  # more digits than str() converts

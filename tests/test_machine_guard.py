@@ -1,11 +1,14 @@
-"""The machine-count guard of the commands that build a schedule.
+"""The machine-count guard of the commands that build a schedule, and the
+swap-table guard of the local search.
 
 An instance whose m machines alone would take a schedule past
-``milp.MAX_MODEL_BYTES`` is refused with exit 5 before anything per
+``instance.MAX_MODEL_BYTES`` is refused with exit 5 before anything per
 machine is allocated. Each command runs in a child process under an
 address-space limit and a timeout, so a regression fails the test instead
 of exhausting the host's memory. A large m under the guard must still be
 searched quickly, as the ILS only scans the machines that hold a job.
+The swap-table guard is tested in-process against a lowered budget, so no
+table near the real budget is allocated.
 """
 
 import os
@@ -15,6 +18,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from arcsched import cli, heuristic, instance
+from arcsched.instance import generate_instance, write_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SHIM = f"{sys.executable} {Path(__file__).parent / 'lp_shim.py'} {{model}} {{solution}}"
@@ -35,6 +41,39 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "arcsched.cli", *argv],
         capture_output=True, text=True, timeout=60, env=env, preexec_fn=_limit_memory,
     )
+
+
+def test_swap_tables_refused(tmp_path, capsys, monkeypatch):
+    # 40 jobs on two machines: a pair of 20 + 20 jobs prices 400 job pairs
+    need = 20 * 20 * heuristic.BYTES_PER_PAIR_ENTRY
+    path, out = tmp_path / "n40.txt", tmp_path / "out.sched"
+    path.write_text(write_instance(generate_instance(40, 2, 9, 9, 1)), encoding="utf-8")
+    argv = ["solve-heur", "--in", str(path), "--seed", "1", "--iters", "1", "--out", str(out)]
+    monkeypatch.setattr(instance, "MAX_MODEL_BYTES", need - 1)
+    assert cli.main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("refused: n = 40 jobs: the swap tables")
+    assert not out.exists()
+    monkeypatch.setattr(instance, "MAX_MODEL_BYTES", need)
+    assert cli.main(argv) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        # m = 10**400 machines, and one job of p = 10**400: byte needs past the float range
+        (f"1 1{'0' * 400}\n1 1\n", ["solve-heur", "--seed", "1"]),
+        (f"1 1\n1{'0' * 400} 1\n", ["model", "--form", "ti"]),
+    ],
+)
+def test_huge_integers_refused(tmp_path, text, argv):
+    path, out = tmp_path / "huge.txt", tmp_path / "out"
+    path.write_text(text, encoding="utf-8")
+    res = run_cli(argv[0], "--in", str(path), *argv[1:], "--out", str(out))
+    assert (res.returncode, res.stdout) == (5, ""), res.stderr
+    assert res.stderr.startswith("refused: ") and res.stderr.endswith(" GB, above the model guard of 6 GB\n")
+    assert not out.exists()
 
 
 @pytest.fixture
