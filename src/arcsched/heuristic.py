@@ -267,23 +267,21 @@ class _Work:
             insort(scan, empty)
         return scan
 
-    def assign(self, lists: dict[int, list[int]], rows: dict | None = None, pairs: dict | None = None) -> None:
-        """Machine k gets lists[k], every other machine none; ``rows`` and
-        ``pairs`` are the tables of that state, if known."""
+    def assign(self, lists: dict[int, list[int]]) -> None:
+        """Machine k gets lists[k], every other machine none."""
         for k in self.occupied.difference(lists):
             self._machines[k] = []
         for k, ranks in lists.items():
             self._machines[k] = ranks
         self.occupied = {k for k, ranks in lists.items() if ranks}
-        self._rows, self._pairs = rows or {}, pairs or {}
 
     def save(self) -> None:
         """Snapshot the scanned machines' lists and their tables."""
         self._saved = ({k: self._machines[k] for k in self.scan()}, self._rows, self._pairs)
 
     def restore(self) -> None:
-        """Roll back to the last snapshot; its tables are valid again."""
-        self.assign(*self._saved)
+        """Roll back to the last snapshot; a scan finds its tables again."""
+        self.assign(self._saved[0])
 
     def best(self, neighborhood: int) -> tuple | None:
         """Key of the first strictly best move of ``neighborhood``; rebuilds
