@@ -530,7 +530,7 @@ class _NoWalk(list):
 
 
 class TestCachedTables:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         search_states(),
         st.lists(st.sampled_from(["construct", "descent", "perturb", "save", "restore"]), max_size=10),
