@@ -31,24 +31,24 @@ H[i][u] = F[u] + G[i][u], a swap(1,1) costs C[i] + H[i][u], a swap(2,1)
 of a[i], a[j] against b[u] costs C[i] + C[j] + 2 p_a[i] w_a[j] + H[i][u]
 + G[j][u], and the other direction reads the transposes of G and of
 C + G. So one set of tables serves all four move kinds of a pair, and the
-pair keeps its first strictly best move per neighborhood. Tables are
-valid while the machines hold the lists they were built from, compared
-by identity: a move replaces two lists, so a scan after it reprices only
-the pairs that touch those two machines, and a rejected candidate rolls
-back to the old lists together with their tables. A move that rebuilds a
-machine's snapshot list takes the snapshot's list object instead, so a
-descent that returns to the snapshot, as most ILS iterations do, finds
-the snapshot's tables as it goes. The global best is taken over the
-pairs' bests by the key of the old scan order, (delta, ka, i, kb) for
-shift and (delta, ka, kb, positions) for the swaps, so the first strictly
-best move still wins.
+pair keeps its first strictly best move per neighborhood. A pair's
+tables hold for any lists equal to those they were built from: a scan
+takes a pair from the last scan, or from the ILS snapshot, whose two
+lists equal the machines' current ones, and builds rows and tables for
+the other pairs only. A move replaces two lists, so a scan after it
+reprices only the pairs that touch those two machines. A rejected
+candidate rolls back to the snapshot's lists and pairs, and a descent
+that returns to the snapshot's lists, as most ILS iterations do, finds
+the snapshot's pairs as it goes. Moves never edit a list, as the kept
+rows hold the list objects. The global best is taken over the pairs'
+bests by the key of a full scan's order, (delta, ka, i, kb) for shift
+and (delta, ka, kb, positions) for the swaps, so the first strictly best
+move still wins.
 
 Between scans the state keeps its pairs and their tables G and H only
 within TABLE_BUDGET, priced at measured rates; above it a scan builds
-them, uses them and drops them, as every scan did before. A pair's
-tables take O(|a| |b|) memory and no table spans all n jobs. On a 2-core
-VM, at n = 400, m = 10 an ILS iteration takes 2.3 s, against 4.7 s when
-every scan repriced every pair.
+them, uses them and drops them. A pair's tables take O(|a| |b|) memory
+and no table spans all n jobs.
 
 Empty machines price every move alike, so a scan covers only the m' <=
 min(m, n + 1) machines that hold a job or are the first empty one. The
@@ -168,10 +168,11 @@ def _swap21(C: list[int], H: list[list[int]], G: list, p_out: list[int], w_out: 
 
 
 class _Pair:
-    """Move prices between machines lo < hi while they hold the rows ``ra``
-    and ``rb``: the shift prices C and F, the swap tables G and H, and per
-    neighborhood the first strictly best move as its scan key (None when
-    there is none). The prices are dropped once every neighborhood is priced."""
+    """Move prices between machines lo < hi while they hold lists equal to
+    the ranks of rows ``ra`` and ``rb``: the shift prices C and F, the swap
+    tables G and H, and per neighborhood the first strictly best move as its
+    scan key (None when there is none). The prices are dropped once every
+    neighborhood is priced."""
 
     __slots__ = ("lo", "hi", "ra", "rb", "C", "F", "G", "H", "moves")
 
@@ -226,9 +227,9 @@ class _Pair:
 
 class _Work:
     """Search state: machines as ascending lists of WSPT ranks, the set of
-    occupied machines, and the pricing tables of the scanned machines."""
+    occupied machines, and the pricing tables of the scanned machine pairs."""
 
-    __slots__ = ("p", "w", "ids", "keep_pairs", "keep_tables", "occupied", "_machines", "_rows", "_pairs", "_saved")
+    __slots__ = ("p", "w", "ids", "keep_pairs", "keep_tables", "machines", "occupied", "_pairs", "_saved")
 
     def __init__(self, inst: Instance):
         self.ids = inst.wspt_ids
@@ -237,23 +238,13 @@ class _Work:
         self.keep_pairs = min(inst.m, inst.n + 1) ** 2 * BYTES_PER_PAIR <= TABLE_BUDGET
         self.keep_tables = inst.n * inst.n * BYTES_PER_PAIR_ENTRY <= TABLE_BUDGET
         self.machines = [[] for _ in range(inst.m)]
-
-    @property
-    def machines(self) -> list[list[int]]:
-        return self._machines
-
-    @machines.setter
-    def machines(self, machines: list[list[int]]) -> None:
-        self._machines = machines
-        self.occupied = {k for k, ranks in enumerate(machines) if ranks}
-        self._rows, self._pairs, self._saved = {}, {}, None
+        self.occupied = set()
+        self._pairs = {}  # the last scan's, by (lo, hi)
+        self._saved = ({}, {})  # the snapshot's lists and pairs
 
     def put(self, k: int, ranks: list[int]) -> None:
-        """Replace machine k's list; the old list is never edited. A list equal
-        to the snapshot's for k is swapped for that one, whose tables are kept."""
-        if self._saved is not None and self._saved[0].get(k) == ranks:
-            ranks = self._saved[0][k]
-        self._machines[k] = ranks
+        """Replace machine k's list; the old list is never edited."""
+        self.machines[k] = ranks
         if ranks:
             self.occupied.add(k)
         else:
@@ -263,67 +254,63 @@ class _Work:
         """The occupied machines and the first empty one, in index order."""
         scan = sorted(self.occupied)
         empty = next(k for k in count() if k not in self.occupied)  # at most n
-        if empty < len(self._machines):
+        if empty < len(self.machines):
             insort(scan, empty)
         return scan
 
     def assign(self, lists: dict[int, list[int]]) -> None:
         """Machine k gets lists[k], every other machine none."""
         for k in self.occupied.difference(lists):
-            self._machines[k] = []
+            self.machines[k] = []
         for k, ranks in lists.items():
-            self._machines[k] = ranks
+            self.machines[k] = ranks
         self.occupied = {k for k, ranks in lists.items() if ranks}
 
     def save(self) -> None:
-        """Snapshot the scanned machines' lists and their tables."""
-        self._saved = ({k: self._machines[k] for k in self.scan()}, self._rows, self._pairs)
+        """Snapshot the scanned machines' lists and the last scan's pairs."""
+        self._saved = ({k: self.machines[k] for k in self.scan()}, self._pairs)
 
     def restore(self) -> None:
-        """Roll back to the last snapshot; a scan finds its tables again."""
-        self.assign(self._saved[0])
+        """Roll back to the last snapshot, its pairs as the last scan's."""
+        lists, self._pairs = self._saved
+        self.assign(lists)
 
     def best(self, neighborhood: int) -> tuple | None:
-        """Key of the first strictly best move of ``neighborhood``; rebuilds
-        the tables of the machines and pairs whose lists changed."""
-        p, w, machines = self.p, self.w, self._machines
+        """Key of the first strictly best move of ``neighborhood``; reprices
+        the pairs whose lists differ from those of every cached pair."""
+        p, w, machines, saved_pairs = self.p, self.w, self.machines, self._saved[1]
         scan = self.scan()
-        _, saved_rows, saved_pairs = self._saved or (None, {}, {})
-        rows, pairs = {}, {}
-        for k in scan:
-            for known in (self._rows, saved_rows):
-                row = known.get(k)
-                if row is not None and row.ranks is machines[k]:
-                    break
-            else:
-                row = _Row(machines[k], p, w)
-            rows[k] = row
-        best = None
+        best, rows, pairs = None, {}, {}
         for x, lo in enumerate(scan):
+            a = machines[lo]
             for hi in scan[x + 1 :]:
+                b = machines[hi]
                 for known in (self._pairs, saved_pairs):
                     pair = known.get((lo, hi))
-                    if pair is not None and pair.ra is rows[lo] and pair.rb is rows[hi]:
+                    if pair is not None and pair.ra.ranks == a and pair.rb.ranks == b:
                         break
                 else:
+                    for k in (lo, hi):
+                        if k not in rows:
+                            rows[k] = _Row(machines[k], p, w)
                     pair = _Pair(lo, hi, rows[lo], rows[hi])
                 if self.keep_pairs:
                     pairs[lo, hi] = pair
                 move = pair.best(neighborhood, self.keep_tables)
                 if move is not None and (best is None or move < best):
                     best = move
-        self._rows, self._pairs = rows, pairs
+        self._pairs = pairs
         return best
 
     def to_schedule(self) -> Schedule:
-        return Schedule(machines=tuple(tuple(self.ids[r] for r in ranks) for ranks in self._machines))
+        return Schedule(machines=tuple(tuple(self.ids[r] for r in ranks) for ranks in self.machines))
 
     def value(self) -> int:
         """Total weighted completion time of the state."""
         total = 0
         for k in self.occupied:
             t = 0
-            for r in self._machines[k]:
+            for r in self.machines[k]:
                 t += self.p[r]
                 total += self.w[r] * t
         return total

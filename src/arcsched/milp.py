@@ -59,7 +59,6 @@ from .instance import (
     completion_times,
     sort_machine_wspt,
 )
-from .instance import MAX_MODEL_BYTES, ModelSizeError  # the guard's old home keeps its names
 
 Num = int | Fraction
 

@@ -32,7 +32,7 @@ from arcsched.rng import SplitMix64
 def state(inst, machines) -> _Work:
     """A search state that holds ``machines``, job ids per machine."""
     work = _Work(inst)
-    work.machines = [sorted(inst.wspt_ranks[j] for j in machine) for machine in machines]
+    work.assign({k: sorted(inst.wspt_ranks[j] for j in machine) for k, machine in enumerate(machines)})
     return work
 
 
@@ -518,7 +518,7 @@ def fresh(work: _Work) -> _Work:
     """A new state that holds copies of ``work``'s machines and no table."""
     # job r + 1 of this instance is the job of WSPT rank r
     other = _Work(make_instance(len(work.machines), list(zip(work.p, work.w))))
-    other.machines = [list(ranks) for ranks in work.machines]
+    other.assign({k: list(ranks) for k, ranks in enumerate(work.machines)})
     return other
 
 
@@ -562,7 +562,8 @@ class TestCachedTables:
             for neighborhood in (SHIFT, SWAP11, SWAP21):
                 assert _best_move(work, neighborhood) == _best_move(other, neighborhood)
 
-    def test_rollback_keeps_the_tables(self, monkeypatch):
+    @pytest.mark.parametrize("rollback", ["restore", "put"])
+    def test_rollback_keeps_the_tables(self, rollback, monkeypatch):
         inst = generate_instance(n=30, m=4, p_max=50, w_max=50, seed=2)
         rng = SplitMix64(3)
         work = construct(inst, rng, 0.3)
@@ -571,6 +572,16 @@ class TestCachedTables:
         _perturb(work, rng, 2)
         _rvnd(work, rng)
         work.restore()
+        work.save()  # a snapshot of the restored state, with no scan in between
+        before = [list(ranks) for ranks in work.machines]
+        _perturb(work, rng, 2)
+        _rvnd(work, rng)
+        if rollback == "restore":
+            work.restore()
+        else:  # new list objects, equal to the snapshot's
+            for k, ranks in enumerate(before):
+                work.put(k, list(ranks))
+        assert work.machines == before
 
         def rebuilt(*args):
             raise AssertionError("a table was rebuilt after the rollback")
@@ -584,7 +595,7 @@ class TestCachedTables:
         inst = make_instance(10**5, [(3, 1), (2, 5), (4, 4), (1, 1)])
         rng = SplitMix64(1)
         work = construct(inst, rng, 0.3)
-        work._machines = _NoWalk(work.machines)
+        work.machines = _NoWalk(work.machines)
         for _ in range(20):
             work.save()
             _perturb(work, rng, 2)

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import pytest
@@ -70,6 +71,19 @@ class TestParse:
     def test_extra_values_on_job_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_instance("1 1\n1 2 3\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: missing header 'n m'"),
+            ("0 2\n", "line 1: n and m must be >= 1, got n=0 m=2"),
+            ("1 1\n3 0\n", "line 2: weight must be >= 1, got 0"),
+        ],
+        ids=["empty", "no-jobs", "zero-weight"],
+    )
+    def test_refused(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_instance(text)
 
 
 class TestWrite:
@@ -269,6 +283,18 @@ class TestScheduleFile:
     def test_bad_line(self):
         with pytest.raises(ParseError):
             parse_schedule("objective 1\nnot a machine line\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("objective 1\nmachine 1: a\n", "line 2: job ids must be integers"),
+            ("machine 1: 1\n", "schedule text needs an 'objective' line and machine lines"),
+        ],
+        ids=["non-integer-id", "no-objective"],
+    )
+    def test_refused(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_schedule(text)
 
 
 # comment lines, some that would read as data, and blank lines

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -122,6 +123,29 @@ class TestRecords:
         model.add_var("x", 0, 1, BINARY)
         model.quad_terms.append((0, 3, 1))
         with pytest.raises(ValidationError):
+            model.validate()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda model: model.add_var("x", 0, 1, BINARY), "duplicate variable names: ['x']"),
+            (lambda model: model.add_var("y", 2, 1, INTEGER), "variable y: lb 2 > ub 1"),
+            (
+                lambda model: model.constraints.append(Constraint("c", "<", 1, array("I", [0]))),
+                "constraint c: bad sense '<'",
+            ),
+            (
+                lambda model: model.constraints.append(Constraint("c", "=", 1, [0])),
+                "constraint c: positions must be an unsigned int array",
+            ),
+        ],
+        ids=["duplicate-name", "lb-above-ub", "bad-sense", "positions-not-array"],
+    )
+    def test_record_refused(self, edit, message):
+        model = MilpModel(name="tiny")
+        model.add_var("x", 0, 1, BINARY)
+        edit(model)
+        with pytest.raises(ValidationError, match=re.escape(message)):
             model.validate()
 
 
