@@ -10,7 +10,7 @@ File formats
 ------------
 Instance (UTF-8 text): comment lines start with '#'; the first non-comment
 line is ``n m``; then n lines ``p_j w_j``. All integers, whitespace
-separated.
+separated; an integer is an optional sign and the ASCII digits 0-9.
 
 Schedule (UTF-8 text): line ``objective V``; then m lines
 ``machine k: j1 j2 ...`` with 1-based job ids in processing order. An empty
@@ -167,6 +167,15 @@ class Schedule:
         return len(self.machines)
 
 
+def _integer(tok: str) -> int:
+    """``tok`` read as an optional sign and the ASCII digits 0-9; any other
+    token is a ValueError (``int`` alone reads "1_0" as 10 and takes the
+    digits of other scripts)."""
+    if not (tok.isascii() and tok.lstrip("+-").isdigit()):
+        raise ValueError(tok)
+    return int(tok)
+
+
 def parse_instance(text: str) -> Instance:
     """Parse instance text, skipping '#' comments and blank lines."""
     records: list[tuple[int, list[int]]] = []
@@ -174,11 +183,10 @@ def parse_instance(text: str) -> Instance:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
         values = []
-        for tok in tokens:
+        for tok in line.split():
             try:
-                values.append(int(tok))
+                values.append(_integer(tok))
             except ValueError:
                 raise ParseError(f"line {lineno}: expected integer, got {tok!r}") from None
         records.append((lineno, values))
@@ -311,11 +319,11 @@ def parse_schedule(text: str) -> Schedule:
         if line.startswith("objective"):
             saw_objective = True
             continue
-        if not line.startswith("machine"):
+        _, colon, rest = line.partition(":")
+        if not (line.startswith("machine") and colon):
             raise ParseError(f"line {lineno}: expected 'machine k: ...', got {line!r}")
-        _, _, rest = line.partition(":")
         try:
-            machines.append(tuple(int(tok) for tok in rest.split()))
+            machines.append(tuple(map(_integer, rest.split())))
         except ValueError:
             raise ParseError(f"line {lineno}: job ids must be integers") from None
     if not saw_objective or not machines:

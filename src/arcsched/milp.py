@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import add, attrgetter, itemgetter, lt, mul, not_, or_, sub, truth
+from operator import add, attrgetter, lt, mul, not_, or_, sub, truth
 from typing import NamedTuple, TextIO
 
 from .flowgraph import _RUN_LINES, LOSS, FlowGraph, _runs, _write_runs, decompose_flow
@@ -460,20 +460,21 @@ def _line_pattern(room: int) -> re.Pattern:
     return re.compile(rf"(.{{1,{room}}}|[^\n]+)(?:\n|\Z)", re.S)
 
 
-def _wrap(parts: Iterable[str], indent: str = "   ", width: int = 72, end: str = "") -> Iterator[str]:
-    """Greedy fill of ``parts``, one space apart, into lines of at most
+def _wrap(parts: Iterable[str], indent: str = "   ", width: int = 72, end: str = "", sep: str = "\n") -> Iterator[str]:
+    r"""Greedy fill of ``parts``, one space apart, into lines of at most
     ``width`` columns; a part that would overflow opens a line at ``indent``.
-    ``end`` is appended to the last line.
+    ``end`` is appended to the last line. ``sep`` is a newline and the text
+    each part after the first starts with: "\n+ " signs bare names.
 
     Yields runs of lines (see ``flowgraph._write_runs``). Parts are joined
-    by newlines a slice at a time, and the slice is cut into lines by one
+    by ``sep`` a slice at a time, and the slice is cut into lines by one
     pattern scan; its finished lines are one run, and the open last line is
     carried into the next slice. No part holds a newline or a NUL.
     """
     parts = iter(parts)
     carry = ""  # the open line, with its indent and its spaces
     while chunk := list(islice(parts, _WRAP_PARTS)):
-        text = "\n".join(chunk) if not carry else carry + "\n" + "\n".join(chunk)
+        text = sep.join(chunk) if not carry else carry + sep + sep.join(chunk)
         # the open line holds its indent already, so it is cut at the full width
         first = _line_pattern(width).match(text)
         if first.end() == len(text):
@@ -487,47 +488,39 @@ def _wrap(parts: Iterable[str], indent: str = "   ", width: int = 72, end: str =
         yield carry + end
 
 
-# the sign of a "+ name" part; a coefficient of 1 replaces it by this same
-# object, which leaves the part as it is, with no copy
-_PLUS = "+ "
-_name = itemgetter(slice(2, None))  # the name of a "+ name" part
-
-
 def _sign(k: Num) -> str:
-    """The LP text before a variable's name for the coefficient ``k``; "" for 0."""
-    if not k:
-        return ""
+    """The LP text before a variable's name for the nonzero coefficient ``k``."""
     if k == 1:
-        return _PLUS
+        return "+ "
     if k == -1:
         return "- "
     return f"+ {_fmt_num(k)} " if k > 0 else f"- {_fmt_num(-k)} "
 
 
-def _signed(coefs: Sequence[Num], plus: Iterable[str]) -> Iterator[str]:
-    """LP text of each nonzero ``coefs[k]`` on the k-th of ``plus``, the
-    variables' "+ name" parts."""
-    if not isinstance(coefs, (array, range)):  # a list or tuple may hold Fractions
-        signs = list(map(_sign, coefs))
-        return map(str.replace, compress(plus, signs), repeat(_PLUS), filter(None, signs), repeat(1))
+def _signed(coefs: Sequence[Num], names: Iterable[str]) -> Iterator[str]:
+    """LP text of each nonzero ``coefs[k]`` on the k-th of ``names``: its
+    ``_sign`` text, then the name."""
+    whole = isinstance(coefs, (array, range))  # a list or tuple may hold Fractions
     if 0 in coefs:
-        plus, coefs = compress(plus, coefs), array("q", filter(None, coefs))
-    if min(coefs, default=2) >= 2:  # as the flow and ti objectives are
+        names, coefs = compress(names, coefs), list(filter(None, coefs))
+    if whole and min(coefs, default=2) >= 2:  # as the flow and ti objectives are
         # an f-string per term: str.format parses its template on every call,
         # and a map over it measured slower than this
-        return (f"+ {k} {p[2:]}" for k, p in zip(coefs, plus))
+        return (f"+ {k} {name}" for k, name in zip(coefs, names))
     sign = {k: _sign(k) for k in set(coefs)}  # a row holds few distinct coefficients
-    return map(str.replace, plus, repeat(_PLUS), map(sign.__getitem__, coefs), repeat(1))
+    return map(add, map(sign.__getitem__, coefs), names)
 
 
-def _sum_lines(lead: str, parts: Iterable[str], end: str = "") -> Iterator[str]:
-    """``lead`` and the wrapped signed ``parts``, the first without its plus
-    sign, then ``end``; "0" when there are none."""
+def _sum_lines(lead: str, parts: Iterable[str], end: str = "", sep: str = "\n") -> Iterator[str]:
+    r"""``lead`` and the wrapped ``parts`` (``_wrap``), the first without its
+    plus sign, then ``end``; "0" when there are none. The parts are signed
+    terms, or, with ``sep`` "\n+ ", the bare names of a row of ones."""
     parts = iter(parts)
     first = next(parts, None)
     if first is None:
         return iter((lead + "0" + end,))
-    return _wrap(chain((lead + (first[2:] if first[0] == "+" else first),), parts), end=end)
+    # the first part's text is its own sign, or the one ``sep`` would give it
+    return _wrap(chain((lead + (sep[1:] + first).removeprefix("+ "),), parts), end=end, sep=sep)
 
 
 def _with_constant(model: MilpModel) -> list[VarBlock]:
@@ -553,34 +546,32 @@ def _lp_bound(b: VarBlock) -> tuple[str, str] | None:
 
 
 def _lp_runs(model: MilpModel) -> Iterator[str]:
-    """The LP text as runs of lines. Each variable's "+ name" is built once;
-    a row is the run of them, signed and wrapped at 72 columns."""
+    """The LP text as runs of lines. Each variable's name is made once; a
+    row is the run of them, signed and wrapped at 72 columns."""
     blocks = _with_constant(model)
-    plus = list(map(_PLUS.__add__, chain.from_iterable(b.names() for b in blocks)))
+    names = list(chain.from_iterable(b.names() for b in blocks))
     edges = list(accumulate(map(len, blocks), initial=0))
-    spans = list(zip(blocks, edges, edges[1:]))  # the "+ name" parts of a block are plus[s:e]
+    spans = list(zip(blocks, edges, edges[1:]))  # the names of a block are names[s:e]
     yield f"\\ {model.name}\nMinimize"
-    yield from _sum_lines(" obj: ", chain.from_iterable(_signed(b.obj, plus[s:e]) for b, s, e in spans))
+    yield from _sum_lines(" obj: ", chain.from_iterable(_signed(b.obj, names[s:e]) for b, s, e in spans))
     if model.quad_terms:
         quad = (
-            f"{'+' if 2 * coef > 0 else '-'} {_fmt_num(abs(2 * coef))} {plus[a][2:]} * {plus[b][2:]}"
+            f"{'+' if 2 * coef > 0 else '-'} {_fmt_num(abs(2 * coef))} {names[a]} * {names[b]}"
             for a, b, coef in model.quad_terms
         )
-        first = next(quad)
-        yield from _wrap(chain(("   + [", first[2:] if first[0] == "+" else first), quad, ("] / 2",)))
+        yield from _wrap(chain(("   + [", next(quad).removeprefix("+ ")), quad, ("] / 2",)))
     yield "Subject To"
     for c in model.constraints:
-        row = map(plus.__getitem__, c.cols)
-        parts = row if c.coefs is None else _signed(c.coefs, row)
-        yield from _sum_lines(f" {c.name}: ", parts, f" {c.sense} {_fmt_num(c.rhs)}")
-    # the later sections cut each name from its "+ name"
+        row = map(names.__getitem__, c.cols)
+        parts, sep = (row, "\n+ ") if c.coefs is None else (_signed(c.coefs, row), "\n")
+        yield from _sum_lines(f" {c.name}: ", parts, f" {c.sense} {_fmt_num(c.rhs)}", sep)
     bounded = [(rule, s, e) for b, s, e in spans if (rule := _lp_bound(b))]
     if bounded:
         yield "Bounds"
         for (before, after), s, e in bounded:
-            yield from _runs(map(_name, plus[s:e]), before, after)
+            yield from _runs(names[s:e], before, after)
     for title, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
-        listed = map(_name, chain.from_iterable(plus[s:e] for b, s, e in spans if b.kind == kind))
+        listed = chain.from_iterable(names[s:e] for b, s, e in spans if b.kind == kind)
         first = next(listed, None)
         if first is not None:
             yield title
@@ -662,10 +653,7 @@ def _column_runs(
     starts, ids, texts = index
     ends = [t.rstrip() for t in texts]
     names = chain.from_iterable(b.names() for b in blocks)
-    # an array or range holds ints, whose str is their _fmt_num text
-    values = chain.from_iterable(
-        map(str if isinstance(b.obj, (array, range)) else _fmt_num, b.obj) for b in blocks
-    )
+    values = chain.from_iterable(map(_fmt_num, b.obj) for b in blocks)
     integral = chain.from_iterable(repeat(b.kind in (BINARY, INTEGER), len(b)) for b in blocks)
     counts = list(map(sub, starts[1:], starts[:-1]))
     with_cost = map(or_, chain.from_iterable(map(truth, b.obj) for b in blocks), map(not_, counts))
@@ -703,7 +691,10 @@ def _column_runs(
 
 
 def _mps_bounds(b: VarBlock) -> list[tuple[str, str]]:
-    """(type, value) of each BOUNDS line of a non-binary variable of ``b``."""
+    """(type, value) of each BOUNDS line of a variable of ``b``; a binary's
+    one line, BV, has no value."""
+    if b.kind == BINARY:
+        return [("BV", "")]
     if b.ub is not None and b.lb == b.ub:
         return [("FX", _fmt_num(b.lb))]
     lower = [("LO", _fmt_num(b.lb))] if b.lb != 0 else []
@@ -712,14 +703,14 @@ def _mps_bounds(b: VarBlock) -> list[tuple[str, str]]:
 
 def _bound_runs(blocks: list[VarBlock], w_name: int) -> Iterator[str]:
     """The BOUNDS lines of the variables of ``blocks``, a run per
-    ``_RUN_LINES`` variables of a block, each run one join."""
+    ``_RUN_LINES`` variables of a block, each run one join. A name is padded
+    to ``w_name`` before a value; a BV line ends at the name."""
     bnd = f"{'BND':<{w_name - 1}}"
     for b in blocks:
-        names = iter(b.names())
-        if b.kind == BINARY:
-            yield from _runs(names, f" BV {bnd}")
-        elif marks := _mps_bounds(b):
-            while chunk := list(map(str.ljust, islice(names, _RUN_LINES), repeat(w_name))):
+        if marks := _mps_bounds(b):
+            names = iter(b.names())
+            width = w_name if marks[0][1] else 0
+            while chunk := list(map(str.ljust, islice(names, _RUN_LINES), repeat(width))):
                 fields = chain.from_iterable((repeat(f"\n {tag} {bnd}"), chunk, repeat(value)) for tag, value in marks)
                 yield "".join(chain.from_iterable(zip(*fields)))[1:]
 

@@ -565,6 +565,24 @@ class TestCheck:
         code = main(["check", "--in", str(demo_file), "--sched", str(sched), "--form", form])
         assert (code, *capsys.readouterr()) == (3, "", f"error: {message}\n")
 
+    def test_machine_line_without_colon_refused(self, demo_file, tmp_path, capsys):
+        # it was read as an empty machine, and job 2 reported missing
+        sched = tmp_path / "s.txt"
+        sched.write_text("objective 67\nmachine 1: 1 3 4\nmachine 2 2\n", encoding="utf-8")
+        code = main(["check", "--in", str(demo_file), "--sched", str(sched), "--form", "af"])
+        message = "line 3: expected 'machine k: ...', got 'machine 2 2'"
+        assert (code, *capsys.readouterr()) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("token", ["1_0", "１"], ids=["underscore", "fullwidth-digit"])
+    @pytest.mark.parametrize("command", ["model", "check"])
+    def test_non_ascii_integer_in_instance_refused(self, command, token, tmp_path, capsys):
+        inst, sched = tmp_path / "i.txt", tmp_path / "s.txt"
+        inst.write_text(f"1 1\n{token} 1\n", encoding="utf-8")
+        sched.write_text("objective 1\nmachine 1: 1\n", encoding="utf-8")
+        argv = {"model": ["--out", str(tmp_path / "m.lp")], "check": ["--sched", str(sched)]}[command]
+        code = main([command, "--in", str(inst), "--form", "af", *argv])
+        assert (code, *capsys.readouterr()) == (3, "", f"error: line 2: expected integer, got {token!r}\n")
+
 
 class TestSolveExternal:
     def shim_cmd(self) -> str:

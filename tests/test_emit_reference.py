@@ -320,6 +320,26 @@ def test_emit_mps_matches_named_term_reference(pair):
     assert emit_mps(new) == ref_emit_mps(ref)
 
 
+def test_names_that_start_with_a_sign():
+    # NAMES has no sign, so no drawn model tells a sign cut from a term from
+    # one cut from a name: each of these names comes first in an all-ones
+    # row, in a row of ones and minus ones, and in the objective
+    names = ["+ a", "- b", "c"]
+    new, ref = MilpModel(name="signs"), RefModel(name="signs")
+    for name, kind, obj in zip(names, [BINARY, INTEGER, CONTINUOUS], [1, -1, 2]):
+        new.add_var(name, 0, 5, kind, obj)
+        ref.variables.append(Variable(name, 0, 5, kind, obj))
+    rows = [("ones", [0, 1, 2], None), ("tail", [1, 2], None), ("pm", [0, 1, 2], [1, -1, 1]), ("mp", [1, 2], [-1, 1])]
+    for row_name, cols, coefs in rows:
+        new.add_constraint(row_name, cols, ">=", 1, coefs=coefs)
+        terms = tuple(zip([names[i] for i in cols], coefs or [1] * len(cols)))
+        ref.constraints.append(RefConstraint(row_name, ">=", 1, terms))
+    new.validate()
+    assert emit_lp(new) == ref_emit_lp(ref)
+    assert " ones: + a + - b + c >= 1\n" in emit_lp(new)
+    assert emit_mps(new) == ref_emit_mps(ref)
+
+
 @settings(max_examples=50, deadline=None)
 @given(pair=model_pairs(quadratic=True))
 def test_emit_mps_refuses_quadratic_models_alike(pair):

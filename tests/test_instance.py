@@ -78,8 +78,12 @@ class TestParse:
             ("", "line 1: missing header 'n m'"),
             ("0 2\n", "line 1: n and m must be >= 1, got n=0 m=2"),
             ("1 1\n3 0\n", "line 2: weight must be >= 1, got 0"),
+            # int() reads 1_0 as 10 and takes other scripts' digits
+            ("1 1\n1_0 1\n", "line 2: expected integer, got '1_0'"),
+            ("1 1\n3 \uff11\n", "line 2: expected integer, got '\uff11'"),
+            ("+-1 1\n1 1\n", "line 1: expected integer, got '+-1'"),
         ],
-        ids=["empty", "no-jobs", "zero-weight"],
+        ids=["empty", "no-jobs", "zero-weight", "underscore", "fullwidth-digit", "two-signs"],
     )
     def test_refused(self, text, message):
         with pytest.raises(ParseError, match=re.escape(message)):
@@ -289,8 +293,12 @@ class TestScheduleFile:
         [
             ("objective 1\nmachine 1: a\n", "line 2: job ids must be integers"),
             ("machine 1: 1\n", "schedule text needs an 'objective' line and machine lines"),
+            ("objective 1\nmachine 1: 1_0\n", "line 2: job ids must be integers"),
+            ("objective 1\nmachine 1: \uff11\n", "line 2: job ids must be integers"),
+            # without its colon the line's jobs would be read as an empty machine
+            ("objective 1\nmachine 1: 1\nmachine 2 2 3\n", "line 3: expected 'machine k: ...', got 'machine 2 2 3'"),
         ],
-        ids=["non-integer-id", "no-objective"],
+        ids=["non-integer-id", "no-objective", "underscore", "fullwidth-digit", "no-colon"],
     )
     def test_refused(self, text, message):
         with pytest.raises(ParseError, match=re.escape(message)):
