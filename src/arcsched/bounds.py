@@ -13,8 +13,8 @@ through floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .instance import Instance, JobType
 
@@ -23,16 +23,14 @@ class InfeasibleWindowError(ValueError):
     """A job's start window came out empty (a_j > b_j)."""
 
 
-@dataclass(frozen=True)
-class Horizon:
+class Horizon(NamedTuple):
     T: int
     T_prime: int
     H_min: Fraction
     H_max: Fraction
 
 
-@dataclass(frozen=True)
-class TimeWindows:
+class TimeWindows(NamedTuple):
     """Earliest/latest start per job id (1-based lookup via dicts)."""
 
     a: dict[int, int]

@@ -25,8 +25,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .instance import (
@@ -69,8 +67,6 @@ oracle = _lazy(f"{__package__}.oracle")
 shlex, subprocess, tempfile = _lazy("shlex"), _lazy("subprocess"), _lazy("tempfile")
 
 SOLVER_ENV = "ARCSCHED_SOLVER_CMD"
-# farthest a solver value on an integer variable may sit from an integer
-INTEGRALITY_TOLERANCE = Fraction(1, 10**6)
 
 # peak RSS per machine of solve-heur at n = 2, m = 10^5: the largest of the
 # commands that build a schedule (solve-exact, solve-external: at most 117 B)
@@ -87,15 +83,15 @@ class ExternalSolverError(RuntimeError):
     pass
 
 
-@dataclass
 class RunReport:
-    command: str
-    digest: dict = field(default_factory=dict)
-    timings_ms: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    deterministic: bool = True
-    lines: list = field(default_factory=list)  # printed last, as they stand
+    def __init__(self, command: str):
+        self.command = command
+        self.digest: dict = {}
+        self.timings_ms: dict = {}
+        self.outputs: list = []
+        self.summary: dict = {}
+        self.deterministic = True
+        self.lines: list = []  # printed last, as they stand
 
     def print(self, out=None) -> None:
         out = out or sys.stdout
@@ -392,7 +388,7 @@ def cmd_solve_external(args, report: RunReport) -> None:
         for name in model.names():
             x = solution.get(name, 0)
             nearest = round(x)
-            if abs(x - nearest) > INTEGRALITY_TOLERANCE:
+            if abs(x - nearest) * 10**6 > 1:  # more than 10^-6 from an integer, exact for a Fraction
                 raise ExternalSolverError(f"non-integral value {x} for integer variable {name}")
             values.append(nearest)
         feas = milp.check_feasible(model, values)

@@ -26,10 +26,9 @@ import io
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import add
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .instance import Instance, JobType
 
@@ -40,8 +39,7 @@ class InfeasibleHorizonError(ValueError):
     """Horizon too small for the longest job."""
 
 
-@dataclass(frozen=True)
-class FlowGraph:
+class FlowGraph(NamedTuple):
     """Time points (0, T and every reachable t) and arcs as parallel unsigned arrays.
 
     Arc i runs from ``tail[i]`` to ``head[i]``; ``label[i]`` is its type

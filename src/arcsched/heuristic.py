@@ -67,9 +67,9 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from itertools import accumulate, count, repeat
 from operator import add, mul
+from typing import NamedTuple
 
 from .instance import Instance, Schedule, approx, check_bytes
 from .rng import SplitMix64
@@ -103,27 +103,25 @@ def check_size(inst: Instance) -> None:
                     f"n = {inst.n} jobs: the swap tables of one machine pair, {approx(entries)} job pairs, need")
 
 
-@dataclass(frozen=True)
 class IlsConfig:
-    seed: int
-    iterations: int = 1000
-    time_limit: float | None = None
-    alpha: float = 0.3
-    strength: int = 2
-
-    def __post_init__(self):
-        if self.iterations < 1:
+    def __init__(self, seed: int, iterations: int = 1000, time_limit: float | None = None,
+                 alpha: float = 0.3, strength: int = 2):
+        if iterations < 1:
             raise ValueError("iteration budget must be >= 1")
-        if not (0 <= self.alpha <= 1):
+        if not (0 <= alpha <= 1):
             raise ValueError("alpha must be within [0, 1]")
-        if self.strength < 1:
+        if strength < 1:
             raise ValueError("perturbation strength must be >= 1")
-        if self.time_limit is not None and not (math.isfinite(self.time_limit) and self.time_limit > 0):
+        if time_limit is not None and not (math.isfinite(time_limit) and time_limit > 0):
             raise ValueError("time budget must be positive and finite")
+        self.seed = seed
+        self.iterations = iterations
+        self.time_limit = time_limit
+        self.alpha = alpha
+        self.strength = strength
 
 
-@dataclass(frozen=True)
-class IlsResult:
+class IlsResult(NamedTuple):
     schedule: Schedule
     value: int
     iterations: int

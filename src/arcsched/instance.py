@@ -20,10 +20,9 @@ fails validation against its instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import sys
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .rng import SplitMix64
 
@@ -43,7 +42,8 @@ MAX_MODEL_BYTES = 6 * 10**9
 
 
 class ModelSizeError(ValueError):
-    """A model, a search or the machines of a schedule would need more than MAX_MODEL_BYTES."""
+    """A model, a search or the machines of a schedule would need more than
+    MAX_MODEL_BYTES, or an input integer has more digits than ``int`` reads."""
 
 
 class SizeLimitError(ValueError):
@@ -85,8 +85,7 @@ def check_bytes(need: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
     """One job: 1-based id, processing time p >= 1, weight w >= 1."""
 
     id: int
@@ -94,24 +93,31 @@ class Job:
     w: int
 
 
-@dataclass(frozen=True)
-class Instance:
+class _InstanceFields(NamedTuple):
     n: int
     m: int
     jobs: tuple[Job, ...]
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValidationError(f"need n >= 1 and m >= 1, got n={self.n} m={self.m}")
-        if len(self.jobs) != self.n:
-            raise ValidationError(f"expected {self.n} jobs, got {len(self.jobs)}")
-        for pos, job in enumerate(self.jobs, start=1):
+
+class Instance(_InstanceFields):
+    """n jobs on m machines, checked on construction. A tuple of its fields,
+    so eq and hash are field-based; the cached properties live in the
+    instance dict, which neither reads."""
+
+    def __new__(cls, n: int, m: int, jobs: tuple[Job, ...]):
+        self = super().__new__(cls, n, m, jobs)
+        if n < 1 or m < 1:
+            raise ValidationError(f"need n >= 1 and m >= 1, got n={n} m={m}")
+        if len(jobs) != n:
+            raise ValidationError(f"expected {n} jobs, got {len(jobs)}")
+        for pos, job in enumerate(jobs, start=1):
             if job.id != pos:
                 raise ValidationError(f"job ids must be 1..n in order; position {pos} has id {job.id}")
             if job.p < 1:
                 raise ValidationError(f"job {job.id}: processing time must be >= 1, got {job.p}")
             if job.w < 1:
                 raise ValidationError(f"job {job.id}: weight must be >= 1, got {job.w}")
+        return self
 
     @property
     def total_p(self) -> int:
@@ -128,11 +134,15 @@ class Instance:
     def wspt_ids(self) -> tuple[int, ...]:
         """Job ids in WSPT order: non-increasing w/p, ties by smaller id.
 
-        The only WSPT sort in the package, taken once per instance with the
-        exact key (-w/p, id). A cached_property writes to the instance
-        dict, so the frozen dataclass keeps its field-based eq and hash.
+        The only WSPT sort in the package, taken once per instance by an
+        exact integer key: floor(w 2^s / p) with s = 2 bits(p_max) + 1. Two
+        ratios that differ do so by at least 1 / (p_a p_b) > 2^-(s - 1), so
+        their keys differ by at least 1 in the same direction, and equal
+        ratios get equal keys. The sort is stable over jobs in id order,
+        so ties keep the smaller id first.
         """
-        return tuple(j.id for j in sorted(self.jobs, key=lambda j: (Fraction(-j.w, j.p), j.id)))
+        s = 2 * self.p_max.bit_length() + 1
+        return tuple(j.id for j in sorted(self.jobs, key=lambda j: -((j.w << s) // j.p)))
 
     @cached_property
     def wspt_ranks(self) -> dict[int, int]:
@@ -146,8 +156,7 @@ def make_instance(m: int, pw_pairs: Sequence[tuple[int, int]]) -> Instance:
     return Instance(n=len(jobs), m=m, jobs=jobs)
 
 
-@dataclass(frozen=True)
-class JobType:
+class JobType(NamedTuple):
     """Jobs merged by identical (p, w): multiplicity d, member job ids."""
 
     p: int
@@ -156,8 +165,7 @@ class JobType:
     members: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Per-machine job-id sequences; the lists partition 1..n."""
 
     machines: tuple[tuple[int, ...], ...]
@@ -167,17 +175,40 @@ class Schedule:
         return len(self.machines)
 
 
-def _integer(tok: str) -> int:
-    """``tok`` read as an optional sign and the ASCII digits 0-9; any other
-    token is a ValueError (``int`` alone reads "1_0" as 10 and takes the
-    digits of other scripts)."""
-    if not (tok.isascii() and tok.lstrip("+-").isdigit()):
-        raise ValueError(tok)
-    return int(tok)
+def _excerpt(text: str) -> str:
+    """``text`` quoted as a message shows it: whole up to 20 characters,
+    else its first 20 and "..."."""
+    return repr(text) if len(text) <= 20 else repr(text[:20]) + "..."
+
+
+def _integer(tok: str, lineno: int) -> int | None:
+    """``tok`` read as an optional sign and the ASCII digits 0-9, or None
+    for any other token (``int`` alone reads "1_0" as 10 and takes the
+    digits of other scripts).
+
+    Raises:
+        ModelSizeError: the token has more digits than ``int`` converts
+            (``sys.get_int_max_str_digits()``, 4,300 by default).
+    """
+    digits = tok[1:] if tok[0] in "+-" else tok
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(tok)
+    except ValueError:  # sign and digits, so only int's digit limit refuses it
+        raise ModelSizeError(
+            f"line {lineno}: an integer of {len(digits)} digits, above the limit of"
+            f" {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse instance text, skipping '#' comments and blank lines."""
+    """Parse instance text, skipping '#' comments and blank lines.
+
+    Raises:
+        ParseError: malformed text, naming the line.
+        ModelSizeError: an integer too long to read (``_integer``).
+    """
     records: list[tuple[int, list[int]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -185,10 +216,10 @@ def parse_instance(text: str) -> Instance:
             continue
         values = []
         for tok in line.split():
-            try:
-                values.append(_integer(tok))
-            except ValueError:
-                raise ParseError(f"line {lineno}: expected integer, got {tok!r}") from None
+            value = _integer(tok, lineno)
+            if value is None:
+                raise ParseError(f"line {lineno}: expected integer, got {_excerpt(tok)}")
+            values.append(value)
         records.append((lineno, values))
 
     if not records:
@@ -309,7 +340,12 @@ def write_schedule(inst: Instance, sched: Schedule) -> str:
 
 
 def parse_schedule(text: str) -> Schedule:
-    """Parse schedule text; the objective line is informational only."""
+    """Parse schedule text; the objective line is informational only.
+
+    Raises:
+        ParseError: malformed text, naming the line.
+        ModelSizeError: a job id too long to read (``_integer``).
+    """
     machines: list[tuple[int, ...]] = []
     saw_objective = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -321,11 +357,11 @@ def parse_schedule(text: str) -> Schedule:
             continue
         _, colon, rest = line.partition(":")
         if not (line.startswith("machine") and colon):
-            raise ParseError(f"line {lineno}: expected 'machine k: ...', got {line!r}")
-        try:
-            machines.append(tuple(map(_integer, rest.split())))
-        except ValueError:
-            raise ParseError(f"line {lineno}: job ids must be integers") from None
+            raise ParseError(f"line {lineno}: expected 'machine k: ...', got {_excerpt(line)}")
+        ids = tuple(_integer(tok, lineno) for tok in rest.split())
+        if None in ids:
+            raise ParseError(f"line {lineno}: job ids must be integers")
+        machines.append(ids)
     if not saw_objective or not machines:
         raise ParseError("schedule text needs an 'objective' line and machine lines")
     return Schedule(machines=tuple(machines))

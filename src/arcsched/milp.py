@@ -41,7 +41,6 @@ import io
 import re
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, compress, groupby, islice, repeat
@@ -54,6 +53,7 @@ from .instance import (
     JobType,
     Schedule,
     ValidationError,
+    _excerpt,
     approx,
     check_bytes,
     completion_times,
@@ -94,7 +94,6 @@ class Variable(NamedTuple):
     obj: Num = 0
 
 
-@dataclass(frozen=True)
 class VarBlock:
     """Variables at consecutive positions that share a kind and bounds.
 
@@ -103,11 +102,12 @@ class VarBlock:
     names in order from its name rule; no name is stored.
     """
 
-    kind: str
-    lb: Num
-    ub: Num | None
-    obj: Sequence[Num]
-    names: Callable[[], Iterable[str]]
+    def __init__(self, kind: str, lb: Num, ub: Num | None, obj: Sequence[Num], names: Callable[[], Iterable[str]]):
+        self.kind = kind
+        self.lb = lb
+        self.ub = ub
+        self.obj = obj
+        self.names = names
 
     def __len__(self) -> int:
         return len(self.obj)
@@ -117,8 +117,7 @@ def _single(name: str, lb: Num, ub: Num | None, kind: str, obj: Num) -> VarBlock
     return VarBlock(kind, lb, ub, (obj,), lambda: (name,))
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """One linear row: entry ``coefs[i]`` on the variable at position ``cols[i]``.
 
     ``cols`` holds unsigned 32-bit positions in strictly rising order;
@@ -137,13 +136,14 @@ class Constraint:
         return list(zip(self.cols, repeat(1) if self.coefs is None else self.coefs))
 
 
-@dataclass
 class MilpModel:
-    name: str
-    blocks: list[VarBlock] = field(default_factory=list)  # variables, in position order
-    constraints: list[Constraint] = field(default_factory=list)
-    obj_constant: Num = 0
-    quad_terms: list[tuple[int, int, Num]] = field(default_factory=list)  # positions and coefficient
+    def __init__(self, name: str, blocks: list[VarBlock] | None = None, constraints: list[Constraint] | None = None,
+                 obj_constant: Num = 0, quad_terms: list[tuple[int, int, Num]] | None = None):
+        self.name = name
+        self.blocks = [] if blocks is None else blocks  # variables, in position order
+        self.constraints = [] if constraints is None else constraints
+        self.obj_constant = obj_constant
+        self.quad_terms = [] if quad_terms is None else quad_terms  # positions and coefficient
 
     @property
     def num_vars(self) -> int:
@@ -207,9 +207,10 @@ class MilpModel:
                 raise ValidationError(f"constraint {c.name}: bad sense {c.sense!r}")
             if not (isinstance(c.cols, array) and c.cols.typecode == "I"):
                 raise ValidationError(f"constraint {c.name}: positions must be an unsigned int array")
-            if not all(map(lt, c.cols, islice(c.cols, 1, None))):
+            cols = c.cols.tolist()  # one int each, made at once
+            if not all(map(lt, cols, islice(cols, 1, None))):
                 raise ValidationError(f"constraint {c.name}: positions must strictly rise")
-            if c.cols and c.cols[-1] >= n:
+            if cols and cols[-1] >= n:
                 raise ValidationError(f"constraint {c.name} references a variable position outside 0..{n - 1}")
             if c.coefs is not None and not (
                 isinstance(c.coefs, array) and c.coefs.typecode == "q" and len(c.coefs) == len(c.cols)
@@ -500,10 +501,12 @@ def _sign(k: Num) -> str:
 def _signed(coefs: Sequence[Num], names: Iterable[str]) -> Iterator[str]:
     """LP text of each nonzero ``coefs[k]`` on the k-th of ``names``: its
     ``_sign`` text, then the name."""
-    whole = isinstance(coefs, (array, range))  # a list or tuple may hold Fractions
+    whole = isinstance(coefs, (array, range))
     if 0 in coefs:
         names, coefs = compress(names, coefs), list(filter(None, coefs))
-    if whole and min(coefs, default=2) >= 2:  # as the flow and ti objectives are
+    if not whole:  # a list or tuple may hold Fractions, which hash slowly
+        return map(add, map(_sign, coefs), names)
+    if min(coefs, default=2) >= 2:  # as the flow and ti objectives are
         # an f-string per term: str.format parses its template on every call,
         # and a map over it measured slower than this
         return (f"+ {k} {name}" for k, name in zip(coefs, names))
@@ -774,8 +777,7 @@ def emit_mps(model: MilpModel) -> str:
 # valuations: one value per variable position
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     feasible: bool
     violations: tuple[str, ...]
     objective: Fraction
@@ -900,10 +902,10 @@ def parse_solution(text: str) -> dict[str, Num]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"solution line {lineno}: expected 'name value', got {line!r}")
+            raise ValueError(f"solution line {lineno}: expected 'name value', got {_excerpt(line)}")
         name, value = parts
         try:  # a plain integer skips Fraction's parse and its rounding later
             valuation[name] = int(value) if value.isdecimal() else Fraction(value)
         except ValueError:
-            raise ValueError(f"solution line {lineno}: bad numeric value {value!r}") from None
+            raise ValueError(f"solution line {lineno}: bad numeric value {_excerpt(value)}") from None
     return valuation

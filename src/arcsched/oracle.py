@@ -30,8 +30,8 @@ package is validated against, on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .instance import Instance, Schedule, SizeLimitError, evaluate_schedule
 
@@ -39,8 +39,7 @@ SIZE_GUARD = 10**8
 DOMINANCE_KEYS = 2**16  # keys the dominance table takes, which bounds its memory
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     optimum: int
     schedule: Schedule
     all_optima: tuple[Schedule, ...] | None = None

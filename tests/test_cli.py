@@ -583,6 +583,37 @@ class TestCheck:
         code = main([command, "--in", str(inst), "--form", "af", *argv])
         assert (code, *capsys.readouterr()) == (3, "", f"error: line 2: expected integer, got {token!r}\n")
 
+    @pytest.mark.parametrize("kind", ["instance", "schedule"])
+    def test_overlong_integer_refused_by_the_guard(self, kind, demo_file, tmp_path, capsys):
+        # int reads at most sys.get_int_max_str_digits() digits, 4,300 by default;
+        # such a token was refused as not an integer, in a message that repeated it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python reads integers of any length")
+        token = "1" + "0" * (limit + 699)
+        if kind == "instance":
+            inst = tmp_path / "i.txt"
+            inst.write_text(f"1 1\n{token} 1\n", encoding="utf-8")
+            code = main(["model", "--in", str(inst), "--form", "ti", "--out", str(tmp_path / "m.lp")])
+        else:
+            sched = tmp_path / "s.txt"
+            sched.write_text(f"objective 67\nmachine 1: 1 3 4\nmachine 2: {token}\n", encoding="utf-8")
+            code = main(["check", "--in", str(demo_file), "--sched", str(sched), "--form", "af"])
+        line = 2 if kind == "instance" else 3
+        message = f"refused: line {line}: an integer of {limit + 700} digits, above the limit of {limit} digits\n"
+        assert (code, *capsys.readouterr()) == (5, "", message)
+
+    def test_bad_tokens_quoted_by_a_prefix(self, demo_file, tmp_path, capsys):
+        inst, sched = tmp_path / "i.txt", tmp_path / "s.txt"
+        inst.write_text(f"1 1\n{'1' * 5000}x 1\n", encoding="utf-8")
+        code = main(["model", "--in", str(inst), "--form", "ti", "--out", str(tmp_path / "m.lp")])
+        prefix = "'" + "1" * 20 + "'..."
+        assert (code, *capsys.readouterr()) == (3, "", f"error: line 2: expected integer, got {prefix}\n")
+        sched.write_text(f"objective 67\nmachine 1 {'1' * 5000}\n", encoding="utf-8")
+        code = main(["check", "--in", str(demo_file), "--sched", str(sched), "--form", "af"])
+        message = "error: line 2: expected 'machine k: ...', got 'machine 1 1111111111'...\n"
+        assert (code, *capsys.readouterr()) == (3, "", message)
+
 
 class TestSolveExternal:
     def shim_cmd(self) -> str:

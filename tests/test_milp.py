@@ -639,6 +639,15 @@ class TestSolutionFile:
         with pytest.raises(ValueError, match="line 1"):
             parse_solution("x_1_0 one\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("x " + "1" * 5000 + "z\n", "solution line 1: bad numeric value '11111111111111111111'..."),
+        ("x 1 " + "2" * 5000 + "\n", "solution line 1: expected 'name value', got 'x 1 2222222222222222'..."),
+    ], ids=["value", "line"])
+    def test_long_bad_text_quoted_by_a_prefix(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_solution(text)
+        assert str(exc.value) == message
+
     def test_plain_integers_read_as_int(self):
         valuation = parse_solution("a 3\nb 2.0\nc 1/2\nd -1\ne 1e0\n")
         assert valuation == {"a": 3, "b": 2, "c": Fraction(1, 2), "d": -1, "e": 1}
