@@ -22,7 +22,6 @@ emits one arc order, job arcs by label and tail, then loss arcs by tail
 
 from __future__ import annotations
 
-import io
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
@@ -168,13 +167,6 @@ def write_dot(g: FlowGraph, fh: TextIO) -> None:
     nodes = map("  {};".format, g.nodes)
     arcs = map("  {} -> {}{}".format, g.tail, g.head, map(attrs.__getitem__, g.label))
     _write_runs(fh, _runs(chain(("digraph flow {", "  rankdir=LR;"), nodes, arcs, ("}",))))
-
-
-def to_dot(g: FlowGraph) -> str:
-    """The text ``write_dot`` writes."""
-    out = io.StringIO()
-    write_dot(g, out)
-    return out.getvalue()
 
 
 def decompose_flow(g: FlowGraph, flow: list[int]) -> list[list[int]]:

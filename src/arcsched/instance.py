@@ -270,11 +270,6 @@ def generate_instance(n: int, m: int, p_max: int, w_max: int, seed: int) -> Inst
     return Instance(n=n, m=m, jobs=tuple(jobs))
 
 
-def wspt_order(inst: Instance) -> list[int]:
-    """Job ids sorted by non-increasing w/p, ties by smaller id."""
-    return list(inst.wspt_ids)
-
-
 def group_job_types(inst: Instance) -> list[JobType]:
     """Merge jobs with identical (p, w) into types, in WSPT order.
 

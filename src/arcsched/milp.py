@@ -37,7 +37,6 @@ time.
 
 from __future__ import annotations
 
-import io
 import re
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -84,16 +83,6 @@ class UnsupportedFormatError(ValueError):
     """Requested emission format cannot represent the model."""
 
 
-class Variable(NamedTuple):
-    """One variable's record, made on demand by ``MilpModel.columns``."""
-
-    name: str
-    lb: Num
-    ub: Num | None
-    kind: str
-    obj: Num = 0
-
-
 class VarBlock:
     """Variables at consecutive positions that share a kind and bounds.
 
@@ -137,13 +126,12 @@ class Constraint(NamedTuple):
 
 
 class MilpModel:
-    def __init__(self, name: str, blocks: list[VarBlock] | None = None, constraints: list[Constraint] | None = None,
-                 obj_constant: Num = 0, quad_terms: list[tuple[int, int, Num]] | None = None):
+    def __init__(self, name: str):
         self.name = name
-        self.blocks = [] if blocks is None else blocks  # variables, in position order
-        self.constraints = [] if constraints is None else constraints
-        self.obj_constant = obj_constant
-        self.quad_terms = [] if quad_terms is None else quad_terms  # positions and coefficient
+        self.blocks: list[VarBlock] = []  # variables, in position order
+        self.constraints: list[Constraint] = []
+        self.obj_constant: Num = 0
+        self.quad_terms: list[tuple[int, int, Num]] = []  # positions and coefficient
 
     @property
     def num_vars(self) -> int:
@@ -152,12 +140,6 @@ class MilpModel:
     def names(self) -> Iterator[str]:
         """Every variable name, in position order, made from the block rules."""
         return chain.from_iterable(b.names() for b in self.blocks)
-
-    def columns(self) -> Iterator[Variable]:
-        """Every variable's record, in position order."""
-        for b in self.blocks:
-            for name, obj in zip(b.names(), b.obj):
-                yield Variable(name, b.lb, b.ub, b.kind, obj)
 
     def add_var(self, name: str, lb: Num, ub: Num | None, kind: str, obj: Num = 0) -> int:
         """Append a one-variable block; returns the variable's position."""
@@ -589,13 +571,6 @@ def write_lp(model: MilpModel, fh: TextIO) -> None:
     _write_runs(fh, _lp_runs(model))
 
 
-def emit_lp(model: MilpModel) -> str:
-    """The text ``write_lp`` writes."""
-    out = io.StringIO()
-    write_lp(model, out)
-    return out.getvalue()
-
-
 def _field(x: Num) -> str:
     """An MPS value field: the number padded to 14."""
     return f"{_fmt_num(x):<14}"
@@ -762,17 +737,6 @@ def write_mps(model: MilpModel, fh: TextIO) -> None:
     _write_runs(fh, _mps_runs(model))
 
 
-def emit_mps(model: MilpModel) -> str:
-    """The text ``write_mps`` writes.
-
-    Raises:
-        UnsupportedFormatError: for models with quadratic objectives.
-    """
-    out = io.StringIO()
-    write_mps(model, out)
-    return out.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # valuations: one value per variable position
 
@@ -894,7 +858,9 @@ def assignment_to_schedule(inst: Instance, values: list[int], T: int, graph: Flo
 
 
 def parse_solution(text: str) -> dict[str, Num]:
-    """Read 'name value' lines; '#' starts a comment, blanks are skipped."""
+    """Read 'name value' lines; '#' starts a comment, blanks are skipped.
+    A value is an ASCII number (integer, decimal, exponent or fraction form),
+    read exactly."""
     valuation: dict[str, Num] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -905,6 +871,8 @@ def parse_solution(text: str) -> dict[str, Num]:
             raise ValueError(f"solution line {lineno}: expected 'name value', got {_excerpt(line)}")
         name, value = parts
         try:  # a plain integer skips Fraction's parse and its rounding later
+            if not value.isascii():  # int and Fraction read digits of every script
+                raise ValueError
             valuation[name] = int(value) if value.isdecimal() else Fraction(value)
         except ValueError:
             raise ValueError(f"solution line {lineno}: bad numeric value {_excerpt(value)}") from None

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from arcsched.bounds import horizon
@@ -18,6 +20,14 @@ def straight_network(inst: Instance, T: int | None = None, strict_figure: bool =
     types = singleton_types(inst)
     windows = [(0, T - t.p) for t in types]
     return build_eaf_graph(inst, T, types, windows, 0, strict_figure=strict_figure)
+
+
+def written(write, record) -> str:
+    """The text ``write`` (``write_lp``, ``write_mps`` or ``write_dot``)
+    makes for ``record``, written into an ``io.StringIO``."""
+    out = io.StringIO()
+    write(record, out)
+    return out.getvalue()
 
 
 def by_position(model, named: dict) -> list:

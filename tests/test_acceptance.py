@@ -27,14 +27,14 @@ from arcsched.milp import (
     build_eaf_model,
     build_ti,
     check_feasible,
-    emit_lp,
-    emit_mps,
     schedule_to_assignment,
+    write_lp,
+    write_mps,
 )
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
 
-from conftest import DEMO_TEXT, straight_network, straight_points
+from conftest import DEMO_TEXT, straight_network, straight_points, written
 
 DEMO_OPT = Schedule(machines=((1, 3, 4), (2,)))
 
@@ -246,8 +246,8 @@ def test_criterion_8_determinism_and_round_trip(report):
     demo = parse_instance(DEMO_TEXT)
     T = horizon_T(demo)
     emission_ok = (
-        emit_lp(build_ti(demo, T)) == emit_lp(build_ti(demo, T))
-        and emit_mps(build_ti(demo, T)) == emit_mps(build_ti(demo, T))
+        written(write_lp, build_ti(demo, T)) == written(write_lp, build_ti(demo, T))
+        and written(write_mps, build_ti(demo, T)) == written(write_mps, build_ti(demo, T))
         and write_instance(demo) == DEMO_TEXT
     )
     round_trip_ok = True

@@ -683,6 +683,11 @@ class TestSolveExternal:
             "solver error: unparsable solution file: solution line 1: expected 'name value',"
             " got 'x_0_2_1 1 2'\n",
         ),
+        "non_ascii_digit": (
+            "af",
+            "open(sys.argv[2], 'w', encoding='utf-8').write('x_0_2_1 \\u0661\\n')",
+            "solver error: unparsable solution file: solution line 1: bad numeric value '\u0661'\n",
+        ),
         "non_integral": (
             "af",
             "open(sys.argv[2], 'w').write('x_0_2_1 0.5\\nONE 1\\n')",

@@ -1,14 +1,19 @@
 """The command frame: every subcommand's report byte for byte, the streams
 of a failing command, and edge-shaped inputs that must never raise."""
 
+import contextlib
+import io
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcsched.cli import main
-from arcsched.instance import make_instance, write_instance
+from arcsched.instance import Instance, make_instance, write_instance
 
 from conftest import DEMO_TEXT
 
@@ -163,3 +168,73 @@ def test_edge_inputs_exit_cleanly(shape, tmp_path, capsys):
         assert code in (0, 5), argv
         assert out.startswith(f"command: {argv[0]}\n") == (code == 0), argv
         assert (out == "") == (code == 5), argv
+
+
+@st.composite
+def edge_shapes(draw) -> Instance:
+    shape = draw(st.sampled_from(["one-job", "more-machines", "all-equal", "unit-p", "one-machine", "huge-p", "huge-m"]))
+    small = st.integers(1, 20)
+    if shape == "one-job":
+        return make_instance(draw(st.integers(1, 50)), [(draw(small), draw(small))])
+    if shape == "more-machines":
+        n = draw(st.integers(1, 6))
+        return make_instance(draw(st.integers(n + 1, 12)), draw(st.lists(st.tuples(small, small), min_size=n, max_size=n)))
+    if shape == "all-equal":
+        return make_instance(draw(st.integers(1, 3)), [(draw(small), draw(small))] * draw(st.integers(1, 12)))
+    if shape == "unit-p":
+        return make_instance(draw(st.integers(1, 4)), [(1, w) for w in draw(st.lists(small, min_size=1, max_size=12))])
+    if shape == "one-machine":
+        return make_instance(1, draw(st.lists(st.tuples(st.integers(1, 9), small), min_size=10, max_size=30)))
+    # The guards bound memory, not time, and the ti, pti, af and eaf builds
+    # make rows or tables over the horizon: at p = 10**6 one job's ti model
+    # takes 6-11 s, at p = 1.1 * 10**7 71 s. So p is drawn from 10**8 up,
+    # where the guards refuse those four, and the small jobs beside it keep
+    # bounds, solve-heur and ciqp running.
+    if shape == "huge-p":
+        huge = st.tuples(st.integers(10**8, 10**12), small)
+        jobs = draw(st.lists(huge, min_size=1, max_size=2)) + draw(st.lists(st.tuples(small, small), max_size=2))
+        return make_instance(draw(st.integers(1, 3)), jobs)
+    # Each command past the machine guard makes a list or a model row per
+    # machine: with three jobs, ciqp takes 1.1 s at 2 * 10**5 machines and
+    # 2.7 s at 10**6. So m is drawn next to 10**5, where every command runs,
+    # and above 2 * 10**7, where the machine and model guards refuse. Two
+    # jobs of p >= 40 make pti's n m (2 T + 2) nonzeros pass its guard at
+    # m = 10**5 too; admitted, it would build for 9 s.
+    m = draw(st.one_of(st.integers(10**5, 11 * 10**4), st.integers(2 * 10**7, 10**9)))
+    return make_instance(m, draw(st.lists(st.tuples(st.integers(40, 100), small), min_size=2, max_size=2)))
+
+
+REDUCTION_FLAGS = ["--no-windows", "--no-types", "--no-tprime", "--strict-figure"]
+
+
+@given(inst=edge_shapes(), flags=st.lists(st.sampled_from(REDUCTION_FLAGS), unique=True))
+@settings(max_examples=25, deadline=None)
+def test_edge_shapes_exit_cleanly_through_every_command(inst, flags):
+    # each command succeeds with its report, or stops with a message and
+    # nothing on stdout: 3 for input the model cannot take (a schedule
+    # outside a reduced network), 5 for a size guard; never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path, sched, out = Path(tmp) / "i.txt", Path(tmp) / "s.txt", str(Path(tmp) / "m")
+        path.write_text(write_instance(inst), encoding="utf-8")
+        commands = [
+            ["bounds", "--in", str(path)],
+            ["solve-heur", "--in", str(path), "--seed", "1", "--iters", "3", "--out", str(sched)],
+            *(["model", "--in", str(path), "--form", form, "--format", fmt, "--out", out]
+              for form in ("ti", "ciqp", "pti") for fmt in ("lp", "mps") if (form, fmt) != ("ciqp", "mps")),
+            *(["model", "--in", str(path), "--form", form, "--format", fmt, "--out", out, "--dot", out + ".dot", *flags]
+              for form in ("af", "eaf") for fmt in ("lp", "mps")),
+            *(["check", "--in", str(path), "--sched", str(sched), "--form", form, *flags] for form in ("ti", "af", "eaf")),
+        ]
+        for argv in commands:
+            if argv[0] == "check" and not sched.exists():
+                break  # solve-heur was refused, so there is no schedule to check
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            out_text, err_text = stdout.getvalue(), stderr.getvalue()
+            assert code in (0, 3, 5), (argv, err_text)
+            assert "Traceback" not in err_text, argv
+            if code == 0:
+                assert out_text.startswith(f"command: {argv[0]}\n") and err_text == "", argv
+            else:
+                assert out_text == "" and err_text.startswith("error: " if code == 3 else "refused: "), argv

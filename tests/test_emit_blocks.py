@@ -4,8 +4,8 @@ The writers format whole blocks at a time, with paths that depend on the
 block's objective type (an int ``array``, a ``range``, a list) and on a
 row's coefficients (none, only 1 and -1, or others), and
 they join lines into runs, where an empty run would write a blank line.
-Each model here is turned into the reference's named-term records through
-``MilpModel.columns()``, and both texts must be equal byte for byte.
+Each model here is turned into the reference's named-term records, one
+per column of its blocks, and both texts must be equal byte for byte.
 """
 
 import re
@@ -17,14 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcsched.instance import ValidationError
-from arcsched.milp import BINARY, CONTINUOUS, INTEGER, MilpModel, VarBlock, emit_lp, emit_mps
+from arcsched.milp import BINARY, CONTINUOUS, INTEGER, MilpModel, VarBlock, write_lp, write_mps
 
-from test_emit_reference import NUMS, RefConstraint, RefModel, ref_emit_lp, ref_emit_mps
+from conftest import written
+from test_emit_reference import NUMS, RefConstraint, RefModel, Variable, ref_emit_lp, ref_emit_mps
 
 
 def reference(model: MilpModel) -> RefModel:
     """The model as the reference's records: one Variable per column, rows as (name, coefficient) terms."""
-    ref = RefModel(name=model.name, variables=list(model.columns()), obj_constant=model.obj_constant)
+    variables = [Variable(name, b.lb, b.ub, b.kind, obj) for b in model.blocks for name, obj in zip(b.names(), b.obj)]
+    ref = RefModel(name=model.name, variables=variables, obj_constant=model.obj_constant)
     names = [v.name for v in ref.variables]
     for c in model.constraints:
         ref.constraints.append(RefConstraint(c.name, c.sense, c.rhs, tuple((names[i], k) for i, k in c.terms)))
@@ -41,7 +43,7 @@ def both_texts(model: MilpModel) -> tuple[str, str]:
     """LP and MPS text of ``model``, each checked against the reference and for blank lines."""
     model.validate()
     ref = reference(model)
-    lp, mps = emit_lp(model), emit_mps(model)
+    lp, mps = written(write_lp, model), written(write_mps, model)
     assert lp == ref_emit_lp(ref)
     assert mps == ref_emit_mps(ref)
     assert "\n\n" not in lp and "\n\n" not in mps
@@ -210,7 +212,7 @@ def test_rows_off_the_contract_are_refused_and_canonical_rows_match_the_referenc
         raw.validate()
     fixed = row_model(canonical(*row), objs).validate()
     ref = reference(fixed)
-    assert emit_lp(fixed) == ref_emit_lp(ref)
+    assert written(write_lp, fixed) == ref_emit_lp(ref)
     # the reference sums repeats and drops zeros in MPS, so the raw row's
     # reference text is the canonical row's
-    assert emit_mps(fixed) == ref_emit_mps(ref) == ref_emit_mps(reference(raw))
+    assert written(write_mps, fixed) == ref_emit_mps(ref) == ref_emit_mps(reference(raw))

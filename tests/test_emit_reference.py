@@ -1,7 +1,8 @@
 """Position-based emission and exact checks against the named-term code.
 
-Below are copies of ``emit_lp``, ``emit_mps`` and ``check_feasible`` as
-they were when a row held one ``(name, coefficient)`` tuple per nonzero.
+Below are copies of the LP and MPS emitters and ``check_feasible`` as
+they were when a variable was a named record and a row held one
+``(name, coefficient)`` tuple per nonzero.
 Hypothesis draws hand-built models (empty rows, long names, negative
 coefficients, Fraction objectives, bounds and right-hand sides; rows with
 rising positions and nonzero coefficients, the only rows ``validate``
@@ -25,14 +26,24 @@ from arcsched.milp import (
     INTEGER,
     MilpModel,
     UnsupportedFormatError,
-    Variable,
     check_feasible,
-    emit_lp,
-    emit_mps,
+    write_lp,
+    write_mps,
 )
+
+from conftest import written
 
 # ---------------------------------------------------------------------------
 # reference: the named-term records and the code that read them
+
+
+@dataclass(frozen=True)
+class Variable:
+    name: str
+    lb: object
+    ub: object
+    kind: str
+    obj: object = 0
 
 
 @dataclass(frozen=True)
@@ -310,14 +321,14 @@ def model_pairs(draw, quadratic: bool):
 @given(pair=model_pairs(quadratic=True))
 def test_emit_lp_matches_named_term_reference(pair):
     new, ref, _ = pair
-    assert emit_lp(new) == ref_emit_lp(ref)
+    assert written(write_lp, new) == ref_emit_lp(ref)
 
 
 @settings(max_examples=150, deadline=None)
 @given(pair=model_pairs(quadratic=False))
 def test_emit_mps_matches_named_term_reference(pair):
     new, ref, _ = pair
-    assert emit_mps(new) == ref_emit_mps(ref)
+    assert written(write_mps, new) == ref_emit_mps(ref)
 
 
 def test_names_that_start_with_a_sign():
@@ -335,9 +346,9 @@ def test_names_that_start_with_a_sign():
         terms = tuple(zip([names[i] for i in cols], coefs or [1] * len(cols)))
         ref.constraints.append(RefConstraint(row_name, ">=", 1, terms))
     new.validate()
-    assert emit_lp(new) == ref_emit_lp(ref)
-    assert " ones: + a + - b + c >= 1\n" in emit_lp(new)
-    assert emit_mps(new) == ref_emit_mps(ref)
+    assert written(write_lp, new) == ref_emit_lp(ref)
+    assert " ones: + a + - b + c >= 1\n" in written(write_lp, new)
+    assert written(write_mps, new) == ref_emit_mps(ref)
 
 
 @settings(max_examples=50, deadline=None)
@@ -347,7 +358,7 @@ def test_emit_mps_refuses_quadratic_models_alike(pair):
     if not new.quad_terms:
         return
     with pytest.raises(UnsupportedFormatError):
-        emit_mps(new)
+        written(write_mps, new)
     with pytest.raises(UnsupportedFormatError):
         ref_emit_mps(ref)
 

@@ -14,12 +14,12 @@ from arcsched.flowgraph import (
     build_eaf_graph,
     decompose_flow,
     reduction_pct,
-    to_dot,
+    write_dot,
 )
-from arcsched.instance import generate_instance, group_job_types, make_instance, singleton_types, wspt_order
+from arcsched.instance import generate_instance, group_job_types, make_instance, singleton_types
 from arcsched.rng import SplitMix64
 
-from conftest import reachable_points, straight_network, straight_points
+from conftest import reachable_points, straight_network, straight_points, written
 
 
 def subset_sums(parts: list[int], T: int) -> set[int]:
@@ -120,7 +120,7 @@ class TestAfGraph:
             inst = generate_instance(n=9, m=2, p_max=10, w_max=10, seed=seed)
             T = horizon(inst).T
             g = straight_network(inst, T)
-            order = wspt_order(inst)
+            order = inst.wspt_ids
             reachable = {0}
             arcs_by_job = {}
             for t, _, k in job_arcs(g):
@@ -143,7 +143,7 @@ FLAGS = ("no_types", "no_windows", "no_tprime", "strict_figure")
 
 
 class TestArcOrder:
-    """The arc order the FlowGraph docstring states, which ``to_dot`` and
+    """The arc order the FlowGraph docstring states, which ``write_dot`` and
     ``decompose_flow`` rely on, over every reduction switch; and arc i is
     variable i of the model built from the graph, which the CLI decode
     relies on."""
@@ -267,11 +267,11 @@ class TestStats:
 class TestDot:
     def test_single_arc_contract(self):
         inst = make_instance(1, [(3, 1)])
-        text = to_dot(straight_network(inst, 3))
+        text = written(write_dot, straight_network(inst, 3))
         assert '0 -> 3 [label="j1"]' in text
 
     def test_demo_statement_counts(self, demo):
-        text = to_dot(straight_network(demo, 8))
+        text = written(write_dot, straight_network(demo, 8))
         lines = text.splitlines()
         edges = [l for l in lines if "->" in l]
         nodes = [l for l in lines if l.strip().rstrip(";").isdigit()]
@@ -279,8 +279,8 @@ class TestDot:
         assert len(edges) == 19
 
     def test_deterministic(self, demo):
-        a = to_dot(straight_network(demo, 8))
-        b = to_dot(straight_network(demo, 8))
+        a = written(write_dot, straight_network(demo, 8))
+        b = written(write_dot, straight_network(demo, 8))
         assert a == b
 
 

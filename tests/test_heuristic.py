@@ -23,7 +23,6 @@ from arcsched.instance import (
     evaluate_schedule,
     generate_instance,
     make_instance,
-    wspt_order,
 )
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
@@ -189,7 +188,7 @@ class TestIls:
     def test_single_machine_equals_wspt(self):
         inst = generate_instance(n=12, m=1, p_max=10, w_max=10, seed=6)
         result = ils(inst, IlsConfig(seed=1, iterations=5))
-        wspt_sched = Schedule(machines=(tuple(wspt_order(inst)),))
+        wspt_sched = Schedule(machines=(inst.wspt_ids,))
         assert result.value == evaluate_schedule(inst, wspt_sched)
 
     def test_deterministic_given_seed_and_budget(self, demo):

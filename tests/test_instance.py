@@ -20,7 +20,6 @@ from arcsched.instance import (
     parse_schedule,
     write_instance,
     write_schedule,
-    wspt_order,
 )
 
 from conftest import DEMO_TEXT
@@ -128,25 +127,25 @@ class TestGenerate:
 
 class TestWsptOrder:
     def test_demo_order(self, demo):
-        assert wspt_order(demo) == [1, 2, 3, 4]
+        assert list(demo.wspt_ids) == [1, 2, 3, 4]
 
     def test_tie_broken_by_smaller_id(self):
         inst = make_instance(1, [(2, 4), (1, 2)])
-        assert wspt_order(inst) == [1, 2]
+        assert list(inst.wspt_ids) == [1, 2]
 
     def test_higher_ratio_first(self):
         inst = make_instance(1, [(1, 1), (2, 4)])
-        assert wspt_order(inst) == [2, 1]
+        assert list(inst.wspt_ids) == [2, 1]
 
     def test_stable_total_order(self):
         inst = generate_instance(40, 2, 10, 10, seed=3)
-        assert wspt_order(inst) == wspt_order(inst)
+        assert list(inst.wspt_ids) == list(inst.wspt_ids)
 
     def test_reversed_input_same_pw_sequence_up_to_ties(self):
         # distinct (p, w) pairs with equal w/p may swap under the id
         # tie-break, so equal-ratio runs compare as multisets
         def ratio_runs(inst):
-            pw = [(inst.job(j).p, inst.job(j).w) for j in wspt_order(inst)]
+            pw = [(inst.job(j).p, inst.job(j).w) for j in inst.wspt_ids]
             runs, current = [], [pw[0]]
             for prev, cur in zip(pw, pw[1:]):
                 if prev[1] * cur[0] == cur[1] * prev[0]:
@@ -166,7 +165,7 @@ class TestWsptOrder:
     def test_order_and_types_match_pairwise_reference(self, pw):
         # p, w in [1, 3] make equal ratios and equal (p, w) pairs common
         inst = make_instance(2, pw)
-        assert wspt_order(inst) == [j.id for j in reference_order(list(inst.jobs))]
+        assert list(inst.wspt_ids) == [j.id for j in reference_order(list(inst.jobs))]
 
         groups: dict[tuple[int, int], list[int]] = {}
         for job in inst.jobs:
@@ -196,7 +195,7 @@ class TestWsptOrder:
                 evaluate_schedule(inst, Schedule(machines=(perm,)))
                 for perm in permutations(range(1, 7))
             )
-            wspt_val = evaluate_schedule(inst, Schedule(machines=(tuple(wspt_order(inst)),)))
+            wspt_val = evaluate_schedule(inst, Schedule(machines=(inst.wspt_ids,)))
             assert wspt_val == best
 
 

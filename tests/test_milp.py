@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from arcsched import milp
 from arcsched.bounds import horizon, time_windows, type_time_windows
-from arcsched.flowgraph import build_eaf_graph, to_dot, write_dot
+from arcsched.flowgraph import build_eaf_graph, write_dot
+from arcsched.heuristic import IlsConfig, ils
 from arcsched.instance import (
     Schedule,
     ValidationError,
@@ -37,8 +38,6 @@ from arcsched.milp import (
     build_pti,
     build_ti,
     check_feasible,
-    emit_lp,
-    emit_mps,
     parse_solution,
     schedule_to_assignment,
     ti_offsets,
@@ -48,9 +47,14 @@ from arcsched.milp import (
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
 
-from conftest import by_position, straight_network
+from conftest import by_position, straight_network, written
 
 DEMO_OPT = Schedule(machines=((1, 3, 4), (2,)))
+
+
+def columns(model) -> list:
+    """(name, block, objective coefficient) per variable, in position order."""
+    return [(name, b, obj) for b in model.blocks for name, obj in zip(b.names(), b.obj)]
 
 
 def af_context(inst):
@@ -212,13 +216,13 @@ class TestBuildPti:
     def test_objective_coefficient_example(self):
         inst = make_instance(1, [(2, 4)])
         model = build_pti(inst, 4)
-        coef = next(v.obj for v in model.columns() if v.name == "x_1_1_3")
+        coef = next(obj for name, _, obj in columns(model) if name == "x_1_1_3")
         assert coef == 7  # (4/2) * (3 + 1/2)
 
     def test_unit_job_coefficient(self):
         inst = make_instance(1, [(1, 9)])
         model = build_pti(inst, 1)
-        coef = next(v.obj for v in model.columns() if v.name == "x_1_1_1")
+        coef = next(obj for name, _, obj in columns(model) if name == "x_1_1_1")
         assert coef == 9
 
     def test_preemptive_split_feasible(self):
@@ -234,10 +238,10 @@ class TestBuildPti:
 class TestAfModel:
     def test_demo_counts(self, demo):
         _, model = af_context(demo)
-        job_vars = [v for v in model.columns() if v.name.startswith("x_")]
+        job_vars = [b for name, b, _ in columns(model) if name.startswith("x_")]
         assert len(job_vars) == 11
-        assert all(v.kind == INTEGER and v.ub == 1 for v in job_vars)
-        assert sum(v.name.startswith("L_") and v.kind == INTEGER for v in model.columns()) == 8
+        assert all(b.kind == INTEGER and b.ub == 1 for b in job_vars)
+        assert sum(name.startswith("L_") and b.kind == INTEGER for name, b, _ in columns(model)) == 8
         names = [c.name for c in model.constraints]
         assert sum(n.startswith("flow_") for n in names) == 9
         assert sum(n.startswith("demand_") for n in names) == 4
@@ -301,7 +305,7 @@ class TestEmitLp:
         model = MilpModel(name="tiny")
         x = model.add_var("x", 0, 10, INTEGER, obj=1)
         model.add_constraint("c1", [x], ">=", 1)
-        text = emit_lp(model.validate())
+        text = written(write_lp, model.validate())
         lines = text.splitlines()
         assert "Minimize" in lines
         assert " obj: x" in lines
@@ -313,22 +317,22 @@ class TestEmitLp:
 
     def test_deterministic(self, demo):
         _, model = af_context(demo)
-        assert emit_lp(model) == emit_lp(model)
+        assert written(write_lp, model) == written(write_lp, model)
 
     def test_constant_realized_via_fixed_variable(self, demo):
         model = build_ti(demo, 8)
-        text = emit_lp(model)
+        text = written(write_lp, model)
         assert "56 ONE" in text
         assert " ONE = 1" in text
 
     def test_quadratic_section(self, demo):
-        text = emit_lp(build_ciqp(demo))
+        text = written(write_lp, build_ciqp(demo))
         assert "] / 2" in text
         assert "x_1_1 * x_2_1" in text
 
     def test_fractional_coefficients_terminating(self):
         inst = make_instance(1, [(2, 5)])
-        text = emit_lp(build_pti(inst, 2))
+        text = written(write_lp, build_pti(inst, 2))
         assert "3.75 x_1_1_1" in text  # (5/2) * (1 + 1/2)
 
 
@@ -337,13 +341,13 @@ class TestEmitMps:
         model = MilpModel(name="tiny")
         x = model.add_var("x", 0, 10, INTEGER, obj=1)
         model.add_constraint("c1", [x], ">=", 1)
-        text = emit_mps(model.validate())
+        text = written(write_mps, model.validate())
         for section in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
             assert section in text
         assert "'INTORG'" in text and "'INTEND'" in text
 
     def test_demo_ti_structural_columns(self, demo):
-        text = emit_mps(build_ti(demo, 8))
+        text = written(write_mps, build_ti(demo, 8))
         in_columns = text.split("COLUMNS")[1].split("RHS")[0]
         columns = {
             line.split()[0]
@@ -354,11 +358,11 @@ class TestEmitMps:
 
     def test_quadratic_model_rejected(self, demo):
         with pytest.raises(UnsupportedFormatError):
-            emit_mps(build_ciqp(demo))
+            write_mps(build_ciqp(demo), Discard())
 
     def test_deterministic(self, demo):
         model = build_ti(demo, 8)
-        assert emit_mps(model) == emit_mps(model)
+        assert written(write_mps, model) == written(write_mps, model)
 
 
 class WriteLog:
@@ -374,14 +378,13 @@ class WriteLog:
 
 class TestWriters:
     @pytest.mark.parametrize("form", ["ti", "af"])
-    @pytest.mark.parametrize("write, emit", [(write_lp, emit_lp), (write_mps, emit_mps)])
-    def test_text_streams_in_small_writes(self, form, write, emit):
+    @pytest.mark.parametrize("write", [write_lp, write_mps])
+    def test_text_streams_in_small_writes(self, form, write):
         inst = generate_instance(n=30, m=2, p_max=20, w_max=20, seed=1)
         model = build_ti(inst, horizon(inst).T) if form == "ti" else af_context(inst)[1]
         log = WriteLog()
         write(model, log)
         text = "".join(log.writes)
-        assert text == emit(model)
         assert max(map(len, log.writes)) < len(text) / 10
 
     def test_quadratic_mps_refused_before_any_write(self, demo):
@@ -395,7 +398,7 @@ class TestWriters:
         log = WriteLog()
         write_dot(g, log)
         text = "".join(log.writes)
-        assert text == to_dot(g)
+        assert text.startswith("digraph flow {\n") and text.endswith("\n}\n")
         assert max(map(len, log.writes)) < len(text) / 10
 
     def test_mps_memory_per_nonzero(self):
@@ -413,15 +416,14 @@ class TestWriters:
             tracemalloc.stop()
         assert peak / model.nonzeros() < 31
 
-    @pytest.mark.parametrize(
-        "runs, write, emit", [(milp._lp_runs, write_lp, emit_lp), (milp._mps_runs, write_mps, emit_mps)]
-    )
-    def test_large_block_writes_bounded_runs(self, runs, write, emit):
+    @pytest.mark.parametrize("runs, write", [(milp._lp_runs, write_lp), (milp._mps_runs, write_mps)])
+    def test_large_block_writes_bounded_runs(self, runs, write):
         # One block of 12,000 variables: a join per block, or a batch of a
         # fixed number of runs, would make a run or a write grow with it.
         size = 12_000
         names = lambda: (f"x_{i}_{2 * i + 7}_3" for i in range(size))
-        model = MilpModel(name="big", blocks=[VarBlock(INTEGER, 0, 9, array("q", range(0, 3 * size, 3)), names)])
+        model = MilpModel(name="big")
+        model.blocks.append(VarBlock(INTEGER, 0, 9, array("q", range(0, 3 * size, 3)), names))
         model.add_constraint("all", range(size), "<=", 40)
         model.add_constraint("alternate", range(size), "=", 0, coefs=[(-1) ** i for i in range(size)])
         for r in range(0, size, 100):
@@ -431,7 +433,6 @@ class TestWriters:
         log = WriteLog()
         write(model, log)
         assert max(map(len, log.writes)) <= max(sizes) + 1
-        assert "".join(log.writes) == emit(model)
 
 
 class Discard:
@@ -541,6 +542,29 @@ class TestAssignmentToSchedule:
             assert sorted(j for machine in decoded.machines for j in machine) == list(range(1, n + 1))
             assert evaluate_schedule(inst, decoded) <= value
 
+
+    @pytest.mark.parametrize("form", ["ti", "af", "eaf"])
+    def test_ils_schedules_round_trip_above_the_oracle_sizes(self, form):
+        # seeded draws of n 9-20, m 2-4, p, w <= 20: an ILS schedule is
+        # WSPT-sorted per machine and ends by T, so every model holds it
+        rng = SplitMix64(23)
+        for _ in range(60):
+            n, m = rng.randint(9, 20), rng.randint(2, 4)
+            inst = generate_instance(n=n, m=m, p_max=20, w_max=20, seed=rng.randint(0, 10**6))
+            sched = ils(inst, IlsConfig(seed=1, iterations=3)).schedule
+            value = evaluate_schedule(inst, sched)
+            T = horizon(inst).T
+            graph, model = (None, build_ti(inst, T)) if form == "ti" else {"af": af_context, "eaf": eaf_context}[form](inst)
+            values = schedule_to_assignment(inst, sched, T, graph)
+            report = check_feasible(model, values)
+            assert report.feasible and report.objective == value
+            decoded = assignment_to_schedule(inst, values, T, graph)
+            assert sorted(j for machine in decoded.machines for j in machine) == list(range(1, n + 1))
+            # where two machines meet at a time point, the decode may join
+            # their pieces the other way round; each machine is then
+            # WSPT-sorted, so the objective can only fall (by 2 on one of 600
+            # draws of this kind, in af and eaf)
+            assert evaluate_schedule(inst, decoded) <= value
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 8), m=st.integers(1, 3), data=st.data())
@@ -654,6 +678,23 @@ class TestSolutionFile:
         assert type(valuation["a"]) is int
         assert all(type(valuation[k]) is Fraction for k in "bcde")
 
+    @pytest.mark.parametrize("text, message", [
+        ("x_1_0 \u0661\n", "solution line 1: bad numeric value '\u0661'"),
+        ("x_1_0 1\nx_2_0 \uff12\n", "solution line 2: bad numeric value '\uff12'"),
+        ("z \u0661.5\n", "solution line 1: bad numeric value '\u0661.5'"),
+        ("z 1.\u0665e-9\n", "solution line 1: bad numeric value '1.\u0665e-9'"),
+    ], ids=["arabic-indic", "fullwidth", "arabic-indic-decimal", "mixed"])
+    def test_digits_of_other_scripts_refused(self, text, message):
+        # int() and Fraction() read any Unicode digit; the instance and
+        # schedule parsers refuse them, and so does the solution reader
+        with pytest.raises(ValueError) as exc:
+            parse_solution(text)
+        assert str(exc.value) == message
+
+    def test_ascii_values_still_read(self):
+        valuation = parse_solution("a 1\nb -0.0\nc 1e-9\nd 8145.000000001\n")
+        assert valuation == {"a": 1, "b": 0, "c": Fraction(1, 10**9), "d": Fraction(8145000000001, 10**9)}
+
 
 try:
     import scipy  # noqa: F401
@@ -671,7 +712,8 @@ class TestLpRoundTripSolve:
         tmp_path.mkdir(parents=True, exist_ok=True)
         lp = tmp_path / "model.lp"
         sol = tmp_path / "model.sol"
-        lp.write_text(emit_lp(model), encoding="utf-8")
+        with lp.open("w", encoding="utf-8") as fh:
+            write_lp(model, fh)
         shim = Path(__file__).parent / "lp_shim.py"
         subprocess.run([sys.executable, str(shim), str(lp), str(sol)], check=True)
         valuation = parse_solution(sol.read_text(encoding="utf-8"))

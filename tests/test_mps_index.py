@@ -9,9 +9,10 @@ covers even where the Hypothesis reference test would draw it rarely.
 import pytest
 
 from arcsched.instance import ValidationError
-from arcsched.milp import BINARY, CONTINUOUS, INTEGER, MilpModel, Variable, emit_mps
+from arcsched.milp import BINARY, CONTINUOUS, INTEGER, MilpModel, write_mps
 
-from test_emit_reference import RefConstraint, RefModel, ref_emit_mps
+from conftest import written
+from test_emit_reference import RefConstraint, RefModel, Variable, ref_emit_mps
 
 
 def twin(variables, rows, constant=0):
@@ -28,7 +29,7 @@ def twin(variables, rows, constant=0):
         terms = tuple((names[i], k) for i, k in zip(cols, [1] * len(cols) if coefs is None else coefs))
         ref.constraints.append(RefConstraint(name, sense, rhs, terms))
     new.obj_constant = ref.obj_constant = constant
-    text = emit_mps(new.validate())
+    text = written(write_mps, new.validate())
     assert text == ref_emit_mps(ref)
     return text.split("COLUMNS\n")[1].split("RHS\n")[0].splitlines()
 
