@@ -3,8 +3,8 @@
 Subcommands: gen, bounds, model, compare, solve-heur, solve-exact, check,
 solve-external. Exit codes: 0 success, 2 usage error, 3 input/validation
 error, 4 external-solver error, 5 size-guard refusal (the oracle's m**n
-guard, or a model, the search's swap tables or m machines estimated above
-instance.MAX_MODEL_BYTES).
+guard, or a model, the search's swap tables or machine pairs, or m machines
+estimated above instance.MAX_MODEL_BYTES).
 
 ``main`` is the one command frame. It creates the run report and hands it
 to the subcommand's ``cmd_*`` function, which only computes and fills the

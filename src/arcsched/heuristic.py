@@ -45,10 +45,10 @@ bests by the key of a full scan's order, (delta, ka, i, kb) for shift
 and (delta, ka, kb, positions) for the swaps, so the first strictly best
 move still wins.
 
-Between scans the state keeps its pairs and their tables G and H only
-within TABLE_BUDGET, priced at measured rates; above it a scan builds
-them, uses them and drops them. A pair's tables take O(|a| |b|) memory
-and no table spans all n jobs.
+A scanned pair is kept until a move changes one of its lists, and its
+tables G and H until it has priced all three neighborhoods; check_size
+prices both before a search. A pair's tables take O(|a| |b|) memory and
+no table spans all n jobs.
 
 Empty machines price every move alike, so a scan covers only the m' <=
 min(m, n + 1) machines that hold a job or are the first empty one. The
@@ -79,28 +79,26 @@ _ALL_NEIGHBORHOODS = (SHIFT, SWAP11, SWAP21)
 RESTART_AFTER = 50  # non-improving perturbations before a fresh construction
 _UNPRICED = object()  # a neighborhood a pair has not priced yet
 
-# Peak RSS per job pair (i, u) of one machine pair's swap tables, G and H
-# plus the transposes a swap(2,1) scan reads: 131 B measured in one scan at
-# n = 1400, m = 2, plus 4%.
-BYTES_PER_PAIR_ENTRY = 136
-# Peak RSS per machine pair kept between scans, its three best moves priced:
-# 1.22-1.29 KB measured with one job per machine (n = 300 and 500).
+# Peak RSS of the swap tables per job pair (i, u) of the largest machine
+# pair, n^2 / 4: it covers the tables all pairs keep, up to twice that
+# count, and a scan's transient ones; 163-222 B measured (n = 300-600,
+# m = 2-50), plus 13%.
+BYTES_PER_PAIR_ENTRY = 250
+# Peak RSS per unit of min(m, n + 1)^2, two states' machine pairs: 635 B
+# measured with one job per machine (n = 300 and 500), where the snapshot
+# shares most pairs with the current state; doubled for two that share none.
 BYTES_PER_PAIR = 1300
-# Between scans the state keeps its machine pairs while two states' pairs,
-# at most min(m, n + 1)^2, fit in this budget (min(m, n + 1) <= 227), and
-# their tables G and H while two states' tables, at most n^2 job pairs, fit
-# too (n <= 702).
-TABLE_BUDGET = 2**26
 
 
 def check_size(inst: Instance) -> None:
-    """Refuse (ModelSizeError) an instance whose largest machine pair, n^2 / 4
-    job pairs when two machines hold every job, would take the swap tables
-    past the model guard."""
+    """Refuse (ModelSizeError) an instance whose kept pricing state would pass
+    the model guard: its swap tables or its min(m, n + 1)^2 machine pairs."""
     if inst.m > 1:
         entries = (inst.n // 2) * ((inst.n + 1) // 2)
         check_bytes(entries * BYTES_PER_PAIR_ENTRY,
-                    f"n = {inst.n} jobs: the swap tables of one machine pair, {approx(entries)} job pairs, need")
+                    f"n = {inst.n} jobs: the swap tables, {approx(entries)} job pairs per machine pair, need")
+        scanned = min(inst.m, inst.n + 1)
+        check_bytes(scanned**2 * BYTES_PER_PAIR, f"{scanned} scanned machines: their machine pairs need")
 
 
 class IlsConfig:
@@ -182,16 +180,13 @@ class _Pair:
         shift = [(min(out), k, out.index(min(out)), to) for out, k, to in ((C, lo, hi), (F, hi, lo)) if out]
         self.moves = [min(shift, default=None), _UNPRICED, _UNPRICED]
 
-    def best(self, neighborhood: int, keep: bool) -> tuple | None:
-        """Scan key of this pair's first strictly best move of ``neighborhood``;
-        without ``keep``, G and H are dropped once used."""
+    def best(self, neighborhood: int) -> tuple | None:
+        """Scan key of this pair's first strictly best move of ``neighborhood``."""
         move = self.moves[neighborhood]
         if move is _UNPRICED:
             move = self.moves[neighborhood] = self._swap(neighborhood) if self.C and self.F else None
             if _UNPRICED not in self.moves:
                 self.C = self.F = self.G = self.H = None
-            elif not keep:
-                self.G = self.H = None
         return move
 
     def _swap(self, neighborhood: int) -> tuple:
@@ -227,14 +222,12 @@ class _Work:
     """Search state: machines as ascending lists of WSPT ranks, the set of
     occupied machines, and the pricing tables of the scanned machine pairs."""
 
-    __slots__ = ("p", "w", "ids", "keep_pairs", "keep_tables", "machines", "occupied", "_pairs", "_saved")
+    __slots__ = ("p", "w", "ids", "machines", "occupied", "_pairs", "_saved")
 
     def __init__(self, inst: Instance):
         self.ids = inst.wspt_ids
         self.p = [inst.job(j).p for j in self.ids]
         self.w = [inst.job(j).w for j in self.ids]
-        self.keep_pairs = min(inst.m, inst.n + 1) ** 2 * BYTES_PER_PAIR <= TABLE_BUDGET
-        self.keep_tables = inst.n * inst.n * BYTES_PER_PAIR_ENTRY <= TABLE_BUDGET
         self.machines = [[] for _ in range(inst.m)]
         self.occupied = set()
         self._pairs = {}  # the last scan's, by (lo, hi)
@@ -292,9 +285,8 @@ class _Work:
                         if k not in rows:
                             rows[k] = _Row(machines[k], p, w)
                     pair = _Pair(lo, hi, rows[lo], rows[hi])
-                if self.keep_pairs:
-                    pairs[lo, hi] = pair
-                move = pair.best(neighborhood, self.keep_tables)
+                pairs[lo, hi] = pair
+                move = pair.best(neighborhood)
                 if move is not None and (best is None or move < best):
                     best = move
         self._pairs = pairs

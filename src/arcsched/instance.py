@@ -36,8 +36,8 @@ class ValidationError(ValueError):
 
 
 # The CLI refuses (exit 5) an input whose estimated peak memory exceeds
-# MAX_MODEL_BYTES: a model, the swap tables of a search, or the machines of a
-# schedule. The budget leaves room on an 8 GB host.
+# MAX_MODEL_BYTES: a model, the swap tables or machine pairs of a search, or
+# the machines of a schedule. The budget leaves room on an 8 GB host.
 MAX_MODEL_BYTES = 6 * 10**9
 
 

@@ -789,9 +789,11 @@ def schedule_to_assignment(inst: Instance, sched: Schedule, T: int, graph: FlowG
 
     ``graph`` None means the ti model over horizon ``T``; otherwise the
     flow model built from ``graph`` (the straight network is one with one
-    type per job). Machines are read in their given processing order: a
-    job takes its type's arc at its start (``FlowGraph.arc``), a machine
-    that ends before T the loss arc at its end; every arc ends by T.
+    type per job). Machines are read in their given processing order,
+    except that each run of consecutive jobs of one w/p ratio, whose order
+    does not change the objective, is read by label as the network orders
+    it: a job takes its type's arc at its start (``FlowGraph.arc``), a
+    machine that ends before T the loss arc at its end; every arc ends by T.
 
     Raises:
         MappingError: a start or completion time has no model variable,
@@ -814,10 +816,11 @@ def schedule_to_assignment(inst: Instance, sched: Schedule, T: int, graph: FlowG
         for member in jt.members:
             type_of[member] = tidx
 
+    ratio = {job.id: Fraction(job.w, job.p) for job in inst.jobs}
     values = [0] * len(graph.label)  # uses per arc
     for machine in sched.machines:
         t = 0
-        for j in machine:
+        for j in chain.from_iterable(sorted(run, key=type_of.__getitem__) for _, run in groupby(machine, ratio.get)):
             i = graph.arc(t, type_of[j])
             if i is None:
                 raise MappingError(f"no arc for job {j} starting at {t} (label {type_of[j]})")

@@ -565,6 +565,27 @@ class TestCheck:
         code = main(["check", "--in", str(demo_file), "--sched", str(sched), "--form", form])
         assert (code, *capsys.readouterr()) == (3, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("form", ["ti", "af", "eaf"])
+    @pytest.mark.parametrize(("jobs", "machine", "objective"), [
+        # (2,2) and (4,4) share w/p = 1: WSPT with the id tie-break interleaves
+        # their copies in the schedule solve-heur writes, while the eaf network
+        # runs every copy of one type before the other (eaf refused job 19 at 24)
+        ("3 2\n5 1\n2 2\n4 4\n" * 10, None, 4605),
+        # the straight network runs job 1 before job 2 (af refused job 1 at 2)
+        ("2 2\n2 2\n", "2 1", 12),
+    ], ids=["heuristic-output", "equal-jobs"])
+    def test_equal_ratio_jobs_map_in_any_order(self, jobs, machine, objective, form, tmp_path, capsys):
+        inst, sched = tmp_path / "i.txt", tmp_path / "s.txt"
+        inst.write_text(f"{jobs.count(chr(10))} 1\n{jobs}", encoding="utf-8")
+        if machine is None:
+            assert main(["solve-heur", "--in", str(inst), "--seed", "1", "--iters", "3", "--out", str(sched)]) == 0
+            capsys.readouterr()
+        else:
+            sched.write_text(f"objective {objective}\nmachine 1: {machine}\n", encoding="utf-8")
+        code, text = run(capsys, "check", "--in", str(inst), "--sched", str(sched), "--form", form)
+        assert code == 0
+        assert "feasible: True" in text and f"objective: {objective}" in text
+
     def test_machine_line_without_colon_refused(self, demo_file, tmp_path, capsys):
         # it was read as an empty machine, and job 2 reported missing
         sched = tmp_path / "s.txt"

@@ -1,3 +1,5 @@
+import copy
+import functools
 import math
 from bisect import insort
 
@@ -496,23 +498,6 @@ class TestBestMove:
             _best_move(_Work(demo), 3)
 
 
-class TestGoldenWithoutKeptTables:
-    """Above the table budget a scan builds and drops each pair's swap
-    tables; the search takes the same moves."""
-
-    @pytest.mark.parametrize("case, trajectory, machines", GOLDEN_ILS)
-    def test_ils(self, case, trajectory, machines, monkeypatch):
-        monkeypatch.setattr(heuristic, "TABLE_BUDGET", 0)
-        n, m, p_max, w_max, inst_seed, seed, iterations, alpha = case
-        inst = generate_instance(n=n, m=m, p_max=p_max, w_max=w_max, seed=inst_seed)
-        assert not _Work(inst).keep_pairs
-        trace = []
-        result = ils(inst, IlsConfig(seed=seed, iterations=iterations, alpha=alpha),
-                     monitor=lambda it, value: trace.append(value))
-        assert trace == trajectory
-        assert result.schedule == Schedule(machines=machines)
-
-
 def fresh(work: _Work) -> _Work:
     """A new state that holds copies of ``work``'s machines and no table."""
     # job r + 1 of this instance is the job of WSPT rank r
@@ -528,17 +513,26 @@ class _NoWalk(list):
         raise AssertionError("walked all m machine lists")
 
 
+@functools.cache
+def descended(n: int, m: int) -> tuple:
+    """A seeded instance, its machine lists after a construction and a first
+    descent, and the generator after them (at m = 300 that descent takes
+    seconds, so the two rollbacks share it)."""
+    inst = generate_instance(n=n, m=m, p_max=50, w_max=50, seed=2)
+    rng = SplitMix64(3)
+    work = construct(inst, rng, 0.3)
+    _rvnd(work, rng)
+    return inst, tuple(map(tuple, work.machines)), rng
+
+
 class TestCachedTables:
     @settings(max_examples=300, deadline=None)
     @given(
         search_states(),
         st.lists(st.sampled_from(["construct", "descent", "perturb", "save", "restore"]), max_size=10),
         st.integers(0, 2**32),
-        st.booleans(),
-        st.booleans(),
     )
-    def test_walk_matches_a_fresh_state(self, work, steps, seed, keep_pairs, keep_tables):
-        work.keep_pairs, work.keep_tables = keep_pairs, keep_tables
+    def test_walk_matches_a_fresh_state(self, work, steps, seed):
         rng = SplitMix64(seed)
         saved = None
         for step in ["descent", *steps]:
@@ -561,12 +555,17 @@ class TestCachedTables:
             for neighborhood in (SHIFT, SWAP11, SWAP21):
                 assert _best_move(work, neighborhood) == _best_move(other, neighborhood)
 
-    @pytest.mark.parametrize("rollback", ["restore", "put"])
-    def test_rollback_keeps_the_tables(self, rollback, monkeypatch):
-        inst = generate_instance(n=30, m=4, p_max=50, w_max=50, seed=2)
-        rng = SplitMix64(3)
-        work = construct(inst, rng, 0.3)
-        _rvnd(work, rng)  # its last three scans price every neighborhood of this state
+    @pytest.mark.parametrize(
+        "rollback, n, m",  # 5 and 241 scanned machines
+        [("restore", 30, 4), ("put", 30, 4), ("restore", 240, 300), ("put", 240, 300)],
+        ids=["restore", "put", "restore-m300", "put-m300"],
+    )
+    def test_rollback_keeps_the_tables(self, rollback, n, m, monkeypatch):
+        inst, lists, rng = descended(n, m)
+        work, rng = _Work(inst), copy.copy(rng)
+        work.assign(dict(enumerate(map(list, lists))))
+        for neighborhood in (SHIFT, SWAP11, SWAP21):  # as the descent's last three scans
+            _best_move(work, neighborhood)
         work.save()
         _perturb(work, rng, 2)
         _rvnd(work, rng)

@@ -1,5 +1,5 @@
 """The machine-count guard of the commands that build a schedule, and the
-swap-table guard of the local search.
+swap-table and machine-pair guards of the local search.
 
 An instance whose m machines alone would take a schedule past
 ``instance.MAX_MODEL_BYTES`` is refused with exit 5 before anything per
@@ -7,8 +7,9 @@ machine is allocated. Each command runs in a child process under an
 address-space limit and a timeout, so a regression fails the test instead
 of exhausting the host's memory. A large m under the guard must still be
 searched quickly, as the ILS only scans the machines that hold a job.
-The swap-table guard is tested in-process against a lowered budget, so no
-table near the real budget is allocated.
+The search's guards are tested in-process against a lowered budget, so no
+table near the real budget is allocated, and their rates against the peak
+RSS of searches far below it.
 """
 
 import os
@@ -57,6 +58,57 @@ def test_swap_tables_refused(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(instance, "MAX_MODEL_BYTES", need)
     assert cli.main(argv) == 0
     assert out.exists()
+
+
+def test_machine_pairs_refused(tmp_path, capsys, monkeypatch):
+    # 40 jobs on 100 machines: 41 scanned machines keep their machine pairs,
+    # priced far above the swap tables of 20 + 20 jobs
+    tables, pairs = 20 * 20 * heuristic.BYTES_PER_PAIR_ENTRY, 41 * 41 * heuristic.BYTES_PER_PAIR
+    assert tables < pairs
+    path, out = tmp_path / "n40.txt", tmp_path / "out.sched"
+    path.write_text(write_instance(generate_instance(40, 100, 9, 9, 1)), encoding="utf-8")
+    argv = ["solve-heur", "--in", str(path), "--seed", "1", "--iters", "1", "--out", str(out)]
+    monkeypatch.setattr(instance, "MAX_MODEL_BYTES", pairs - 1)
+    assert cli.main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("refused: 41 scanned machines: their machine pairs")
+    assert not out.exists()
+    monkeypatch.setattr(instance, "MAX_MODEL_BYTES", pairs)
+    assert cli.main(argv) == 0
+    assert out.exists()
+
+
+# VmHWM, not ru_maxrss: Linux counts in a child's ru_maxrss the RSS of the
+# parent it was forked from, here the test runner's
+PEAKS = """
+import sys
+from arcsched import cli
+for path in sys.argv[1:]:
+    assert cli.main(["solve-heur", "--in", path, "--seed", "1", "--iters", "1", "--out", path + ".sched"]) == 0
+    with open("/proc/self/status", encoding="ascii") as status:
+        print(next(line for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_search_guards_price_above_the_peak(tmp_path, monkeypatch):
+    # one child searches 2 jobs, then 300 jobs on two machines (the swap tables)
+    # and on 10**5 (300 one-job machines: the machine pairs); each search's peak
+    # RSS, less the 2-job search's, stays below what check_size prices for it
+    insts = [generate_instance(n, m, 100, 100, 1) for n, m in ((2, 2), (300, 2), (300, 10**5))]
+    paths = [tmp_path / f"i{k}.txt" for k in range(len(insts))]
+    for path, inst in zip(paths, insts):
+        path.write_text(write_instance(inst), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    res = subprocess.run([sys.executable, "-c", PEAKS, *map(str, paths)], capture_output=True, text=True,
+                         timeout=60, env=env, preexec_fn=_limit_memory)
+    assert res.returncode == 0, res.stderr
+    base, *peaks = (int(line.split()[1]) * 1024 for line in res.stdout.splitlines() if line.startswith("VmHWM:"))
+    for inst, peak in zip(insts[1:], peaks):
+        needs = []
+        monkeypatch.setattr(heuristic, "check_bytes", lambda need, what: needs.append(need))
+        heuristic.check_size(inst)
+        assert peak - base < sum(needs), (inst.n, inst.m)
 
 
 @pytest.mark.parametrize(

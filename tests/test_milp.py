@@ -546,11 +546,15 @@ class TestAssignmentToSchedule:
     @pytest.mark.parametrize("form", ["ti", "af", "eaf"])
     def test_ils_schedules_round_trip_above_the_oracle_sizes(self, form):
         # seeded draws of n 9-20, m 2-4, p, w <= 20: an ILS schedule is
-        # WSPT-sorted per machine and ends by T, so every model holds it
+        # WSPT-sorted per machine and ends by T, so every model holds it;
+        # the last input's jobs are (p, w) multiples of two ratios, which
+        # WSPT interleaves by id across the types of one ratio
         rng = SplitMix64(23)
-        for _ in range(60):
-            n, m = rng.randint(9, 20), rng.randint(2, 4)
-            inst = generate_instance(n=n, m=m, p_max=20, w_max=20, seed=rng.randint(0, 10**6))
+        draws = [generate_instance(n=rng.randint(9, 20), m=rng.randint(2, 4), p_max=20, w_max=20,
+                                   seed=rng.randint(0, 10**6)) for _ in range(60)]
+        multiples = make_instance(2, [(3, 2), (1, 1), (6, 4), (2, 2), (3, 3), (4, 4)] * 3)
+        for inst in [*draws, multiples]:
+            n = inst.n
             sched = ils(inst, IlsConfig(seed=1, iterations=3)).schedule
             value = evaluate_schedule(inst, sched)
             T = horizon(inst).T
