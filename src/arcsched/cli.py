@@ -4,7 +4,7 @@ Subcommands: gen, bounds, model, compare, solve-heur, solve-exact, check,
 solve-external. Exit codes: 0 success, 2 usage error, 3 input/validation
 error, 4 external-solver error, 5 size-guard refusal (the oracle's m**n
 guard, or a model, the search's swap tables or machine pairs, or m machines
-estimated above instance.MAX_MODEL_BYTES).
+priced above instance.MAX_MODEL_BYTES).
 
 ``main`` is the one command frame. It creates the run report and hands it
 to the subcommand's ``cmd_*`` function, which only computes and fills the
@@ -142,8 +142,8 @@ def _flow_network(inst: Instance, form: str, args) -> flowgraph.FlowGraph:
     reductions off for eaf.
 
     Raises:
-        ModelSizeError: the model would exceed the size guard; checked
-            from the types and windows before the network is allocated.
+        ModelSizeError: the model would exceed the size guard; the build
+            counts the nonzeros as it makes the arcs and stops past the budget.
     """
     hor = bounds_mod.horizon(inst)
     straight = form == "af"
@@ -153,7 +153,6 @@ def _flow_network(inst: Instance, form: str, args) -> flowgraph.FlowGraph:
     else:
         windows = bounds_mod.type_time_windows(types, bounds_mod.time_windows(inst, hor.T))
     t_prime = 0 if straight or args.no_tprime else hor.T_prime
-    milp.check_size(form, milp.flow_nonzeros(types, windows, hor.T, t_prime))
     return flowgraph.build_eaf_graph(
         inst, hor.T, types, windows, t_prime, strict_figure=args.strict_figure
     )
@@ -163,9 +162,10 @@ def _build_model(inst: Instance, form: str, args) -> tuple[milp.MilpModel, flowg
     """Model of ``form``, plus its network for the flow forms.
 
     Raises:
-        ModelSizeError: the model would exceed the size guard, or a ti,
-            af or eaf objective coefficient, at most w_j (T - p_j), would not
-            fit in 64 bits; checked before anything pseudo-polynomial is allocated.
+        ModelSizeError: the model would exceed the size guard (ti, pti and
+            ciqp estimated before the build, af and eaf counted by it), or a
+            ti, af or eaf objective coefficient, at most w_j (T - p_j), would
+            not fit in 64 bits, checked before any build.
     """
     T = bounds_mod.horizon_T(inst)
     job = max(inst.jobs, key=lambda j: j.w * (T - j.p))

@@ -25,13 +25,18 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, filterfalse, islice, repeat
 from operator import add
 from typing import NamedTuple, TextIO
 
-from .instance import Instance, JobType
+from .instance import Instance, JobType, ModelSizeError, approx, check_bytes
 
 LOSS = 0
+
+# The build refuses a network once its model's nonzeros times this rate pass
+# instance.MAX_MODEL_BYTES: 20% above the worst peak RSS per built nonzero
+# measured, 106.6 B (solve-external, eaf at n = 1000, m = 2; see README).
+BYTES_PER_NONZERO = 128
 
 
 class InfeasibleHorizonError(ValueError):
@@ -89,45 +94,58 @@ def build_eaf_graph(
     Loss arcs (t, T) exist for reachable t in [T', T) plus t = 0, which
     keeps a path for an idle machine; ``strict_figure`` always drops the
     t = 0 loss arc (the drawing convention in which an idle machine has no
-    path).
+    path). Only reachable times are held, so memory follows the arcs, not T.
+    ModelSizeError: T past 64 bits, or the nonzeros made pass the budget.
 
     The straight per-job network is this construction with one type per
     job in WSPT order, windows [0, T - p_j] and ``t_prime=0``.
     """
     if T < inst.p_max:
         raise InfeasibleHorizonError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
-    reachable = [False] * (T + 1)
-    reachable[0] = True
-    tail, head, label = array("I"), array("I"), array("I")
+    if T >= 2**64:  # tails and heads are held in arrays of at most 64 bits
+        raise ModelSizeError(f"the horizon T = {approx(T)} is above 2^64 - 1")
+    times = "I" if T < 2**32 else "Q"
+    points, reached = [0], {0}  # the reachable times, ascending, and as a set
+    tail, head, label = array(times), array(times), array("I")
     runs = []
     for tidx, (jt, (a, b)) in enumerate(zip(types, type_windows), start=1):
         p = jt.p
         last = min(b, T - p)  # the last start in the window that completes by T
-        # every mark below lands after its start, so the window is read as it
-        # stood before this type: a batch opens at each reachable time in it
-        opens = list(compress(range(a, last + 1), reachable[a : last + 1]))
+        # every point this type adds lies after its start, so the window is read
+        # as it stood before the type: a batch opens at each reachable time in it
+        opens = points[bisect_left(points, a) : bisect_right(points, last)]
         starts: set[int] = set()
         for shift in range(0, jt.d * p, p):  # copy q of a batch starts (q - 1) p later
             starts.update(map(add, opens[: bisect_right(opens, last - shift)], repeat(shift)))
+            _check_size(3 * (len(tail) + len(starts)))
         ordered = sorted(starts)
-        for s in ordered:
-            reachable[s + p] = True
+        heads = list(map(add, ordered, repeat(p)))
+        if new := list(filterfalse(reached.__contains__, heads)):
+            reached.update(new)
+            points += new
+            points.sort()  # two ascending runs, merged in one pass
         tail.extend(ordered)
-        head.extend(map(add, ordered, repeat(p)))
+        head.extend(heads)
         label.extend(repeat(tidx, len(ordered)))
         runs.append(range(len(tail) - len(ordered), len(tail)))
     loss_from = [] if strict_figure else [0]
-    loss_from += [t for t in range(max(t_prime, 1), T) if reachable[t]]
+    loss_from += points[bisect_left(points, max(t_prime, 1)) : bisect_left(points, T)]
+    _check_size(3 * len(tail) + 2 * len(loss_from))
     tail.extend(loss_from)
     head.extend(repeat(T, len(loss_from)))
     label.extend(repeat(LOSS, len(loss_from)))
     runs.insert(LOSS, range(len(tail) - len(loss_from), len(tail)))
-    nodes = sorted({t for t, ok in enumerate(reachable) if ok} | {0, T})
+    nodes = points if points[-1] == T else [*points, T]
     capacity = (inst.m, *(jt.d for jt in types))
     return FlowGraph(
         T=T, nodes=tuple(nodes), tail=tail, head=head, label=label, capacity=capacity, types=tuple(types),
         runs=tuple(runs),
     )
+
+
+def _check_size(nonzeros: int) -> None:
+    # a job arc is in two flow rows and its demand row, a loss arc in two flow rows
+    check_bytes(nonzeros * BYTES_PER_NONZERO, f"the flow model reaches {approx(nonzeros)} nonzeros,")
 
 
 def reduction_pct(before: float, after: float) -> float:

@@ -49,7 +49,6 @@ from typing import NamedTuple, TextIO
 from .flowgraph import _RUN_LINES, LOSS, FlowGraph, _runs, _write_runs, decompose_flow
 from .instance import (
     Instance,
-    JobType,
     Schedule,
     ValidationError,
     _excerpt,
@@ -65,14 +64,13 @@ BINARY = "binary"
 INTEGER = "integer"
 CONTINUOUS = "continuous"
 
-# The CLI refuses a model whose estimated peak memory, build plus emission,
-# exceeds instance.MAX_MODEL_BYTES: a nonzero bound (``estimate_nonzeros``,
-# ``flow_nonzeros``) times the form's peak RSS per estimated nonzero. The
-# rates are the largest measured over LP and MPS, m = 2 and 4, p and w in
-# U[1, 100]; they differ because per-variable records and names weigh more
-# where a variable has few entries. af is eaf with every reduction off, so the
-# one flow builder has one rate, the larger of the two measured.
-BYTES_PER_NONZERO = {"ti": 142, "pti": 462, "af": 364, "eaf": 364, "ciqp": 380}
+# The CLI refuses a ti, pti or ciqp model whose estimated peak memory, build
+# plus emission, exceeds instance.MAX_MODEL_BYTES: ``estimate_nonzeros`` times
+# the form's peak RSS per estimated nonzero. The rates are the largest
+# measured over LP and MPS, m = 2 and 4, p and w in U[1, 100]; they differ
+# because per-variable records and names weigh more where a variable has few
+# entries. The flow build prices what it makes (``flowgraph.BYTES_PER_NONZERO``).
+BYTES_PER_NONZERO = {"ti": 142, "pti": 462, "ciqp": 380}
 
 
 class MappingError(ValueError):
@@ -215,7 +213,7 @@ def estimate_nonzeros(inst: Instance, form: str, T: int) -> int:
     ti: each x_{j}_{t} sits in one assignment row and p_j capacity rows.
     pti: n m T parts plus n m links, n m T capacity entries, n m assignment
     entries. ciqp: n m assignment entries and m n (n - 1) / 2 quadratic
-    terms. The flow forms use ``flow_nonzeros``.
+    terms. The flow forms are counted by their build (``flowgraph``).
     """
     n, m = inst.n, inst.m
     if form == "ti":
@@ -225,20 +223,6 @@ def estimate_nonzeros(inst: Instance, form: str, T: int) -> int:
     if form == "ciqp":
         return n * m + m * n * (n - 1) // 2
     raise ValueError(f"unknown form {form!r}")
-
-
-def flow_nonzeros(types: list[JobType], windows: list[tuple[int, int]], T: int, t_prime: int) -> int:
-    """Upper bound on the nonzeros of an af/eaf model, in O(len(types)).
-
-    Type k has at most one job arc per start in [a_k, min(b_k, T - p_k)];
-    loss arcs leave 0 and points in [max(T', 1), T). Every arc sits in two
-    flow rows and a job arc also in its type's demand row. A time point
-    counts as a quarter nonzero: the build's tables over 0..T take about
-    80 B a point, which a network of few arcs over a long horizon needs.
-    """
-    job_arcs = sum(max(0, min(b, T - jt.p) - a + 1) for jt, (a, b) in zip(types, windows))
-    loss_arcs = 1 + max(0, T - max(t_prime, 1))
-    return 3 * job_arcs + 2 * loss_arcs + T // 4 + 1
 
 
 def check_size(form: str, nonzeros: int) -> None:
@@ -367,8 +351,8 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
     """
     types, m = g.types, g.capacity[LOSS]
     model = MilpModel(name=f"eaf_t{len(types)}_m{m}")
-    # names are joined from "_t", the text of each time point t, made once
-    stems = [f"_{t}" for t in range(g.T + 1)]
+    # names are joined from "_t", the text of each node t, made once
+    stems = {t: f"_{t}" for t in g.nodes}
     for k in (*range(1, len(g.runs)), LOSS):  # the runs in arc order
         start, end = g.runs[k].start, g.runs[k].stop
         if k == LOSS:
@@ -382,9 +366,7 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
             )
             obj = array("q", map(mul, g.tail[start:end], repeat(types[k - 1].w)))
         model.blocks.append(VarBlock(INTEGER, 0, g.capacity[k], obj, names))
-    row_of = [0] * (g.T + 1)  # the row of each node, by its time
-    for r, q in enumerate(g.nodes):
-        row_of[q] = r
+    row_of = {q: r for r, q in enumerate(g.nodes)}  # the row of each node, by its time
     flow_cols = [array("I") for _ in g.nodes]
     flow_coefs = [array("q") for _ in g.nodes]
     for i, (tail, head) in enumerate(zip(g.tail, g.head)):

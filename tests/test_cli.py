@@ -9,22 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from arcsched import cli, flowgraph, milp
-from arcsched.bounds import horizon, time_windows, type_time_windows
+from arcsched import cli, flowgraph, instance, milp
 from arcsched.cli import main
 from arcsched.heuristic import IlsConfig
 from arcsched.instance import (
     generate_instance,
-    group_job_types,
     parse_instance,
     parse_schedule,
-    singleton_types,
     write_instance,
 )
 
 from conftest import DEMO_TEXT
 
 SHIM = Path(__file__).parent / "lp_shim.py"
+SOLVER = f"{sys.executable} {SHIM} {{model}} {{solution}}"
 
 
 @pytest.fixture
@@ -141,9 +139,13 @@ class TestModel:
 
 
 class TestModelSizeGuard:
-    """Models too large to build are refused with exit 5 before any
-    pseudo-polynomial allocation: a 2-job file with p = 10**10 used to
-    raise MemoryError (flow forms) or loop for minutes (ti)."""
+    """ti, pti and ciqp models too large to build are refused with exit 5
+    before any pseudo-polynomial allocation, on an estimate from the
+    instance. af and eaf are built over their reachable time points only,
+    and the build refuses once the nonzeros it has made pass the budget. A
+    2-job file with p = 10**10 used to raise MemoryError (flow forms) or
+    loop for minutes (ti): ti and pti refuse it, af and eaf build its
+    12 nonzeros in well under a second."""
 
     HUGE_P = "2 2\n10000000000 3\n4 5\n"
 
@@ -185,10 +187,23 @@ class TestModelSizeGuard:
         assert err.startswith("refused:") and "model guard" in err
         assert elapsed < 1.0
 
+    def assert_built_fast(self, capsys, *argv) -> str:
+        with self.deadline(5.0):
+            t0 = time.perf_counter()
+            code = main(list(argv))
+            elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert elapsed < 1.0
+        return out
+
     @pytest.mark.parametrize("form", ["ti", "pti", "af", "eaf"])
     def test_model_refused(self, form, huge_p, tmp_path, capsys):
-        self.assert_refused_fast(capsys, "model", "--in", str(huge_p), "--form", form,
-                                 "--out", str(tmp_path / "m.lp"))
+        argv = ("model", "--in", str(huge_p), "--form", form, "--out", str(tmp_path / "m.lp"))
+        if form in ("af", "eaf"):  # 2 job arcs and 3 loss arcs
+            assert "\nnonzeros: 12\n" in self.assert_built_fast(capsys, *argv)
+            return
+        self.assert_refused_fast(capsys, *argv)
         assert not (tmp_path / "m.lp").exists()
 
     def test_ciqp_refused_on_many_jobs(self, tmp_path, capsys):
@@ -200,42 +215,58 @@ class TestModelSizeGuard:
 
     @pytest.mark.parametrize("form", ["ti", "af", "eaf"])
     def test_check_refused(self, form, huge_p, huge_sched, capsys):
-        self.assert_refused_fast(capsys, "check", "--in", str(huge_p), "--sched", str(huge_sched),
-                                 "--form", form)
+        argv = ("check", "--in", str(huge_p), "--sched", str(huge_sched), "--form", form)
+        if form in ("af", "eaf"):
+            out = self.assert_built_fast(capsys, *argv)
+            assert "\nfeasible: True\nobjective: 30000000020\n" in out
+            return
+        self.assert_refused_fast(capsys, *argv)
 
     @pytest.mark.parametrize("form", ["ti", "af", "eaf"])
     def test_solve_external_refused(self, form, huge_p, capsys):
-        # the guard fires while building, before the solver would run
-        self.assert_refused_fast(capsys, "solve-external", "--in", str(huge_p), "--form", form,
-                                 "--solver-cmd", "false")
+        # ti's guard fires while building, before the solver would run; the
+        # flow models are built in well under a second and solved
+        if form == "ti":
+            self.assert_refused_fast(capsys, "solve-external", "--in", str(huge_p), "--form", form,
+                                     "--solver-cmd", "false")
+            return
+        code, out = run(capsys, "solve-external", "--in", str(huge_p), "--form", form, "--solver-cmd", SOLVER)
+        assert code == 0
+        assert "\nobjective: 30000000020\n" in out
+        assert float(out.split("time.build_ms: ")[1].split()[0]) < 1000
 
     @pytest.mark.parametrize("form", ["af", "eaf"])
     def test_one_network_one_verdict(self, form, tmp_path, capsys):
-        # af and eaf with every reduction off are one network: 1.7e7 nonzeros
-        # and a quarter of one for each of the T + 1 = 3.4e6 + 1 time points
+        # af and eaf with every reduction off are one network: over T = 3.4e6
+        # it reaches 3 time points, with 3 job arcs and 2 loss arcs, and
+        # both forms write it byte for byte
         inst = tmp_path / "i.txt"
         inst.write_text("2 1\n1700000 1\n1700000 2\n", encoding="utf-8")
-        code = main(["model", "--in", str(inst), "--form", form, "--no-windows", "--no-types", "--no-tprime",
-                     "--out", str(tmp_path / "m.lp")])
-        assert (code, *capsys.readouterr()) == (5, "", f"refused: form {form} model may hold 1.79e+07 nonzeros,"
-                                                        " about 6.5 GB, above the model guard of 6 GB\n")
-        assert not (tmp_path / "m.lp").exists()
+        texts = []
+        for each in ("af", form):
+            out = self.assert_built_fast(capsys, "model", "--in", str(inst), "--form", each, "--no-windows",
+                                         "--no-types", "--no-tprime", "--out", str(tmp_path / "m.lp"))
+            assert "\nnonzeros: 13\n" in out
+            texts.append((tmp_path / "m.lp").read_text(encoding="utf-8"))
+        assert texts[0] == texts[1]
 
     # w_j (T - p_j) above 2**63 - 1 overflowed the int64 objective arrays
-    # (OverflowError); a job of p = 10**11 makes 5 nonzeros, but the build's
-    # tables over its T + 1 time points raised MemoryError
+    # (OverflowError), so it is refused before the build. A job of
+    # p = 10**11 makes 5 nonzeros; it was refused while the build kept tables
+    # over its T + 1 time points (they raised MemoryError), and is built now
+    # that the build holds only the points it reaches (reason None)
     REFUSED = {
         "weight": ("3 1\n2 1000000000000000000000\n2 1000000000000000000000\n1 1\n",
                    "objective 6000000000000000000005\nmachine 1: 1 2 3\n",
                    "job 1: the objective coefficient w (T - p) = 1000000000000000000000 * 3 is above 2^63 - 1"),
-        "horizon": ("1 1\n100000000000 1\n", "objective 100000000000\nmachine 1: 1\n", "model guard"),
+        "horizon": ("1 1\n100000000000 1\n", "objective 100000000000\nmachine 1: 1\n", None),
     }
 
     @pytest.mark.parametrize("case, form", [("weight", "ti"), ("weight", "af"), ("weight", "eaf"), ("horizon", "eaf")])
     @pytest.mark.parametrize(
         "cmd",
         [("model", "--out", "m.lp"), ("model", "--format", "mps", "--out", "m.lp"), ("check", "--sched", "i.sched"),
-         ("solve-external", "--solver-cmd", "false")],
+         ("solve-external", "--solver-cmd", SOLVER)],
         ids=["model-lp", "model-mps", "check", "solve-external"],
     )
     def test_refused_before_the_build(self, case, form, cmd, tmp_path, capsys, monkeypatch):
@@ -243,15 +274,24 @@ class TestModelSizeGuard:
         monkeypatch.chdir(tmp_path)
         Path("i.txt").write_text(text, encoding="utf-8")
         Path("i.sched").write_text(sched, encoding="utf-8")
-        with self.deadline(5.0):
+        with self.deadline(10.0):
             code = main([*cmd, "--in", "i.txt", "--form", form])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        if reason is None:
+            assert (code, err) == (0, ""), err
+            built = "nonzeros: 5" if cmd[0] == "model" else "objective: 100000000000"
+            assert f"\n{built}\n" in out
+            assert float(out.split("_ms: ")[1].split()[0]) < 1000  # time.build_ms, or check_ms with the build
+            return
         assert code == 5 and err.startswith("refused:") and reason in err, err
         assert not Path("m.lp").exists()
 
     def test_compare_refused(self, tmp_path, capsys):
-        self.assert_refused_fast(capsys, "compare", "--n", "3", "--m", "2", "--pmax", "10000000000",
-                                 "--seeds", "1", "--out", str(tmp_path / "c.csv"))
+        # ti's variables are counted in O(n), and the flow networks over
+        # p up to 10**10 reach only a few points each
+        out = self.assert_built_fast(capsys, "compare", "--n", "3", "--m", "2", "--pmax", "10000000000",
+                                     "--seeds", "1", "--out", str(tmp_path / "c.csv"))
+        assert "\nmean_vars_af: 11.0\nmean_vars_eaf: 10.0\n" in out
 
     def test_ciqp_on_huge_p_still_builds(self, huge_p, tmp_path, capsys):
         code, text = run(capsys, "model", "--in", str(huge_p), "--form", "ciqp",
@@ -261,11 +301,13 @@ class TestModelSizeGuard:
 
     @pytest.mark.parametrize("form", ["ti", "pti", "af", "eaf", "ciqp"])
     def test_estimate_bounds_reported_nonzeros(self, form, tmp_path, capsys, monkeypatch):
-        # the guard never refuses a model smaller than it thinks: the estimate
-        # it checks covers the count the report gives (exact for ti, pti, ciqp)
+        # the guard prices the count the report gives: ti, pti and ciqp by
+        # their estimate, af and eaf by the count their build makes (its
+        # last check is over the whole network)
         checked = []
-        check_size = milp.check_size
-        monkeypatch.setattr(milp, "check_size", lambda f, nnz: (checked.append(nnz), check_size(f, nnz)))
+        rate = flowgraph.BYTES_PER_NONZERO if form in ("af", "eaf") else milp.BYTES_PER_NONZERO[form]
+        for module in (milp, flowgraph):
+            monkeypatch.setattr(module, "check_bytes", lambda need, what: checked.append(need))
         flags = [(), ("--no-windows",), ("--no-types",), ("--no-tprime",), ("--strict-figure",)]
         for seed in range(12):
             inst = generate_instance(n=2 + seed % 9, m=1 + seed % 4, p_max=3 + 2 * seed, w_max=9, seed=seed)
@@ -276,19 +318,7 @@ class TestModelSizeGuard:
                              "--out", str(tmp_path / "m.lp"), *extra)
             assert code == 0
             reported = int(text.split("nonzeros: ")[1].split()[0])
-            assert checked[-1] >= reported > 0
-            if form in ("ti", "pti", "ciqp"):
-                assert checked[-1] == reported
-
-    def test_eaf_estimate_uses_types_and_windows(self):
-        # merged types and start windows shrink eaf's bound below af's
-        inst = generate_instance(n=60, m=2, p_max=10, w_max=3, seed=4)
-        hor = horizon(inst)
-        singles, types = singleton_types(inst), group_job_types(inst)
-        assert len(types) < inst.n
-        windows = type_time_windows(types, time_windows(inst, hor.T))
-        af = milp.flow_nonzeros(singles, [(0, hor.T - t.p) for t in singles], hor.T, 0)
-        assert milp.flow_nonzeros(types, windows, hor.T, hor.T_prime) < af
+            assert checked[-1] == reported * rate and reported > 0
 
     class Reached(Exception):
         """The model guard let the build through."""
@@ -298,7 +328,8 @@ class TestModelSizeGuard:
         def reached(*args, **kwargs):
             raise self.Reached
 
-        for module, name in ((milp, "build_ti"), (milp, "build_pti"), (flowgraph, "build_eaf_graph")):
+        # the flow forms stop once their network is built, past the guard it holds
+        for module, name in ((milp, "build_ti"), (milp, "build_pti"), (milp, "build_eaf_model")):
             monkeypatch.setattr(module, name, reached)
 
     # The paper's grid: n up to 400, m = 2 or 4, p and w in U[1, 100]. These
@@ -326,6 +357,43 @@ class TestModelSizeGuard:
             path.write_text(write_instance(generate_instance(n, m, 100, 100, seed)), encoding="utf-8")
             self.assert_refused_fast(capsys, "model", "--in", str(path), "--form", form,
                                      "--out", str(tmp_path / "m"))
+
+    @pytest.mark.parametrize("form", ["af", "eaf"])
+    def test_horizon_past_64_bits_refused(self, form, tmp_path, capsys):
+        # tails and heads are arrays of at most 64 bits, so one job of
+        # p = 10**400 is refused, where it would overflow them
+        inst = tmp_path / "i.txt"
+        inst.write_text(f"1 1\n1{'0' * 400} 1\n", encoding="utf-8")
+        code = main(["model", "--in", str(inst), "--form", form, "--out", str(tmp_path / "m.lp")])
+        assert (code, *capsys.readouterr()) == (5, "", "refused: the horizon T = 1e+400 is above 2^64 - 1\n")
+        code = main(["compare", "--n", "3", "--m", "2", "--pmax", "1" + "0" * 30, "--seeds", "1",
+                     "--out", str(tmp_path / "c.csv")])
+        assert (code, *capsys.readouterr()) == (5, "", "refused: the horizon T = 1.48e+30 is above 2^64 - 1\n")
+
+    @pytest.mark.parametrize("form", ["af", "eaf"])
+    def test_flow_refused_by_its_build(self, form, demo_file, tmp_path, capsys, monkeypatch):
+        # the build refuses once the nonzeros it has made, at the flow rate,
+        # pass the budget, so no model is made; at the budget it goes on
+        graphs = []
+
+        def reached(g):
+            graphs.append(g)
+            raise self.Reached
+
+        monkeypatch.setattr(milp, "build_eaf_model", reached)
+        argv = ["model", "--in", str(demo_file), "--form", form, "--out", str(tmp_path / "m.lp")]
+        with pytest.raises(self.Reached):
+            main(argv)
+        g = graphs.pop()
+        nonzeros = 3 * len(g.label) - len(g.runs[flowgraph.LOSS])
+        monkeypatch.setattr(instance, "MAX_MODEL_BYTES", nonzeros * flowgraph.BYTES_PER_NONZERO - 1)
+        assert main(argv) == 5
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"refused: the flow model reaches {nonzeros} nonzeros, about ")
+        assert not graphs and not (tmp_path / "m.lp").exists()
+        monkeypatch.setattr(instance, "MAX_MODEL_BYTES", nonzeros * flowgraph.BYTES_PER_NONZERO)
+        with pytest.raises(self.Reached):
+            main(argv)
 
 
 class TestCompare:
@@ -637,16 +705,13 @@ class TestCheck:
 
 
 class TestSolveExternal:
-    def shim_cmd(self) -> str:
-        return f"{sys.executable} {SHIM} {{model}} {{solution}}"
-
     @pytest.mark.parametrize("form", ["af", "eaf", "ti"])
     def test_demo_solved_externally(self, form, demo_file, tmp_path, capsys):
         from arcsched.instance import evaluate_schedule
 
         out = tmp_path / "s.txt"
         code, text = run(capsys, "solve-external", "--in", str(demo_file), "--form", form,
-                         "--solver-cmd", self.shim_cmd(), "--out", str(out))
+                         "--solver-cmd", SOLVER, "--out", str(out))
         assert code == 0
         assert "objective: 67" in text
         demo = parse_instance(demo_file.read_text(encoding="utf-8"))
@@ -664,7 +729,7 @@ class TestSolveExternal:
         f.write_text(write_instance(inst), encoding="utf-8")
         out = tmp_path / "s.txt"
         code, text = run(capsys, "solve-external", "--in", str(f), "--form", "eaf",
-                         "--solver-cmd", self.shim_cmd(), "--out", str(out))
+                         "--solver-cmd", SOLVER, "--out", str(out))
         assert code == 0
         opt = brute_force_optimal(inst).optimum
         assert f"objective: {opt}" in text
@@ -757,13 +822,13 @@ class TestSolveExternal:
         monkeypatch.setenv("TMPDIR", str(spaced))
         monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
         code, text = run(capsys, "solve-external", "--in", str(demo_file), "--form", "eaf",
-                         "--solver-cmd", self.shim_cmd())
+                         "--solver-cmd", SOLVER)
         assert code == 0
         assert "objective: 67" in text
         assert tempfile.gettempdir() == str(spaced)
 
     def test_env_var_supplies_command(self, demo_file, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ARCSCHED_SOLVER_CMD", self.shim_cmd())
+        monkeypatch.setenv("ARCSCHED_SOLVER_CMD", SOLVER)
         code, text = run(capsys, "solve-external", "--in", str(demo_file), "--form", "af")
         assert code == 0
         assert "objective: 67" in text

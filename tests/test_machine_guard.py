@@ -1,5 +1,6 @@
-"""The machine-count guard of the commands that build a schedule, and the
-swap-table and machine-pair guards of the local search.
+"""The machine-count guard of the commands that build a schedule, the
+swap-table and machine-pair guards of the local search, and the rate of
+the flow build's guard.
 
 An instance whose m machines alone would take a schedule past
 ``instance.MAX_MODEL_BYTES`` is refused with exit 5 before anything per
@@ -8,8 +9,8 @@ address-space limit and a timeout, so a regression fails the test instead
 of exhausting the host's memory. A large m under the guard must still be
 searched quickly, as the ILS only scans the machines that hold a job.
 The search's guards are tested in-process against a lowered budget, so no
-table near the real budget is allocated, and their rates against the peak
-RSS of searches far below it.
+table near the real budget is allocated, and their rates, like the flow
+build's, against the peak RSS of commands far below it.
 """
 
 import os
@@ -20,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from arcsched import cli, heuristic, instance
-from arcsched.instance import generate_instance, write_instance
+from arcsched import cli, flowgraph, heuristic, instance
+from arcsched.instance import generate_instance, write_instance, write_schedule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SHIM = f"{sys.executable} {Path(__file__).parent / 'lp_shim.py'} {{model}} {{solution}}"
@@ -109,6 +110,75 @@ def test_search_guards_price_above_the_peak(tmp_path, monkeypatch):
         monkeypatch.setattr(heuristic, "check_bytes", lambda need, what: needs.append(need))
         heuristic.check_size(inst)
         assert peak - base < sum(needs), (inst.n, inst.m)
+
+
+# one command on 2 jobs, then on the instance under test; VmHWM after each
+FLOW_PEAKS = """
+import sys
+from arcsched import cli
+argv = sys.argv[1:]
+for stem in ("small", "big"):
+    code = cli.main([word.replace("{stem}", stem) for word in argv])
+    with open("/proc/self/status", encoding="ascii") as status:
+        print("peak", code, next(line for line in status if line.startswith("VmHWM:")).split()[1])
+"""
+
+# a solver that answers 0 for every integer variable of the LP file
+ZERO_SOLVER = """
+import sys
+with open(sys.argv[1], encoding="utf-8") as model, open(sys.argv[2], "w", encoding="utf-8") as out:
+    names = False
+    for line in model:
+        if line.strip() == "End":
+            break
+        if names:
+            out.writelines(f"{name} 0\\n" for name in line.split())
+        names = names or line.strip() == "Generals"
+"""
+
+
+def list_schedule(inst: instance.Instance) -> instance.Schedule:
+    """Jobs in WSPT order, each to the least loaded machine."""
+    loads, machines = [0] * inst.m, [[] for _ in range(inst.m)]
+    for j in inst.wspt_ids:
+        k = loads.index(min(loads))
+        loads[k] += inst.job(j).p
+        machines[k].append(j)
+    return instance.Schedule(tuple(map(tuple, machines)))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("form", ["af", "eaf"])
+def test_flow_guard_prices_above_the_peak(form, tmp_path):
+    # each command runs in its own child, after the same command on 2 jobs;
+    # its peak RSS less the 2-job run's stays below what the build's guard
+    # prices for the model, its nonzeros at flowgraph.BYTES_PER_NONZERO. The
+    # solver answers 0 everywhere, so solve-external reads and checks a whole
+    # solution, then exits 4 on the rows it violates
+    for stem, n in (("small", 2), ("big", 150)):
+        inst = generate_instance(n, 2, 100, 100, 1)
+        (tmp_path / f"{stem}.txt").write_text(write_instance(inst), encoding="utf-8")
+        (tmp_path / f"{stem}.sched").write_text(write_schedule(inst, list_schedule(inst)), encoding="utf-8")
+    (tmp_path / "solver.py").write_text(ZERO_SOLVER, encoding="utf-8")
+    given = ["--in", str(tmp_path / "{stem}.txt"), "--form", form]
+    out = str(tmp_path / "{stem}.out")
+    commands = [
+        (["model", *given, "--out", out], 0),
+        (["model", *given, "--format", "mps", "--out", out], 0),
+        (["check", *given, "--sched", str(tmp_path / "{stem}.sched")], 0),
+        (["solve-external", *given, "--solver-cmd", f"{sys.executable} {tmp_path / 'solver.py'} {{model}} {{solution}}"],
+         4),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    nonzeros = None
+    for argv, status in commands:
+        res = subprocess.run([sys.executable, "-c", FLOW_PEAKS, *argv], capture_output=True, text=True,
+                             timeout=120, env=env, preexec_fn=_limit_memory)
+        assert res.returncode == 0, res.stderr
+        nonzeros = nonzeros or int(res.stdout.split("nonzeros: ")[-1].split()[0])
+        (_, base), (code, peak) = (line.split()[1:] for line in res.stdout.splitlines() if line.startswith("peak "))
+        assert int(code) == status, (argv[0], res.stdout)
+        assert (int(peak) - int(base)) * 1024 < nonzeros * flowgraph.BYTES_PER_NONZERO, (argv, peak, base, nonzeros)
 
 
 @pytest.mark.parametrize(
