@@ -73,7 +73,6 @@ SOLVER_ENV = "ARCSCHED_SOLVER_CMD"
 BYTES_PER_MACHINE = 367
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_SOLVER = 4
 EXIT_GUARD = 5
@@ -163,17 +162,18 @@ def _build_model(inst: Instance, form: str, args) -> tuple[milp.MilpModel, flowg
 
     Raises:
         ModelSizeError: the model would exceed the size guard (ti, pti and
-            ciqp estimated before the build, af and eaf counted by it), or a
-            ti, af or eaf objective coefficient, at most w_j (T - p_j), would
-            not fit in 64 bits, checked before any build.
+            ciqp estimated before the build, af and eaf counted by it), or an
+            af or eaf objective coefficient, at most w_j (T - p_j), would not
+            fit in 64 bits, checked before any build; ti, pti and ciqp keep
+            exact coefficients.
     """
     T = bounds_mod.horizon_T(inst)
-    job = max(inst.jobs, key=lambda j: j.w * (T - j.p))
-    if form in ("ti", "af", "eaf") and job.w * (T - job.p) > 2**63 - 1:
-        raise ModelSizeError(
-            f"job {job.id}: the objective coefficient w (T - p) = {job.w} * {T - job.p} is above 2^63 - 1"
-        )
     if form in ("af", "eaf"):
+        job = max(inst.jobs, key=lambda j: j.w * (T - j.p))
+        if job.w * (T - job.p) > 2**63 - 1:
+            raise ModelSizeError(
+                f"job {job.id}: the objective coefficient w (T - p) = {job.w} * {T - job.p} is above 2^63 - 1"
+            )
         graph = _flow_network(inst, form, args)
         return milp.build_eaf_model(graph), graph
     milp.check_size(form, milp.estimate_nonzeros(inst, form, T))
@@ -265,25 +265,18 @@ def cmd_compare(args, report: RunReport) -> None:
             rows.append((seed, *counts))
     mean = lambda idx: sum(r[idx] for r in rows) / len(rows)
     mean_ti, mean_af, mean_eaf = mean(1), mean(2), mean(3)
+    means = [f"{mean_ti:.1f}", f"{mean_af:.1f}", f"{mean_eaf:.1f}",
+             f"{flowgraph.reduction_pct(mean_ti, mean_af):.2f}", f"{flowgraph.reduction_pct(mean_af, mean_eaf):.2f}"]
     lines = ["# arcsched compare v1", "seed,vars_ti,vars_af,vars_eaf,red_af_vs_ti,red_eaf_vs_af"]
     for seed, ti, af, eaf in rows:
         lines.append(
             f"{seed},{ti},{af},{eaf},"
             f"{flowgraph.reduction_pct(ti, af):.2f},{flowgraph.reduction_pct(af, eaf):.2f}"
         )
-    lines.append(
-        f"mean,{mean_ti:.1f},{mean_af:.1f},{mean_eaf:.1f},"
-        f"{flowgraph.reduction_pct(mean_ti, mean_af):.2f},{flowgraph.reduction_pct(mean_af, mean_eaf):.2f}"
-    )
+    lines.append(",".join(["mean", *means]))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    report.summary = {
-        "instances": len(rows),
-        "mean_vars_ti": f"{mean_ti:.1f}",
-        "mean_vars_af": f"{mean_af:.1f}",
-        "mean_vars_eaf": f"{mean_eaf:.1f}",
-        "mean_red_af_vs_ti_pct": f"{flowgraph.reduction_pct(mean_ti, mean_af):.2f}",
-        "mean_red_eaf_vs_af_pct": f"{flowgraph.reduction_pct(mean_af, mean_eaf):.2f}",
-    }
+    keys = ["mean_vars_ti", "mean_vars_af", "mean_vars_eaf", "mean_red_af_vs_ti_pct", "mean_red_eaf_vs_af_pct"]
+    report.summary = {"instances": len(rows), **dict(zip(keys, means))}
     report.outputs.append(args.out)
 
 

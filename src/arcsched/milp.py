@@ -100,10 +100,6 @@ class VarBlock:
         return len(self.obj)
 
 
-def _single(name: str, lb: Num, ub: Num | None, kind: str, obj: Num) -> VarBlock:
-    return VarBlock(kind, lb, ub, (obj,), lambda: (name,))
-
-
 class Constraint(NamedTuple):
     """One linear row: entry ``coefs[i]`` on the variable at position ``cols[i]``.
 
@@ -139,11 +135,6 @@ class MilpModel:
         """Every variable name, in position order, made from the block rules."""
         return chain.from_iterable(b.names() for b in self.blocks)
 
-    def add_var(self, name: str, lb: Num, ub: Num | None, kind: str, obj: Num = 0) -> int:
-        """Append a one-variable block; returns the variable's position."""
-        self.blocks.append(_single(name, lb, ub, kind, obj))
-        return self.num_vars - 1
-
     def add_constraint(self, name: str, cols, sense: str, rhs: Num, coefs=None) -> None:
         """Append a row over variable positions ``cols``, which must strictly
         rise; ``coefs`` must be nonzero, and None means all ones.
@@ -170,14 +161,6 @@ class MilpModel:
         Raises:
             ValidationError: naming the variable or row at fault.
         """
-        # a block of several variables names them by a rule over distinct
-        # arguments, so only one-variable blocks (add_var) can repeat a name
-        names = [name for b in self.blocks if len(b) == 1 for name in b.names()]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValidationError(f"duplicate variable names: {dupes}")
-        if _ONE in names:
-            raise ValidationError(f"variable name {_ONE} is kept for the objective constant")
         for b in self.blocks:
             if b.ub is not None and b.lb > b.ub:
                 raise ValidationError(f"variable {next(iter(b.names()))}: lb {b.lb} > ub {b.ub}")
@@ -387,7 +370,7 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
 # ---------------------------------------------------------------------------
 # emission
 
-_ONE = "ONE"  # the constant column, a name validate keeps from hand-built variables
+_ONE = "ONE"  # the name of the column that carries the objective constant
 
 
 def _fmt_num(x: Num) -> str:
@@ -496,7 +479,7 @@ def _with_constant(model: MilpModel) -> list[VarBlock]:
     integrality markers, with no line in it."""
     blocks = [b for b in model.blocks if len(b)]
     if model.obj_constant != 0:
-        blocks.append(_single(_ONE, 1, 1, CONTINUOUS, model.obj_constant))
+        blocks.append(VarBlock(CONTINUOUS, 1, 1, (model.obj_constant,), lambda: (_ONE,)))
     return blocks
 
 

@@ -5,6 +5,7 @@ import pytest
 from arcsched.bounds import horizon
 from arcsched.flowgraph import LOSS, FlowGraph, build_eaf_graph
 from arcsched.instance import Instance, make_instance, parse_instance, singleton_types
+from arcsched.milp import MilpModel, VarBlock
 
 DEMO_TEXT = "4 2\n2 4\n5 7\n1 1\n4 3\n"
 
@@ -28,6 +29,14 @@ def written(write, record) -> str:
     out = io.StringIO()
     write(record, out)
     return out.getvalue()
+
+
+def append_var(model: MilpModel, name: str, lb, ub, kind: str, obj=0) -> int:
+    """Append a one-variable block named ``name`` to a hand-built ``model``;
+    returns the variable's position. Nothing checks the name: keeping names
+    distinct, and off the constant column ONE, is the caller's part."""
+    model.blocks.append(VarBlock(kind, lb, ub, (obj,), lambda: (name,)))
+    return model.num_vars - 1
 
 
 def by_position(model, named: dict) -> list:

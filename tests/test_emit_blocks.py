@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from arcsched.instance import ValidationError
 from arcsched.milp import BINARY, CONTINUOUS, INTEGER, MilpModel, VarBlock, write_lp, write_mps
 
-from conftest import written
+from conftest import append_var, written
 from test_emit_reference import NUMS, RefConstraint, RefModel, Variable, ref_emit_lp, ref_emit_mps
 
 
@@ -197,7 +197,7 @@ def row_model(row, objs):
     """Eight integer variables, a canonical row on each side of ``row`` (named "bad")."""
     model = MilpModel(name="rows")
     for i, obj in enumerate(objs):
-        model.add_var(f"v{i}", 0, 9, INTEGER, obj)
+        append_var(model, f"v{i}", 0, 9, INTEGER, obj)
     model.add_constraint("before", [0, 3], "<=", 5, coefs=[2, -1])
     model.add_constraint("bad", row[0], ">=", 1, coefs=row[1])
     model.add_constraint("after", [1, 7], "=", 2)

@@ -31,7 +31,7 @@ from arcsched.milp import (
     write_mps,
 )
 
-from conftest import written
+from conftest import append_var, written
 
 # ---------------------------------------------------------------------------
 # reference: the named-term records and the code that read them
@@ -294,7 +294,7 @@ def model_pairs(draw, quadratic: bool):
         lb = draw(NUMS)
         ub = draw(st.one_of(st.none(), st.just(lb), NUMS.map(lambda x, lb=lb: lb + abs(x))))
         obj = draw(st.one_of(st.just(0), NUMS))
-        new.add_var(name, lb, ub, kind, obj)
+        append_var(new, name, lb, ub, kind, obj)
         ref.variables.append(Variable(name, lb, ub, kind, obj))
     position = st.integers(0, len(names) - 1)
     for row_name in draw(st.lists(NAMES, max_size=7, unique=True)):
@@ -338,7 +338,7 @@ def test_names_that_start_with_a_sign():
     names = ["+ a", "- b", "c"]
     new, ref = MilpModel(name="signs"), RefModel(name="signs")
     for name, kind, obj in zip(names, [BINARY, INTEGER, CONTINUOUS], [1, -1, 2]):
-        new.add_var(name, 0, 5, kind, obj)
+        append_var(new, name, 0, 5, kind, obj)
         ref.variables.append(Variable(name, 0, 5, kind, obj))
     rows = [("ones", [0, 1, 2], None), ("tail", [1, 2], None), ("pm", [0, 1, 2], [1, -1, 1]), ("mp", [1, 2], [-1, 1])]
     for row_name, cols, coefs in rows:

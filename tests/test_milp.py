@@ -2,8 +2,10 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from argparse import Namespace
 from array import array
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arcsched import milp
+from arcsched.cli import _build_model
 from arcsched.bounds import horizon, time_windows, type_time_windows
 from arcsched.flowgraph import build_eaf_graph, write_dot
 from arcsched.heuristic import IlsConfig, ils
@@ -47,7 +50,7 @@ from arcsched.milp import (
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
 
-from conftest import by_position, straight_network, written
+from conftest import append_var, by_position, straight_network, written
 
 DEMO_OPT = Schedule(machines=((1, 3, 4), (2,)))
 
@@ -73,8 +76,8 @@ def eaf_context(inst):
 class TestRecords:
     def test_rows_hold_positions_and_integer_coefficients(self):
         model = MilpModel(name="tiny")
-        x = model.add_var("x", 0, 1, BINARY)
-        y = model.add_var("y", 0, 5, INTEGER)
+        x = append_var(model, "x", 0, 1, BINARY)
+        y = append_var(model, "y", 0, 5, INTEGER)
         model.add_constraint("ones", [x, y], "<=", 1)
         model.add_constraint("mixed", [x, y], "=", Fraction(1, 2), coefs=[-1, 2])
         model.quad_terms.append((x, y, Fraction(3, 4)))
@@ -88,43 +91,33 @@ class TestRecords:
     @pytest.mark.parametrize("coefs", [[Fraction(1, 2)], [0.5], [2**63]])
     def test_non_integer_coefficient_rejected(self, coefs):
         model = MilpModel(name="tiny")
-        model.add_var("x", 0, 1, BINARY)
+        append_var(model, "x", 0, 1, BINARY)
         with pytest.raises(ValidationError, match="constraint c"):
             model.add_constraint("c", [0], "=", 1, coefs=coefs)
 
     def test_non_integer_coefficient_in_a_record_rejected(self):
         model = MilpModel(name="tiny")
-        x = model.add_var("x", 0, 1, BINARY)
+        x = append_var(model, "x", 0, 1, BINARY)
         model.constraints.append(Constraint("c", "=", 1, array("I", [x]), [Fraction(1, 2)]))
         with pytest.raises(ValidationError, match="integers"):
             model.validate()
 
     def test_negative_position_rejected(self):
         model = MilpModel(name="tiny")
-        model.add_var("x", 0, 1, BINARY)
+        append_var(model, "x", 0, 1, BINARY)
         with pytest.raises(ValidationError):
             model.add_constraint("c", [-1], "=", 1)
 
     def test_position_out_of_range_rejected(self):
         model = MilpModel(name="tiny")
-        model.add_var("x", 0, 1, BINARY)
+        append_var(model, "x", 0, 1, BINARY)
         model.add_constraint("c", [0, 1], "=", 1)
         with pytest.raises(ValidationError, match="outside 0..0"):
             model.validate()
 
-    def test_variable_named_one_rejected(self):
-        # the writers append a constant column ONE; a hand-built variable of
-        # that name would merge with it, into a different, infeasible model
-        model = MilpModel(name="tiny")
-        one = model.add_var("ONE", 0, 1, BINARY, 2)
-        model.add_constraint("c", [one], "<=", 0)
-        model.obj_constant = 5
-        with pytest.raises(ValidationError, match="ONE"):
-            model.validate()
-
     def test_quadratic_position_out_of_range_rejected(self):
         model = MilpModel(name="tiny")
-        model.add_var("x", 0, 1, BINARY)
+        append_var(model, "x", 0, 1, BINARY)
         model.quad_terms.append((0, 3, 1))
         with pytest.raises(ValidationError):
             model.validate()
@@ -132,8 +125,7 @@ class TestRecords:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda model: model.add_var("x", 0, 1, BINARY), "duplicate variable names: ['x']"),
-            (lambda model: model.add_var("y", 2, 1, INTEGER), "variable y: lb 2 > ub 1"),
+            (lambda model: append_var(model, "y", 2, 1, INTEGER), "variable y: lb 2 > ub 1"),
             (
                 lambda model: model.constraints.append(Constraint("c", "<", 1, array("I", [0]))),
                 "constraint c: bad sense '<'",
@@ -143,14 +135,28 @@ class TestRecords:
                 "constraint c: positions must be an unsigned int array",
             ),
         ],
-        ids=["duplicate-name", "lb-above-ub", "bad-sense", "positions-not-array"],
+        ids=["lb-above-ub", "bad-sense", "positions-not-array"],
     )
     def test_record_refused(self, edit, message):
         model = MilpModel(name="tiny")
-        model.add_var("x", 0, 1, BINARY)
+        append_var(model, "x", 0, 1, BINARY)
         edit(model)
         with pytest.raises(ValidationError, match=re.escape(message)):
             model.validate()
+
+    def test_builders_name_variables_distinctly_and_never_one(self):
+        # validate checks no name: the writers and the solution lookup rely
+        # on every builder naming its variables by a rule over distinct
+        # arguments, none of them the constant column's name ONE
+        flags = ("no_windows", "no_types", "no_tprime", "strict_figure")
+        runs = [("ti", ()), ("pti", ()), ("ciqp", ()), ("af", ()), ("af", ("strict_figure",))]
+        runs += [("eaf", on) for k in range(len(flags) + 1) for on in combinations(flags, k)]
+        shapes = [(1, 1), (1, 3), (2, 5), (5, 1), (6, 2), (7, 3), (9, 4), (3, 7)]  # n = 1, m = 1, m > n
+        for seed, (n, m) in enumerate(shapes, start=1):
+            inst = generate_instance(n=n, m=m, p_max=6, w_max=9, seed=seed)
+            for form, on in runs:
+                names = list(_build_model(inst, form, Namespace(**{f: f in on for f in flags}))[0].names())
+                assert len(set(names)) == len(names) and "ONE" not in names, (n, m, seed, form, on)
 
 
 class TestBuildTi:
@@ -303,7 +309,7 @@ class TestVariableCounts:
 class TestEmitLp:
     def test_trivial_contract(self):
         model = MilpModel(name="tiny")
-        x = model.add_var("x", 0, 10, INTEGER, obj=1)
+        x = append_var(model, "x", 0, 10, INTEGER, obj=1)
         model.add_constraint("c1", [x], ">=", 1)
         text = written(write_lp, model.validate())
         lines = text.splitlines()
@@ -339,7 +345,7 @@ class TestEmitLp:
 class TestEmitMps:
     def test_trivial_contract(self):
         model = MilpModel(name="tiny")
-        x = model.add_var("x", 0, 10, INTEGER, obj=1)
+        x = append_var(model, "x", 0, 10, INTEGER, obj=1)
         model.add_constraint("c1", [x], ">=", 1)
         text = written(write_mps, model.validate())
         for section in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):

@@ -11,7 +11,7 @@ import pytest
 from arcsched.instance import ValidationError
 from arcsched.milp import BINARY, CONTINUOUS, INTEGER, MilpModel, write_mps
 
-from conftest import written
+from conftest import append_var, written
 from test_emit_reference import RefConstraint, RefModel, Variable, ref_emit_mps
 
 
@@ -21,7 +21,7 @@ def twin(variables, rows, constant=0):
     against the reference; returns its COLUMNS lines."""
     new, ref = MilpModel(name="edge"), RefModel(name="edge")
     for v in variables:
-        new.add_var(*v)
+        append_var(new, *v)
         ref.variables.append(Variable(*v))
     names = [v[0] for v in variables]
     for name, sense, rhs, cols, coefs in rows:
@@ -47,7 +47,7 @@ def test_repeated_positions_summing_to_zero_are_refused():
     variables = [("x", 0, None, CONTINUOUS, 0), ("y", 0, None, CONTINUOUS, 1)]
     model = MilpModel(name="edge")
     for v in variables:
-        model.add_var(*v)
+        append_var(model, *v)
     model.add_constraint("r", [0, 1, 0, 1], "=", 0, coefs=[2, 1, -2, 1])
     with pytest.raises(ValidationError, match="constraint r: positions must strictly rise"):
         model.validate()
