@@ -2,9 +2,9 @@
 
 Subcommands: gen, bounds, model, compare, solve-heur, solve-exact, check,
 solve-external. Exit codes: 0 success, 2 usage error, 3 input/validation
-error, 4 external-solver error, 5 size-guard refusal (the oracle's m**n
-guard, or a model, the search's swap tables or machine pairs, or m machines
-priced above instance.MAX_MODEL_BYTES).
+error, 4 external-solver error, 5 size-guard refusal (a ModelSizeError: the
+oracle's m**n guard, an af or eaf coefficient past 64 bits, or a model, the
+search's swap tables or machine pairs, or m machines priced past the budget).
 
 ``main`` is the one command frame. It creates the run report and hands it
 to the subcommand's ``cmd_*`` function, which only computes and fills the
@@ -30,7 +30,6 @@ from pathlib import Path
 from .instance import (
     Instance,
     ModelSizeError,
-    SizeLimitError,
     check_bytes,
     completion_times,
     evaluate_schedule,
@@ -161,28 +160,18 @@ def _build_model(inst: Instance, form: str, args) -> tuple[milp.MilpModel, flowg
     """Model of ``form``, plus its network for the flow forms.
 
     Raises:
-        ModelSizeError: the model would exceed the size guard (ti, pti and
-            ciqp estimated before the build, af and eaf counted by it), or an
-            af or eaf objective coefficient, at most w_j (T - p_j), would not
-            fit in 64 bits, checked before any build; ti, pti and ciqp keep
-            exact coefficients.
+        ModelSizeError: refused by the builder: a model past the size guard,
+            or an af or eaf objective coefficient past 64 bits.
     """
-    T = bounds_mod.horizon_T(inst)
     if form in ("af", "eaf"):
-        job = max(inst.jobs, key=lambda j: j.w * (T - j.p))
-        if job.w * (T - job.p) > 2**63 - 1:
-            raise ModelSizeError(
-                f"job {job.id}: the objective coefficient w (T - p) = {job.w} * {T - job.p} is above 2^63 - 1"
-            )
         graph = _flow_network(inst, form, args)
         return milp.build_eaf_model(graph), graph
-    milp.check_size(form, milp.estimate_nonzeros(inst, form, T))
     if form == "ciqp":
         return milp.build_ciqp(inst), None
     if form == "ti":
-        return milp.build_ti(inst, T), None
+        return milp.build_ti(inst, bounds_mod.horizon_T(inst)), None
     if form == "pti":
-        return milp.build_pti(inst, T), None
+        return milp.build_pti(inst, bounds_mod.horizon_T(inst)), None
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -372,7 +361,8 @@ def cmd_solve_external(args, report: RunReport) -> None:
         if not solution_path.exists():
             raise ExternalSolverError("solver wrote no solution file")
         try:
-            solution = milp.parse_solution(solution_path.read_text(encoding="utf-8"))
+            with open(solution_path, encoding="utf-8") as fh:
+                solution = milp.parse_solution(fh)
         except ValueError as exc:
             raise ExternalSolverError(f"unparsable solution file: {exc}") from exc
     with report.phase("decode"):
@@ -489,11 +479,11 @@ def main(argv=None) -> int:
         if args.dot and args.form not in ("af", "eaf"):
             parser.error(f"form {args.form} has no flow network; --dot needs af or eaf")
     report = RunReport(command=args.cmd)
-    # the guard errors subclass ValueError, so their clause comes first
+    # the guard error subclasses ValueError, so its clause comes first
     try:
         args.func(args, report)
         report.print()
-    except (SizeLimitError, ModelSizeError) as exc:
+    except ModelSizeError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except ExternalSolverError as exc:

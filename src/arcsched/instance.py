@@ -43,11 +43,8 @@ MAX_MODEL_BYTES = 6 * 10**9
 
 class ModelSizeError(ValueError):
     """A model, a search or the machines of a schedule would need more than
-    MAX_MODEL_BYTES, or an input integer has more digits than ``int`` reads."""
-
-
-class SizeLimitError(ValueError):
-    """Instance exceeds the oracle's m**n enumeration guard."""
+    MAX_MODEL_BYTES, an af or eaf objective coefficient or the oracle's m**n
+    passes its limit, or an input integer has more digits than ``int`` reads."""
 
 
 def approx(num: int, den: int = 1) -> str:

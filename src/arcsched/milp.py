@@ -49,6 +49,7 @@ from typing import NamedTuple, TextIO
 from .flowgraph import _RUN_LINES, LOSS, FlowGraph, _runs, _write_runs, decompose_flow
 from .instance import (
     Instance,
+    ModelSizeError,
     Schedule,
     ValidationError,
     _excerpt,
@@ -64,9 +65,9 @@ BINARY = "binary"
 INTEGER = "integer"
 CONTINUOUS = "continuous"
 
-# The CLI refuses a ti, pti or ciqp model whose estimated peak memory, build
-# plus emission, exceeds instance.MAX_MODEL_BYTES: ``estimate_nonzeros`` times
-# the form's peak RSS per estimated nonzero. The rates are the largest
+# build_ti, build_pti and build_ciqp refuse a model whose peak memory, build
+# plus emission, would exceed instance.MAX_MODEL_BYTES: its exact nonzero
+# count times the form's peak RSS per nonzero. The rates are the largest
 # measured over LP and MPS, m = 2 and 4, p and w in U[1, 100]; they differ
 # because per-variable records and names weigh more where a variable has few
 # entries. The flow build prices what it makes (``flowgraph.BYTES_PER_NONZERO``).
@@ -190,24 +191,6 @@ class MilpModel:
 # size guard
 
 
-def estimate_nonzeros(inst: Instance, form: str, T: int) -> int:
-    """Nonzeros (as ``MilpModel.nonzeros``) of form ti, pti or ciqp, in O(n).
-
-    ti: each x_{j}_{t} sits in one assignment row and p_j capacity rows.
-    pti: n m T parts plus n m links, n m T capacity entries, n m assignment
-    entries. ciqp: n m assignment entries and m n (n - 1) / 2 quadratic
-    terms. The flow forms are counted by their build (``flowgraph``).
-    """
-    n, m = inst.n, inst.m
-    if form == "ti":
-        return sum((j.p + 1) * (T - j.p + 1) for j in inst.jobs)
-    if form == "pti":
-        return n * m * (2 * T + 2)
-    if form == "ciqp":
-        return n * m + m * n * (n - 1) // 2
-    raise ValueError(f"unknown form {form!r}")
-
-
 def check_size(form: str, nonzeros: int) -> None:
     """Refuse a model of ``form`` whose ``nonzeros`` would need more than
     MAX_MODEL_BYTES at the form's measured bytes per nonzero.
@@ -235,6 +218,7 @@ def build_ti(inst: Instance, T: int) -> MilpModel:
     one assignment constraint per job and one machine-capacity constraint
     per time slot t = 0..T-1.
     """
+    check_size("ti", sum((j.p + 1) * (T - j.p + 1) for j in inst.jobs))  # x_{j}_{t} is in 1 assign and p_j cap rows
     if T < inst.p_max:
         raise ValidationError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
     model = MilpModel(name=f"ti_n{inst.n}_m{inst.m}")
@@ -264,10 +248,12 @@ def build_ciqp(inst: Instance) -> MilpModel:
     p_j plus the processing of earlier-ordered jobs sharing its machine.
     With x^2 = x for binaries the objective expands to linear terms
     w_j p_j x_{j}_{k} plus bilinear terms w_j p_i x_{i}_{k} x_{j}_{k} over
-    ordered pairs i before j.
+    ordered pairs i before j. A schedule uses at most n machines, and they
+    can be relabelled, so the model has min(m, n) machines.
     """
-    m = inst.m
-    model = MilpModel(name=f"ciqp_n{inst.n}_m{m}")
+    n, m = inst.n, min(inst.m, inst.n)
+    check_size("ciqp", n * m + m * n * (n - 1) // 2)  # assignment entries and quadratic terms
+    model = MilpModel(name=f"ciqp_n{n}_m{m}")
     # x_{j}_{k} sits at position (j - 1) * m + k - 1, in job j's block
     for job in inst.jobs:
         names = lambda j=job.id: (f"x_{j}_{k}" for k in range(1, m + 1))
@@ -292,11 +278,13 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
     (w_j / p_j) * (t + (p_j - 1) / 2) = w_j (2t + p_j - 1) / (2 p_j), made
     as one exact fraction each; linking
     constraints force all p_j parts onto the machine chosen by y_{j}_{k}.
+    Like ``build_ciqp``, the model has min(m, n) machines.
     """
+    n, m = inst.n, min(inst.m, inst.n)
+    check_size("pti", n * m * (2 * T + 2))  # n m parts rows of T + 1, n m T capacity and n m assign entries
     if T < inst.p_max:
         raise ValidationError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
-    m = inst.m
-    model = MilpModel(name=f"pti_n{inst.n}_m{m}")
+    model = MilpModel(name=f"pti_n{n}_m{m}")
     # x_{j}_{k}_{t} sits at ((j - 1) * m + k - 1) * T + t - 1, in job j's
     # block, and y_{j}_{k} at ys + (j - 1) * m + k - 1
     for job in inst.jobs:  # the T coefficients of a job repeat on each machine
@@ -305,7 +293,7 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
         model.blocks.append(VarBlock(CONTINUOUS, 0, None, coefs * m, names))
     ys = model.num_vars
     names = lambda: (f"y_{job.id}_{k}" for job in inst.jobs for k in range(1, m + 1))
-    model.blocks.append(VarBlock(BINARY, 0, 1, [0] * (inst.n * m), names))
+    model.blocks.append(VarBlock(BINARY, 0, 1, [0] * (n * m), names))
     pos = array("I", range(model.num_vars))  # rows copy slices of it
     for job in inst.jobs:
         for k in range(1, m + 1):
@@ -330,9 +318,13 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
     whose names are read from the graph arrays, and a type's run is its
     demand row. The objective constant counts every scheduled copy, i.e.
     the sum of d * w * p over the network's types; the flow value m is the
-    loss-arc capacity.
+    loss-arc capacity. A coefficient w t past 2^63 - 1 raises ModelSizeError.
     """
     types, m = g.types, g.capacity[LOSS]
+    for k, jt in enumerate(types, start=1):
+        last = g.tail[g.runs[k][-1]] if g.runs[k] else 0  # a run's tails rise: its largest w t is w last
+        if jt.w * last > 2**63 - 1:
+            raise ModelSizeError(f"type {k}: the objective coefficient w t = {jt.w} * {last} is above 2^63 - 1")
     model = MilpModel(name=f"eaf_t{len(types)}_m{m}")
     # names are joined from "_t", the text of each node t, made once
     stems = {t: f"_{t}" for t in g.nodes}
@@ -825,12 +817,14 @@ def assignment_to_schedule(inst: Instance, values: list[int], T: int, graph: Flo
     return Schedule(machines=tuple(sort_machine_wspt(inst, machine) for machine in machines))
 
 
-def parse_solution(text: str) -> dict[str, Num]:
-    """Read 'name value' lines; '#' starts a comment, blanks are skipped.
-    A value is an ASCII number (integer, decimal, exponent or fraction form),
-    read exactly."""
+def parse_solution(lines: Iterable[str]) -> dict[str, Num]:
+    """Read 'name value' lines (an open file); '#' starts a comment, blanks are
+    skipped. A value is an ASCII number (integer, decimal, exponent or fraction
+    form), read exactly. Only nonzero values are kept: a zero drops an earlier
+    value of its name, so the last value wins, and a name not kept reads 0."""
     valuation: dict[str, Num] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # each line is split as the whole text would be, so the line numbers stay the same
+    for lineno, raw in enumerate(chain.from_iterable(map(str.splitlines, lines)), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -841,7 +835,11 @@ def parse_solution(text: str) -> dict[str, Num]:
         try:  # a plain integer skips Fraction's parse and its rounding later
             if not value.isascii():  # int and Fraction read digits of every script
                 raise ValueError
-            valuation[name] = int(value) if value.isdecimal() else Fraction(value)
+            x = int(value) if value.isdecimal() else Fraction(value)
         except ValueError:
             raise ValueError(f"solution line {lineno}: bad numeric value {_excerpt(value)}") from None
+        if x:
+            valuation[name] = x
+        else:
+            valuation.pop(name, None)
     return valuation

@@ -33,7 +33,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .instance import Instance, Schedule, SizeLimitError, evaluate_schedule
+from .instance import Instance, ModelSizeError, Schedule, evaluate_schedule
 
 SIZE_GUARD = 10**8
 DOMINANCE_KEYS = 2**16  # keys the dominance table takes, which bounds its memory
@@ -59,13 +59,13 @@ def brute_force_optimal(inst: Instance, enumerate_all: bool = False) -> OracleRe
     assignment (machines sequenced by WSPT, relabeled canonically).
 
     Raises:
-        SizeLimitError: when m**n exceeds SIZE_GUARD.
+        ModelSizeError: when m**n exceeds SIZE_GUARD.
     """
     size = 1
     for _ in range(inst.n):  # stops past the guard, so m**n is never built
         size *= inst.m
         if size > SIZE_GUARD:
-            raise SizeLimitError(
+            raise ModelSizeError(
                 f"m**n = {inst.m}**{inst.n} exceeds the enumeration guard {SIZE_GUARD:.0e}"
             )
 

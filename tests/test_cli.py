@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from argparse import Namespace
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -10,10 +11,12 @@ from pathlib import Path
 import pytest
 
 from arcsched import cli, flowgraph, instance, milp
+from arcsched.bounds import horizon_T
 from arcsched.cli import main
 from arcsched.heuristic import IlsConfig
 from arcsched.instance import (
     generate_instance,
+    make_instance,
     parse_instance,
     parse_schedule,
     write_instance,
@@ -30,6 +33,11 @@ def demo_file(tmp_path) -> Path:
     path = tmp_path / "demo.txt"
     path.write_text(DEMO_TEXT, encoding="utf-8")
     return path
+
+
+def scaled(inst, factor: int) -> str:
+    """Instance text with every weight multiplied by ``factor``."""
+    return write_instance(make_instance(inst.m, [(j.p, j.w * factor) for j in inst.jobs]))
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -250,16 +258,17 @@ class TestModelSizeGuard:
             texts.append((tmp_path / "m.lp").read_text(encoding="utf-8"))
         assert texts[0] == texts[1]
 
-    # w_j (T - p_j) above 2**63 - 1 overflowed the int64 objective arrays of
-    # af and eaf (OverflowError), so it is refused before their build; ti
-    # keeps exact coefficients and builds and checks it. A job of
+    # an af or eaf coefficient w t above 2**63 - 1 would overflow their int64
+    # objective arrays (OverflowError), so build_eaf_model refuses it before
+    # it makes the model (type 2 under af, type 1 under eaf); ti keeps exact
+    # coefficients and builds and checks it. A job of
     # p = 10**11 makes 5 nonzeros; it was refused while the build kept tables
     # over its T + 1 time points (they raised MemoryError), and is built now
     # that the build holds only the points it reaches (reason None)
     REFUSED = {
         "weight": ("3 1\n2 1000000000000000000000\n2 1000000000000000000000\n1 1\n",
                    "objective 6000000000000000000005\nmachine 1: 1 2 3\n",
-                   "job 1: the objective coefficient w (T - p) = 1000000000000000000000 * 3 is above 2^63 - 1"),
+                   "w t = 1000000000000000000000 * 2"),
         "horizon": ("1 1\n100000000000 1\n", "objective 100000000000\nmachine 1: 1\n", None),
     }
 
@@ -339,9 +348,9 @@ class TestModelSizeGuard:
         def reached(*args, **kwargs):
             raise self.Reached
 
-        # the flow forms stop once their network is built, past the guard it holds
-        for module, name in ((milp, "build_ti"), (milp, "build_pti"), (milp, "build_eaf_model")):
-            monkeypatch.setattr(module, name, reached)
+        # every builder makes its model once its guard has passed (the flow
+        # forms' guard is in the network build)
+        monkeypatch.setattr(milp, "MilpModel", reached)
 
     # The paper's grid: n up to 400, m = 2 or 4, p and w in U[1, 100]. These
     # forms and sizes were built before the guard existed, with at most
@@ -368,6 +377,39 @@ class TestModelSizeGuard:
             path.write_text(write_instance(generate_instance(n, m, 100, 100, seed)), encoding="utf-8")
             self.assert_refused_fast(capsys, "model", "--in", str(path), "--form", form,
                                      "--out", str(tmp_path / "m"))
+
+    def test_weight_refused_only_past_the_built_coefficients(self, tmp_path, capsys):
+        # w_j (T - p_j) only bounds the built coefficients from above: a
+        # job's arcs start at the points its network reaches, which can lie
+        # well below T - p_j. Weights scaled so
+        # that bound just passes 2**63 - 1 still build; scaled past the
+        # largest w t built, they are refused with the builder's message
+        path, lp = tmp_path / "i.txt", str(tmp_path / "m.lp")
+        flags = Namespace(no_windows=False, no_types=False, no_tprime=False, strict_figure=False)
+        for seed in range(300):
+            inst = generate_instance(n=4 + seed % 6, m=2 + seed // 6 % 3, p_max=9, w_max=9, seed=seed)
+            T = horizon_T(inst)
+            scale = (2**63 - 1) // max(j.w * (T - j.p) for j in inst.jobs) + 1
+            for form in ("af", "eaf"):
+                path.write_text(scaled(inst, scale), encoding="utf-8")
+                assert run(capsys, "model", "--in", str(path), "--form", form, "--out", lp)[0] == 0, (seed, form)
+                model = cli._build_model(parse_instance(path.read_text(encoding="utf-8")), form, flags)[0]
+                largest = max(max(b.obj, default=0) for b in model.blocks) // scale
+                path.write_text(scaled(inst, (2**63 - 1) // largest + 1), encoding="utf-8")
+                assert main(["model", "--in", str(path), "--form", form, "--out", lp]) == 5, (seed, form)
+                err = capsys.readouterr().err
+                assert err.startswith("refused: type ") and "the objective coefficient w t = " in err, err
+
+    @pytest.mark.parametrize(("form", "jobs", "m", "variables"), [
+        ("pti", "3 1\n4 2\n2 5\n", 10**5, 45), ("ciqp", "3 1\n4 2\n", 10**6, 4),
+    ], ids=["pti", "ciqp"])
+    def test_more_machines_than_jobs_built_over_n(self, form, jobs, m, variables, tmp_path, capsys):
+        # a solution uses at most n machines, so pti and ciqp are built over
+        # min(m, n) of them, not m
+        path = tmp_path / "i.txt"
+        path.write_text(f"{len(jobs.splitlines())} {m}\n{jobs}", encoding="utf-8")
+        out = self.assert_built_fast(capsys, "model", "--in", str(path), "--form", form, "--out", str(tmp_path / "m.lp"))
+        assert f"\nvariables: {variables}\n" in out
 
     @pytest.mark.parametrize("form", ["af", "eaf"])
     def test_horizon_past_64_bits_refused(self, form, tmp_path, capsys):

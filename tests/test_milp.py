@@ -12,12 +12,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arcsched import milp
+from arcsched import instance, milp
 from arcsched.cli import _build_model
-from arcsched.bounds import horizon, time_windows, type_time_windows
+from arcsched.bounds import horizon, horizon_T, time_windows, type_time_windows
 from arcsched.flowgraph import build_eaf_graph, write_dot
 from arcsched.heuristic import IlsConfig, ils
 from arcsched.instance import (
+    ModelSizeError,
     Schedule,
     ValidationError,
     evaluate_schedule,
@@ -157,6 +158,28 @@ class TestRecords:
             for form, on in runs:
                 names = list(_build_model(inst, form, Namespace(**{f: f in on for f in flags}))[0].names())
                 assert len(set(names)) == len(names) and "ONE" not in names, (n, m, seed, form, on)
+
+
+class TestBuilderGuard:
+    @pytest.mark.parametrize("form", ["ti", "pti", "ciqp"])
+    @pytest.mark.parametrize("jobs, m", [([(2, 4), (5, 7), (1, 1), (4, 3)], 2), ([(3, 1), (4, 2)], 5)],
+                             ids=["demo", "m-above-n"])
+    def test_refused_before_the_model(self, form, jobs, m, monkeypatch):
+        # each builder prices its exact nonzeros, over the machines it
+        # builds, before it makes a MilpModel: a byte under that price is
+        # refused with no model made, and at the price the model is built
+        inst = make_instance(m, jobs)
+        T = horizon_T(inst)
+        build = {"ti": lambda: build_ti(inst, T), "pti": lambda: build_pti(inst, T), "ciqp": lambda: build_ciqp(inst)}[form]
+        price = build().nonzeros() * milp.BYTES_PER_NONZERO[form]
+        made = []
+        monkeypatch.setattr(milp, "MilpModel", lambda name: made.append(name) or MilpModel(name))
+        monkeypatch.setattr(instance, "MAX_MODEL_BYTES", price - 1)
+        with pytest.raises(ModelSizeError, match=f"^form {form} model may hold "):
+            build()
+        assert made == []
+        monkeypatch.setattr(instance, "MAX_MODEL_BYTES", price)
+        assert build().nonzeros() * milp.BYTES_PER_NONZERO[form] == price and len(made) == 1
 
 
 class TestBuildTi:
@@ -666,12 +689,12 @@ class TestObjectiveAgreement:
 class TestSolutionFile:
     def test_parse_names_values_comments(self):
         text = "# solver log\nx_1_0 1\nx_2_0 0.5 # trailing\nL_7 2\n\n"
-        valuation = parse_solution(text)
+        valuation = parse_solution(text.splitlines())
         assert valuation == {"x_1_0": 1, "x_2_0": Fraction(1, 2), "L_7": 2}
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
-            parse_solution("x_1_0 one\n")
+            parse_solution(["x_1_0 one"])
 
     @pytest.mark.parametrize("text, message", [
         ("x " + "1" * 5000 + "z\n", "solution line 1: bad numeric value '11111111111111111111'..."),
@@ -679,11 +702,11 @@ class TestSolutionFile:
     ], ids=["value", "line"])
     def test_long_bad_text_quoted_by_a_prefix(self, text, message):
         with pytest.raises(ValueError) as exc:
-            parse_solution(text)
+            parse_solution(text.splitlines())
         assert str(exc.value) == message
 
     def test_plain_integers_read_as_int(self):
-        valuation = parse_solution("a 3\nb 2.0\nc 1/2\nd -1\ne 1e0\n")
+        valuation = parse_solution("a 3\nb 2.0\nc 1/2\nd -1\ne 1e0\n".splitlines())
         assert valuation == {"a": 3, "b": 2, "c": Fraction(1, 2), "d": -1, "e": 1}
         assert type(valuation["a"]) is int
         assert all(type(valuation[k]) is Fraction for k in "bcde")
@@ -698,12 +721,29 @@ class TestSolutionFile:
         # int() and Fraction() read any Unicode digit; the instance and
         # schedule parsers refuse them, and so does the solution reader
         with pytest.raises(ValueError) as exc:
-            parse_solution(text)
+            parse_solution(text.splitlines())
         assert str(exc.value) == message
 
     def test_ascii_values_still_read(self):
-        valuation = parse_solution("a 1\nb -0.0\nc 1e-9\nd 8145.000000001\n")
-        assert valuation == {"a": 1, "b": 0, "c": Fraction(1, 10**9), "d": Fraction(8145000000001, 10**9)}
+        # b reads 0, so it is not kept, and a name not kept reads 0
+        valuation = parse_solution("a 1\nb -0.0\nc 1e-9\nd 8145.000000001\n".splitlines())
+        assert valuation == {"a": 1, "c": Fraction(1, 10**9), "d": Fraction(8145000000001, 10**9)}
+
+    def test_zeros_dropped_and_the_last_value_wins(self):
+        # a zero is not kept and drops an earlier value of its name
+        valuation = parse_solution(["a 0", "b 2", "c 3", "b 0", "c 0.0", "c 5", "d 0/7", "e 1", "e 4"])
+        assert valuation == {"c": 5, "e": 4}
+
+    def test_reads_an_open_file_line_by_line(self, tmp_path):
+        # the lines a file yields keep their line ends, and a form feed
+        # still breaks a line, as in the whole text, so line numbers agree
+        path = tmp_path / "s.sol"
+        path.write_text("# log\r\nx_1_0 1\r\nx_2_0 0\nL_7 3/2\fy 2\n\nz one\n", encoding="utf-8")
+        with path.open(encoding="utf-8") as fh, pytest.raises(ValueError, match="^solution line 7: bad numeric"):
+            parse_solution(fh)
+        path.write_text("# log\r\nx_1_0 1\r\nx_2_0 0\nL_7 3/2\fy 2\n", encoding="utf-8")
+        with path.open(encoding="utf-8") as fh:
+            assert parse_solution(fh) == {"x_1_0": 1, "L_7": Fraction(3, 2), "y": 2}
 
 
 try:
@@ -726,7 +766,8 @@ class TestLpRoundTripSolve:
             write_lp(model, fh)
         shim = Path(__file__).parent / "lp_shim.py"
         subprocess.run([sys.executable, str(shim), str(lp), str(sol)], check=True)
-        valuation = parse_solution(sol.read_text(encoding="utf-8"))
+        with sol.open(encoding="utf-8") as fh:
+            valuation = parse_solution(fh)
         return [round(valuation.get(name, 0)) for name in model.names()]
 
     def test_demo_af_lp_solves_to_67(self, demo, tmp_path):

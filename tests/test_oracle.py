@@ -22,6 +22,7 @@ from arcsched import oracle
 from arcsched.cli import main
 from arcsched.instance import (
     Instance,
+    ModelSizeError,
     Schedule,
     evaluate_schedule,
     generate_instance,
@@ -30,7 +31,7 @@ from arcsched.instance import (
     sort_machine_wspt,
     write_instance,
 )
-from arcsched.oracle import SIZE_GUARD, OracleResult, SizeLimitError, brute_force_optimal
+from arcsched.oracle import SIZE_GUARD, OracleResult, brute_force_optimal
 from arcsched.rng import SplitMix64
 
 
@@ -75,12 +76,12 @@ class TestOptimum:
 class TestGuard:
     def test_oversize_refused(self):
         inst = generate_instance(n=30, m=2, p_max=5, w_max=5, seed=1)
-        with pytest.raises(SizeLimitError, match="guard"):
+        with pytest.raises(ModelSizeError, match="guard"):
             brute_force_optimal(inst)
 
     def test_guard_message_names_bound(self):
         inst = generate_instance(n=30, m=2, p_max=5, w_max=5, seed=1)
-        with pytest.raises(SizeLimitError, match="2\\*\\*30"):
+        with pytest.raises(ModelSizeError, match="2\\*\\*30"):
             brute_force_optimal(inst)
 
     def test_verdict_at_the_bound(self):
@@ -90,7 +91,7 @@ class TestGuard:
             result = brute_force_optimal(accepted)
             assert evaluate_schedule(accepted, result.schedule) == result.optimum
             refused = generate_instance(n=n + 1, m=m, p_max=5, w_max=5, seed=1)
-            with pytest.raises(SizeLimitError, match=f"{m}\\*\\*{n + 1}"):
+            with pytest.raises(ModelSizeError, match=f"{m}\\*\\*{n + 1}"):
                 brute_force_optimal(refused)
 
 
@@ -154,13 +155,13 @@ def ref_brute_force(inst: Instance, enumerate_all: bool = False) -> OracleResult
     assignment (machines sequenced by WSPT, relabeled canonically).
 
     Raises:
-        SizeLimitError: when m**n exceeds SIZE_GUARD.
+        ModelSizeError: when m**n exceeds SIZE_GUARD.
     """
     size = 1
     for _ in range(inst.n):  # stops past the guard, so m**n is never built
         size *= inst.m
         if size > SIZE_GUARD:
-            raise SizeLimitError(
+            raise ModelSizeError(
                 f"m**n = {inst.m}**{inst.n} exceeds the enumeration guard {SIZE_GUARD:.0e}"
             )
 
@@ -264,7 +265,7 @@ class TestReferenceEquality:
         inst = generate_instance(n=12, m=5, p_max=3, w_max=3, seed=1)
         messages = []
         for solve in (ref_brute_force, brute_force_optimal):
-            with pytest.raises(SizeLimitError) as info:
+            with pytest.raises(ModelSizeError) as info:
                 solve(inst)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
