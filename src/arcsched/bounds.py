@@ -49,7 +49,8 @@ def h_bounds(inst: Instance) -> tuple[Fraction, Fraction]:
 
 
 def horizon_T(inst: Instance) -> int:
-    """T = floor(sum(p)/m + (m-1)/m * p_max)."""
+    """T = floor(sum(p)/m + (m-1)/m * p_max), at least p_max as sum(p) >= p_max.
+    The ti, pti and flow builders take a T so and do not check it."""
     return (inst.total_p + (inst.m - 1) * inst.p_max) // inst.m
 
 

@@ -39,10 +39,6 @@ LOSS = 0
 BYTES_PER_NONZERO = 128
 
 
-class InfeasibleHorizonError(ValueError):
-    """Horizon too small for the longest job."""
-
-
 class FlowGraph(NamedTuple):
     """Time points (0, T and every reachable t) and arcs as parallel unsigned arrays.
 
@@ -100,8 +96,6 @@ def build_eaf_graph(
     The straight per-job network is this construction with one type per
     job in WSPT order, windows [0, T - p_j] and ``t_prime=0``.
     """
-    if T < inst.p_max:
-        raise InfeasibleHorizonError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
     if T >= 2**64:  # tails and heads are held in arrays of at most 64 bits
         raise ModelSizeError(f"the horizon T = {approx(T)} is above 2^64 - 1")
     times = "I" if T < 2**32 else "Q"

@@ -8,7 +8,8 @@ rule, so no name is stored; names are made only by the writers, the
 violation messages and the solution lookup. Rows and quadratic terms refer
 to variables by position, and a valuation is one value per position, so
 the schedule mapping, the exact check and the decode read no name. Rows
-hold strictly rising positions and nonzero coefficients (``validate``).
+hold strictly rising positions and nonzero coefficients: the builders make
+them so, a test holds them to it, and ``validate`` reads only the records.
 Models are streamed to a file as LP or MPS text and never solved
 in-process; an external solver can be driven through the CLI. The writers
 make the text as runs of lines (``flowgraph._write_runs``), each built by
@@ -43,7 +44,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import add, attrgetter, lt, mul, not_, or_, sub, truth
+from operator import add, attrgetter, mul, not_, or_, sub, truth
 from typing import NamedTuple, TextIO
 
 from .flowgraph import _RUN_LINES, LOSS, FlowGraph, _runs, _write_runs, decompose_flow
@@ -138,26 +139,22 @@ class MilpModel:
 
     def add_constraint(self, name: str, cols, sense: str, rhs: Num, coefs=None) -> None:
         """Append a row over variable positions ``cols``, which must strictly
-        rise; ``coefs`` must be nonzero, and None means all ones.
-
-        Raises:
-            ValidationError: a position or coefficient is not an integer.
+        rise; ``coefs`` must be nonzero 64-bit integers, and None means all
+        ones. Nothing here checks the entries: every builder makes its rows
+        so, and a test of every form and flag combination holds them to it.
         """
-        try:
-            row = Constraint(name, sense, rhs, array("I", cols), None if coefs is None else array("q", coefs))
-        except (TypeError, OverflowError) as exc:
-            raise ValidationError(
-                f"constraint {name}: positions must be integers >= 0 and coefficients integers ({exc})"
-            ) from None
-        self.constraints.append(row)
+        coefs = None if coefs is None else array("q", coefs)
+        self.constraints.append(Constraint(name, sense, rhs, array("I", cols), coefs))
 
     def nonzeros(self) -> int:
         """Stored constraint entries plus quadratic objective terms."""
         return sum(len(c.cols) for c in self.constraints) + len(self.quad_terms)
 
     def validate(self) -> "MilpModel":
-        """The model, once each row's positions strictly rise below ``num_vars``
-        and its coefficients are nonzero integers; the writers take no other.
+        """The model, once each block's bounds are ordered, each row's sense is
+        known, its last position is below ``num_vars`` and it holds one
+        coefficient per position. It reads the records, never the entries
+        of a row: that those rise and are nonzero is the builders' part.
 
         Raises:
             ValidationError: naming the variable or row at fault.
@@ -169,21 +166,10 @@ class MilpModel:
         for c in self.constraints:
             if c.sense not in ("<=", "=", ">="):
                 raise ValidationError(f"constraint {c.name}: bad sense {c.sense!r}")
-            if not (isinstance(c.cols, array) and c.cols.typecode == "I"):
-                raise ValidationError(f"constraint {c.name}: positions must be an unsigned int array")
-            cols = c.cols.tolist()  # one int each, made at once
-            if not all(map(lt, cols, islice(cols, 1, None))):
-                raise ValidationError(f"constraint {c.name}: positions must strictly rise")
-            if cols and cols[-1] >= n:
+            if c.cols and c.cols[-1] >= n:
                 raise ValidationError(f"constraint {c.name} references a variable position outside 0..{n - 1}")
-            if c.coefs is not None and not (
-                isinstance(c.coefs, array) and c.coefs.typecode == "q" and len(c.coefs) == len(c.cols)
-                and 0 not in c.coefs
-            ):
-                raise ValidationError(f"constraint {c.name}: coefficients must be {len(c.cols)} nonzero integers")
-        for a, b, _ in self.quad_terms:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValidationError(f"quadratic term references a variable position outside 0..{n - 1}")
+            if c.coefs is not None and len(c.coefs) != len(c.cols):
+                raise ValidationError(f"constraint {c.name}: {len(c.coefs)} coefficients, one per position of {len(c.cols)}")
         return self
 
 
@@ -219,8 +205,6 @@ def build_ti(inst: Instance, T: int) -> MilpModel:
     per time slot t = 0..T-1.
     """
     check_size("ti", sum((j.p + 1) * (T - j.p + 1) for j in inst.jobs))  # x_{j}_{t} is in 1 assign and p_j cap rows
-    if T < inst.p_max:
-        raise ValidationError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
     model = MilpModel(name=f"ti_n{inst.n}_m{inst.m}")
     offsets = ti_offsets(inst, T)
     for job in inst.jobs:  # one block per job, t = 0..T-p_j
@@ -282,8 +266,6 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
     """
     n, m = inst.n, min(inst.m, inst.n)
     check_size("pti", n * m * (2 * T + 2))  # n m parts rows of T + 1, n m T capacity and n m assign entries
-    if T < inst.p_max:
-        raise ValidationError(f"horizon T={T} is smaller than the longest job p={inst.p_max}")
     model = MilpModel(name=f"pti_n{n}_m{m}")
     # x_{j}_{k}_{t} sits at ((j - 1) * m + k - 1) * T + t - 1, in job j's
     # block, and y_{j}_{k} at ys + (j - 1) * m + k - 1

@@ -58,12 +58,16 @@ class TestHorizonTprime:
         assert horizon_Tprime(inst) == 1
 
     def test_tprime_within_bounds_on_random_instances(self):
-        # T' <= T and T' >= ceil(H_min), 1000 seeded draws
-        for seed in range(1000):
-            inst = generate_instance(
-                n=3 + seed % 12, m=1 + seed % 4, p_max=1 + seed % 20, w_max=10, seed=seed
-            )
+        # T' <= T, T' >= ceil(H_min) and T >= p_max, which the ti, pti and
+        # flow builders take without a check: 1000 seeded draws, then 200
+        # with m > n and 200 with p up to 10**6
+        draws = [(3 + seed % 12, 1 + seed % 4, 1 + seed % 20) for seed in range(1000)]
+        draws += [(1 + seed % 6, 2 + seed % 6 + seed % 9, 1 + seed % 20) for seed in range(200)]
+        draws += [(1 + seed % 12, 1 + seed % 15, 10 ** (1 + seed % 6)) for seed in range(200)]
+        for seed, (n, m, p_max) in enumerate(draws):
+            inst = generate_instance(n=n, m=m, p_max=p_max, w_max=10, seed=seed)
             hor = horizon(inst)
+            assert hor.T >= inst.p_max
             assert hor.T_prime <= hor.T
             assert hor.T_prime >= -((-hor.H_min.numerator) // hor.H_min.denominator)
             assert hor.T == hor.H_max.numerator // hor.H_max.denominator

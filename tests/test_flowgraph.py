@@ -10,7 +10,6 @@ from arcsched.bounds import horizon, time_windows, type_time_windows
 from arcsched.cli import _flow_network
 from arcsched.flowgraph import (
     LOSS,
-    InfeasibleHorizonError,
     build_eaf_graph,
     decompose_flow,
     reduction_pct,
@@ -101,10 +100,6 @@ class TestAfGraph:
         assert g.nodes == (0, 3)
         assert job_arcs(g) == [(0, 3, 1)]
         assert [(t, h) for t, h, k in arcs(g) if k == LOSS] == [(0, 3)]
-
-    def test_horizon_too_small(self, demo):
-        with pytest.raises(InfeasibleHorizonError):
-            straight_network(demo, 4)
 
     def test_every_job_has_an_arc(self):
         for seed in range(20):

@@ -6,9 +6,6 @@ case's own COLUMNS lines are checked as well, so a case says what it
 covers even where the Hypothesis reference test would draw it rarely.
 """
 
-import pytest
-
-from arcsched.instance import ValidationError
 from arcsched.milp import BINARY, CONTINUOUS, INTEGER, MilpModel, write_mps
 
 from conftest import append_var, written
@@ -43,16 +40,10 @@ def test_column_in_no_row_with_zero_cost_gets_cost_zero():
     assert not any(line.startswith("    y") and "COST      0" in line for line in lines)
 
 
-def test_repeated_positions_summing_to_zero_are_refused():
-    variables = [("x", 0, None, CONTINUOUS, 0), ("y", 0, None, CONTINUOUS, 1)]
-    model = MilpModel(name="edge")
-    for v in variables:
-        append_var(model, *v)
-    model.add_constraint("r", [0, 1, 0, 1], "=", 0, coefs=[2, 1, -2, 1])
-    with pytest.raises(ValidationError, match="constraint r: positions must strictly rise"):
-        model.validate()
-    # the same row with its repeats summed and the zero sum dropped
-    lines = twin(variables, [("r", "=", 0, [1], [2])])
+def test_repeated_positions_summing_to_zero_as_a_canonical_row():
+    # the row [0, 1, 0, 1] with coefficients [2, 1, -2, 1], its repeats
+    # summed and the zero sum dropped, as a builder would make it
+    lines = twin([("x", 0, None, CONTINUOUS, 0), ("y", 0, None, CONTINUOUS, 1)], [("r", "=", 0, [1], [2])])
     assert lines == ["    x         COST      0", "    y         COST      1             r         2"]
 
 
