@@ -233,7 +233,7 @@ def cmd_model(args, report: RunReport) -> None:
         report.summary.update(
             {
                 "nodes": len(graph.nodes),
-                "job_arcs": len(graph.label) - losses,
+                "job_arcs": len(graph.arcs) - losses,
                 "loss_arcs": losses,
             }
         )
@@ -250,7 +250,7 @@ def cmd_compare(args, report: RunReport) -> None:
             inst = generate_instance(args.n, args.m, args.pmax, args.wmax, seed)
             counts = [milp.ti_offsets(inst, bounds_mod.horizon_T(inst))[-1]]
             for form in ("af", "eaf"):
-                counts.append(len(_flow_network(inst, form, args).label))
+                counts.append(len(_flow_network(inst, form, args).arcs))
             rows.append((seed, *counts))
     mean = lambda idx: sum(r[idx] for r in rows) / len(rows)
     mean_ti, mean_af, mean_eaf = mean(1), mean(2), mean(3)

@@ -11,13 +11,14 @@ types with start windows and a tightened loss-arc range [T', T). The
 straight per-job network is its special case with one type per job,
 full windows [0, T - p_j] and T' = 0.
 
-A network stores its arcs as three parallel arrays, ``tail``, ``head``
-and ``label``; position i in them is arc i, and arc i is variable i of
-the model built from the network. Label k >= 1 is job type k, label 0 a
-loss arc. The network carries the job types its labels index and one
-capacity per label, so it is the whole model input. The construction
-emits one arc order, job arcs by label and tail, then loss arcs by tail
-(see ``FlowGraph``).
+A network stores its arcs as two parallel arrays, ``tail`` and ``head``;
+position i in them is arc i, and arc i is variable i of the model built
+from the network. The arcs of one label lie in one run of positions:
+label k >= 1 is job type k, label 0 a loss arc. The network carries the
+job types its labels index and the machine count m, so it is the whole
+model input: a type's arcs carry at most its multiplicity d, the loss
+arcs at most m. The construction emits one arc order, job arcs by label
+and tail, then loss arcs by tail (see ``FlowGraph``).
 """
 
 from __future__ import annotations
@@ -42,27 +43,31 @@ BYTES_PER_NONZERO = 128
 class FlowGraph(NamedTuple):
     """Time points (0, T and every reachable t) and arcs as parallel unsigned arrays.
 
-    Arc i runs from ``tail[i]`` to ``head[i]``; ``label[i]`` is its type
-    (1-based) or LOSS. Arc order: job arcs by label, then by ascending
-    tail; loss arcs last, by ascending tail. ``runs[k]`` is the range of
-    label k's positions, which ``arc`` bisects by tail. Label k is job type
-    ``types[k - 1]``. ``capacity[k]`` bounds every arc of label k: m at
-    LOSS, the multiplicity d_k of type k otherwise.
+    Arc i runs from ``tail[i]`` to ``head[i]``. ``runs[k]`` is the range of
+    the positions of label k, which ``arc`` bisects by tail: label k >= 1
+    is job type ``types[k - 1]``, whose arcs carry at most its multiplicity
+    d_k; LOSS labels the loss arcs, which carry at most the m machines.
+    Arc order: job arcs by label, then by ascending tail; loss arcs last,
+    by ascending tail (``labels`` names the runs in that order).
     """
 
     T: int
     nodes: tuple[int, ...]
     tail: array
     head: array
-    label: array
-    capacity: tuple[int, ...]
+    m: int
     types: tuple[JobType, ...]
     runs: tuple[range, ...]
 
     @property
     def arcs(self) -> range:
         """Arc positions."""
-        return range(len(self.label))
+        return range(len(self.tail))
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        """The labels in arc order: job types 1..K, then LOSS."""
+        return (*range(1, len(self.runs)), LOSS)
 
     def arc(self, tail: int, label: int) -> int | None:
         """Position of the arc labelled ``label`` that leaves ``tail``, or None."""
@@ -100,7 +105,7 @@ def build_eaf_graph(
         raise ModelSizeError(f"the horizon T = {approx(T)} is above 2^64 - 1")
     times = "I" if T < 2**32 else "Q"
     points, reached = [0], {0}  # the reachable times, ascending, and as a set
-    tail, head, label = array(times), array(times), array("I")
+    tail, head = array(times), array(times)
     runs = []
     for tidx, (jt, (a, b)) in enumerate(zip(types, type_windows), start=1):
         p = jt.p
@@ -120,20 +125,16 @@ def build_eaf_graph(
             points.sort()  # two ascending runs, merged in one pass
         tail.extend(ordered)
         head.extend(heads)
-        label.extend(repeat(tidx, len(ordered)))
         runs.append(range(len(tail) - len(ordered), len(tail)))
     loss_from = [] if strict_figure else [0]
     loss_from += points[bisect_left(points, max(t_prime, 1)) : bisect_left(points, T)]
     _check_size(3 * len(tail) + 2 * len(loss_from))
     tail.extend(loss_from)
     head.extend(repeat(T, len(loss_from)))
-    label.extend(repeat(LOSS, len(loss_from)))
     runs.insert(LOSS, range(len(tail) - len(loss_from), len(tail)))
     nodes = points if points[-1] == T else [*points, T]
-    capacity = (inst.m, *(jt.d for jt in types))
     return FlowGraph(
-        T=T, nodes=tuple(nodes), tail=tail, head=head, label=label, capacity=capacity, types=tuple(types),
-        runs=tuple(runs),
+        T=T, nodes=tuple(nodes), tail=tail, head=head, m=inst.m, types=tuple(types), runs=tuple(runs),
     )
 
 
@@ -174,57 +175,49 @@ def write_dot(g: FlowGraph, fh: TextIO) -> None:
     arcs dashed, to the open text file ``fh`` as it is made."""
     # the attribute text of each label (LOSS is 0), so an arc line is one format call
     attrs = [" [style=dashed];"]
-    for k, d in enumerate(g.capacity[1:], start=1):
-        attrs.append(f' [label="j{k}"];' if d == 1 else f' [label="j{k} (x{d})"];')
+    for k, jt in enumerate(g.types, start=1):
+        attrs.append(f' [label="j{k}"];' if jt.d == 1 else f' [label="j{k} (x{jt.d})"];')
     nodes = map("  {};".format, g.nodes)
-    arcs = map("  {} -> {}{}".format, g.tail, g.head, map(attrs.__getitem__, g.label))
+    arc_attrs = chain.from_iterable(repeat(attrs[k], len(g.runs[k])) for k in g.labels)
+    arcs = map("  {} -> {}{}".format, g.tail, g.head, arc_attrs)
     _write_runs(fh, _runs(chain(("digraph flow {", "  rankdir=LR;"), nodes, arcs, ("}",))))
 
 
 def decompose_flow(g: FlowGraph, flow: list[int]) -> list[list[int]]:
-    """Split an integral flow of value m (the loss-arc capacity) into m
-    source-to-sink paths.
+    """Split an integral flow of value m into m source-to-sink paths.
 
-    ``flow[i]`` is the flow on arc i. Returns one job-id sequence per path.
-    Each flow unit on a job arc consumes the smallest remaining member id
-    of the arc's type. Demand is a lower bound,
+    ``flow[i]`` is the flow on arc i, and ``milp.check_feasible`` accepted
+    it against the model built from ``g``: it holds one value per arc, each
+    within the arc's capacity, and conserves flow at every node. Returns one
+    job-id sequence per path. Each flow unit on a job arc consumes the
+    smallest remaining member id of the arc's type. Demand is a lower bound,
     so a solution may cover a type more than d times: a unit beyond the
     type's multiplicity adds no job, and its machine idles over that arc.
 
     Paths are walked in arc order: at each node, job arcs by label before
-    the loss arc. As arcs run forward in time, the walks check conservation:
-    a flow conserves exactly when no walk gets stuck and the walks use it up.
-
-    Raises:
-        ValueError: flow violates a capacity or node conservation.
+    the loss arc. As arcs run forward in time, the residual flow stays a
+    conserving flow without cycles, so a walk leaves every node before T
+    that it enters, and the m walks use the flow up.
     """
-    if len(flow) != len(g.label):
-        raise ValueError(f"flow has {len(flow)} entries for {len(g.label)} arcs")
-    outgoing: dict[int, list[int]] = {}
-    for i in compress(g.arcs, flow):
-        v, cap = flow[i], g.capacity[g.label[i]]
-        if not (0 <= v <= cap):
-            raise ValueError(f"flow {v} outside [0, {cap}] on arc {g.tail[i]} -> {g.head[i]} label {g.label[i]}")
-        outgoing.setdefault(g.tail[i], []).append(i)
+    outgoing: dict[int, list[tuple[int, int]]] = {}  # (arc, label) per tail, in arc order
+    for k in g.labels:
+        run = g.runs[k]
+        for i in compress(run, flow[run.start : run.stop]):
+            outgoing.setdefault(g.tail[i], []).append((i, k))
 
     residual = list(flow)
     pools = [iter(t.members) for t in g.types]
     paths: list[list[int]] = []
-    for _ in range(g.capacity[LOSS]):
+    for _ in range(g.m):
         node = 0
         path: list[int] = []
         while node != g.T:
-            i = next((i for i in outgoing.get(node, ()) if residual[i] > 0), None)
-            if i is None:
-                raise ValueError(f"flow does not conserve: a walk is stuck at node {node} with no residual out-arc")
+            i, k = next((i, k) for i, k in outgoing[node] if residual[i] > 0)
             residual[i] -= 1
-            k = g.label[i]
             if k != LOSS:
                 j = next(pools[k - 1], None)
                 if j is not None:
                     path.append(j)
             node = g.head[i]
         paths.append(path)
-    if any(residual):
-        raise ValueError("flow does not conserve: the walks left flow behind")
     return paths

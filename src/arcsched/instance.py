@@ -49,28 +49,14 @@ class ModelSizeError(ValueError):
 
 def approx(num: int, den: int = 1) -> str:
     """num / den (num >= 0, den > 0) to three significant digits, as
-    ``format(num / den, ".3g")`` writes it, but in integer arithmetic, so a
-    number past the float range prints too."""
-    if num == 0:
-        return "0"
-    # e with 10**e <= num / den < 10**(e + 1), from a first guess within 1
-    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
-    while num * 10 ** max(0, -e) < den * 10 ** max(0, e):
-        e -= 1
-    while num * 10 ** max(0, -e - 1) >= den * 10 ** max(0, e + 1):
-        e += 1
-    scale = den * 10 ** max(0, e - 2)
-    q, r = divmod(num * 10 ** max(0, 2 - e), scale)
-    if 2 * r > scale or (2 * r == scale and q % 2):  # half to even, as float formatting
-        q += 1
-    if q == 1000:
-        q, e = 100, e + 1
-    if -4 <= e < 3:
-        whole, frac = divmod(q, 10 ** (2 - e))
-        frac_text = f"{frac:0{2 - e}d}".rstrip("0") if e < 2 else ""
-        return f"{whole}.{frac_text}" if frac_text else str(whole)
-    mantissa = f"{q // 100}.{q % 100:02d}".rstrip("0").rstrip(".")
-    return f"{mantissa}e{e:+03d}"
+    ``format(num / den, ".3g")`` writes it; a number past the float range
+    is first scaled down by a power of ten, which the exponent then adds."""
+    shift = max(0, (num.bit_length() - den.bit_length()) * 30103 // 100000 - 300)
+    text = format(num / (den * 10**shift), ".3g")  # int division rounds once, to the nearest float
+    if not shift:
+        return text
+    mantissa, _, exponent = text.partition("e")
+    return f"{mantissa}e{int(exponent) + shift:+03d}"
 
 
 def check_bytes(need: int, what: str) -> None:

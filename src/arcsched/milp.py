@@ -296,13 +296,13 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
     """Reduced network model: integer per type arc, demand d per type.
 
     Variable i is arc i of the network, named x_{tail}_{head}_{label} or,
-    for a loss arc, L_{tail}; each label's run ``g.runs[k]`` is a block,
-    whose names are read from the graph arrays, and a type's run is its
-    demand row. The objective constant counts every scheduled copy, i.e.
-    the sum of d * w * p over the network's types; the flow value m is the
-    loss-arc capacity. A coefficient w t past 2^63 - 1 raises ModelSizeError.
+    for a loss arc, L_{tail}; each label's run ``g.runs[k]`` is a block of
+    upper bound d_k (m at LOSS), its names read from the graph arrays, and
+    a type's run is its demand row. The objective constant counts every
+    scheduled copy, i.e. the sum of d * w * p over the network's types; the
+    flow value is m. A coefficient w t past 2^63 - 1 raises ModelSizeError.
     """
-    types, m = g.types, g.capacity[LOSS]
+    types, m = g.types, g.m
     for k, jt in enumerate(types, start=1):
         last = g.tail[g.runs[k][-1]] if g.runs[k] else 0  # a run's tails rise: its largest w t is w last
         if jt.w * last > 2**63 - 1:
@@ -310,19 +310,19 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
     model = MilpModel(name=f"eaf_t{len(types)}_m{m}")
     # names are joined from "_t", the text of each node t, made once
     stems = {t: f"_{t}" for t in g.nodes}
-    for k in (*range(1, len(g.runs)), LOSS):  # the runs in arc order
+    for k in g.labels:
         start, end = g.runs[k].start, g.runs[k].stop
         if k == LOSS:
             names = lambda s=start, e=end: map("L".__add__, map(stems.__getitem__, g.tail[s:e]))
-            obj = array("q", [0]) * (end - start)
+            ub, obj = m, array("q", [0]) * (end - start)
         else:
             names = lambda s=start, e=end, k=k: map(
                 add,
                 map("x".__add__, map(stems.__getitem__, g.tail[s:e])),
                 map(add, map(stems.__getitem__, g.head[s:e]), repeat(f"_{k}")),
             )
-            obj = array("q", map(mul, g.tail[start:end], repeat(types[k - 1].w)))
-        model.blocks.append(VarBlock(INTEGER, 0, g.capacity[k], obj, names))
+            ub, obj = types[k - 1].d, array("q", map(mul, g.tail[start:end], repeat(types[k - 1].w)))
+        model.blocks.append(VarBlock(INTEGER, 0, ub, obj, names))
     row_of = {q: r for r, q in enumerate(g.nodes)}  # the row of each node, by its time
     flow_cols = [array("I") for _ in g.nodes]
     flow_coefs = [array("q") for _ in g.nodes]
@@ -756,7 +756,7 @@ def schedule_to_assignment(inst: Instance, sched: Schedule, T: int, graph: FlowG
             type_of[member] = tidx
 
     ratio = {job.id: Fraction(job.w, job.p) for job in inst.jobs}
-    values = [0] * len(graph.label)  # uses per arc
+    values = [0] * len(graph.arcs)  # uses per arc
     for machine in sched.machines:
         t = 0
         for j in chain.from_iterable(sorted(run, key=type_of.__getitem__) for _, run in groupby(machine, ratio.get)):

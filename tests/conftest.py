@@ -47,9 +47,18 @@ def by_position(model, named: dict) -> list:
     return [named.get(name, 0) for name in names]
 
 
+def arc_labels(g: FlowGraph) -> list[int]:
+    """The label of each arc, in arc order, read from the runs that hold it."""
+    labels = [-1] * len(g.arcs)
+    for k, run in enumerate(g.runs):
+        for i in run:
+            labels[i] = k
+    return labels
+
+
 def reachable_points(g: FlowGraph) -> list[int]:
     """0 and the head of every job arc: the time points the construction reached."""
-    return sorted({0, *(h for h, k in zip(g.head, g.label) if k != LOSS)})
+    return sorted({0, *(h for h, k in zip(g.head, arc_labels(g)) if k != LOSS)})
 
 
 def straight_points(parts: list[int], T: int) -> list[int]:

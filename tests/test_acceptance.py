@@ -34,7 +34,7 @@ from arcsched.milp import (
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
 
-from conftest import DEMO_TEXT, straight_network, straight_points, written
+from conftest import DEMO_TEXT, arc_labels, straight_network, straight_points, written
 
 DEMO_OPT = Schedule(machines=((1, 3, 4), (2,)))
 
@@ -64,9 +64,9 @@ def eaf_network(inst):
 def test_criterion_1_golden_network(demo, report):
     best_ms = min(_timed_af_build(demo) for _ in range(10))
     g = straight_network(demo, 8)
-    nodes, loss = len(g.nodes), g.label.count(LOSS)
-    job_arcs = len(g.label) - loss
-    strict_loss = straight_network(demo, 8, strict_figure=True).label.count(LOSS)
+    nodes, loss = len(g.nodes), arc_labels(g).count(LOSS)
+    job_arcs = len(g.arcs) - loss
+    strict_loss = arc_labels(straight_network(demo, 8, strict_figure=True)).count(LOSS)
     ok = nodes == 9 and job_arcs == 11 and loss == 8 and strict_loss == 7 and best_ms < 1.0
     report(
         "1 golden-network",

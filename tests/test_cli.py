@@ -45,6 +45,26 @@ def run(capsys, *argv) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
+def demo_flow_solver(arc: str, value: int) -> str:
+    """A solver script body that writes the demo's optimal flow, whose arcs af
+    and eaf name alike (labels are WSPT ranks, here the job ids), with the
+    value of ``arc`` set to ``value``."""
+    values = {"x_0_2_1": 1, "x_2_3_3": 1, "x_3_7_4": 1, "L_7": 1, "x_0_5_2": 1, "L_5": 1, arc: value}
+    text = "".join(f"{name} {v}\n" for name, v in values.items())
+    return f"open(sys.argv[2], 'w').write({text!r})"
+
+
+# flows off the model, as (arc, value, violations): an arc over its capacity, a
+# negative unit, a dropped unit and a surplus unit that no walk uses; the exact
+# check refuses each, so the decode never walks it
+BAD_FLOWS = {
+    "over_capacity": ("x_0_2_1", 2, "bound x_0_2_1, constraint flow_0, constraint flow_2"),
+    "negative_unit": ("x_0_5_2", -1, "bound x_0_5_2, constraint flow_0, constraint flow_5, constraint demand_2"),
+    "dropped_unit": ("x_0_2_1", 0, "constraint flow_0, constraint flow_2, constraint demand_1"),
+    "surplus_unit": ("x_0_1_3", 1, "constraint flow_0, constraint flow_1"),
+}
+
+
 class TestGen:
     def test_writes_instance(self, tmp_path, capsys):
         out = tmp_path / "i.txt"
@@ -438,7 +458,7 @@ class TestModelSizeGuard:
         with pytest.raises(self.Reached):
             main(argv)
         g = graphs.pop()
-        nonzeros = 3 * len(g.label) - len(g.runs[flowgraph.LOSS])
+        nonzeros = 3 * len(g.arcs) - len(g.runs[flowgraph.LOSS])
         monkeypatch.setattr(instance, "MAX_MODEL_BYTES", nonzeros * flowgraph.BYTES_PER_NONZERO - 1)
         assert main(argv) == 5
         out, err = capsys.readouterr()
@@ -838,6 +858,15 @@ class TestSolveExternal:
             "solver error: solver solution violates the model (artifact bug): constraint assign_1,"
             " constraint assign_2, constraint assign_3, constraint assign_4\n",
         ),
+        **{
+            f"{case}_{form}": (
+                form,
+                demo_flow_solver(arc, value),
+                f"solver error: solver solution violates the model (artifact bug): {violations}\n",
+            )
+            for case, (arc, value, violations) in BAD_FLOWS.items()
+            for form in ("af", "eaf")
+        },
     }
 
     @pytest.mark.parametrize("case", sorted(FAILING_SOLVERS))

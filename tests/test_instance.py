@@ -356,8 +356,8 @@ class TestInvariants:
 
 
 class TestApprox:
-    """Three significant digits in integer arithmetic, as float formatting
-    writes them, for numbers past the float range too."""
+    """Three significant digits as float formatting writes them, for
+    numbers past the float range too."""
 
     @settings(max_examples=500)
     @given(st.integers(0, 2**53))
@@ -368,7 +368,8 @@ class TestApprox:
     @pytest.mark.parametrize(
         "num, den, text",
         [(6_500_000_000, 10**9, "6.5"), (6 * 10**9, 10**9, "6"), (1, 10**9, "1e-09"),
-         (123, 10**5, "0.00123"), (999_500, 1, "1e+06"), (17_900_000, 1, "1.79e+07")],
+         (123, 10**5, "0.00123"), (999_500, 1, "1e+06"), (17_900_000, 1, "1.79e+07"),
+         (3195, 10**9, "3.19e-06")],  # an exact half of the third digit, which the float rounds below
     )
     def test_fractions(self, num, den, text):
         assert approx(num, den) == text == format(num / den, ".3g")
@@ -377,3 +378,4 @@ class TestApprox:
         assert approx(10**400) == "1e+400"
         assert approx(367 * 10**400, 10**9) == "3.67e+393"
         assert approx(2 * 10**5000 - 1) == "2e+5000"  # more digits than str() converts
+        assert approx(2**1024) == "1.8e+308"  # the first power of two past the largest float
