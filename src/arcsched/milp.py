@@ -3,19 +3,22 @@
 Models are plain records of variables, linear constraints and a linear
 (optionally quadratic) objective with exact rational coefficients.
 Variables are held as column blocks: a run of positions with one kind,
-one pair of bounds, an objective coefficient per variable and one name
-rule, so no name is stored; names are made only by the writers, the
-violation messages and the solution lookup. Rows and quadratic terms refer
-to variables by position, and a valuation is one value per position, so
-the schedule mapping, the exact check and the decode read no name. Rows
-hold strictly rising positions and nonzero coefficients: the builders make
-them so, a test holds them to it, and ``validate`` reads only the records.
+one pair of bounds, an objective coefficient per variable, one name rule
+and one column rule, so no name is stored; names are made only by the
+writers, the violation messages and the solution lookup. Rows and
+quadratic terms refer to variables by position, and a valuation is one
+value per position, so the schedule mapping, the exact check and the
+decode read no name. Rows hold strictly rising positions and nonzero
+coefficients: the builders make them so, a test holds them to it, and
+``validate`` reads only the records.
 Models are streamed to a file as LP or MPS text and never solved
 in-process; an external solver can be driven through the CLI. The writers
 make the text as runs of lines (``flowgraph._write_runs``), each built by
 map, join and str.replace calls over a whole run, not line by line. The MPS
-writer reads the rows through a column index (one 4-byte text id per
-nonzero, grouped by column) and keeps no per-column list of entries.
+writer never transposes the rows: each block's column rule gives every
+column's row entries, a fixed number per column in rising row order, and
+its widest name, as the builder laid the rows out. A test holds every
+builder's rule to the transpose of its rows.
 
 Formulations
 ------------
@@ -39,12 +42,13 @@ time.
 from __future__ import annotations
 
 import re
+import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import add, attrgetter, mul, not_, or_, sub, truth
+from operator import add, attrgetter, mul, truth
 from typing import NamedTuple, TextIO
 
 from .flowgraph import _RUN_LINES, LOSS, FlowGraph, _runs, _write_runs, decompose_flow
@@ -83,20 +87,46 @@ class UnsupportedFormatError(ValueError):
     """Requested emission format cannot represent the model."""
 
 
+class Columns(NamedTuple):
+    """A block's columns, made by its column rule when the block is written
+    as MPS.
+
+    ``width`` is the length of the block's widest name (0 when it has
+    none). ``slots`` holds every column's row entries, one slot per entry
+    in rising row order, so each column of a block has as many entries as
+    the block has slots: slot s is (rows, coefs), where ``rows`` gives each
+    column's s-th row position, in column order, and ``coefs`` its
+    coefficient, one int for every column or an iterable of one per column.
+    """
+
+    width: int
+    slots: list[tuple[Iterable[int], int | Iterable[int]]]
+
+
 class VarBlock:
     """Variables at consecutive positions that share a kind and bounds.
 
     ``obj[i]`` is the objective coefficient of the block's i-th variable,
     so ``len(obj)`` is the block's size. ``names()`` makes the block's
-    names in order from its name rule; no name is stored.
+    names in order from its name rule, and ``columns()`` its ``Columns``
+    from its column rule: no name and no column is stored.
     """
 
-    def __init__(self, kind: str, lb: Num, ub: Num | None, obj: Sequence[Num], names: Callable[[], Iterable[str]]):
+    def __init__(
+        self,
+        kind: str,
+        lb: Num,
+        ub: Num | None,
+        obj: Sequence[Num],
+        names: Callable[[], Iterable[str]],
+        columns: Callable[[], Columns],
+    ):
         self.kind = kind
         self.lb = lb
         self.ub = ub
         self.obj = obj
         self.names = names
+        self.columns = columns
 
     def __len__(self) -> int:
         return len(self.obj)
@@ -207,10 +237,15 @@ def build_ti(inst: Instance, T: int) -> MilpModel:
     check_size("ti", sum((j.p + 1) * (T - j.p + 1) for j in inst.jobs))  # x_{j}_{t} is in 1 assign and p_j cap rows
     model = MilpModel(name=f"ti_n{inst.n}_m{inst.m}")
     offsets = ti_offsets(inst, T)
-    for job in inst.jobs:  # one block per job, t = 0..T-p_j
+    n = inst.n
+    for r, job in enumerate(inst.jobs):  # one block per job, t = 0..T-p_j
         size = T - job.p + 1
         names = lambda j=job.id, size=size: (f"x_{j}_{t}" for t in range(size))
-        model.blocks.append(VarBlock(BINARY, 0, 1, range(0, job.w * size, job.w), names))
+        # x_{j}_{t} is in assign_j, the r-th row, then in cap_t .. cap_{t+p_j-1}, rows n + t on
+        columns = lambda j=job.id, r=r, p=job.p, size=size: Columns(
+            len(f"x_{j}_{size - 1}"), [(repeat(r, size), 1), *((range(n + s, n + s + size), 1) for s in range(p))]
+        )
+        model.blocks.append(VarBlock(BINARY, 0, 1, range(0, job.w * size, job.w), names, columns))
     model.obj_constant = sum(j.w * j.p for j in inst.jobs)
     pos = array("I", range(offsets[-1]))  # rows copy slices of it
     for job, base in zip(inst.jobs, offsets):
@@ -241,7 +276,8 @@ def build_ciqp(inst: Instance) -> MilpModel:
     # x_{j}_{k} sits at position (j - 1) * m + k - 1, in job j's block
     for job in inst.jobs:
         names = lambda j=job.id: (f"x_{j}_{k}" for k in range(1, m + 1))
-        model.blocks.append(VarBlock(BINARY, 0, 1, [job.w * job.p] * m, names))
+        columns = lambda j=job.id: Columns(len(f"x_{j}_{m}"), [(repeat(j - 1, m), 1)])  # row assign_j
+        model.blocks.append(VarBlock(BINARY, 0, 1, [job.w * job.p] * m, names, columns))
     order = inst.wspt_ids
     for pos, j in enumerate(order):
         wj = inst.job(j).w
@@ -268,14 +304,28 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
     check_size("pti", n * m * (2 * T + 2))  # n m parts rows of T + 1, n m T capacity and n m assign entries
     model = MilpModel(name=f"pti_n{n}_m{m}")
     # x_{j}_{k}_{t} sits at ((j - 1) * m + k - 1) * T + t - 1, in job j's
-    # block, and y_{j}_{k} at ys + (j - 1) * m + k - 1
+    # block, and y_{j}_{k} at ys + (j - 1) * m + k - 1; the rows are
+    # parts_{j}_{k} at (j - 1) * m + k - 1, then cap_{k}_{t} at
+    # caps + (k - 1) * T + t - 1, then assign_{j} at assigns + j - 1
+    caps, assigns = n * m, n * m + m * T
     for job in inst.jobs:  # the T coefficients of a job repeat on each machine
         coefs = [Fraction(job.w * (2 * t + job.p - 1), 2 * job.p) for t in range(1, T + 1)]
         names = lambda j=job.id: (f"x_{j}_{k}_{t}" for k in range(1, m + 1) for t in range(1, T + 1))
-        model.blocks.append(VarBlock(CONTINUOUS, 0, None, coefs * m, names))
+        columns = lambda j=job.id: Columns(
+            len(f"x_{j}_{m}_{T}"),
+            [(chain.from_iterable(map(repeat, range((j - 1) * m, j * m), repeat(T))), 1), (range(caps, assigns), 1)],
+        )
+        model.blocks.append(VarBlock(CONTINUOUS, 0, None, coefs * m, names, columns))
     ys = model.num_vars
     names = lambda: (f"y_{job.id}_{k}" for job in inst.jobs for k in range(1, m + 1))
-    model.blocks.append(VarBlock(BINARY, 0, 1, [0] * (n * m), names))
+    columns = lambda: Columns(
+        len(f"y_{n}_{m}"),
+        [
+            (range(caps), [-job.p for job in inst.jobs for _ in range(m)]),
+            (chain.from_iterable(map(repeat, range(assigns, assigns + n), repeat(m))), 1),
+        ],
+    )
+    model.blocks.append(VarBlock(BINARY, 0, 1, [0] * (n * m), names, columns))
     pos = array("I", range(model.num_vars))  # rows copy slices of it
     for job in inst.jobs:
         for k in range(1, m + 1):
@@ -310,10 +360,18 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
     model = MilpModel(name=f"eaf_t{len(types)}_m{m}")
     # names are joined from "_t", the text of each node t, made once
     stems = {t: f"_{t}" for t in g.nodes}
+    row_of = {q: r for r, q in enumerate(g.nodes)}  # the row of each node, by its time
+    tails, heads = memoryview(g.tail), memoryview(g.head)  # a rule's slices copy no arc
     for k in g.labels:
         start, end = g.runs[k].start, g.runs[k].stop
+        # an arc's column is flow_tail +1, flow_head -1, then demand_k +1 on a job arc;
+        # a run's tails and heads rise, so its last name is its widest
         if k == LOSS:
             names = lambda s=start, e=end: map("L".__add__, map(stems.__getitem__, g.tail[s:e]))
+            columns = lambda s=start, e=end: Columns(
+                len(f"L_{tails[e - 1]}") if e > s else 0,
+                [(map(row_of.__getitem__, tails[s:e]), 1), (repeat(len(g.nodes) - 1, e - s), -1)],
+            )
             ub, obj = m, array("q", [0]) * (end - start)
         else:
             names = lambda s=start, e=end, k=k: map(
@@ -321,9 +379,16 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
                 map("x".__add__, map(stems.__getitem__, g.tail[s:e])),
                 map(add, map(stems.__getitem__, g.head[s:e]), repeat(f"_{k}")),
             )
+            columns = lambda s=start, e=end, k=k: Columns(
+                len(f"x_{tails[e - 1]}_{heads[e - 1]}_{k}") if e > s else 0,
+                [
+                    (map(row_of.__getitem__, tails[s:e]), 1),
+                    (map(row_of.__getitem__, heads[s:e]), -1),
+                    (repeat(len(g.nodes) + k - 1, e - s), 1),
+                ],
+            )
             ub, obj = types[k - 1].d, array("q", map(mul, g.tail[start:end], repeat(types[k - 1].w)))
-        model.blocks.append(VarBlock(INTEGER, 0, ub, obj, names))
-    row_of = {q: r for r, q in enumerate(g.nodes)}  # the row of each node, by its time
+        model.blocks.append(VarBlock(INTEGER, 0, ub, obj, names, columns))
     flow_cols = [array("I") for _ in g.nodes]
     flow_coefs = [array("q") for _ in g.nodes]
     for i, (tail, head) in enumerate(zip(g.tail, g.head)):
@@ -453,7 +518,8 @@ def _with_constant(model: MilpModel) -> list[VarBlock]:
     integrality markers, with no line in it."""
     blocks = [b for b in model.blocks if len(b)]
     if model.obj_constant != 0:
-        blocks.append(VarBlock(CONTINUOUS, 1, 1, (model.obj_constant,), lambda: (_ONE,)))
+        one = VarBlock(CONTINUOUS, 1, 1, (model.obj_constant,), lambda: (_ONE,), lambda: Columns(len(_ONE), []))
+        blocks.append(one)
     return blocks
 
 
@@ -515,38 +581,6 @@ def _field(x: Num) -> str:
     return f"{_fmt_num(x):<14}"
 
 
-def _column_index(model: MilpModel, num_cols: int, w_row: int) -> tuple[array, array, list[str]]:
-    """The rows transposed to columns: column i's "row value" entries, in
-    row order, are ``texts[ids[e]]`` for e in ``range(starts[i], starts[i + 1])``.
-
-    ``texts`` holds one padded row name and value per distinct (row,
-    coefficient), so no entry text is made per nonzero.
-    """
-    counts = [0] * num_cols  # small ints, which the interpreter shares
-    for c in model.constraints:
-        for i in c.cols:
-            counts[i] += 1
-    starts = array("I", accumulate(counts, initial=0))
-    del counts
-    fill = starts[:-1]  # the next free slot of each column
-    ids = array("I", [0]) * starts[-1]
-    texts: list[str] = []
-    for c in model.constraints:
-        row = f"{c.name:<{w_row}}"
-        if c.coefs is None:  # one text for the whole row
-            tids = repeat(len(texts))
-            texts.append(row + _field(1))
-        else:
-            tid_of = {k: tid for tid, k in enumerate(dict.fromkeys(c.coefs), start=len(texts))}
-            texts += [row + _field(k) for k in tid_of]
-            tids = map(tid_of.__getitem__, c.coefs)
-        for i, tid in zip(c.cols, tids):
-            e = fill[i]
-            ids[e] = tid
-            fill[i] = e + 1
-    return starts, ids, texts
-
-
 # columns per COLUMNS run: a run makes one iterable per entry of a column,
 # so a run of fewer columns than this costs more per column where columns
 # have many entries (ti: 52 entries each, 4 columns in 128 lines doubled the
@@ -555,54 +589,62 @@ _RUN_COLUMNS = 64
 
 
 def _column_runs(
-    blocks: list[VarBlock], index: tuple[array, array, list[str]], w_name: int, w_row: int
+    blocks: list[VarBlock], rules: list[Columns], rows: list[Constraint], w_name: int, w_row: int
 ) -> Iterator[str]:
-    """The COLUMNS lines of the variables of ``blocks``, integrality markers
-    included, as runs of up to ``_RUN_COLUMNS`` columns.
+    """The COLUMNS lines of the variables of ``blocks``, whose ``Columns``
+    are ``rules``, integrality markers included, as runs of up to
+    ``_RUN_COLUMNS`` columns of one block.
 
     A column's entries are its COST entry, when its cost is not zero or it
     is in no row, then its row entries; a line is the column's name and two
     entries, padding cut, and an odd column's last line holds one entry.
-    Consecutive columns with as many row entries and the same COST rule
-    have one layout, so a run of them is one join over the texts of their
-    fields, the row entries read from strided slices of the index.
+    The consecutive columns of a block with the same COST rule have one
+    layout, so a run of them is one join over the texts of their fields,
+    each row entry read from its slot: an entry of one coefficient k is
+    the padded "row value" text of its row from a table per k and row.
     """
-    starts, ids, texts = index
-    ends = [t.rstrip() for t in texts]
-    names = chain.from_iterable(b.names() for b in blocks)
-    values = chain.from_iterable(map(_fmt_num, b.obj) for b in blocks)
-    integral = chain.from_iterable(repeat(b.kind in (BINARY, INTEGER), len(b)) for b in blocks)
-    counts = list(map(sub, starts[1:], starts[:-1]))
-    with_cost = map(or_, chain.from_iterable(map(truth, b.obj) for b in blocks), map(not_, counts))
+    padded = [f"{c.name:<{w_row}}" for c in rows]
+
+    @cache
+    def table(k: int, last: bool) -> list[str]:  # the entry text of k in each row; a last one has no padding
+        return list(map(add, padded, repeat(_fmt_num(k) if last else _field(k))))
+
     cost = f"{'COST':<{w_row}}"
-    c = marker = 0
+    marker = 0
     inside = False  # between an INTORG and its INTEND marker
-    for (integer, priced, count), same in groupby(zip(integral, with_cost, counts)):
+    for b, rule in zip(blocks, rules):
+        integer = b.kind in (BINARY, INTEGER)
         if integer != inside:
             yield f"    MARKER{marker:<{w_name - 6}}'MARKER'                 '{'INTORG' if integer else 'INTEND'}'"
             marker += 1
             inside = integer
-        size = priced + count
-        # an entry ends its line on an odd place in the column or as its last
-        last = [k % 2 == 1 or k == size - 1 for k in range(size)]
-        left = len(list(same))
-        while left:
-            n = min(left, _RUN_COLUMNS)
-            heads = list(map(str.ljust, islice(names, n), repeat(w_name)))
-            fields = []  # the texts of each entry of the n columns, as iterables to join
-            if priced:
-                value = islice(values, n)
-                fields.append([repeat(cost), value if last[0] else map(str.ljust, value, repeat(14))])
-            else:
-                next(islice(values, n, n), None)
-            first = starts[c]
-            for r in range(count):
-                table = ends if last[priced + r] else texts
-                fields.append([map(table.__getitem__, ids[first + r : first + n * count : count])])
-            lines = [[repeat("\n    "), heads, *chain.from_iterable(fields[k : k + 2])] for k in range(0, size, 2)]
-            yield "".join(chain.from_iterable(zip(*chain.from_iterable(lines))))[1:]
-            c += n
-            left -= n
+        names, objs = iter(b.names()), iter(b.obj)
+        fmt = str if isinstance(b.obj, (array, range)) else _fmt_num  # an int's text is its str
+        slots = [(iter(r), k if isinstance(k, int) else iter(k)) for r, k in rule.slots]
+        count = len(slots)
+        for priced, same in groupby(map(truth, b.obj) if count else repeat(True, len(b))):
+            size = priced + count
+            # an entry ends its line on an odd place in the column or as its last
+            last = [k % 2 == 1 or k == size - 1 for k in range(size)]
+            left = len(list(same))
+            while left:
+                n = min(left, _RUN_COLUMNS)
+                heads = list(map(str.ljust, islice(names, n), repeat(w_name)))
+                fields = []  # the texts of each entry of the n columns, as iterables to join
+                if priced:
+                    value = map(fmt, islice(objs, n))
+                    fields.append([repeat(cost), value if last[0] else map(str.ljust, value, repeat(14))])
+                else:
+                    next(islice(objs, n, n), None)
+                for end, (at, k) in zip(last[priced:], slots):
+                    if isinstance(k, int):
+                        fields.append([map(table(k, end).__getitem__, islice(at, n))])
+                    else:  # a coefficient per column: its row's name, then its value
+                        values = map(_fmt_num if end else _field, islice(k, n))
+                        fields.append([map(padded.__getitem__, islice(at, n)), values])
+                lines = [[repeat("\n    "), heads, *chain.from_iterable(fields[k : k + 2])] for k in range(0, size, 2)]
+                yield "".join(chain.from_iterable(zip(*chain.from_iterable(lines))))[1:]
+                left -= n
     if inside:
         yield f"    MARKER{marker:<{w_name - 6}}'MARKER'                 'INTEND'"
 
@@ -635,16 +677,17 @@ def _bound_runs(blocks: list[VarBlock], w_name: int) -> Iterator[str]:
 def _mps_runs(model: MilpModel) -> Iterator[str]:
     """The MPS text as runs of lines.
 
-    COLUMNS reads the rows through a column index (``_column_index``) and
-    formats each column's COST entry as it writes the column, so no
-    per-column list of entries is kept.
+    COLUMNS reads each block's entries from its column rule and formats
+    each column's COST entry as it writes the column, so the rows are never
+    transposed and no per-column list of entries is kept. The name width
+    is the widest name of any block, which its rule gives.
     """
     if model.quad_terms:
         raise UnsupportedFormatError("MPS cannot carry a quadratic objective; emit LP instead")
     blocks = _with_constant(model)
-    w_name = max(10, max(map(len, chain.from_iterable(b.names() for b in blocks)), default=10) + 1)
+    rules = [b.columns() for b in blocks]
+    w_name = max(10, max((rule.width for rule in rules), default=10) + 1)
     w_row = max(10, max((len(c.name) for c in model.constraints), default=10) + 1)
-    index = _column_index(model, sum(map(len, blocks)), w_row)
 
     rows = model.constraints
     sense_tag = {"<=": "L", "=": "E", ">=": "G"}
@@ -653,7 +696,7 @@ def _mps_runs(model: MilpModel) -> Iterator[str]:
         map(" {}  {}".format, map(sense_tag.__getitem__, map(attrgetter("sense"), rows)), map(attrgetter("name"), rows))
     )
     yield "COLUMNS"
-    yield from _column_runs(blocks, index, w_name, w_row)
+    yield from _column_runs(blocks, rules, rows, w_name, w_row)
     yield "RHS"
     rhs = list(map(attrgetter("rhs"), rows))
     named = map(f"{{:<{w_row}}}".format, compress(map(attrgetter("name"), rows), rhs))
@@ -803,7 +846,17 @@ def parse_solution(lines: Iterable[str]) -> dict[str, Num]:
     """Read 'name value' lines (an open file); '#' starts a comment, blanks are
     skipped. A value is an ASCII number (integer, decimal, exponent or fraction
     form), read exactly. Only nonzero values are kept: a zero drops an earlier
-    value of its name, so the last value wins, and a name not kept reads 0."""
+    value of its name, so the last value wins, and a name not kept reads 0.
+
+    A value is refused when its decimal exponent's magnitude plus its
+    mantissa's digit count passes ``sys.get_int_max_str_digits()`` (4,300
+    by default; 0 lifts the limit), before it is read: reading it exactly
+    would build a power of ten of that many digits, and a 13-byte token
+    such as 1e999999999 would take hours. A tiny value such as 1e-5000 is
+    refused too; what solvers write, such as 1e-09 or 2.9999999999999996,
+    reads as before.
+    """
+    limit = sys.get_int_max_str_digits()
     valuation: dict[str, Num] = {}
     # each line is split as the whole text would be, so the line numbers stay the same
     for lineno, raw in enumerate(chain.from_iterable(map(str.splitlines, lines)), start=1):
@@ -816,6 +869,9 @@ def parse_solution(lines: Iterable[str]) -> dict[str, Num]:
         name, value = parts
         try:  # a plain integer skips Fraction's parse and its rounding later
             if not value.isascii():  # int and Fraction read digits of every script
+                raise ValueError
+            mantissa, _, exponent = value.lower().partition("e")
+            if limit and abs(int(exponent or 0)) + sum(map(str.isdigit, mantissa)) > limit:
                 raise ValueError
             x = int(value) if value.isdecimal() else Fraction(value)
         except ValueError:

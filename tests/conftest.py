@@ -1,11 +1,12 @@
 import io
+from itertools import groupby
 
 import pytest
 
 from arcsched.bounds import horizon
 from arcsched.flowgraph import LOSS, FlowGraph, build_eaf_graph
 from arcsched.instance import Instance, make_instance, parse_instance, singleton_types
-from arcsched.milp import MilpModel, VarBlock
+from arcsched.milp import Columns, MilpModel, VarBlock
 
 DEMO_TEXT = "4 2\n2 4\n5 7\n1 1\n4 3\n"
 
@@ -34,9 +35,46 @@ def written(write, record) -> str:
 def append_var(model: MilpModel, name: str, lb, ub, kind: str, obj=0) -> int:
     """Append a one-variable block named ``name`` to a hand-built ``model``;
     returns the variable's position. Nothing checks the name: keeping names
-    distinct, and off the constant column ONE, is the caller's part."""
-    model.blocks.append(VarBlock(kind, lb, ub, (obj,), lambda: (name,)))
+    distinct, and off the constant column ONE, is the caller's part. The
+    block has no column rule: ``ruled`` gives the model one to write MPS."""
+    model.blocks.append(VarBlock(kind, lb, ub, (obj,), lambda: (name,), None))
     return model.num_vars - 1
+
+
+def transpose(model: MilpModel) -> list[list[tuple[int, int]]]:
+    """The reference transpose of the rows: each column's (row position,
+    coefficient) entries, in row order."""
+    entries = [[] for _ in range(model.num_vars)]
+    for r, c in enumerate(model.constraints):
+        for i, k in c.terms:
+            entries[i].append((r, k))
+    return entries
+
+
+def ruled(model: MilpModel) -> MilpModel:
+    """A hand-built ``model`` with a column rule on every block, read from
+    ``transpose``: the same rows, constant and variables, and each block
+    split where its columns' entry count changes, since a rule gives a
+    block's columns as many entries each; empty blocks are dropped. Neither
+    changes the MPS text."""
+    entries = transpose(model)
+    out = MilpModel(name=model.name)
+    out.constraints, out.obj_constant, out.quad_terms = model.constraints, model.obj_constant, model.quad_terms
+    start = 0
+    for b in model.blocks:
+        names = list(b.names())
+        i = 0
+        for count, same in groupby(map(len, entries[start : start + len(b)])):
+            size = len(list(same))
+            part = entries[start + i : start + i + size]
+            slots = [([e[s][0] for e in part], [e[s][1] for e in part]) for s in range(count)]
+            part_names = names[i : i + size]
+            rule = Columns(max(map(len, part_names)), slots)
+            block = VarBlock(b.kind, b.lb, b.ub, b.obj[i : i + size], lambda n=part_names: iter(n), lambda r=rule: r)
+            out.blocks.append(block)
+            i += size
+        start += len(b)
+    return out
 
 
 def by_position(model, named: dict) -> list:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from arcsched.milp import BINARY, CONTINUOUS, INTEGER, MilpModel, VarBlock, write_lp, write_mps
 
-from conftest import append_var, written
+from conftest import append_var, ruled, written
 from test_emit_reference import NUMS, RefConstraint, RefModel, Variable, ref_emit_lp, ref_emit_mps
 
 
@@ -33,14 +33,14 @@ def reference(model: MilpModel) -> RefModel:
 
 def block(kind, lb, ub, obj, prefix):
     names = tuple(f"{prefix}{i}" for i in range(len(obj)))
-    return VarBlock(kind, lb, ub, obj, lambda: iter(names))
+    return VarBlock(kind, lb, ub, obj, lambda: iter(names), None)  # ``ruled`` gives its column rule
 
 
 def both_texts(model: MilpModel) -> tuple[str, str]:
     """LP and MPS text of ``model``, each checked against the reference and for blank lines."""
     model.validate()
     ref = reference(model)
-    lp, mps = written(write_lp, model), written(write_mps, model)
+    lp, mps = written(write_lp, model), written(write_mps, ruled(model))
     assert lp == ref_emit_lp(ref)
     assert mps == ref_emit_mps(ref)
     assert "\n\n" not in lp and "\n\n" not in mps
@@ -211,4 +211,4 @@ def test_canonical_rows_match_the_reference(row, objs):
     assert written(write_lp, fixed) == ref_emit_lp(ref)
     # the reference sums repeats and drops zeros in MPS, so the faulty
     # row's reference text is the canonical row's
-    assert written(write_mps, fixed) == ref_emit_mps(ref) == ref_emit_mps(reference(row_model(row, objs)))
+    assert written(write_mps, ruled(fixed)) == ref_emit_mps(ref) == ref_emit_mps(reference(row_model(row, objs)))

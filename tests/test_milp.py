@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from argparse import Namespace
 from array import array
@@ -51,7 +52,7 @@ from arcsched.milp import (
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
 
-from conftest import append_var, by_position, straight_network, written
+from conftest import append_var, by_position, ruled, straight_network, transpose, written
 
 DEMO_OPT = Schedule(machines=((1, 3, 4), (2,)))
 
@@ -157,6 +158,39 @@ class TestRecords:
                     assert isinstance(c.coefs, array) and c.coefs.typecode == "q", (case, c.name)
                     assert len(c.coefs) == len(c.cols) and 0 not in c.coefs, (case, c.name)
             assert all(0 <= a < n and 0 <= b < n for a, b, _ in model.quad_terms), case
+
+    @staticmethod
+    def rule_entries(rule, size):
+        """Each column's (row position, coefficient) entries, as ``rule`` gives them."""
+        entries = [[] for _ in range(size)]
+        for rows, coefs in rule.slots:
+            rows = list(rows)
+            coefs = [coefs] * size if isinstance(coefs, int) else list(coefs)
+            assert len(rows) == len(coefs) == size
+            for column, r, k in zip(entries, rows, coefs):
+                column.append((r, k))
+        return entries
+
+    def test_column_rules_are_the_transpose_of_the_rows(self):
+        # the MPS writer reads COLUMNS from each block's rule, never from the
+        # rows: every builder's rule must give each column's entries, in row
+        # order, and its widest name, as the rows and the names do
+        empty = ones = 0
+        for case, model in every_builder_model():
+            entries = transpose(model)
+            start = 0
+            for b in model.blocks:
+                rule = b.columns()
+                assert self.rule_entries(rule, len(b)) == entries[start : start + len(b)], case
+                assert rule.width == max(map(len, b.names()), default=0), case
+                empty += not len(b)
+                start += len(b)
+            if model.obj_constant:  # the constant column, in no row
+                one = milp._with_constant(model)[-1]
+                assert list(one.names()) == ["ONE"], case
+                assert self.rule_entries(one.columns(), 1) == [[]] and one.columns().width == 3, case
+                ones += 1
+        assert empty and ones
 
 
 class TestBuilderGuard:
@@ -369,7 +403,7 @@ class TestEmitMps:
         model = MilpModel(name="tiny")
         x = append_var(model, "x", 0, 10, INTEGER, obj=1)
         model.add_constraint("c1", [x], ">=", 1)
-        text = written(write_mps, model.validate())
+        text = written(write_mps, ruled(model.validate()))
         for section in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
             assert section in text
         assert "'INTORG'" in text and "'INTEND'" in text
@@ -430,10 +464,13 @@ class TestWriters:
         assert max(map(len, log.writes)) < len(text) / 10
 
     def test_mps_memory_per_nonzero(self):
-        # The MPS writer holds a column index of 4-byte ids plus a running
-        # offset per column: 20.5 B of traced peak per nonzero on this model
-        # (40,039 nonzeros). The bound is that figure with a 1.5x margin; one
-        # list of entry strings per column, as the writer once kept, measured
+        # The MPS writer reads each block's entries from its column rule and
+        # holds no per-nonzero record: one padded name per row, an entry
+        # table per coefficient and row, and a run of 64 columns. Traced
+        # peak per nonzero on this model (40,039 nonzeros): 6.7-7.4 B on
+        # Python 3.10-3.13. The bound is that figure with a 1.5x margin; a
+        # column index of 4-byte ids, as the writer once transposed the rows
+        # into, measured 13.7 B, and one list of entry strings per column
         # 69.6 B.
         model = af_context(generate_instance(n=60, m=2, p_max=20, w_max=20, seed=1))[1]
         tracemalloc.start()
@@ -442,7 +479,7 @@ class TestWriters:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / model.nonzeros() < 31
+        assert peak / model.nonzeros() < 11
 
     @pytest.mark.parametrize("runs, write", [(milp._lp_runs, write_lp), (milp._mps_runs, write_mps)])
     def test_large_block_writes_bounded_runs(self, runs, write):
@@ -451,12 +488,14 @@ class TestWriters:
         size = 12_000
         names = lambda: (f"x_{i}_{2 * i + 7}_3" for i in range(size))
         model = MilpModel(name="big")
-        model.blocks.append(VarBlock(INTEGER, 0, 9, array("q", range(0, 3 * size, 3)), names))
+        model.blocks.append(VarBlock(INTEGER, 0, 9, array("q", range(0, 3 * size, 3)), names, None))
         model.add_constraint("all", range(size), "<=", 40)
         model.add_constraint("alternate", range(size), "=", 0, coefs=[(-1) ** i for i in range(size)])
         for r in range(0, size, 100):
             model.add_constraint(f"part_{r}", range(r, r + 100), ">=", 1)
-        sizes = list(map(len, runs(model.validate())))
+        model = ruled(model.validate())  # every column has 3 entries, so the block stays one
+        assert len(model.blocks) == 1
+        sizes = list(map(len, runs(model)))
         assert 0 < min(sizes) and max(sizes) <= 32_768
         log = WriteLog()
         write(model, log)
@@ -727,6 +766,29 @@ class TestSolutionFile:
         # b reads 0, so it is not kept, and a name not kept reads 0
         valuation = parse_solution("a 1\nb -0.0\nc 1e-9\nd 8145.000000001\n".splitlines())
         assert valuation == {"a": 1, "c": Fraction(1, 10**9), "d": Fraction(8145000000001, 10**9)}
+
+    @pytest.mark.parametrize("value", ["1e1000000", "1e10000000", "1e-10000000", "1e999999999"])
+    def test_exponent_past_the_digit_limit_refused_at_once(self, value):
+        # read exactly, each would build 10**|e|: 1e10000000 took 7 s
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^solution line 1: bad numeric value '{value[:20]}'"):
+            parse_solution([f"x {value}"])
+        assert time.perf_counter() - start < 0.1
+
+    def test_values_within_the_digit_limit_read_exactly(self):
+        # the exponent's magnitude plus the mantissa's digits may reach the limit, not pass it
+        limit = sys.get_int_max_str_digits()
+        floats = [0.1, 1 / 3, 2.9999999999999996, 1e-300, 5e-324, 1.7976931348623157e308]
+        text = ["a 1e-09", "b 2.9999999999999996", f"c 1e{limit - 1}", f"d 25e-{limit - 2}"]
+        text += [f"f{i} {x!r}" for i, x in enumerate(floats)]
+        valuation = parse_solution(text)
+        assert valuation["a"] == Fraction(1, 10**9) and valuation["b"] == Fraction(29999999999999996, 10**16)
+        assert valuation["c"] == 10 ** (limit - 1) and valuation["d"] == Fraction(25, 10 ** (limit - 2))
+        read = [valuation[f"f{i}"] for i in range(len(floats))]
+        assert read == [Fraction(repr(x)) for x in floats] and list(map(float, read)) == floats
+        for value in (f"1e{limit}", f"25e-{limit - 1}", f"1.5e{limit - 1}"):
+            with pytest.raises(ValueError, match="bad numeric value"):
+                parse_solution([f"x {value}"])
 
     def test_zeros_dropped_and_the_last_value_wins(self):
         # a zero is not kept and drops an earlier value of its name

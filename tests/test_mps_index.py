@@ -1,4 +1,4 @@
-"""Named edge cases of the MPS writer's column index.
+"""Named edge cases of the MPS writer's COLUMNS section.
 
 Each model is built twice, as position rows and as the named-term rows of
 ``test_emit_reference``, and the MPS text must equal the reference's. The
@@ -8,7 +8,7 @@ covers even where the Hypothesis reference test would draw it rarely.
 
 from arcsched.milp import BINARY, CONTINUOUS, INTEGER, MilpModel, write_mps
 
-from conftest import append_var, written
+from conftest import append_var, ruled, written
 from test_emit_reference import RefConstraint, RefModel, Variable, ref_emit_mps
 
 
@@ -26,7 +26,7 @@ def twin(variables, rows, constant=0):
         terms = tuple((names[i], k) for i, k in zip(cols, [1] * len(cols) if coefs is None else coefs))
         ref.constraints.append(RefConstraint(name, sense, rhs, terms))
     new.obj_constant = ref.obj_constant = constant
-    text = written(write_mps, new.validate())
+    text = written(write_mps, ruled(new.validate()))
     assert text == ref_emit_mps(ref)
     return text.split("COLUMNS\n")[1].split("RHS\n")[0].splitlines()
 
