@@ -225,7 +225,7 @@ def cmd_model(args, report: RunReport) -> None:
     report.summary = {
         "form": args.form,
         "variables": model.num_vars,
-        "constraints": len(model.constraints),
+        "constraints": model.num_rows,
         "nonzeros": model.nonzeros(),
     }
     if graph is not None:

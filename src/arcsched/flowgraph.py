@@ -173,13 +173,16 @@ def _write_runs(fh: TextIO, runs: Iterable[str]) -> None:
 def write_dot(g: FlowGraph, fh: TextIO) -> None:
     """Write deterministic DOT text in arc order, job arcs labeled and loss
     arcs dashed, to the open text file ``fh`` as it is made."""
-    # the attribute text of each label (LOSS is 0), so an arc line is one format call
+    # the attribute text of each label (LOSS is 0), and each node's text as a
+    # tail and as a head, so an arc line is two concatenations
     attrs = [" [style=dashed];"]
     for k, jt in enumerate(g.types, start=1):
         attrs.append(f' [label="j{k}"];' if jt.d == 1 else f' [label="j{k} (x{jt.d})"];')
+    tails = {t: f"  {t} -> " for t in g.nodes}
+    heads = {t: str(t) for t in g.nodes}
     nodes = map("  {};".format, g.nodes)
     arc_attrs = chain.from_iterable(repeat(attrs[k], len(g.runs[k])) for k in g.labels)
-    arcs = map("  {} -> {}{}".format, g.tail, g.head, arc_attrs)
+    arcs = map(add, map(tails.__getitem__, g.tail), map(add, map(heads.__getitem__, g.head), arc_attrs))
     _write_runs(fh, _runs(chain(("digraph flow {", "  rankdir=LR;"), nodes, arcs, ("}",))))
 
 

@@ -8,8 +8,14 @@ and one column rule, so no name is stored; names are made only by the
 writers, the violation messages and the solution lookup. Rows and
 quadratic terms refer to variables by position, and a valuation is one
 value per position, so the schedule mapping, the exact check and the
-decode read no name. Rows hold strictly rising positions and nonzero
-coefficients: the builders make them so, a test holds them to it, and
+decode read no name. Rows are held as blocks too (``Rows``): each row's
+head (name, sense, rhs) is made at build time, and its entries are stated
+by rule, with their exact count. The LP writer and the exact check read
+the entries through ``MilpModel.constraints``, which makes them on its
+first read and keeps them; the MPS writer, ``nonzeros()`` and the model
+summary read heads and counts only, so an MPS write makes no row. Rows
+hold strictly rising positions and nonzero coefficients: the builders
+make them so, tests hold them to it and to their stated counts, and
 ``validate`` reads only the records.
 Models are streamed to a file as LP or MPS text and never solved
 in-process; an external solver can be driven through the CLI. The writers
@@ -46,9 +52,9 @@ import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import add, attrgetter, mul, truth
+from operator import add, itemgetter, mul, truth
 from typing import NamedTuple, TextIO
 
 from .flowgraph import _RUN_LINES, LOSS, FlowGraph, _runs, _write_runs, decompose_flow
@@ -132,15 +138,35 @@ class VarBlock:
         return len(self.obj)
 
 
+Head = tuple[str, str, Num]  # a row's name, sense (one of <=, =, >=) and rhs
+Entries = tuple[array, array | None]  # a row's cols and coefs, as ``Constraint`` holds them
+
+
+class Rows(NamedTuple):
+    """Consecutive rows whose entries their builder states by rule.
+
+    ``heads`` holds each row's (name, sense, rhs), made at build time, and
+    ``nonzeros`` the rows' exact entry count, the one the builder prices.
+    ``entries()`` yields each row's (cols, coefs), in row order, from the
+    rule; in the package only ``MilpModel.constraints`` calls it.
+    """
+
+    heads: list[Head]
+    nonzeros: int
+    entries: Callable[[], Iterable[Entries]]
+
+
 class Constraint(NamedTuple):
     """One linear row: entry ``coefs[i]`` on the variable at position ``cols[i]``.
 
     ``cols`` holds unsigned 32-bit positions in strictly rising order;
     ``coefs`` holds nonzero integers, or is None when every entry is 1.
+    A hand-built row (``MilpModel.add_constraint``) is a row block of its
+    own, like ``Rows``, that stores its entries.
     """
 
     name: str
-    sense: str  # one of <=, =, >=
+    sense: str
     rhs: Num
     cols: array
     coefs: array | None = None
@@ -150,12 +176,23 @@ class Constraint(NamedTuple):
         """(variable position, coefficient) per stored entry."""
         return list(zip(self.cols, repeat(1) if self.coefs is None else self.coefs))
 
+    @property
+    def heads(self) -> tuple[Head]:
+        return (self[:3],)
+
+    @property
+    def nonzeros(self) -> int:
+        return len(self.cols)
+
+    def entries(self) -> Iterator[Entries]:
+        return iter((self[3:],))
+
 
 class MilpModel:
     def __init__(self, name: str):
         self.name = name
         self.blocks: list[VarBlock] = []  # variables, in position order
-        self.constraints: list[Constraint] = []
+        self.rows: list[Rows | Constraint] = []  # blocks of rows, in row order
         self.obj_constant: Num = 0
         self.quad_terms: list[tuple[int, int, Num]] = []  # positions and coefficient
 
@@ -163,9 +200,26 @@ class MilpModel:
     def num_vars(self) -> int:
         return sum(map(len, self.blocks))
 
+    @property
+    def num_rows(self) -> int:
+        return sum(len(block.heads) for block in self.rows)
+
     def names(self) -> Iterator[str]:
         """Every variable name, in position order, made from the block rules."""
         return chain.from_iterable(b.names() for b in self.blocks)
+
+    def heads(self) -> Iterator[Head]:
+        """Every row's (name, sense, rhs), in row order: no entry is made."""
+        return chain.from_iterable(block.heads for block in self.rows)
+
+    @cached_property
+    def constraints(self) -> list[Constraint]:
+        """Every row with its entries, made by the row rules on the first read
+        and kept: the LP writer and the exact check read them, so a command
+        that does both makes them once, and an MPS write never does."""
+        return [
+            Constraint(*head, *row) for block in self.rows for head, row in zip(block.heads, block.entries(), strict=True)
+        ]
 
     def add_constraint(self, name: str, cols, sense: str, rhs: Num, coefs=None) -> None:
         """Append a row over variable positions ``cols``, which must strictly
@@ -174,17 +228,19 @@ class MilpModel:
         so, and a test of every form and flag combination holds them to it.
         """
         coefs = None if coefs is None else array("q", coefs)
-        self.constraints.append(Constraint(name, sense, rhs, array("I", cols), coefs))
+        self.rows.append(Constraint(name, sense, rhs, array("I", cols), coefs))
+        self.__dict__.pop("constraints", None)  # made again on the next read
 
     def nonzeros(self) -> int:
-        """Stored constraint entries plus quadratic objective terms."""
-        return sum(len(c.cols) for c in self.constraints) + len(self.quad_terms)
+        """The rows' stated entry counts plus quadratic objective terms."""
+        return sum(block.nonzeros for block in self.rows) + len(self.quad_terms)
 
     def validate(self) -> "MilpModel":
-        """The model, once each block's bounds are ordered, each row's sense is
-        known, its last position is below ``num_vars`` and it holds one
-        coefficient per position. It reads the records, never the entries
-        of a row: that those rise and are nonzero is the builders' part.
+        """The model, once each block's bounds are ordered and each row's sense
+        is known; a hand-built row's last position must also be below
+        ``num_vars``, and it must hold one coefficient per position. It
+        reads the records, never a rule's entries: that those rise, are
+        nonzero and number as stated is the builders' part.
 
         Raises:
             ValidationError: naming the variable or row at fault.
@@ -192,10 +248,13 @@ class MilpModel:
         for b in self.blocks:
             if b.ub is not None and b.lb > b.ub:
                 raise ValidationError(f"variable {next(iter(b.names()))}: lb {b.lb} > ub {b.ub}")
+        for name, sense, _ in self.heads():
+            if sense not in ("<=", "=", ">="):
+                raise ValidationError(f"constraint {name}: bad sense {sense!r}")
         n = self.num_vars
-        for c in self.constraints:
-            if c.sense not in ("<=", "=", ">="):
-                raise ValidationError(f"constraint {c.name}: bad sense {c.sense!r}")
+        for c in self.rows:
+            if not isinstance(c, Constraint):
+                continue
             if c.cols and c.cols[-1] >= n:
                 raise ValidationError(f"constraint {c.name} references a variable position outside 0..{n - 1}")
             if c.coefs is not None and len(c.coefs) != len(c.cols):
@@ -234,7 +293,8 @@ def build_ti(inst: Instance, T: int) -> MilpModel:
     one assignment constraint per job and one machine-capacity constraint
     per time slot t = 0..T-1.
     """
-    check_size("ti", sum((j.p + 1) * (T - j.p + 1) for j in inst.jobs))  # x_{j}_{t} is in 1 assign and p_j cap rows
+    nonzeros = sum((j.p + 1) * (T - j.p + 1) for j in inst.jobs)  # x_{j}_{t} is in 1 assign and p_j cap rows
+    check_size("ti", nonzeros)
     model = MilpModel(name=f"ti_n{inst.n}_m{inst.m}")
     offsets = ti_offsets(inst, T)
     n = inst.n
@@ -247,16 +307,21 @@ def build_ti(inst: Instance, T: int) -> MilpModel:
         )
         model.blocks.append(VarBlock(BINARY, 0, 1, range(0, job.w * size, job.w), names, columns))
     model.obj_constant = sum(j.w * j.p for j in inst.jobs)
-    pos = array("I", range(offsets[-1]))  # rows copy slices of it
-    for job, base in zip(inst.jobs, offsets):
-        model.add_constraint(f"assign_{job.id}", pos[base : base + T - job.p + 1], "=", 1)
-    for t in range(0, T):
-        cols = array("I")
-        for job, base in zip(inst.jobs, offsets):
-            lo = max(0, t + 1 - job.p)
-            hi = min(t, T - job.p)
-            cols += pos[base + lo : base + hi + 1]
-        model.add_constraint(f"cap_{t}", cols, "<=", inst.m)
+
+    def entries() -> Iterator[Entries]:
+        pos = array("I", range(offsets[-1]))  # rows copy slices of it
+        for base, end in zip(offsets, offsets[1:]):
+            yield pos[base:end], None
+        for t in range(0, T):
+            cols = array("I")
+            for job, base in zip(inst.jobs, offsets):
+                lo = max(0, t + 1 - job.p)
+                hi = min(t, T - job.p)
+                cols += pos[base + lo : base + hi + 1]
+            yield cols, None
+
+    heads = [(f"assign_{job.id}", "=", 1) for job in inst.jobs] + [(f"cap_{t}", "<=", inst.m) for t in range(T)]
+    model.rows.append(Rows(heads, nonzeros, entries))
     return model.validate()
 
 
@@ -285,9 +350,8 @@ def build_ciqp(inst: Instance) -> MilpModel:
             pi = inst.job(i).p
             for k in range(m):
                 model.quad_terms.append(((i - 1) * m + k, (j - 1) * m + k, wj * pi))
-    for job in inst.jobs:
-        base = (job.id - 1) * m
-        model.add_constraint(f"assign_{job.id}", range(base, base + m), "=", 1)
+    entries = lambda: ((array("I", range((job.id - 1) * m, job.id * m)), None) for job in inst.jobs)
+    model.rows.append(Rows([(f"assign_{job.id}", "=", 1) for job in inst.jobs], n * m, entries))
     return model.validate()
 
 
@@ -301,7 +365,8 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
     Like ``build_ciqp``, the model has min(m, n) machines.
     """
     n, m = inst.n, min(inst.m, inst.n)
-    check_size("pti", n * m * (2 * T + 2))  # n m parts rows of T + 1, n m T capacity and n m assign entries
+    nonzeros = n * m * (2 * T + 2)  # n m parts rows of T + 1, n m T capacity and n m assign entries
+    check_size("pti", nonzeros)
     model = MilpModel(name=f"pti_n{n}_m{m}")
     # x_{j}_{k}_{t} sits at ((j - 1) * m + k - 1) * T + t - 1, in job j's
     # block, and y_{j}_{k} at ys + (j - 1) * m + k - 1; the rows are
@@ -326,19 +391,26 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
         ],
     )
     model.blocks.append(VarBlock(BINARY, 0, 1, [0] * (n * m), names, columns))
-    pos = array("I", range(model.num_vars))  # rows copy slices of it
-    for job in inst.jobs:
+
+    def entries() -> Iterator[Entries]:
+        pos = array("I", range(ys + n * m))  # rows copy slices of it
+        for job in inst.jobs:
+            coefs = array("q", [*repeat(1, T), -job.p])
+            for k in range(1, m + 1):
+                base = ((job.id - 1) * m + k - 1) * T
+                cols = pos[base : base + T]
+                cols.append(ys + (job.id - 1) * m + k - 1)
+                yield cols, coefs
         for k in range(1, m + 1):
-            base = ((job.id - 1) * m + k - 1) * T
-            cols = pos[base : base + T]
-            cols.append(ys + (job.id - 1) * m + k - 1)
-            model.add_constraint(f"parts_{job.id}_{k}", cols, "=", 0, coefs=[*repeat(1, T), -job.p])
-    for k in range(1, m + 1):
-        for t in range(1, T + 1):
-            model.add_constraint(f"cap_{k}_{t}", pos[(k - 1) * T + t - 1 : ys : m * T], "<=", 1)
-    for job in inst.jobs:
-        base = ys + (job.id - 1) * m
-        model.add_constraint(f"assign_{job.id}", range(base, base + m), "=", 1)
+            for t in range(1, T + 1):
+                yield pos[(k - 1) * T + t - 1 : ys : m * T], None
+        for base in range(ys, ys + n * m, m):
+            yield pos[base : base + m], None
+
+    heads = [(f"parts_{job.id}_{k}", "=", 0) for job in inst.jobs for k in range(1, m + 1)]
+    heads += [(f"cap_{k}_{t}", "<=", 1) for k in range(1, m + 1) for t in range(1, T + 1)]
+    heads += [(f"assign_{job.id}", "=", 1) for job in inst.jobs]
+    model.rows.append(Rows(heads, nonzeros, entries))
     return model.validate()
 
 
@@ -358,8 +430,9 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
         if jt.w * last > 2**63 - 1:
             raise ModelSizeError(f"type {k}: the objective coefficient w t = {jt.w} * {last} is above 2^63 - 1")
     model = MilpModel(name=f"eaf_t{len(types)}_m{m}")
-    # names are joined from "_t", the text of each node t, made once
+    # names are joined from "_t" and "x_t", the texts of each node t, made once
     stems = {t: f"_{t}" for t in g.nodes}
+    xstems = {t: f"x_{t}" for t in g.nodes}
     row_of = {q: r for r, q in enumerate(g.nodes)}  # the row of each node, by its time
     tails, heads = memoryview(g.tail), memoryview(g.head)  # a rule's slices copy no arc
     for k in g.labels:
@@ -376,7 +449,7 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
         else:
             names = lambda s=start, e=end, k=k: map(
                 add,
-                map("x".__add__, map(stems.__getitem__, g.tail[s:e])),
+                map(xstems.__getitem__, g.tail[s:e]),
                 map(add, map(stems.__getitem__, g.head[s:e]), repeat(f"_{k}")),
             )
             columns = lambda s=start, e=end, k=k: Columns(
@@ -389,20 +462,26 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
             )
             ub, obj = types[k - 1].d, array("q", map(mul, g.tail[start:end], repeat(types[k - 1].w)))
         model.blocks.append(VarBlock(INTEGER, 0, ub, obj, names, columns))
-    flow_cols = [array("I") for _ in g.nodes]
-    flow_coefs = [array("q") for _ in g.nodes]
-    for i, (tail, head) in enumerate(zip(g.tail, g.head)):
-        out, into = row_of[tail], row_of[head]
-        flow_cols[out].append(i)
-        flow_coefs[out].append(1)
-        flow_cols[into].append(i)
-        flow_coefs[into].append(-1)
     model.obj_constant = sum(t.d * t.w * t.p for t in types)
-    for q, cols, coefs in zip(g.nodes, flow_cols, flow_coefs):
-        rhs = m if q == 0 else -m if q == g.T else 0
-        model.add_constraint(f"flow_{q}", cols, "=", rhs, coefs=coefs)
-    for tidx, jt in enumerate(types, start=1):
-        model.add_constraint(f"demand_{tidx}", g.runs[tidx], ">=", jt.d)
+
+    def entries() -> Iterator[Entries]:
+        # a node's flow row is +1 on each arc that leaves it, -1 on each that enters it
+        flow_cols = [array("I") for _ in g.nodes]
+        flow_coefs = [array("q") for _ in g.nodes]
+        for i, (tail, head) in enumerate(zip(g.tail, g.head)):
+            out, into = row_of[tail], row_of[head]
+            flow_cols[out].append(i)
+            flow_coefs[out].append(1)
+            flow_cols[into].append(i)
+            flow_coefs[into].append(-1)
+        yield from zip(flow_cols, flow_coefs)
+        for k in range(1, len(types) + 1):  # a type's demand row is its run
+            yield array("I", g.runs[k]), None
+
+    row_heads = [(f"flow_{q}", "=", m if q == 0 else -m if q == g.T else 0) for q in g.nodes]
+    row_heads += [(f"demand_{k}", ">=", jt.d) for k, jt in enumerate(types, start=1)]
+    # a job arc is in two flow rows and its demand row, a loss arc in two flow rows
+    model.rows.append(Rows(row_heads, 3 * len(g.arcs) - len(g.runs[LOSS]), entries))
     return model.validate()
 
 
@@ -443,8 +522,8 @@ _WRAP_PARTS = 1024
 def _line_pattern(room: int) -> re.Pattern:
     """One line of parts joined by newlines, at most ``room`` characters:
     the longest run of whole parts that fits, or one part alone that does
-    not; the newline after it is consumed."""
-    return re.compile(rf"(.{{1,{room}}}|[^\n]+)(?:\n|\Z)", re.S)
+    not; the newline after it, which ends every line, is consumed."""
+    return re.compile(rf"(.{{1,{room}}}|[^\n]+)\n", re.S)
 
 
 def _wrap(parts: Iterable[str], indent: str = "   ", width: int = 72, end: str = "", sep: str = "\n") -> Iterator[str]:
@@ -456,16 +535,18 @@ def _wrap(parts: Iterable[str], indent: str = "   ", width: int = 72, end: str =
     Yields runs of lines (see ``flowgraph._write_runs``). Parts are joined
     by ``sep`` a slice at a time, and the slice is cut into lines by one
     pattern scan; its finished lines are one run, and the open last line is
-    carried into the next slice. No part holds a newline or a NUL.
+    carried into the next slice. No part holds a newline or a NUL. A slice
+    ends in a newline, so each line ends at one and the scan backs up to
+    the literal.
     """
     parts = iter(parts)
     carry = ""  # the open line, with its indent and its spaces
     while chunk := list(islice(parts, _WRAP_PARTS)):
-        text = sep.join(chunk) if not carry else carry + sep + sep.join(chunk)
+        text = (sep.join(chunk) if not carry else carry + sep + sep.join(chunk)) + "\n"
         # the open line holds its indent already, so it is cut at the full width
         first = _line_pattern(width).match(text)
         if first.end() == len(text):
-            carry = text.replace("\n", " ")
+            carry = first[1].replace("\n", " ")
             continue
         *lines, last = _line_pattern(width - len(indent)).findall(text, first.end())
         # NUL marks the line breaks while the newlines between parts become spaces
@@ -589,11 +670,11 @@ _RUN_COLUMNS = 64
 
 
 def _column_runs(
-    blocks: list[VarBlock], rules: list[Columns], rows: list[Constraint], w_name: int, w_row: int
+    blocks: list[VarBlock], rules: list[Columns], rows: list[str], w_name: int, w_row: int
 ) -> Iterator[str]:
     """The COLUMNS lines of the variables of ``blocks``, whose ``Columns``
     are ``rules``, integrality markers included, as runs of up to
-    ``_RUN_COLUMNS`` columns of one block.
+    ``_RUN_COLUMNS`` columns of one block; ``rows`` are the row names.
 
     A column's entries are its COST entry, when its cost is not zero or it
     is in no row, then its row entries; a line is the column's name and two
@@ -603,7 +684,7 @@ def _column_runs(
     each row entry read from its slot: an entry of one coefficient k is
     the padded "row value" text of its row from a table per k and row.
     """
-    padded = [f"{c.name:<{w_row}}" for c in rows]
+    padded = [f"{name:<{w_row}}" for name in rows]
 
     @cache
     def table(k: int, last: bool) -> list[str]:  # the entry text of k in each row; a last one has no padding
@@ -677,29 +758,29 @@ def _bound_runs(blocks: list[VarBlock], w_name: int) -> Iterator[str]:
 def _mps_runs(model: MilpModel) -> Iterator[str]:
     """The MPS text as runs of lines.
 
-    COLUMNS reads each block's entries from its column rule and formats
-    each column's COST entry as it writes the column, so the rows are never
-    transposed and no per-column list of entries is kept. The name width
-    is the widest name of any block, which its rule gives.
+    It reads each row's head only, never its entries: COLUMNS reads each
+    block's entries from its column rule and formats each column's COST
+    entry as it writes the column, so no row is made or transposed and no
+    per-column list of entries is kept. The name width is the widest name
+    of any block, which its rule gives.
     """
     if model.quad_terms:
         raise UnsupportedFormatError("MPS cannot carry a quadratic objective; emit LP instead")
     blocks = _with_constant(model)
     rules = [b.columns() for b in blocks]
     w_name = max(10, max((rule.width for rule in rules), default=10) + 1)
-    w_row = max(10, max((len(c.name) for c in model.constraints), default=10) + 1)
+    heads = list(model.heads())
+    rows = list(map(itemgetter(0), heads))
+    w_row = max(10, max(map(len, rows), default=10) + 1)
 
-    rows = model.constraints
     sense_tag = {"<=": "L", "=": "E", ">=": "G"}
     yield f"NAME          {model.name}\nROWS\n N  COST"
-    yield from _runs(
-        map(" {}  {}".format, map(sense_tag.__getitem__, map(attrgetter("sense"), rows)), map(attrgetter("name"), rows))
-    )
+    yield from _runs(map(" {}  {}".format, map(sense_tag.__getitem__, map(itemgetter(1), heads)), rows))
     yield "COLUMNS"
     yield from _column_runs(blocks, rules, rows, w_name, w_row)
     yield "RHS"
-    rhs = list(map(attrgetter("rhs"), rows))
-    named = map(f"{{:<{w_row}}}".format, compress(map(attrgetter("name"), rows), rhs))
+    rhs = list(map(itemgetter(2), heads))
+    named = map(f"{{:<{w_row}}}".format, compress(rows, rhs))
     # an empty entry pairs with the last one when their number is odd
     entries = chain(map(add, named, map(_field, filter(None, rhs))), ("",))
     yield from _runs(map(str.rstrip, map(f"    {'RHS':<{w_name}}{{}}{{}}".format, entries, entries)))

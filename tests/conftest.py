@@ -59,7 +59,7 @@ def ruled(model: MilpModel) -> MilpModel:
     changes the MPS text."""
     entries = transpose(model)
     out = MilpModel(name=model.name)
-    out.constraints, out.obj_constant, out.quad_terms = model.constraints, model.obj_constant, model.quad_terms
+    out.rows, out.obj_constant, out.quad_terms = model.rows, model.obj_constant, model.quad_terms
     start = 0
     for b in model.blocks:
         names = list(b.names())

@@ -103,9 +103,9 @@ def test_commands_load_no_dataclasses(instances, tmp_path, label, argv, code):
 def test_models_share_no_list():
     a, b = MilpModel("a"), MilpModel("a")
     a.blocks.append(None)
-    a.constraints.append(None)
+    a.rows.append(None)
     a.quad_terms.append((0, 0, 1))
-    assert (b.blocks, b.constraints, b.quad_terms) == ([], [], [])
+    assert (b.blocks, b.rows, b.quad_terms) == ([], [], [])
 
 
 # the last range fills the top bit, where two ratios come closest relative to p_max

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arcsched import instance, milp
+from arcsched import cli, instance, milp
 from arcsched.cli import _build_model
 from arcsched.bounds import horizon, horizon_T, time_windows, type_time_windows
 from arcsched.flowgraph import build_eaf_graph, write_dot
@@ -52,7 +52,7 @@ from arcsched.milp import (
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
 
-from conftest import append_var, by_position, ruled, straight_network, transpose, written
+from conftest import DEMO_TEXT, append_var, by_position, ruled, straight_network, transpose, written
 
 DEMO_OPT = Schedule(machines=((1, 3, 4), (2,)))
 
@@ -119,11 +119,11 @@ class TestRecords:
         [
             (lambda model: append_var(model, "y", 2, 1, INTEGER), "variable y: lb 2 > ub 1"),
             (
-                lambda model: model.constraints.append(Constraint("c", "<", 1, array("I", [0]))),
+                lambda model: model.rows.append(Constraint("c", "<", 1, array("I", [0]))),
                 "constraint c: bad sense '<'",
             ),
             (
-                lambda model: model.constraints.append(Constraint("c", "=", 1, array("I", [0]), array("q", [1, 2]))),
+                lambda model: model.rows.append(Constraint("c", "=", 1, array("I", [0]), array("q", [1, 2]))),
                 "constraint c: 2 coefficients, one per position of 1",
             ),
         ],
@@ -191,6 +191,56 @@ class TestRecords:
                 assert self.rule_entries(one.columns(), 1) == [[]] and one.columns().width == 3, case
                 ones += 1
         assert empty and ones
+
+    @staticmethod
+    def counted(model, calls: list) -> MilpModel:
+        """``model`` with each row rule appending to ``calls`` when it runs."""
+        model.rows = [block._replace(entries=lambda rule=block.entries: calls.append(rule) or rule()) for block in model.rows]
+        return model
+
+    def test_mps_write_runs_no_row_rule(self):
+        # the MPS writer reads each row's head, and COLUMNS the column rules:
+        # no row's entries are made (ciqp's MPS is refused before a write)
+        for case, model in every_builder_model():
+            calls = []
+            self.counted(model, calls)
+            try:
+                write_mps(model, Discard())
+            except UnsupportedFormatError:
+                assert model.quad_terms, case
+            assert calls == [], case
+            model.constraints  # the first read makes the rows
+            assert len(calls) == len(model.rows) > 0, case
+
+    def test_stated_counts_are_the_rules_entries(self):
+        # nonzeros() and the model summary read the stated counts and heads,
+        # so each rule must make as many rows and entries as its block states
+        for case, model in every_builder_model():
+            for block in model.rows:
+                made = list(block.entries())
+                assert len(made) == len(block.heads), case
+                assert sum(len(cols) for cols, _ in made) == block.nonzeros, case
+            assert sum(len(c.cols) for c in model.constraints) + len(model.quad_terms) == model.nonzeros(), case
+            assert len(model.constraints) == model.num_rows == len(list(model.heads())), case
+
+    def test_solve_external_runs_the_flow_rule_once(self, tmp_path, monkeypatch, capsys):
+        # solve-external writes LP and then checks the solution exactly: both
+        # read the rows, which are made on the first read and kept
+        calls = []
+        monkeypatch.setattr(milp, "build_eaf_model", lambda g: self.counted(build_eaf_model(g), calls))
+        solver = tmp_path / "solver.py"  # writes the demo's optimal flow
+        solver.write_text(
+            "import sys\n"
+            "names = 'x_0_2_1 x_2_3_3 x_3_7_4 L_7 x_0_5_2 L_5'.split()\n"
+            "with open(sys.argv[2], 'w') as f:\n"
+            "    f.writelines(f'{name} 1\\n' for name in names)\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "demo.txt").write_text(DEMO_TEXT, encoding="utf-8")
+        argv = ["solve-external", "--in", str(tmp_path / "demo.txt"), "--form", "af"]
+        assert cli.main([*argv, "--solver-cmd", f"{sys.executable} {solver} {{model}} {{solution}}"]) == 0
+        assert "objective: 67" in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 class TestBuilderGuard:
