@@ -8,11 +8,11 @@ and one column rule, so no name is stored; names are made only by the
 writers, the violation messages and the solution lookup. Rows and
 quadratic terms refer to variables by position, and a valuation is one
 value per position, so the schedule mapping, the exact check and the
-decode read no name. Rows are held as blocks too (``Rows``): each row's
-head (name, sense, rhs) is made at build time, and its entries are stated
-by rule, with their exact count. The LP writer and the exact check read
-the entries through ``MilpModel.constraints``, which makes them on its
-first read and keeps them; the MPS writer, ``nonzeros()`` and the model
+decode read no name. Rows are held as blocks too, and ``Rows`` is the one
+kind: each row's head (name, sense, rhs) is made at build time, and its
+entries are stated by rule, with their exact count. The LP writer and the
+exact check read the entries through ``MilpModel.constraints``, which
+makes them on its first read and keeps them; the MPS writer, ``nonzeros()`` and the model
 summary read heads and counts only, so an MPS write makes no row. Rows
 hold strictly rising positions and nonzero coefficients: the builders
 make them so, tests hold them to it and to their stated counts, and
@@ -161,8 +161,7 @@ class Constraint(NamedTuple):
 
     ``cols`` holds unsigned 32-bit positions in strictly rising order;
     ``coefs`` holds nonzero integers, or is None when every entry is 1.
-    A hand-built row (``MilpModel.add_constraint``) is a row block of its
-    own, like ``Rows``, that stores its entries.
+    ``MilpModel.constraints`` makes each one from a ``Rows`` block.
     """
 
     name: str
@@ -176,23 +175,12 @@ class Constraint(NamedTuple):
         """(variable position, coefficient) per stored entry."""
         return list(zip(self.cols, repeat(1) if self.coefs is None else self.coefs))
 
-    @property
-    def heads(self) -> tuple[Head]:
-        return (self[:3],)
-
-    @property
-    def nonzeros(self) -> int:
-        return len(self.cols)
-
-    def entries(self) -> Iterator[Entries]:
-        return iter((self[3:],))
-
 
 class MilpModel:
     def __init__(self, name: str):
         self.name = name
         self.blocks: list[VarBlock] = []  # variables, in position order
-        self.rows: list[Rows | Constraint] = []  # blocks of rows, in row order
+        self.rows: list[Rows] = []  # blocks of rows, in row order
         self.obj_constant: Num = 0
         self.quad_terms: list[tuple[int, int, Num]] = []  # positions and coefficient
 
@@ -221,26 +209,15 @@ class MilpModel:
             Constraint(*head, *row) for block in self.rows for head, row in zip(block.heads, block.entries(), strict=True)
         ]
 
-    def add_constraint(self, name: str, cols, sense: str, rhs: Num, coefs=None) -> None:
-        """Append a row over variable positions ``cols``, which must strictly
-        rise; ``coefs`` must be nonzero 64-bit integers, and None means all
-        ones. Nothing here checks the entries: every builder makes its rows
-        so, and a test of every form and flag combination holds them to it.
-        """
-        coefs = None if coefs is None else array("q", coefs)
-        self.rows.append(Constraint(name, sense, rhs, array("I", cols), coefs))
-        self.__dict__.pop("constraints", None)  # made again on the next read
-
     def nonzeros(self) -> int:
         """The rows' stated entry counts plus quadratic objective terms."""
         return sum(block.nonzeros for block in self.rows) + len(self.quad_terms)
 
     def validate(self) -> "MilpModel":
         """The model, once each block's bounds are ordered and each row's sense
-        is known; a hand-built row's last position must also be below
-        ``num_vars``, and it must hold one coefficient per position. It
-        reads the records, never a rule's entries: that those rise, are
-        nonzero and number as stated is the builders' part.
+        is known. It reads the records, never a rule's entries: that those
+        rise, are below ``num_vars``, are nonzero and number as stated is the
+        builders' part.
 
         Raises:
             ValidationError: naming the variable or row at fault.
@@ -251,14 +228,6 @@ class MilpModel:
         for name, sense, _ in self.heads():
             if sense not in ("<=", "=", ">="):
                 raise ValidationError(f"constraint {name}: bad sense {sense!r}")
-        n = self.num_vars
-        for c in self.rows:
-            if not isinstance(c, Constraint):
-                continue
-            if c.cols and c.cols[-1] >= n:
-                raise ValidationError(f"constraint {c.name} references a variable position outside 0..{n - 1}")
-            if c.coefs is not None and len(c.coefs) != len(c.cols):
-                raise ValidationError(f"constraint {c.name}: {len(c.coefs)} coefficients, one per position of {len(c.cols)}")
         return self
 
 
@@ -928,6 +897,8 @@ def parse_solution(lines: Iterable[str]) -> dict[str, Num]:
     skipped. A value is an ASCII number (integer, decimal, exponent or fraction
     form), read exactly. Only nonzero values are kept: a zero drops an earlier
     value of its name, so the last value wins, and a name not kept reads 0.
+    A fraction over zero is refused, and so is a ``_`` digit separator,
+    which Python 3.10 refuses and later versions read.
 
     A value is refused when its decimal exponent's magnitude plus its
     mantissa's digit count passes ``sys.get_int_max_str_digits()`` (4,300
@@ -949,13 +920,14 @@ def parse_solution(lines: Iterable[str]) -> dict[str, Num]:
             raise ValueError(f"solution line {lineno}: expected 'name value', got {_excerpt(line)}")
         name, value = parts
         try:  # a plain integer skips Fraction's parse and its rounding later
-            if not value.isascii():  # int and Fraction read digits of every script
+            # int and Fraction read digits of every script, and Fraction "1_0" from Python 3.11 on
+            if not value.isascii() or "_" in value:
                 raise ValueError
             mantissa, _, exponent = value.lower().partition("e")
             if limit and abs(int(exponent or 0)) + sum(map(str.isdigit, mantissa)) > limit:
                 raise ValueError
             x = int(value) if value.isdecimal() else Fraction(value)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):  # Fraction("1/0") divides by zero
             raise ValueError(f"solution line {lineno}: bad numeric value {_excerpt(value)}") from None
         if x:
             valuation[name] = x

@@ -1,4 +1,5 @@
 import io
+from array import array
 from itertools import groupby
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from arcsched.bounds import horizon
 from arcsched.flowgraph import LOSS, FlowGraph, build_eaf_graph
 from arcsched.instance import Instance, make_instance, parse_instance, singleton_types
-from arcsched.milp import Columns, MilpModel, VarBlock
+from arcsched.milp import Columns, MilpModel, Rows, VarBlock
 
 DEMO_TEXT = "4 2\n2 4\n5 7\n1 1\n4 3\n"
 
@@ -39,6 +40,17 @@ def append_var(model: MilpModel, name: str, lb, ub, kind: str, obj=0) -> int:
     block has no column rule: ``ruled`` gives the model one to write MPS."""
     model.blocks.append(VarBlock(kind, lb, ub, (obj,), lambda: (name,), None))
     return model.num_vars - 1
+
+
+def add_row(model: MilpModel, name: str, cols, sense: str, rhs, coefs=None) -> None:
+    """Append a one-row ``Rows`` block over variable positions ``cols`` to
+    a hand-built ``model``; ``coefs`` None means every entry is 1. Its rule
+    yields the stored entries. Nothing checks them: positions that strictly
+    rise below the variable count, and nonzero 64-bit coefficients, one per
+    position, are the caller's part."""
+    row = (array("I", cols), None if coefs is None else array("q", coefs))
+    model.rows.append(Rows([(name, sense, rhs)], len(row[0]), lambda: (row,)))
+    model.__dict__.pop("constraints", None)  # made again on the next read
 
 
 def transpose(model: MilpModel) -> list[list[tuple[int, int]]]:

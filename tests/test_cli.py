@@ -847,6 +847,11 @@ class TestSolveExternal:
             "open(sys.argv[2], 'w', encoding='utf-8').write('x_0_2_1 \\u0661\\n')",
             "solver error: unparsable solution file: solution line 1: bad numeric value '\u0661'\n",
         ),
+        "zero_denominator": (
+            "ti",
+            "open(sys.argv[2], 'w').write('x_1_0 1/0\\n')",
+            "solver error: unparsable solution file: solution line 1: bad numeric value '1/0'\n",
+        ),
         "non_integral": (
             "af",
             "open(sys.argv[2], 'w').write('x_0_2_1 0.5\\nONE 1\\n')",

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from arcsched.milp import BINARY, CONTINUOUS, INTEGER, MilpModel, VarBlock, write_lp, write_mps
 
-from conftest import append_var, ruled, written
+from conftest import add_row, append_var, ruled, written
 from test_emit_reference import NUMS, RefConstraint, RefModel, Variable, ref_emit_lp, ref_emit_mps
 
 
@@ -68,7 +68,7 @@ def test_zero_length_block():
     model.blocks.append(block(CONTINUOUS, 0, 3, [], "gap"))  # splits no run of integer columns
     model.blocks.append(block(BINARY, 0, 1, range(0, 6, 3), "c"))
     model.blocks.append(block(BINARY, 0, 1, range(0), "nothing"))
-    model.add_constraint("r", [0, 1, 2, 4], "<=", 4, coefs=[1, -1, 2, 1])
+    add_row(model, "r", [0, 1, 2, 4], "<=", 4, coefs=[1, -1, 2, 1])
     lp, mps = both_texts(model)
     assert all(name not in lp + mps for name in ("none", "gap", "nothing"))
     assert mps.count("'INTORG'") == 1
@@ -77,7 +77,7 @@ def test_zero_length_block():
 def test_model_of_zero_length_blocks_only():
     model = MilpModel(name="void")
     model.blocks.append(block(INTEGER, 0, 3, array("q"), "none"))
-    model.add_constraint("r", [], ">=", 0)
+    add_row(model, "r", [], ">=", 0)
     lp, mps = both_texts(model)
     assert " obj: 0\n" in lp
     assert "COLUMNS\nRHS\nBOUNDS\nENDATA\n" in mps
@@ -86,7 +86,7 @@ def test_model_of_zero_length_blocks_only():
 def test_only_block_is_binaries():
     model = MilpModel(name="bin")
     model.blocks.append(block(BINARY, 0, 1, range(0, 12, 3), "y"))
-    model.add_constraint("pick", range(4), "=", 1)
+    add_row(model, "pick", range(4), "=", 1)
     lp, mps = both_texts(model)
     assert "Bounds" not in lp and "Generals" not in lp
     assert mps.count(" BV ") == 4
@@ -95,7 +95,7 @@ def test_only_block_is_binaries():
 def test_block_with_all_zero_objective():
     model = MilpModel(name="zero")
     model.blocks.append(block(INTEGER, 0, 2, array("q", [0] * 4), "z"))
-    model.add_constraint("r", [1, 2], "<=", 1)
+    add_row(model, "r", [1, 2], "<=", 1)
     lp, mps = both_texts(model)
     assert " obj: 0\n" in lp
     # only the columns in no row carry a COST entry, and it is 0
@@ -143,7 +143,7 @@ def block_models(draw):
         cols = sorted(draw(st.lists(st.integers(0, n - 1), max_size=min(n, 30), unique=True))) if n else []
         values = draw(ROW_COEFS)
         coefs = None if values is None else draw(st.lists(st.sampled_from(values), min_size=len(cols), max_size=len(cols)))
-        model.add_constraint(f"row{r}", cols, draw(st.sampled_from(["<=", "=", ">="])), draw(NUMS), coefs=coefs)
+        add_row(model, f"row{r}", cols, draw(st.sampled_from(["<=", "=", ">="])), draw(NUMS), coefs=coefs)
     model.obj_constant = draw(st.one_of(st.just(0), NUMS))
     return model
 
@@ -197,9 +197,9 @@ def row_model(row, objs):
     model = MilpModel(name="rows")
     for i, obj in enumerate(objs):
         append_var(model, f"v{i}", 0, 9, INTEGER, obj)
-    model.add_constraint("before", [0, 3], "<=", 5, coefs=[2, -1])
-    model.add_constraint("bad", row[0], ">=", 1, coefs=row[1])
-    model.add_constraint("after", [1, 7], "=", 2)
+    add_row(model, "before", [0, 3], "<=", 5, coefs=[2, -1])
+    add_row(model, "bad", row[0], ">=", 1, coefs=row[1])
+    add_row(model, "after", [1, 7], "=", 2)
     return model
 
 

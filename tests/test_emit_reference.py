@@ -5,8 +5,8 @@ they were when a variable was a named record and a row held one
 ``(name, coefficient)`` tuple per nonzero.
 Hypothesis draws hand-built models (empty rows, long names, negative
 coefficients, Fraction objectives, bounds and right-hand sides; rows with
-rising positions and nonzero coefficients, the only rows ``validate``
-accepts) and builds each twice: as today's position rows and as
+rising positions and nonzero coefficients, the only rows the builders
+make) and builds each twice: as today's position rows and as
 named-term rows for the reference. Both must give the same bytes and the
 same feasibility report; today's check reads the valuation as one value
 per variable position, the reference by name.
@@ -31,7 +31,7 @@ from arcsched.milp import (
     write_mps,
 )
 
-from conftest import append_var, ruled, written
+from conftest import add_row, append_var, ruled, written
 
 # ---------------------------------------------------------------------------
 # reference: the named-term records and the code that read them
@@ -305,7 +305,7 @@ def model_pairs(draw, quadratic: bool):
         ))
         sense = draw(st.sampled_from(["<=", "=", ">="]))
         rhs = draw(NUMS)
-        new.add_constraint(row_name, cols, sense, rhs, coefs=coefs)
+        add_row(new, row_name, cols, sense, rhs, coefs=coefs)
         row_coefs = [1] * len(cols) if coefs is None else coefs
         terms = tuple((names[i], k) for i, k in zip(cols, row_coefs))
         ref.constraints.append(RefConstraint(row_name, sense, rhs, terms))
@@ -342,7 +342,7 @@ def test_names_that_start_with_a_sign():
         ref.variables.append(Variable(name, 0, 5, kind, obj))
     rows = [("ones", [0, 1, 2], None), ("tail", [1, 2], None), ("pm", [0, 1, 2], [1, -1, 1]), ("mp", [1, 2], [-1, 1])]
     for row_name, cols, coefs in rows:
-        new.add_constraint(row_name, cols, ">=", 1, coefs=coefs)
+        add_row(new, row_name, cols, ">=", 1, coefs=coefs)
         terms = tuple(zip([names[i] for i in cols], coefs or [1] * len(cols)))
         ref.constraints.append(RefConstraint(row_name, ">=", 1, terms))
     new.validate()

@@ -31,7 +31,6 @@ from arcsched.instance import (
 from arcsched.milp import (
     BINARY,
     INTEGER,
-    Constraint,
     MappingError,
     MilpModel,
     UnsupportedFormatError,
@@ -52,7 +51,7 @@ from arcsched.milp import (
 from arcsched.oracle import brute_force_optimal
 from arcsched.rng import SplitMix64
 
-from conftest import DEMO_TEXT, append_var, by_position, ruled, straight_network, transpose, written
+from conftest import DEMO_TEXT, add_row, append_var, by_position, ruled, straight_network, transpose, written
 
 DEMO_OPT = Schedule(machines=((1, 3, 4), (2,)))
 
@@ -97,8 +96,8 @@ class TestRecords:
         model = MilpModel(name="tiny")
         x = append_var(model, "x", 0, 1, BINARY)
         y = append_var(model, "y", 0, 5, INTEGER)
-        model.add_constraint("ones", [x, y], "<=", 1)
-        model.add_constraint("mixed", [x, y], "=", Fraction(1, 2), coefs=[-1, 2])
+        add_row(model, "ones", [x, y], "<=", 1)
+        add_row(model, "mixed", [x, y], "=", Fraction(1, 2), coefs=[-1, 2])
         model.quad_terms.append((x, y, Fraction(3, 4)))
         model.validate()
         assert (x, y) == (0, 1)
@@ -107,27 +106,13 @@ class TestRecords:
         assert model.constraints[1].terms == [(0, -1), (1, 2)]
         assert model.nonzeros() == 2 + 2 + 1
 
-    def test_position_out_of_range_rejected(self):
-        model = MilpModel(name="tiny")
-        append_var(model, "x", 0, 1, BINARY)
-        model.add_constraint("c", [0, 1], "=", 1)
-        with pytest.raises(ValidationError, match="outside 0..0"):
-            model.validate()
-
     @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda model: append_var(model, "y", 2, 1, INTEGER), "variable y: lb 2 > ub 1"),
-            (
-                lambda model: model.rows.append(Constraint("c", "<", 1, array("I", [0]))),
-                "constraint c: bad sense '<'",
-            ),
-            (
-                lambda model: model.rows.append(Constraint("c", "=", 1, array("I", [0]), array("q", [1, 2]))),
-                "constraint c: 2 coefficients, one per position of 1",
-            ),
+            (lambda model: add_row(model, "c", [0], "<", 1), "constraint c: bad sense '<'"),
         ],
-        ids=["lb-above-ub", "bad-sense", "coefficient-count"],
+        ids=["lb-above-ub", "bad-sense"],
     )
     def test_record_refused(self, edit, message):
         model = MilpModel(name="tiny")
@@ -416,7 +401,7 @@ class TestEmitLp:
     def test_trivial_contract(self):
         model = MilpModel(name="tiny")
         x = append_var(model, "x", 0, 10, INTEGER, obj=1)
-        model.add_constraint("c1", [x], ">=", 1)
+        add_row(model, "c1", [x], ">=", 1)
         text = written(write_lp, model.validate())
         lines = text.splitlines()
         assert "Minimize" in lines
@@ -452,7 +437,7 @@ class TestEmitMps:
     def test_trivial_contract(self):
         model = MilpModel(name="tiny")
         x = append_var(model, "x", 0, 10, INTEGER, obj=1)
-        model.add_constraint("c1", [x], ">=", 1)
+        add_row(model, "c1", [x], ">=", 1)
         text = written(write_mps, ruled(model.validate()))
         for section in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
             assert section in text
@@ -539,10 +524,10 @@ class TestWriters:
         names = lambda: (f"x_{i}_{2 * i + 7}_3" for i in range(size))
         model = MilpModel(name="big")
         model.blocks.append(VarBlock(INTEGER, 0, 9, array("q", range(0, 3 * size, 3)), names, None))
-        model.add_constraint("all", range(size), "<=", 40)
-        model.add_constraint("alternate", range(size), "=", 0, coefs=[(-1) ** i for i in range(size)])
+        add_row(model, "all", range(size), "<=", 40)
+        add_row(model, "alternate", range(size), "=", 0, coefs=[(-1) ** i for i in range(size)])
         for r in range(0, size, 100):
-            model.add_constraint(f"part_{r}", range(r, r + 100), ">=", 1)
+            add_row(model, f"part_{r}", range(r, r + 100), ">=", 1)
         model = ruled(model.validate())  # every column has 3 entries, so the block stays one
         assert len(model.blocks) == 1
         sizes = list(map(len, runs(model)))
@@ -794,20 +779,30 @@ class TestSolutionFile:
         assert str(exc.value) == message
 
     def test_plain_integers_read_as_int(self):
-        valuation = parse_solution("a 3\nb 2.0\nc 1/2\nd -1\ne 1e0\n".splitlines())
-        assert valuation == {"a": 3, "b": 2, "c": Fraction(1, 2), "d": -1, "e": 1}
+        valuation = parse_solution("a 3\nb 2.0\nc 1/2\nd -1\ne 1e0\nf 3/4\n".splitlines())
+        assert valuation == {"a": 3, "b": 2, "c": Fraction(1, 2), "d": -1, "e": 1, "f": Fraction(3, 4)}
         assert type(valuation["a"]) is int
-        assert all(type(valuation[k]) is Fraction for k in "bcde")
+        assert all(type(valuation[k]) is Fraction for k in "bcdef")
 
     @pytest.mark.parametrize("text, message", [
         ("x_1_0 \u0661\n", "solution line 1: bad numeric value '\u0661'"),
         ("x_1_0 1\nx_2_0 \uff12\n", "solution line 2: bad numeric value '\uff12'"),
         ("z \u0661.5\n", "solution line 1: bad numeric value '\u0661.5'"),
         ("z 1.\u0665e-9\n", "solution line 1: bad numeric value '1.\u0665e-9'"),
-    ], ids=["arabic-indic", "fullwidth", "arabic-indic-decimal", "mixed"])
+        ("x 3/4\ny 1/0\n", "solution line 2: bad numeric value '1/0'"),
+        ("x -3/0\n", "solution line 1: bad numeric value '-3/0'"),
+        ("x 1\n# log\ny 0/0\n", "solution line 3: bad numeric value '0/0'"),
+        ("x 1_0\n", "solution line 1: bad numeric value '1_0'"),
+        ("x 2\ny 1e1_0\n", "solution line 2: bad numeric value '1e1_0'"),
+    ], ids=[
+        "arabic-indic", "fullwidth", "arabic-indic-decimal", "mixed",
+        "zero-denominator", "negative-over-zero", "zero-over-zero", "separator", "separator-in-exponent",
+    ])
     def test_digits_of_other_scripts_refused(self, text, message):
         # int() and Fraction() read any Unicode digit; the instance and
-        # schedule parsers refuse them, and so does the solution reader
+        # schedule parsers refuse them, and so does the solution reader.
+        # It refuses, too, what Fraction() would raise ZeroDivisionError on
+        # (n/0), and a "_" separator, which Fraction() reads from 3.11 on only
         with pytest.raises(ValueError) as exc:
             parse_solution(text.splitlines())
         assert str(exc.value) == message

@@ -8,7 +8,7 @@ covers even where the Hypothesis reference test would draw it rarely.
 
 from arcsched.milp import BINARY, CONTINUOUS, INTEGER, MilpModel, write_mps
 
-from conftest import append_var, ruled, written
+from conftest import add_row, append_var, ruled, written
 from test_emit_reference import RefConstraint, RefModel, Variable, ref_emit_mps
 
 
@@ -22,7 +22,7 @@ def twin(variables, rows, constant=0):
         ref.variables.append(Variable(*v))
     names = [v[0] for v in variables]
     for name, sense, rhs, cols, coefs in rows:
-        new.add_constraint(name, cols, sense, rhs, coefs=coefs)
+        add_row(new, name, cols, sense, rhs, coefs=coefs)
         terms = tuple((names[i], k) for i, k in zip(cols, [1] * len(cols) if coefs is None else coefs))
         ref.constraints.append(RefConstraint(name, sense, rhs, terms))
     new.obj_constant = ref.obj_constant = constant
