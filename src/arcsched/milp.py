@@ -10,13 +10,12 @@ quadratic terms refer to variables by position, and a valuation is one
 value per position, so the schedule mapping, the exact check and the
 decode read no name. Rows are held as blocks too, and ``Rows`` is the one
 kind: each row's head (name, sense, rhs) is made at build time, and its
-entries are stated by rule, with their exact count. The LP writer and the
-exact check read the entries through ``MilpModel.constraints``, which
-makes them on its first read and keeps them; the MPS writer, ``nonzeros()`` and the model
-summary read heads and counts only, so an MPS write makes no row. Rows
-hold strictly rising positions and nonzero coefficients: the builders
-make them so, tests hold them to it and to their stated counts, and
-``validate`` reads only the records.
+entries are stated by rule. Only the LP writer reads the entries, through
+``MilpModel.constraints``, which makes each row as it is read and keeps
+none; the MPS writer, the exact check and ``nonzeros()`` read the heads
+and the column rules. Rows hold strictly rising positions and nonzero
+coefficients: the builders make them so, tests hold them to it and to the
+column rules, and ``validate`` reads only the records.
 Models are streamed to a file as LP or MPS text and never solved
 in-process; an external solver can be driven through the CLI. The writers
 make the text as runs of lines (``flowgraph._write_runs``), each built by
@@ -52,7 +51,7 @@ import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate, chain, compress, groupby, islice, repeat
 from operator import add, itemgetter, mul, truth
 from typing import NamedTuple, TextIO
@@ -95,7 +94,7 @@ class UnsupportedFormatError(ValueError):
 
 class Columns(NamedTuple):
     """A block's columns, made by its column rule when the block is written
-    as MPS.
+    as MPS, checked or counted.
 
     ``width`` is the length of the block's widest name (0 when it has
     none). ``slots`` holds every column's row entries, one slot per entry
@@ -145,14 +144,12 @@ Entries = tuple[array, array | None]  # a row's cols and coefs, as ``Constraint`
 class Rows(NamedTuple):
     """Consecutive rows whose entries their builder states by rule.
 
-    ``heads`` holds each row's (name, sense, rhs), made at build time, and
-    ``nonzeros`` the rows' exact entry count, the one the builder prices.
+    ``heads`` holds each row's (name, sense, rhs), made at build time.
     ``entries()`` yields each row's (cols, coefs), in row order, from the
     rule; in the package only ``MilpModel.constraints`` calls it.
     """
 
     heads: list[Head]
-    nonzeros: int
     entries: Callable[[], Iterable[Entries]]
 
 
@@ -200,24 +197,22 @@ class MilpModel:
         """Every row's (name, sense, rhs), in row order: no entry is made."""
         return chain.from_iterable(block.heads for block in self.rows)
 
-    @cached_property
-    def constraints(self) -> list[Constraint]:
-        """Every row with its entries, made by the row rules on the first read
-        and kept: the LP writer and the exact check read them, so a command
-        that does both makes them once, and an MPS write never does."""
-        return [
+    @property
+    def constraints(self) -> Iterator[Constraint]:
+        """Every row with its entries, made by the row rules as it is read
+        and not kept: the LP writer is the one reader in the package."""
+        return (
             Constraint(*head, *row) for block in self.rows for head, row in zip(block.heads, block.entries(), strict=True)
-        ]
+        )
 
     def nonzeros(self) -> int:
-        """The rows' stated entry counts plus quadratic objective terms."""
-        return sum(block.nonzeros for block in self.rows) + len(self.quad_terms)
+        """The column rules' entry counts plus quadratic objective terms."""
+        return sum(len(b) * len(b.columns().slots) for b in self.blocks) + len(self.quad_terms)
 
     def validate(self) -> "MilpModel":
         """The model, once each block's bounds are ordered and each row's sense
         is known. It reads the records, never a rule's entries: that those
-        rise, are below ``num_vars``, are nonzero and number as stated is the
-        builders' part.
+        rise, are below ``num_vars`` and are nonzero is the builders' part.
 
         Raises:
             ValidationError: naming the variable or row at fault.
@@ -290,7 +285,7 @@ def build_ti(inst: Instance, T: int) -> MilpModel:
             yield cols, None
 
     heads = [(f"assign_{job.id}", "=", 1) for job in inst.jobs] + [(f"cap_{t}", "<=", inst.m) for t in range(T)]
-    model.rows.append(Rows(heads, nonzeros, entries))
+    model.rows.append(Rows(heads, entries))
     return model.validate()
 
 
@@ -320,7 +315,7 @@ def build_ciqp(inst: Instance) -> MilpModel:
             for k in range(m):
                 model.quad_terms.append(((i - 1) * m + k, (j - 1) * m + k, wj * pi))
     entries = lambda: ((array("I", range((job.id - 1) * m, job.id * m)), None) for job in inst.jobs)
-    model.rows.append(Rows([(f"assign_{job.id}", "=", 1) for job in inst.jobs], n * m, entries))
+    model.rows.append(Rows([(f"assign_{job.id}", "=", 1) for job in inst.jobs], entries))
     return model.validate()
 
 
@@ -379,7 +374,7 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
     heads = [(f"parts_{job.id}_{k}", "=", 0) for job in inst.jobs for k in range(1, m + 1)]
     heads += [(f"cap_{k}_{t}", "<=", 1) for k in range(1, m + 1) for t in range(1, T + 1)]
     heads += [(f"assign_{job.id}", "=", 1) for job in inst.jobs]
-    model.rows.append(Rows(heads, nonzeros, entries))
+    model.rows.append(Rows(heads, entries))
     return model.validate()
 
 
@@ -449,8 +444,7 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
 
     row_heads = [(f"flow_{q}", "=", m if q == 0 else -m if q == g.T else 0) for q in g.nodes]
     row_heads += [(f"demand_{k}", ">=", jt.d) for k, jt in enumerate(types, start=1)]
-    # a job arc is in two flow rows and its demand row, a loss arc in two flow rows
-    model.rows.append(Rows(row_heads, 3 * len(g.arcs) - len(g.runs[LOSS]), entries))
+    model.rows.append(Rows(row_heads, entries))
     return model.validate()
 
 
@@ -785,7 +779,9 @@ def check_feasible(model: MilpModel, values: Sequence[Num]) -> FeasibilityReport
     Integrality is not checked; the report covers bounds and linear
     constraints, and the objective includes the model constant and any
     quadratic terms. A value that is not an int (a float, a Fraction) is
-    read exactly as a Fraction, so rows of int values sum in integers.
+    read exactly as a Fraction. Each row's left side is summed from the
+    column rules over the nonzero values, in integers where they are ints,
+    and no row rule runs.
 
     Raises:
         ValidationError: ``values`` does not hold one value per variable.
@@ -797,20 +793,24 @@ def check_feasible(model: MilpModel, values: Sequence[Num]) -> FeasibilityReport
 
     out_of_bounds: list[int] = []
     objective = Fraction(model.obj_constant)
+    lhs = [0] * model.num_rows
     start = 0
     for b in model.blocks:
         part = exact[start : start + len(b)]
         out_of_bounds += [start + i for i, x in enumerate(part) if x < b.lb or (b.ub is not None and x > b.ub)]
         objective += sum(x * c for x, c in zip(part, b.obj) if x)
+        if any(part):
+            for rows, k in b.columns().slots:
+                terms = map(mul, compress(part, part), repeat(k) if isinstance(k, int) else compress(k, part))
+                for r, term in zip(compress(rows, part), terms):
+                    lhs[r] += term
         start += len(b)
     names = list(model.names()) if out_of_bounds else []
     violations = [f"bound {names[i]}" for i in out_of_bounds]
-    for c in model.constraints:
-        picked = map(exact.__getitem__, c.cols)
-        lhs = sum(picked) if c.coefs is None else sum(map(mul, picked, c.coefs))
-        ok = lhs <= c.rhs if c.sense == "<=" else lhs >= c.rhs if c.sense == ">=" else lhs == c.rhs
+    for (name, sense, rhs), total in zip(model.heads(), lhs):
+        ok = total <= rhs if sense == "<=" else total >= rhs if sense == ">=" else total == rhs
         if not ok:
-            violations.append(f"constraint {c.name}")
+            violations.append(f"constraint {name}")
     for a, b, coef in model.quad_terms:
         objective += exact[a] * exact[b] * coef
     return FeasibilityReport(feasible=not violations, violations=tuple(violations), objective=objective)
@@ -910,8 +910,8 @@ def parse_solution(lines: Iterable[str]) -> dict[str, Num]:
     """
     limit = sys.get_int_max_str_digits()
     valuation: dict[str, Num] = {}
-    # each line is split as the whole text would be, so the line numbers stay the same
-    for lineno, raw in enumerate(chain.from_iterable(map(str.splitlines, lines)), start=1):
+    # each item is split as the whole text would be, and an empty item is one line, so the numbers stay
+    for lineno, raw in enumerate(chain.from_iterable(line.splitlines() or [""] for line in lines), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -37,7 +37,8 @@ def append_var(model: MilpModel, name: str, lb, ub, kind: str, obj=0) -> int:
     """Append a one-variable block named ``name`` to a hand-built ``model``;
     returns the variable's position. Nothing checks the name: keeping names
     distinct, and off the constant column ONE, is the caller's part. The
-    block has no column rule: ``ruled`` gives the model one to write MPS."""
+    block has no column rule: ``ruled`` gives the model one to write MPS,
+    check a valuation or count the nonzeros."""
     model.blocks.append(VarBlock(kind, lb, ub, (obj,), lambda: (name,), None))
     return model.num_vars - 1
 
@@ -49,8 +50,7 @@ def add_row(model: MilpModel, name: str, cols, sense: str, rhs, coefs=None) -> N
     rise below the variable count, and nonzero 64-bit coefficients, one per
     position, are the caller's part."""
     row = (array("I", cols), None if coefs is None else array("q", coefs))
-    model.rows.append(Rows([(name, sense, rhs)], len(row[0]), lambda: (row,)))
-    model.__dict__.pop("constraints", None)  # made again on the next read
+    model.rows.append(Rows([(name, sense, rhs)], lambda: (row,)))
 
 
 def transpose(model: MilpModel) -> list[list[tuple[int, int]]]:
@@ -68,7 +68,7 @@ def ruled(model: MilpModel) -> MilpModel:
     ``transpose``: the same rows, constant and variables, and each block
     split where its columns' entry count changes, since a rule gives a
     block's columns as many entries each; empty blocks are dropped. Neither
-    changes the MPS text."""
+    changes the MPS text, the exact check's report or ``nonzeros()``."""
     entries = transpose(model)
     out = MilpModel(name=model.name)
     out.rows, out.obj_constant, out.quad_terms = model.rows, model.obj_constant, model.quad_terms

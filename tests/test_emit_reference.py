@@ -369,7 +369,7 @@ def test_check_feasible_matches_named_term_reference(pair, data):
     new, ref, names = pair
     chosen = data.draw(st.lists(st.sampled_from(names), unique=True))
     valuation = {name: data.draw(NUMS) for name in chosen}
-    report = check_feasible(new, [valuation.get(n, 0) for n in names])
+    report = check_feasible(ruled(new), [valuation.get(n, 0) for n in names])
     assert (report.feasible, report.violations, report.objective) == ref_check_feasible(ref, valuation)
 
 

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from argparse import Namespace
 from array import array
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -77,16 +78,21 @@ def eaf_context(inst):
 FLAGS = ("no_windows", "no_types", "no_tprime", "strict_figure")
 
 
+def case_instance(n: int, m: int, seed: int):
+    """The seeded instance of an ``every_builder_model`` case."""
+    return generate_instance(n=n, m=m, p_max=6, w_max=9, seed=seed)
+
+
 def every_builder_model():
     """(case, model) for 168 models built through the CLI's dispatch: ti,
     pti, ciqp, af with and without --strict-figure, and eaf under all 16
     --no-*/--strict-figure combinations, on 8 seeded shapes with n = 1,
-    m = 1 and m > n."""
+    m = 1 and m > n. A case is (n, m, seed, form, flags)."""
     runs = [("ti", ()), ("pti", ()), ("ciqp", ()), ("af", ()), ("af", ("strict_figure",))]
     runs += [("eaf", on) for k in range(len(FLAGS) + 1) for on in combinations(FLAGS, k)]
     shapes = [(1, 1), (1, 3), (2, 5), (5, 1), (6, 2), (7, 3), (9, 4), (3, 7)]
     for seed, (n, m) in enumerate(shapes, start=1):
-        inst = generate_instance(n=n, m=m, p_max=6, w_max=9, seed=seed)
+        inst = case_instance(n, m, seed)
         for form, on in runs:
             yield (n, m, seed, form, on), _build_model(inst, form, Namespace(**{f: f in on for f in FLAGS}))[0]
 
@@ -101,10 +107,11 @@ class TestRecords:
         model.quad_terms.append((x, y, Fraction(3, 4)))
         model.validate()
         assert (x, y) == (0, 1)
-        assert model.constraints[0].coefs is None  # all-ones rows store no coefficients
-        assert model.constraints[0].terms == [(0, 1), (1, 1)]
-        assert model.constraints[1].terms == [(0, -1), (1, 2)]
-        assert model.nonzeros() == 2 + 2 + 1
+        rows = list(model.constraints)
+        assert rows[0].coefs is None  # all-ones rows store no coefficients
+        assert rows[0].terms == [(0, 1), (1, 1)]
+        assert rows[1].terms == [(0, -1), (1, 2)]
+        assert ruled(model).nonzeros() == 2 + 2 + 1
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -183,9 +190,31 @@ class TestRecords:
         model.rows = [block._replace(entries=lambda rule=block.entries: calls.append(rule) or rule()) for block in model.rows]
         return model
 
+    @staticmethod
+    def valuations(case, model) -> Iterator[list]:
+        """A zero valuation of a case's ``model``, then, for ti, af and eaf,
+        the one that encodes an ILS schedule of its instance, checked
+        feasible at the schedule's value, where the schedule maps."""
+        yield [0] * model.num_vars
+        n, m, seed, form, on = case
+        if form in ("ti", "af", "eaf"):
+            inst = case_instance(n, m, seed)
+            graph = cli._flow_network(inst, form, Namespace(**{f: f in on for f in FLAGS})) if form != "ti" else None
+            sched = ils(inst, IlsConfig(seed=1, iterations=3)).schedule
+            try:
+                values = schedule_to_assignment(inst, sched, horizon_T(inst), graph)
+            except MappingError:  # an idle machine has no t = 0 loss arc under --strict-figure
+                assert "strict_figure" in on and m > n, case
+                return
+            yield values
+            report = check_feasible(model, values)
+            assert report.feasible and report.objective == evaluate_schedule(inst, sched), case
+
     def test_mps_write_runs_no_row_rule(self):
-        # the MPS writer reads each row's head, and COLUMNS the column rules:
-        # no row's entries are made (ciqp's MPS is refused before a write)
+        # the MPS writer reads each row's head, and COLUMNS the column rules;
+        # the exact check and nonzeros() read the heads and the column rules
+        # too: no row's entries are made (ciqp's MPS is refused before a write)
+        mapped = 0
         for case, model in every_builder_model():
             calls = []
             self.counted(model, calls)
@@ -193,20 +222,22 @@ class TestRecords:
                 write_mps(model, Discard())
             except UnsupportedFormatError:
                 assert model.quad_terms, case
+            model.nonzeros()
+            for values in self.valuations(case, model):
+                check_feasible(model, values)
+                mapped += any(values)
             assert calls == [], case
-            model.constraints  # the first read makes the rows
+            list(model.constraints)  # each read makes the rows
             assert len(calls) == len(model.rows) > 0, case
+        assert mapped > 100
 
     def test_stated_counts_are_the_rules_entries(self):
-        # nonzeros() and the model summary read the stated counts and heads,
-        # so each rule must make as many rows and entries as its block states
+        # nonzeros() counts the column rules' entries and num_rows the heads,
+        # so the row rules must make as many rows and entries as those state
         for case, model in every_builder_model():
-            for block in model.rows:
-                made = list(block.entries())
-                assert len(made) == len(block.heads), case
-                assert sum(len(cols) for cols, _ in made) == block.nonzeros, case
-            assert sum(len(c.cols) for c in model.constraints) + len(model.quad_terms) == model.nonzeros(), case
-            assert len(model.constraints) == model.num_rows == len(list(model.heads())), case
+            rows = list(model.constraints)
+            assert sum(len(c.cols) for c in rows) + len(model.quad_terms) == model.nonzeros(), case
+            assert len(rows) == model.num_rows == len(list(model.heads())), case
 
     def test_solve_external_runs_the_flow_rule_once(self, tmp_path, monkeypatch, capsys):
         # solve-external writes LP and then checks the solution exactly: both
@@ -254,7 +285,7 @@ class TestBuildTi:
     def test_demo_counts(self, demo):
         model = build_ti(demo, 8)
         assert model.num_vars == 24  # 7 + 4 + 8 + 5 start binaries
-        assert len(model.constraints) == 12  # 4 assignment + 8 capacity
+        assert len(list(model.constraints)) == 12  # 4 assignment + 8 capacity
         assert model.obj_constant == 56
 
     def test_single_job_model(self):
@@ -281,7 +312,7 @@ class TestBuildCiqp:
     def test_demo_counts(self, demo):
         model = build_ciqp(demo)
         assert model.num_vars == 8
-        assert len(model.constraints) == 4
+        assert len(list(model.constraints)) == 4
         assert len(model.quad_terms) == 12  # 6 ordered pairs x 2 machines
 
     def test_single_machine_two_jobs_objective(self):
@@ -713,6 +744,26 @@ class TestCheckFeasible:
             with pytest.raises(ValidationError, match=f"{length} values for 24 variables"):
                 check_feasible(model, [0] * length)
 
+    def test_memory_per_nonzero(self):
+        # The check sums each row from the column rules over the nonzero
+        # values and makes no row: it holds the exact values and one sum per
+        # row. Traced peak per nonzero on the model of
+        # test_mps_memory_per_nonzero (40,039 nonzeros), valued by an ILS
+        # schedule: 2.95-3.05 B on Python 3.10-3.13. The bound is that figure
+        # with a 1.5x margin; making and keeping every row, as the check once
+        # read them, measured 15.4-15.6 B.
+        inst = generate_instance(n=60, m=2, p_max=20, w_max=20, seed=1)
+        g, model = af_context(inst)
+        values = schedule_to_assignment(inst, ils(inst, IlsConfig(seed=1, iterations=3)).schedule, g.T, g)
+        tracemalloc.start()
+        try:
+            report = check_feasible(model, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.feasible
+        assert peak / model.nonzeros() < 4.6
+
     def test_oracle_optimum_identical_across_models(self):
         for seed in range(20):
             inst = generate_instance(n=6 + seed % 3, m=2, p_max=10, w_max=10, seed=seed)
@@ -792,11 +843,13 @@ class TestSolutionFile:
         ("x 3/4\ny 1/0\n", "solution line 2: bad numeric value '1/0'"),
         ("x -3/0\n", "solution line 1: bad numeric value '-3/0'"),
         ("x 1\n# log\ny 0/0\n", "solution line 3: bad numeric value '0/0'"),
+        ("x 1\n\ny 0/0\n", "solution line 3: bad numeric value '0/0'"),  # split to ["x 1", "", "y 0/0"]
         ("x 1_0\n", "solution line 1: bad numeric value '1_0'"),
         ("x 2\ny 1e1_0\n", "solution line 2: bad numeric value '1e1_0'"),
     ], ids=[
         "arabic-indic", "fullwidth", "arabic-indic-decimal", "mixed",
-        "zero-denominator", "negative-over-zero", "zero-over-zero", "separator", "separator-in-exponent",
+        "zero-denominator", "negative-over-zero", "zero-over-zero", "zero-over-zero-after-a-blank-line", "separator",
+        "separator-in-exponent",
     ])
     def test_digits_of_other_scripts_refused(self, text, message):
         # int() and Fraction() read any Unicode digit; the instance and
