@@ -10,12 +10,13 @@ quadratic terms refer to variables by position, and a valuation is one
 value per position, so the schedule mapping, the exact check and the
 decode read no name. Rows are held as blocks too, and ``Rows`` is the one
 kind: each row's head (name, sense, rhs) is made at build time, and its
-entries are stated by rule. Only the LP writer reads the entries, through
-``MilpModel.constraints``, which makes each row as it is read and keeps
-none; the MPS writer, the exact check and ``nonzeros()`` read the heads
-and the column rules. Rows hold strictly rising positions and nonzero
-coefficients: the builders make them so, tests hold them to it and to the
-column rules, and ``validate`` reads only the records.
+entries are stated by a rule over the sequence it is handed: the LP
+writer hands it the names, so a row is its names, sliced, and
+``MilpModel.constraints`` the positions. The MPS writer, the exact check
+and ``nonzeros()`` read the heads and the column rules. Rows hold strictly
+rising positions and nonzero coefficients: the builders make them so,
+tests hold them to it and to the column rules, and ``validate`` reads only
+the records.
 Models are streamed to a file as LP or MPS text and never solved
 in-process; an external solver can be driven through the CLI. The writers
 make the text as runs of lines (``flowgraph._write_runs``), each built by
@@ -138,19 +139,19 @@ class VarBlock:
 
 
 Head = tuple[str, str, Num]  # a row's name, sense (one of <=, =, >=) and rhs
-Entries = tuple[array, array | None]  # a row's cols and coefs, as ``Constraint`` holds them
+Entries = tuple[Iterable, array | None]  # a row's elements of the sequence read, and its coefs
 
 
 class Rows(NamedTuple):
     """Consecutive rows whose entries their builder states by rule.
 
     ``heads`` holds each row's (name, sense, rhs), made at build time.
-    ``entries()`` yields each row's (cols, coefs), in row order, from the
-    rule; in the package only ``MilpModel.constraints`` calls it.
+    ``entries(seq)`` yields each row's ``seq[i]`` for its positions i (a
+    slice where they run consecutively) and its coefs, in row order.
     """
 
     heads: list[Head]
-    entries: Callable[[], Iterable[Entries]]
+    entries: Callable[[Sequence], Iterable[Entries]]
 
 
 class Constraint(NamedTuple):
@@ -199,11 +200,11 @@ class MilpModel:
 
     @property
     def constraints(self) -> Iterator[Constraint]:
-        """Every row with its entries, made by the row rules as it is read
-        and not kept: the LP writer is the one reader in the package."""
-        return (
-            Constraint(*head, *row) for block in self.rows for head, row in zip(block.heads, block.entries(), strict=True)
-        )
+        """Every row with its entries, made by the row rules over the
+        positions as it is read and not kept; no writer reads it."""
+        pos = array("I", range(self.num_vars))
+        rows = chain.from_iterable(zip(b.heads, b.entries(pos), strict=True) for b in self.rows)
+        return (Constraint(*head, array("I", cols), coefs) for head, (cols, coefs) in rows)
 
     def nonzeros(self) -> int:
         """The column rules' entry counts plus quadratic objective terms."""
@@ -272,16 +273,13 @@ def build_ti(inst: Instance, T: int) -> MilpModel:
         model.blocks.append(VarBlock(BINARY, 0, 1, range(0, job.w * size, job.w), names, columns))
     model.obj_constant = sum(j.w * j.p for j in inst.jobs)
 
-    def entries() -> Iterator[Entries]:
-        pos = array("I", range(offsets[-1]))  # rows copy slices of it
+    def entries(seq: Sequence) -> Iterator[Entries]:
         for base, end in zip(offsets, offsets[1:]):
-            yield pos[base:end], None
+            yield seq[base:end], None
         for t in range(0, T):
-            cols = array("I")
-            for job, base in zip(inst.jobs, offsets):
-                lo = max(0, t + 1 - job.p)
-                hi = min(t, T - job.p)
-                cols += pos[base + lo : base + hi + 1]
+            cols = seq[:0]
+            for job, base in zip(inst.jobs, offsets):  # x_{j}_{s} for s = t - p_j + 1 .. t in its block
+                cols += seq[base + max(0, t + 1 - job.p) : base + min(t, T - job.p) + 1]
             yield cols, None
 
     heads = [(f"assign_{job.id}", "=", 1) for job in inst.jobs] + [(f"cap_{t}", "<=", inst.m) for t in range(T)]
@@ -314,7 +312,7 @@ def build_ciqp(inst: Instance) -> MilpModel:
             pi = inst.job(i).p
             for k in range(m):
                 model.quad_terms.append(((i - 1) * m + k, (j - 1) * m + k, wj * pi))
-    entries = lambda: ((array("I", range((job.id - 1) * m, job.id * m)), None) for job in inst.jobs)
+    entries = lambda seq: ((seq[(job.id - 1) * m : job.id * m], None) for job in inst.jobs)
     model.rows.append(Rows([(f"assign_{job.id}", "=", 1) for job in inst.jobs], entries))
     return model.validate()
 
@@ -356,20 +354,19 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
     )
     model.blocks.append(VarBlock(BINARY, 0, 1, [0] * (n * m), names, columns))
 
-    def entries() -> Iterator[Entries]:
-        pos = array("I", range(ys + n * m))  # rows copy slices of it
+    def entries(seq: Sequence) -> Iterator[Entries]:
         for job in inst.jobs:
             coefs = array("q", [*repeat(1, T), -job.p])
             for k in range(1, m + 1):
                 base = ((job.id - 1) * m + k - 1) * T
-                cols = pos[base : base + T]
-                cols.append(ys + (job.id - 1) * m + k - 1)
+                cols = seq[base : base + T]
+                cols.append(seq[ys + (job.id - 1) * m + k - 1])
                 yield cols, coefs
         for k in range(1, m + 1):
             for t in range(1, T + 1):
-                yield pos[(k - 1) * T + t - 1 : ys : m * T], None
+                yield seq[(k - 1) * T + t - 1 : ys : m * T], None
         for base in range(ys, ys + n * m, m):
-            yield pos[base : base + m], None
+            yield seq[base : base + m], None
 
     heads = [(f"parts_{job.id}_{k}", "=", 0) for job in inst.jobs for k in range(1, m + 1)]
     heads += [(f"cap_{k}_{t}", "<=", 1) for k in range(1, m + 1) for t in range(1, T + 1)]
@@ -428,8 +425,10 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
         model.blocks.append(VarBlock(INTEGER, 0, ub, obj, names, columns))
     model.obj_constant = sum(t.d * t.w * t.p for t in types)
 
-    def entries() -> Iterator[Entries]:
-        # a node's flow row is +1 on each arc that leaves it, -1 on each that enters it
+    def entries(seq: Sequence) -> Iterator[Entries]:
+        # a node's flow row is +1 on each arc that leaves it, -1 on each that enters it;
+        # rows keep positions and read their elements of seq only as each is yielded, so
+        # no element is held per entry (that raised the LP write's peak memory)
         flow_cols = [array("I") for _ in g.nodes]
         flow_coefs = [array("q") for _ in g.nodes]
         for i, (tail, head) in enumerate(zip(g.tail, g.head)):
@@ -438,9 +437,9 @@ def build_eaf_model(g: FlowGraph) -> MilpModel:
             flow_coefs[out].append(1)
             flow_cols[into].append(i)
             flow_coefs[into].append(-1)
-        yield from zip(flow_cols, flow_coefs)
+        yield from ((map(seq.__getitem__, cols), coefs) for cols, coefs in zip(flow_cols, flow_coefs))
         for k in range(1, len(types) + 1):  # a type's demand row is its run
-            yield array("I", g.runs[k]), None
+            yield seq[g.runs[k].start : g.runs[k].stop], None
 
     row_heads = [(f"flow_{q}", "=", m if q == 0 else -m if q == g.T else 0) for q in g.nodes]
     row_heads += [(f"demand_{k}", ">=", jt.d) for k, jt in enumerate(types, start=1)]
@@ -483,38 +482,37 @@ _WRAP_PARTS = 1024
 
 @cache
 def _line_pattern(room: int) -> re.Pattern:
-    """One line of parts joined by newlines, at most ``room`` characters:
-    the longest run of whole parts that fits, or one part alone that does
-    not; the newline after it, which ends every line, is consumed."""
-    return re.compile(rf"(.{{1,{room}}}|[^\n]+)\n", re.S)
+    """One line of parts joined by NULs, at most ``room`` characters: the
+    longest run of whole parts that fits, or one part alone that does not;
+    the NUL after it, which ends every line, is consumed."""
+    return re.compile(rf"(.{{1,{room}}}|[^\0]+)\0", re.S)
 
 
-def _wrap(parts: Iterable[str], indent: str = "   ", width: int = 72, end: str = "", sep: str = "\n") -> Iterator[str]:
+def _wrap(parts: Iterable[str], indent: str = "   ", width: int = 72, end: str = "", sep: str = "\0") -> Iterator[str]:
     r"""Greedy fill of ``parts``, one space apart, into lines of at most
     ``width`` columns; a part that would overflow opens a line at ``indent``.
-    ``end`` is appended to the last line. ``sep`` is a newline and the text
-    each part after the first starts with: "\n+ " signs bare names.
+    ``end`` is appended to the last line. ``sep`` is a NUL and the text
+    each part after the first starts with: "\0+ " signs bare names.
 
     Yields runs of lines (see ``flowgraph._write_runs``). Parts are joined
     by ``sep`` a slice at a time, and the slice is cut into lines by one
     pattern scan; its finished lines are one run, and the open last line is
     carried into the next slice. No part holds a newline or a NUL. A slice
-    ends in a newline, so each line ends at one and the scan backs up to
-    the literal.
+    ends in a NUL, so each line ends at one and the scan backs up to the
+    literal; one replace makes the NULs left between parts spaces.
     """
     parts = iter(parts)
     carry = ""  # the open line, with its indent and its spaces
     while chunk := list(islice(parts, _WRAP_PARTS)):
-        text = (sep.join(chunk) if not carry else carry + sep + sep.join(chunk)) + "\n"
+        text = (sep.join(chunk) if not carry else carry + sep + sep.join(chunk)) + "\0"
         # the open line holds its indent already, so it is cut at the full width
         first = _line_pattern(width).match(text)
         if first.end() == len(text):
-            carry = first[1].replace("\n", " ")
+            carry = first[1].replace("\0", " ")
             continue
         *lines, last = _line_pattern(width - len(indent)).findall(text, first.end())
-        # NUL marks the line breaks while the newlines between parts become spaces
-        yield ("\0" + indent).join([first[1], *lines]).replace("\n", " ").replace("\0", "\n")
-        carry = indent + last.replace("\n", " ")
+        yield ("\n" + indent).join([first[1], *lines]).replace("\0", " ")
+        carry = indent + last.replace("\0", " ")
     if carry:
         yield carry + end
 
@@ -544,10 +542,10 @@ def _signed(coefs: Sequence[Num], names: Iterable[str]) -> Iterator[str]:
     return map(add, map(sign.__getitem__, coefs), names)
 
 
-def _sum_lines(lead: str, parts: Iterable[str], end: str = "", sep: str = "\n") -> Iterator[str]:
+def _sum_lines(lead: str, parts: Iterable[str], end: str = "", sep: str = "\0") -> Iterator[str]:
     r"""``lead`` and the wrapped ``parts`` (``_wrap``), the first without its
     plus sign, then ``end``; "0" when there are none. The parts are signed
-    terms, or, with ``sep`` "\n+ ", the bare names of a row of ones."""
+    terms, or, with ``sep`` "\0+ ", the bare names of a row of ones."""
     parts = iter(parts)
     first = next(parts, None)
     if first is None:
@@ -580,8 +578,9 @@ def _lp_bound(b: VarBlock) -> tuple[str, str] | None:
 
 
 def _lp_runs(model: MilpModel) -> Iterator[str]:
-    """The LP text as runs of lines. Each variable's name is made once; a
-    row is the run of them, signed and wrapped at 72 columns."""
+    """The LP text as runs of lines. Each variable's name is made once; the
+    row rules read a row's names from that list, with no lookup by position
+    for a slice, and the row is signed and wrapped at 72 columns."""
     blocks = _with_constant(model)
     names = list(chain.from_iterable(b.names() for b in blocks))
     edges = list(accumulate(map(len, blocks), initial=0))
@@ -595,10 +594,10 @@ def _lp_runs(model: MilpModel) -> Iterator[str]:
         )
         yield from _wrap(chain(("   + [", next(quad).removeprefix("+ ")), quad, ("] / 2",)))
     yield "Subject To"
-    for c in model.constraints:
-        row = map(names.__getitem__, c.cols)
-        parts, sep = (row, "\n+ ") if c.coefs is None else (_signed(c.coefs, row), "\n")
-        yield from _sum_lines(f" {c.name}: ", parts, f" {c.sense} {_fmt_num(c.rhs)}", sep)
+    for block in model.rows:
+        for (name, sense, rhs), (row, coefs) in zip(block.heads, block.entries(names), strict=True):
+            parts, sep = (row, "\0+ ") if coefs is None else (_signed(coefs, row), "\0")
+            yield from _sum_lines(f" {name}: ", parts, f" {sense} {_fmt_num(rhs)}", sep)
     bounded = [(rule, s, e) for b, s, e in spans if (rule := _lp_bound(b))]
     if bounded:
         yield "Bounds"
@@ -797,8 +796,9 @@ def check_feasible(model: MilpModel, values: Sequence[Num]) -> FeasibilityReport
     start = 0
     for b in model.blocks:
         part = exact[start : start + len(b)]
-        out_of_bounds += [start + i for i, x in enumerate(part) if x < b.lb or (b.ub is not None and x > b.ub)]
-        objective += sum(x * c for x, c in zip(part, b.obj) if x)
+        if part and (min(part) < b.lb or (b.ub is not None and max(part) > b.ub)):  # scan a failing block only
+            out_of_bounds += [start + i for i, x in enumerate(part) if x < b.lb or (b.ub is not None and x > b.ub)]
+        objective += sum(map(mul, compress(part, part), compress(b.obj, part)))
         if any(part):
             for rows, k in b.columns().slots:
                 terms = map(mul, compress(part, part), repeat(k) if isinstance(k, int) else compress(k, part))

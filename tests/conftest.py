@@ -46,11 +46,12 @@ def append_var(model: MilpModel, name: str, lb, ub, kind: str, obj=0) -> int:
 def add_row(model: MilpModel, name: str, cols, sense: str, rhs, coefs=None) -> None:
     """Append a one-row ``Rows`` block over variable positions ``cols`` to
     a hand-built ``model``; ``coefs`` None means every entry is 1. Its rule
-    yields the stored entries. Nothing checks them: positions that strictly
-    rise below the variable count, and nonzero 64-bit coefficients, one per
-    position, are the caller's part."""
-    row = (array("I", cols), None if coefs is None else array("q", coefs))
-    model.rows.append(Rows([(name, sense, rhs)], lambda: (row,)))
+    yields the elements of the sequence it is handed at the stored
+    positions, and the stored coefficients. Nothing checks them: positions
+    that strictly rise below the variable count, and nonzero 64-bit
+    coefficients, one per position, are the caller's part."""
+    cols, coefs = array("I", cols), None if coefs is None else array("q", coefs)
+    model.rows.append(Rows([(name, sense, rhs)], lambda seq: ((map(seq.__getitem__, cols), coefs),)))
 
 
 def transpose(model: MilpModel) -> list[list[tuple[int, int]]]:
