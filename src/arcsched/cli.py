@@ -28,6 +28,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .instance import (
+    BYTES_PER,
     Instance,
     ModelSizeError,
     check_bytes,
@@ -66,10 +67,6 @@ oracle = _lazy(f"{__package__}.oracle")
 shlex, subprocess, tempfile = _lazy("shlex"), _lazy("subprocess"), _lazy("tempfile")
 
 SOLVER_ENV = "ARCSCHED_SOLVER_CMD"
-
-# peak RSS per machine of solve-heur at n = 2, m = 10^5: the largest of the
-# commands that build a schedule (solve-exact, solve-external: at most 117 B)
-BYTES_PER_MACHINE = 367
 
 EXIT_OK = 0
 EXIT_INPUT = 3
@@ -129,7 +126,7 @@ def _read_instance(path: str, report: RunReport) -> Instance:
 def _check_machines(inst: Instance) -> None:
     """Refuse (ModelSizeError) an instance whose m machines alone would take
     a schedule past instance.MAX_MODEL_BYTES, before any per-machine list."""
-    check_bytes(inst.m * BYTES_PER_MACHINE, f"m = {inst.m} machines need")
+    check_bytes(inst.m * BYTES_PER["machine"], f"m = {inst.m} machines need")
 
 
 def _flow_network(inst: Instance, form: str, args) -> flowgraph.FlowGraph:
@@ -343,7 +340,7 @@ def cmd_solve_external(args, report: RunReport) -> None:
     with tempfile.TemporaryDirectory(prefix="arcsched_") as tmp:
         model_path = Path(tmp) / "model.lp"
         solution_path = Path(tmp) / "model.sol"
-        with open(model_path, "w", encoding="utf-8") as fh:
+        with report.phase("write"), open(model_path, "w", encoding="utf-8") as fh:
             milp.write_lp(model, fh)
         try:  # split before substituting, so a path with spaces stays one word
             cmd = [word.format(model=model_path, solution=solution_path) for word in shlex.split(solver_cmd)]

@@ -30,14 +30,9 @@ from itertools import chain, compress, filterfalse, islice, repeat
 from operator import add
 from typing import NamedTuple, TextIO
 
-from .instance import Instance, JobType, ModelSizeError, approx, check_bytes
+from .instance import BYTES_PER, Instance, JobType, ModelSizeError, approx, check_bytes
 
 LOSS = 0
-
-# The build refuses a network once its model's nonzeros times this rate pass
-# instance.MAX_MODEL_BYTES: 20% above the worst peak RSS per built nonzero
-# measured, 106.6 B (solve-external, eaf at n = 1000, m = 2; see README).
-BYTES_PER_NONZERO = 128
 
 
 class FlowGraph(NamedTuple):
@@ -96,7 +91,7 @@ def build_eaf_graph(
     keeps a path for an idle machine; ``strict_figure`` always drops the
     t = 0 loss arc (the drawing convention in which an idle machine has no
     path). Only reachable times are held, so memory follows the arcs, not T.
-    ModelSizeError: T past 64 bits, or the nonzeros made pass the budget.
+    ModelSizeError: T past 64 bits, or the nonzeros made and the jobs pass the budget.
 
     The straight per-job network is this construction with one type per
     job in WSPT order, windows [0, T - p_j] and ``t_prime=0``.
@@ -104,6 +99,7 @@ def build_eaf_graph(
     if T >= 2**64:  # tails and heads are held in arrays of at most 64 bits
         raise ModelSizeError(f"the horizon T = {approx(T)} is above 2^64 - 1")
     times = "I" if T < 2**32 else "Q"
+    jobs = inst.n * BYTES_PER["flow job"]  # what the instance's jobs add to every check
     points, reached = [0], {0}  # the reachable times, ascending, and as a set
     tail, head = array(times), array(times)
     runs = []
@@ -116,7 +112,9 @@ def build_eaf_graph(
         starts: set[int] = set()
         for shift in range(0, jt.d * p, p):  # copy q of a batch starts (q - 1) p later
             starts.update(map(add, opens[: bisect_right(opens, last - shift)], repeat(shift)))
-            _check_size(3 * (len(tail) + len(starts)))
+            nonzeros = 3 * (len(tail) + len(starts))  # a job arc is in two flow rows and its demand row
+            check_bytes(nonzeros * BYTES_PER["flow nonzero"] + jobs,
+                        f"the flow model reaches {approx(nonzeros)} nonzeros,")
         ordered = sorted(starts)
         heads = list(map(add, ordered, repeat(p)))
         if new := list(filterfalse(reached.__contains__, heads)):
@@ -128,7 +126,8 @@ def build_eaf_graph(
         runs.append(range(len(tail) - len(ordered), len(tail)))
     loss_from = [] if strict_figure else [0]
     loss_from += points[bisect_left(points, max(t_prime, 1)) : bisect_left(points, T)]
-    _check_size(3 * len(tail) + 2 * len(loss_from))
+    nonzeros = 3 * len(tail) + 2 * len(loss_from)  # a loss arc is in two flow rows
+    check_bytes(nonzeros * BYTES_PER["flow nonzero"] + jobs, f"the flow model reaches {approx(nonzeros)} nonzeros,")
     tail.extend(loss_from)
     head.extend(repeat(T, len(loss_from)))
     runs.insert(LOSS, range(len(tail) - len(loss_from), len(tail)))
@@ -136,11 +135,6 @@ def build_eaf_graph(
     return FlowGraph(
         T=T, nodes=tuple(nodes), tail=tail, head=head, m=inst.m, types=tuple(types), runs=tuple(runs),
     )
-
-
-def _check_size(nonzeros: int) -> None:
-    # a job arc is in two flow rows and its demand row, a loss arc in two flow rows
-    check_bytes(nonzeros * BYTES_PER_NONZERO, f"the flow model reaches {approx(nonzeros)} nonzeros,")
 
 
 def reduction_pct(before: float, after: float) -> float:

@@ -71,7 +71,7 @@ from itertools import accumulate, count, repeat
 from operator import add, mul
 from typing import NamedTuple
 
-from .instance import Instance, Schedule, approx, check_bytes
+from .instance import BYTES_PER, Instance, Schedule, approx, check_bytes
 from .rng import SplitMix64
 
 SHIFT, SWAP11, SWAP21 = 0, 1, 2
@@ -79,26 +79,16 @@ _ALL_NEIGHBORHOODS = (SHIFT, SWAP11, SWAP21)
 RESTART_AFTER = 50  # non-improving perturbations before a fresh construction
 _UNPRICED = object()  # a neighborhood a pair has not priced yet
 
-# Peak RSS of the swap tables per job pair (i, u) of the largest machine
-# pair, n^2 / 4: it covers the tables all pairs keep, up to twice that
-# count, and a scan's transient ones; 163-222 B measured (n = 300-600,
-# m = 2-50), plus 13%.
-BYTES_PER_PAIR_ENTRY = 250
-# Peak RSS per unit of min(m, n + 1)^2, two states' machine pairs: 635 B
-# measured with one job per machine (n = 300 and 500), where the snapshot
-# shares most pairs with the current state; doubled for two that share none.
-BYTES_PER_PAIR = 1300
-
 
 def check_size(inst: Instance) -> None:
     """Refuse (ModelSizeError) an instance whose kept pricing state would pass
     the model guard: its swap tables or its min(m, n + 1)^2 machine pairs."""
     if inst.m > 1:
         entries = (inst.n // 2) * ((inst.n + 1) // 2)
-        check_bytes(entries * BYTES_PER_PAIR_ENTRY,
+        check_bytes(entries * BYTES_PER["swap-table entry"],
                     f"n = {inst.n} jobs: the swap tables, {approx(entries)} job pairs per machine pair, need")
         scanned = min(inst.m, inst.n + 1)
-        check_bytes(scanned**2 * BYTES_PER_PAIR, f"{scanned} scanned machines: their machine pairs need")
+        check_bytes(scanned**2 * BYTES_PER["machine pair"], f"{scanned} scanned machines: their machine pairs need")
 
 
 class IlsConfig:

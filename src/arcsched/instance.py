@@ -40,6 +40,42 @@ class ValidationError(ValueError):
 # the machines of a schedule. The budget leaves room on an 8 GB host.
 MAX_MODEL_BYTES = 6 * 10**9
 
+# Every guard's rates, in peak RSS per priced unit: a guard's need is its
+# counts times these, refused by check_bytes. Each rate is measured over the
+# commands that build what it prices, less the same command on 2 jobs, and
+# tests/test_machine_guard.py checks it on its worst shapes.
+BYTES_PER = {
+    # ti, pti and ciqp per nonzero, exact counts from the instance: the largest
+    # measured over LP and MPS, m = 2 and 4, p and w in U[1, 100]; they differ
+    # because per-variable records and names weigh more where a variable has
+    # few entries
+    "ti nonzero": 142,
+    "pti nonzero": 462,
+    "ciqp nonzero": 380,
+    # ti per row, its n assignment and T capacity rows: 20% above 1,225 B, the
+    # MPS write of one job of p = 10^5 on 3 machines (T = p, as many rows as
+    # nonzeros; LP and check take about 320 B)
+    "ti row": 1470,
+    # af and eaf per nonzero, counted as the network is built: 20% above
+    # 106.6 B (solve-external, eaf at n = 1000, m = 2; see README)
+    "flow nonzero": 128,
+    # af and eaf per job of the instance: 20% above 1,112 B, the MPS write of
+    # 2 * 10^5 unit jobs on one machine under --no-windows, a chain of as many
+    # nodes as jobs (parsing the file takes about 340 B of it)
+    "flow job": 1340,
+    # the search's swap tables per job pair (i, u) of the largest machine pair,
+    # n^2 / 4: it covers the tables all pairs keep, up to twice that count, and
+    # a scan's transient ones; 163-222 B measured (n = 300-600, m = 2-50), plus 13%
+    "swap-table entry": 250,
+    # the search per unit of min(m, n + 1)^2, two states' machine pairs: 635 B
+    # measured with one job per machine (n = 300 and 500), where the snapshot
+    # shares most pairs with the current state; doubled for two that share none
+    "machine pair": 1300,
+    # a schedule per machine: solve-heur at n = 2, m = 10^5, the largest of the
+    # commands that build one (solve-exact, solve-external: at most 117 B)
+    "machine": 367,
+}
+
 
 class ModelSizeError(ValueError):
     """A model, a search or the machines of a schedule would need more than

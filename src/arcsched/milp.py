@@ -59,6 +59,7 @@ from typing import NamedTuple, TextIO
 
 from .flowgraph import _RUN_LINES, LOSS, FlowGraph, _runs, _write_runs, decompose_flow
 from .instance import (
+    BYTES_PER,
     Instance,
     ModelSizeError,
     Schedule,
@@ -75,14 +76,6 @@ Num = int | Fraction
 BINARY = "binary"
 INTEGER = "integer"
 CONTINUOUS = "continuous"
-
-# build_ti, build_pti and build_ciqp refuse a model whose peak memory, build
-# plus emission, would exceed instance.MAX_MODEL_BYTES: its exact nonzero
-# count times the form's peak RSS per nonzero. The rates are the largest
-# measured over LP and MPS, m = 2 and 4, p and w in U[1, 100]; they differ
-# because per-variable records and names weigh more where a variable has few
-# entries. The flow build prices what it makes (``flowgraph.BYTES_PER_NONZERO``).
-BYTES_PER_NONZERO = {"ti": 142, "pti": 462, "ciqp": 380}
 
 
 class MappingError(ValueError):
@@ -228,20 +221,6 @@ class MilpModel:
 
 
 # ---------------------------------------------------------------------------
-# size guard
-
-
-def check_size(form: str, nonzeros: int) -> None:
-    """Refuse a model of ``form`` whose ``nonzeros`` would need more than
-    MAX_MODEL_BYTES at the form's measured bytes per nonzero.
-
-    Raises:
-        ModelSizeError: the memory estimate is above the guard.
-    """
-    check_bytes(nonzeros * BYTES_PER_NONZERO[form], f"form {form} model may hold {approx(nonzeros)} nonzeros,")
-
-
-# ---------------------------------------------------------------------------
 # builders
 
 
@@ -259,7 +238,8 @@ def build_ti(inst: Instance, T: int) -> MilpModel:
     per time slot t = 0..T-1.
     """
     nonzeros = sum((j.p + 1) * (T - j.p + 1) for j in inst.jobs)  # x_{j}_{t} is in 1 assign and p_j cap rows
-    check_size("ti", nonzeros)
+    need = nonzeros * BYTES_PER["ti nonzero"] + (inst.n + T) * BYTES_PER["ti row"]
+    check_bytes(need, f"form ti model may hold {approx(nonzeros)} nonzeros,")
     model = MilpModel(name=f"ti_n{inst.n}_m{inst.m}")
     offsets = ti_offsets(inst, T)
     n = inst.n
@@ -298,7 +278,8 @@ def build_ciqp(inst: Instance) -> MilpModel:
     can be relabelled, so the model has min(m, n) machines.
     """
     n, m = inst.n, min(inst.m, inst.n)
-    check_size("ciqp", n * m + m * n * (n - 1) // 2)  # assignment entries and quadratic terms
+    nonzeros = n * m + m * n * (n - 1) // 2  # assignment entries and quadratic terms
+    check_bytes(nonzeros * BYTES_PER["ciqp nonzero"], f"form ciqp model may hold {approx(nonzeros)} nonzeros,")
     model = MilpModel(name=f"ciqp_n{n}_m{m}")
     # x_{j}_{k} sits at position (j - 1) * m + k - 1, in job j's block
     for job in inst.jobs:
@@ -328,7 +309,7 @@ def build_pti(inst: Instance, T: int) -> MilpModel:
     """
     n, m = inst.n, min(inst.m, inst.n)
     nonzeros = n * m * (2 * T + 2)  # n m parts rows of T + 1, n m T capacity and n m assign entries
-    check_size("pti", nonzeros)
+    check_bytes(nonzeros * BYTES_PER["pti nonzero"], f"form pti model may hold {approx(nonzeros)} nonzeros,")
     model = MilpModel(name=f"pti_n{n}_m{m}")
     # x_{j}_{k}_{t} sits at ((j - 1) * m + k - 1) * T + t - 1, in job j's
     # block, and y_{j}_{k} at ys + (j - 1) * m + k - 1; the rows are

@@ -15,6 +15,7 @@ from arcsched.bounds import horizon_T
 from arcsched.cli import main
 from arcsched.heuristic import IlsConfig
 from arcsched.instance import (
+    BYTES_PER,
     generate_instance,
     make_instance,
     parse_instance,
@@ -343,9 +344,9 @@ class TestModelSizeGuard:
     def test_estimate_bounds_reported_nonzeros(self, form, tmp_path, capsys, monkeypatch):
         # the guard prices the count the report gives: ti, pti and ciqp by
         # their estimate, af and eaf by the count their build makes (its
-        # last check is over the whole network)
+        # last check is over the whole network); ti adds its rows, the report's
+        # constraints, and af and eaf the instance's jobs
         checked = []
-        rate = flowgraph.BYTES_PER_NONZERO if form in ("af", "eaf") else milp.BYTES_PER_NONZERO[form]
         for module in (milp, flowgraph):
             monkeypatch.setattr(module, "check_bytes", lambda need, what: checked.append(need))
         flags = [(), ("--no-windows",), ("--no-types",), ("--no-tprime",), ("--strict-figure",)]
@@ -358,7 +359,12 @@ class TestModelSizeGuard:
                              "--out", str(tmp_path / "m.lp"), *extra)
             assert code == 0
             reported = int(text.split("nonzeros: ")[1].split()[0])
-            assert checked[-1] == reported * rate and reported > 0
+            if form in ("af", "eaf"):
+                price = reported * BYTES_PER["flow nonzero"] + inst.n * BYTES_PER["flow job"]
+            else:
+                rows = int(text.split("constraints: ")[1].split()[0])
+                price = reported * BYTES_PER[f"{form} nonzero"] + (rows * BYTES_PER["ti row"] if form == "ti" else 0)
+            assert checked[-1] == price and reported > 0
 
     class Reached(Exception):
         """The model guard let the build through."""
@@ -459,12 +465,13 @@ class TestModelSizeGuard:
             main(argv)
         g = graphs.pop()
         nonzeros = 3 * len(g.arcs) - len(g.runs[flowgraph.LOSS])
-        monkeypatch.setattr(instance, "MAX_MODEL_BYTES", nonzeros * flowgraph.BYTES_PER_NONZERO - 1)
+        price = nonzeros * BYTES_PER["flow nonzero"] + 4 * BYTES_PER["flow job"]  # the demo's 4 jobs
+        monkeypatch.setattr(instance, "MAX_MODEL_BYTES", price - 1)
         assert main(argv) == 5
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"refused: the flow model reaches {nonzeros} nonzeros, about ")
         assert not graphs and not (tmp_path / "m.lp").exists()
-        monkeypatch.setattr(instance, "MAX_MODEL_BYTES", nonzeros * flowgraph.BYTES_PER_NONZERO)
+        monkeypatch.setattr(instance, "MAX_MODEL_BYTES", price)
         with pytest.raises(self.Reached):
             main(argv)
 

@@ -81,7 +81,7 @@ REPORTS = {
          "--out", "{tmp}/x.txt"],
         "command: solve-external\n" + DIGEST
         + "form: af\nsolver_objective: 67\nobjective: 67\n"
-        "time.build_ms: <ms>\ntime.solve_ms: <ms>\ntime.decode_ms: <ms>\n"
+        "time.build_ms: <ms>\ntime.write_ms: <ms>\ntime.solve_ms: <ms>\ntime.decode_ms: <ms>\n"
         "wrote: <tmp>/x.txt\n",
     ),
 }

@@ -1,6 +1,6 @@
 """The machine-count guard of the commands that build a schedule, the
-swap-table and machine-pair guards of the local search, and the rate of
-the flow build's guard.
+swap-table and machine-pair guards of the local search, and every rate of
+the guards' one table, ``instance.BYTES_PER``.
 
 An instance whose m machines alone would take a schedule past
 ``instance.MAX_MODEL_BYTES`` is refused with exit 5 before anything per
@@ -9,20 +9,22 @@ address-space limit and a timeout, so a regression fails the test instead
 of exhausting the host's memory. A large m under the guard must still be
 searched quickly, as the ILS only scans the machines that hold a job.
 The search's guards are tested in-process against a lowered budget, so no
-table near the real budget is allocated, and their rates, like the flow
-build's, against the peak RSS of commands far below it.
+table near the real budget is allocated. Every rate is checked against
+the peak RSS of commands far below the budget, on the shapes that measure
+it, and a file that would reach the host's OOM killer is refused first.
 """
 
 import os
 import resource
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from arcsched import cli, flowgraph, heuristic, instance
-from arcsched.instance import generate_instance, write_instance, write_schedule
+from arcsched import cli, instance
+from arcsched.instance import BYTES_PER, generate_instance, write_instance, write_schedule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SHIM = f"{sys.executable} {Path(__file__).parent / 'lp_shim.py'} {{model}} {{solution}}"
@@ -47,7 +49,7 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
 
 def test_swap_tables_refused(tmp_path, capsys, monkeypatch):
     # 40 jobs on two machines: a pair of 20 + 20 jobs prices 400 job pairs
-    need = 20 * 20 * heuristic.BYTES_PER_PAIR_ENTRY
+    need = 20 * 20 * BYTES_PER["swap-table entry"]
     path, out = tmp_path / "n40.txt", tmp_path / "out.sched"
     path.write_text(write_instance(generate_instance(40, 2, 9, 9, 1)), encoding="utf-8")
     argv = ["solve-heur", "--in", str(path), "--seed", "1", "--iters", "1", "--out", str(out)]
@@ -64,7 +66,7 @@ def test_swap_tables_refused(tmp_path, capsys, monkeypatch):
 def test_machine_pairs_refused(tmp_path, capsys, monkeypatch):
     # 40 jobs on 100 machines: 41 scanned machines keep their machine pairs,
     # priced far above the swap tables of 20 + 20 jobs
-    tables, pairs = 20 * 20 * heuristic.BYTES_PER_PAIR_ENTRY, 41 * 41 * heuristic.BYTES_PER_PAIR
+    tables, pairs = 20 * 20 * BYTES_PER["swap-table entry"], 41 * 41 * BYTES_PER["machine pair"]
     assert tables < pairs
     path, out = tmp_path / "n40.txt", tmp_path / "out.sched"
     path.write_text(write_instance(generate_instance(40, 100, 9, 9, 1)), encoding="utf-8")
@@ -79,51 +81,29 @@ def test_machine_pairs_refused(tmp_path, capsys, monkeypatch):
     assert out.exists()
 
 
-# VmHWM, not ru_maxrss: Linux counts in a child's ru_maxrss the RSS of the
-# parent it was forked from, here the test runner's
+# One command on 2 jobs, then on the shape, in one child: VmHWM after each (not
+# ru_maxrss, which Linux counts with the RSS of the parent the child was forked
+# from, here the test runner's), and the largest need a guard priced for the
+# run. Every guard refuses through check_bytes, which the child wraps to record
 PEAKS = """
 import sys
-from arcsched import cli
-for path in sys.argv[1:]:
-    assert cli.main(["solve-heur", "--in", path, "--seed", "1", "--iters", "1", "--out", path + ".sched"]) == 0
-    with open("/proc/self/status", encoding="ascii") as status:
-        print(next(line for line in status if line.startswith("VmHWM:")))
-"""
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_search_guards_price_above_the_peak(tmp_path, monkeypatch):
-    # one child searches 2 jobs, then 300 jobs on two machines (the swap tables)
-    # and on 10**5 (300 one-job machines: the machine pairs); each search's peak
-    # RSS, less the 2-job search's, stays below what check_size prices for it
-    insts = [generate_instance(n, m, 100, 100, 1) for n, m in ((2, 2), (300, 2), (300, 10**5))]
-    paths = [tmp_path / f"i{k}.txt" for k in range(len(insts))]
-    for path, inst in zip(paths, insts):
-        path.write_text(write_instance(inst), encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    res = subprocess.run([sys.executable, "-c", PEAKS, *map(str, paths)], capture_output=True, text=True,
-                         timeout=60, env=env, preexec_fn=_limit_memory)
-    assert res.returncode == 0, res.stderr
-    base, *peaks = (int(line.split()[1]) * 1024 for line in res.stdout.splitlines() if line.startswith("VmHWM:"))
-    for inst, peak in zip(insts[1:], peaks):
-        needs = []
-        monkeypatch.setattr(heuristic, "check_bytes", lambda need, what: needs.append(need))
-        heuristic.check_size(inst)
-        assert peak - base < sum(needs), (inst.n, inst.m)
-
-
-# one command on 2 jobs, then on the instance under test; VmHWM after each
-FLOW_PEAKS = """
-import sys
-from arcsched import cli
-argv = sys.argv[1:]
+from arcsched import cli, flowgraph, heuristic, instance, milp
+needs = []
+def record(need, what, check=instance.check_bytes):
+    needs.append(need)
+    check(need, what)
+for module in (cli, flowgraph, heuristic, milp):
+    assert module.check_bytes is instance.check_bytes
+    module.check_bytes = record
 for stem in ("small", "big"):
-    code = cli.main([word.replace("{stem}", stem) for word in argv])
+    needs.clear()
+    code = cli.main([word.replace("{stem}", stem) for word in sys.argv[1:]])
     with open("/proc/self/status", encoding="ascii") as status:
-        print("peak", code, next(line for line in status if line.startswith("VmHWM:")).split()[1])
+        peak = next(line for line in status if line.startswith("VmHWM:")).split()[1]
+    print("peak", code, int(peak) * 1024, max(needs, default=0))
 """
 
-# a solver that answers 0 for every integer variable of the LP file
+# a solver that answers 0 for every binary or integer variable of the LP file
 ZERO_SOLVER = """
 import sys
 with open(sys.argv[1], encoding="utf-8") as model, open(sys.argv[2], "w", encoding="utf-8") as out:
@@ -133,8 +113,54 @@ with open(sys.argv[1], encoding="utf-8") as model, open(sys.argv[2], "w", encodi
             break
         if names:
             out.writelines(f"{name} 0\\n" for name in line.split())
-        names = names or line.strip() == "Generals"
+        names = names or line.strip() in ("Binaries", "Generals")
 """
+
+# each command with the exit status it ends with: the zero solver's answer
+# violates the rows, so solve-external reads and checks a whole solution, then
+# exits 4
+COMMANDS = {
+    "model-lp": (["model", "--out", "{stem}.out"], 0),
+    "model-mps": (["model", "--format", "mps", "--out", "{stem}.out"], 0),
+    "check": (["check", "--sched", "{stem}.sched"], 0),
+    "solve-external": (["solve-external", "--solver-cmd", f"{sys.executable} solver.py {{model}} {{solution}}"], 4),
+    "solve-heur": (["solve-heur", "--seed", "1", "--iters", "1", "--out", "{stem}.out"], 0),
+}
+EVERY = ("model-lp", "model-mps", "check", "solve-external")
+MODEL = ("model-lp", "model-mps")
+ONE_LONG_JOB = "1 3\n100000 1\n"  # T = p: p + 1 rows, as many as the nonzeros
+
+
+def _grid(n: int, m: int) -> str:
+    return write_instance(generate_instance(n, m, 100, 100, 1))
+
+
+# The shapes that measure each rate of instance.BYTES_PER, at its worst where
+# that is known: label, instance text, form and flags, commands
+SHAPES = {
+    "ti nonzero": [("n50-m2", _grid(50, 2), ["--form", "ti"], EVERY)],
+    "ti row": [("one-long-job", ONE_LONG_JOB, ["--form", "ti"], EVERY)],
+    "pti nonzero": [
+        ("n30-m2", _grid(30, 2), ["--form", "pti"], MODEL),
+        ("one-long-job", ONE_LONG_JOB, ["--form", "pti"], MODEL),
+        ("n40-m1", _grid(40, 1), ["--form", "pti"], MODEL),
+    ],
+    "ciqp nonzero": [
+        ("n200-m2", _grid(200, 2), ["--form", "ciqp"], ("model-lp",)),
+        ("n500-m1", _grid(500, 1), ["--form", "ciqp"], ("model-lp",)),
+    ],
+    "flow nonzero": [
+        ("af-n150-m2", _grid(150, 2), ["--form", "af"], EVERY),
+        ("eaf-n150-m2", _grid(150, 2), ["--form", "eaf"], EVERY),
+    ],
+    # one type of 20,000 copies: a chain of as many nodes as jobs
+    "flow job": [("unit-chain", "20000 1\n" + "1 1\n" * 20000, ["--form", "eaf", "--no-windows"], EVERY)],
+    # two machines keep one pair, of 150 + 150 jobs
+    "swap-table entry": [("n300-m2", _grid(300, 2), [], ("solve-heur",))],
+    # 300 one-job machines and the first empty one
+    "machine pair": [("n300-m1e5", _grid(300, 10**5), [], ("solve-heur",))],
+    "machine": [("n2-m1e5", "2 100000\n3 1\n2 5\n", [], ("solve-heur",))],
+}
 
 
 def list_schedule(inst: instance.Instance) -> instance.Schedule:
@@ -147,38 +173,67 @@ def list_schedule(inst: instance.Instance) -> instance.Schedule:
     return instance.Schedule(tuple(map(tuple, machines)))
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize("form", ["af", "eaf"])
-def test_flow_guard_prices_above_the_peak(form, tmp_path):
-    # each command runs in its own child, after the same command on 2 jobs;
-    # its peak RSS less the 2-job run's stays below what the build's guard
-    # prices for the model, its nonzeros at flowgraph.BYTES_PER_NONZERO. The
-    # solver answers 0 everywhere, so solve-external reads and checks a whole
-    # solution, then exits 4 on the rows it violates
-    for stem, n in (("small", 2), ("big", 150)):
-        inst = generate_instance(n, 2, 100, 100, 1)
-        (tmp_path / f"{stem}.txt").write_text(write_instance(inst), encoding="utf-8")
-        (tmp_path / f"{stem}.sched").write_text(write_schedule(inst, list_schedule(inst)), encoding="utf-8")
-    (tmp_path / "solver.py").write_text(ZERO_SOLVER, encoding="utf-8")
-    given = ["--in", str(tmp_path / "{stem}.txt"), "--form", form]
-    out = str(tmp_path / "{stem}.out")
-    commands = [
-        (["model", *given, "--out", out], 0),
-        (["model", *given, "--format", "mps", "--out", out], 0),
-        (["check", *given, "--sched", str(tmp_path / "{stem}.sched")], 0),
-        (["solve-external", *given, "--solver-cmd", f"{sys.executable} {tmp_path / 'solver.py'} {{model}} {{solution}}"],
-         4),
-    ]
+def _measure(directory: Path, argv: list[str]) -> tuple[int, int, int]:
+    """The exit status of ``argv`` on the shape, its peak RSS less the 2-job
+    run's, and the largest need a guard priced for the shape."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    nonzeros = None
-    for argv, status in commands:
-        res = subprocess.run([sys.executable, "-c", FLOW_PEAKS, *argv], capture_output=True, text=True,
-                             timeout=120, env=env, preexec_fn=_limit_memory)
-        assert res.returncode == 0, res.stderr
-        nonzeros = nonzeros or int(res.stdout.split("nonzeros: ")[-1].split()[0])
-        (_, base), (code, peak) = (line.split()[1:] for line in res.stdout.splitlines() if line.startswith("peak "))
-        assert int(code) == status, (argv[0], res.stdout)
-        assert (int(peak) - int(base)) * 1024 < nonzeros * flowgraph.BYTES_PER_NONZERO, (argv, peak, base, nonzeros)
+    res = subprocess.run([sys.executable, "-c", PEAKS, *argv], capture_output=True, text=True, cwd=directory,
+                         timeout=120, env=env, preexec_fn=_limit_memory)
+    assert res.returncode == 0, res.stderr
+    (_, base, _), (code, peak, need) = (map(int, line.split()[1:]) for line in res.stdout.splitlines()
+                                        if line.startswith("peak "))
+    return code, peak - base, need
+
+
+@pytest.fixture(scope="module")
+def measured(tmp_path_factory) -> dict[str, list]:
+    """Every shape's commands, run two children at a time: per rate, the
+    (shape, command, expected status, status, peak over the base, need)."""
+    runs = []
+    for entry, shapes in SHAPES.items():
+        for label, text, flags, commands in shapes:
+            directory = tmp_path_factory.mktemp(entry.replace(" ", "-") + "-" + label)
+            (directory / "solver.py").write_text(ZERO_SOLVER, encoding="utf-8")
+            for stem, inst in (("small", generate_instance(2, 2, 100, 100, 1)), ("big", instance.parse_instance(text))):
+                (directory / f"{stem}.txt").write_text(write_instance(inst), encoding="utf-8")
+                if "check" in commands:
+                    sched = write_schedule(inst, list_schedule(inst))
+                    (directory / f"{stem}.sched").write_text(sched, encoding="utf-8")
+            for command in commands:
+                words, status = COMMANDS[command]
+                argv = [words[0], "--in", "{stem}.txt", *flags, *words[1:]]
+                runs.append((entry, label, command, status, directory, argv))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda run: _measure(*run[4:]), runs))
+    found = {}
+    for (entry, label, command, status, _, _), result in zip(runs, results):
+        found.setdefault(entry, []).append((label, command, status, *result))
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("entry", BYTES_PER, ids=lambda entry: entry.replace(" ", "-"))
+def test_guard_prices_above_the_peak(entry, measured):
+    # each rate's shapes run each of their commands in a child, after the same
+    # command on 2 jobs: the peak RSS less the 2-job run's stays below the
+    # largest need a guard priced for the shape
+    assert entry in SHAPES, f"no shape measures the {entry} rate"
+    for label, command, status, code, over, need in measured[entry]:
+        assert code == status, (label, command, code)
+        assert over < need, (label, command, over, need)
+
+
+def test_one_long_job_refused_before_the_build(tmp_path):
+    # ti's n + T rows are priced with its nonzeros: 1.1e7 rows at its row rate
+    # pass the budget, so the MPS write that would take about 13 GB (OOM-killed
+    # at 7.7 GB on an 8 GB host, priced at 1.56 GB by its nonzeros alone) is
+    # refused before the build, within the child's 1 GB
+    path, out = tmp_path / "long.txt", tmp_path / "long.mps"
+    path.write_text("1 3\n11000000 1\n", encoding="utf-8")
+    res = run_cli("model", "--in", str(path), "--form", "ti", "--format", "mps", "--out", str(out))
+    assert (res.returncode, res.stdout) == (5, ""), res.stderr[-2000:]
+    assert res.stderr.startswith("refused: form ti model may hold 1.1e+07 nonzeros, about ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from arcsched.bounds import horizon, horizon_T, time_windows, type_time_windows
 from arcsched.flowgraph import build_eaf_graph, write_dot
 from arcsched.heuristic import IlsConfig, ils
 from arcsched.instance import (
+    BYTES_PER,
     ModelSizeError,
     Schedule,
     ValidationError,
@@ -288,21 +289,24 @@ class TestBuilderGuard:
     @pytest.mark.parametrize("jobs, m", [([(2, 4), (5, 7), (1, 1), (4, 3)], 2), ([(3, 1), (4, 2)], 5)],
                              ids=["demo", "m-above-n"])
     def test_refused_before_the_model(self, form, jobs, m, monkeypatch):
-        # each builder prices its exact nonzeros, over the machines it
-        # builds, before it makes a MilpModel: a byte under that price is
-        # refused with no model made, and at the price the model is built
+        # each builder prices its exact nonzeros (ti also its rows) at the
+        # rates of instance.BYTES_PER, over the machines it builds, before it
+        # makes a MilpModel: a byte under that price is refused with no model
+        # made, and at the price the model is built
         inst = make_instance(m, jobs)
         T = horizon_T(inst)
         build = {"ti": lambda: build_ti(inst, T), "pti": lambda: build_pti(inst, T), "ciqp": lambda: build_ciqp(inst)}[form]
-        price = build().nonzeros() * milp.BYTES_PER_NONZERO[form]
+        rows = lambda model: model.num_rows * BYTES_PER["ti row"] if form == "ti" else 0
+        price = lambda model: model.nonzeros() * BYTES_PER[f"{form} nonzero"] + rows(model)
+        need = price(build())
         made = []
         monkeypatch.setattr(milp, "MilpModel", lambda name: made.append(name) or MilpModel(name))
-        monkeypatch.setattr(instance, "MAX_MODEL_BYTES", price - 1)
+        monkeypatch.setattr(instance, "MAX_MODEL_BYTES", need - 1)
         with pytest.raises(ModelSizeError, match=f"^form {form} model may hold "):
             build()
         assert made == []
-        monkeypatch.setattr(instance, "MAX_MODEL_BYTES", price)
-        assert build().nonzeros() * milp.BYTES_PER_NONZERO[form] == price and len(made) == 1
+        monkeypatch.setattr(instance, "MAX_MODEL_BYTES", need)
+        assert price(build()) == need and len(made) == 1
 
 
 class TestBuildTi:
