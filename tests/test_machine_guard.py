@@ -218,7 +218,20 @@ def test_guard_prices_above_the_peak(entry, measured):
     # command on 2 jobs: the peak RSS less the 2-job run's stays below the
     # largest need a guard priced for the shape
     assert entry in SHAPES, f"no shape measures the {entry} rate"
-    for label, command, status, code, over, need in measured[entry]:
+    _assert_below(measured[entry])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("form", ["af", "eaf"])
+def test_flow_guard_prices_above_the_peak(form, measured):
+    # the form's own shape among the flow nonzero rate's, under every command
+    runs = [run for run in measured["flow nonzero"] if run[0].startswith(f"{form}-")]
+    assert [command for _, command, *_ in runs] == list(EVERY)
+    _assert_below(runs)
+
+
+def _assert_below(runs: list) -> None:
+    for label, command, status, code, over, need in runs:
         assert code == status, (label, command, code)
         assert over < need, (label, command, over, need)
 
