@@ -116,9 +116,17 @@ def _digest(inst: Instance) -> dict:
     return {"n": inst.n, "m": inst.m, "sum_p": inst.total_p, "p_max": inst.p_max}
 
 
+def _read_text(path: str) -> str:
+    """The text of a file the CLI parses whole, read only once its size is
+    priced: a file past the guard is refused (ModelSizeError) unread."""
+    size = os.stat(path).st_size
+    check_bytes(size * BYTES_PER["input byte"], f"parsing the {size}-byte file {path} needs")
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _read_instance(path: str, report: RunReport) -> Instance:
     """Parse the instance file and put its digest on the report."""
-    inst = parse_instance(Path(path).read_text(encoding="utf-8"))
+    inst = parse_instance(_read_text(path))
     report.digest = _digest(inst)
     return inst
 
@@ -314,7 +322,7 @@ def cmd_solve_exact(args, report: RunReport) -> None:
 
 def cmd_check(args, report: RunReport) -> None:
     inst = _read_instance(args.infile, report)
-    sched = parse_schedule(Path(args.sched).read_text(encoding="utf-8"))
+    sched = parse_schedule(_read_text(args.sched))
     with report.phase("check"):
         completion_times(inst, sched)  # a schedule that does not fit the instance fails before the build
         model, graph = _build_model(inst, args.form, args)
@@ -363,14 +371,13 @@ def cmd_solve_external(args, report: RunReport) -> None:
         except ValueError as exc:
             raise ExternalSolverError(f"unparsable solution file: {exc}") from exc
     with report.phase("decode"):
-        # every ti, af and eaf variable is integral: round the solver's floats, then check exactly
-        values = []
-        for name in model.names():
-            x = solution.get(name, 0)
+        # every ti, af and eaf variable is integral: round the solver's entries, then check exactly
+        for name, x in solution.items():
             nearest = round(x)
             if abs(x - nearest) * 10**6 > 1:  # more than 10^-6 from an integer, exact for a Fraction
                 raise ExternalSolverError(f"non-integral value {x} for integer variable {name}")
-            values.append(nearest)
+            solution[name] = nearest
+        values = [solution.get(name, 0) for name in model.names()]  # a name the solver left out reads 0
         feas = milp.check_feasible(model, values)
         if not feas.feasible:
             raise ExternalSolverError(

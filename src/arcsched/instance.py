@@ -45,6 +45,10 @@ MAX_MODEL_BYTES = 6 * 10**9
 # commands that build what it prices, less the same command on 2 jobs, and
 # tests/test_machine_guard.py checks it on its worst shapes.
 BYTES_PER = {
+    # a file the CLI parses whole, an instance or check's schedule, per byte:
+    # 20% above 106 B, the parse of 2 * 10^5 one-number lines; unit-job lines
+    # take 85-103 B (solve-heur and solve-exact on one machine)
+    "input byte": 128,
     # ti, pti and ciqp per nonzero, exact counts from the instance: the largest
     # measured over LP and MPS, m = 2 and 4, p and w in U[1, 100]; they differ
     # because per-variable records and names weigh more where a variable has

@@ -758,10 +758,10 @@ def check_feasible(model: MilpModel, values: Sequence[Num]) -> FeasibilityReport
 
     Integrality is not checked; the report covers bounds and linear
     constraints, and the objective includes the model constant and any
-    quadratic terms. A value that is not an int (a float, a Fraction) is
-    read exactly as a Fraction. Each row's left side is summed from the
-    column rules over the nonzero values, in integers where they are ints,
-    and no row rule runs.
+    quadratic terms. Each value is an int or a Fraction and is read as it
+    stands, with no copy, so every sum is exact (a float would not be).
+    Each row's left side is summed from the column rules over the nonzero
+    values, in integers where they are ints, and no row rule runs.
 
     Raises:
         ValidationError: ``values`` does not hold one value per variable.
@@ -769,14 +769,13 @@ def check_feasible(model: MilpModel, values: Sequence[Num]) -> FeasibilityReport
     n = model.num_vars
     if len(values) != n:
         raise ValidationError(f"valuation has {len(values)} values for {n} variables")
-    exact = [x if type(x) is int else Fraction(x) for x in values]
 
     out_of_bounds: list[int] = []
     objective = Fraction(model.obj_constant)
     lhs = [0] * model.num_rows
     start = 0
     for b in model.blocks:
-        part = exact[start : start + len(b)]
+        part = values[start : start + len(b)]
         if part and (min(part) < b.lb or (b.ub is not None and max(part) > b.ub)):  # scan a failing block only
             out_of_bounds += [start + i for i, x in enumerate(part) if x < b.lb or (b.ub is not None and x > b.ub)]
         objective += sum(map(mul, compress(part, part), compress(b.obj, part)))
@@ -793,7 +792,7 @@ def check_feasible(model: MilpModel, values: Sequence[Num]) -> FeasibilityReport
         if not ok:
             violations.append(f"constraint {name}")
     for a, b, coef in model.quad_terms:
-        objective += exact[a] * exact[b] * coef
+        objective += values[a] * values[b] * coef
     return FeasibilityReport(feasible=not violations, violations=tuple(violations), objective=objective)
 
 

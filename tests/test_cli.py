@@ -864,6 +864,13 @@ class TestSolveExternal:
             "open(sys.argv[2], 'w').write('x_0_2_1 0.5\\nONE 1\\n')",
             "solver error: non-integral value 1/2 for integer variable x_0_2_1\n",
         ),
+        # the demo's optimal flow, and a value on a name the model lacks: every
+        # entry the solver wrote is read, so it is refused, not ignored
+        "non_integral_stray": (
+            "af",
+            demo_flow_solver("x_stray", 0.5),
+            "solver error: non-integral value 1/2 for integer variable x_stray\n",
+        ),
         "all_zeros": (
             "ti",
             "open(sys.argv[2], 'w').write('x_1_0 0\\n')",

@@ -81,6 +81,42 @@ def test_machine_pairs_refused(tmp_path, capsys, monkeypatch):
     assert out.exists()
 
 
+@pytest.mark.parametrize("command", ["bounds", "solve-exact", "solve-heur", "model", "check", "check-schedule"])
+def test_input_files_refused_unread(command, tmp_path, capsys, monkeypatch):
+    # a file the CLI parses whole is priced by its size and refused before it
+    # is read: the instance of every command, and check's schedule, which a
+    # comment makes the larger file; at its price the file is read (model and
+    # check then meet a later guard under the lowered budget)
+    inst = generate_instance(40, 1, 9, 9, 1)
+    path, sched, out = tmp_path / "n40.txt", tmp_path / "n40.sched", tmp_path / "out"
+    path.write_text(write_instance(inst), encoding="utf-8")
+    sched.write_text("#" * 1000 + "\n" + write_schedule(inst, list_schedule(inst)), encoding="utf-8")
+    sizes = {path: path.stat().st_size, sched: sched.stat().st_size}
+    assert sizes[path] < sizes[sched]  # the instance passes the schedule's lowered budget
+    priced = sched if command == "check-schedule" else path
+    need = sizes[priced] * BYTES_PER["input byte"]
+    argv = {
+        "bounds": ["bounds"],
+        "solve-exact": ["solve-exact", "--out", str(out)],
+        "solve-heur": ["solve-heur", "--seed", "1", "--iters", "1", "--out", str(out)],
+        "model": ["model", "--form", "eaf", "--out", str(out)],
+        "check": ["check", "--form", "af", "--sched", str(sched)],
+        "check-schedule": ["check", "--form", "af", "--sched", str(sched)],
+    }[command]
+    read = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: read.append(self) or read_text(self, *a, **k))
+    monkeypatch.setattr(instance, "MAX_MODEL_BYTES", need - 1)
+    assert cli.main([argv[0], "--in", str(path), *argv[1:]]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"refused: parsing the {sizes[priced]}-byte file {priced} needs")
+    assert priced not in read and not out.exists()
+    monkeypatch.setattr(instance, "MAX_MODEL_BYTES", need)
+    code = cli.main([argv[0], "--in", str(path), *argv[1:]])
+    assert priced in read
+    assert code == (5 if command in ("model", "check", "check-schedule") else 0)
+
+
 # One command on 2 jobs, then on the shape, in one child: VmHWM after each (not
 # ru_maxrss, which Linux counts with the RSS of the parent the child was forked
 # from, here the test runner's), and the largest need a guard priced for the
@@ -125,6 +161,7 @@ COMMANDS = {
     "check": (["check", "--sched", "{stem}.sched"], 0),
     "solve-external": (["solve-external", "--solver-cmd", f"{sys.executable} solver.py {{model}} {{solution}}"], 4),
     "solve-heur": (["solve-heur", "--seed", "1", "--iters", "1", "--out", "{stem}.out"], 0),
+    "solve-exact": (["solve-exact", "--out", "{stem}.out"], 0),
 }
 EVERY = ("model-lp", "model-mps", "check", "solve-external")
 MODEL = ("model-lp", "model-mps")
@@ -160,6 +197,8 @@ SHAPES = {
     # 300 one-job machines and the first empty one
     "machine pair": [("n300-m1e5", _grid(300, 10**5), [], ("solve-heur",))],
     "machine": [("n2-m1e5", "2 100000\n3 1\n2 5\n", [], ("solve-heur",))],
+    # the shortest job lines, on one machine, where no other guard prices anything
+    "input byte": [("unit-jobs-m1", "200000 1\n" + "1 1\n" * 200000, [], ("solve-exact", "solve-heur"))],
 }
 
 

@@ -1,3 +1,4 @@
+import random
 import re
 import subprocess
 import sys
@@ -282,6 +283,77 @@ class TestRecords:
         assert cli.main([*argv, "--solver-cmd", f"{sys.executable} {solver} {{model}} {{solution}}"]) == 0
         assert "objective: 67" in capsys.readouterr().out
         assert len(calls) == 1
+
+
+def reference_decode(model, solution: dict) -> list[int]:
+    """solve-external's decode as a pass over the model's names: each name's
+    value (0 when the solution lacks it), rounded, and refused when it lies
+    more than 10^-6 from an integer."""
+    values = []
+    for name in model.names():
+        x = solution.get(name, 0)
+        nearest = round(x)
+        if abs(x - nearest) * 10**6 > 1:
+            raise cli.ExternalSolverError(f"non-integral value {x} for integer variable {name}")
+        values.append(nearest)
+    return values
+
+
+def solver_spelling(rng: random.Random, v: int) -> str:
+    """Integer ``v`` as a solver may write it."""
+    spellings = [str(v), f"{v}.0", f"{v}/1", f"{3 * v}/3", f"{v}e0", f"{v}.0000001"]
+    if v > 0:
+        spellings.append(f"{v - 1}.9999999999999996")
+    if v == 0:
+        spellings += ["1e-09", "-1e-09"]
+    return rng.choice(spellings)
+
+
+class TestDecode:
+    def test_solve_external_decodes_as_the_per_name_reference(self, tmp_path, monkeypatch):
+        # the decode rounds and checks the solver's entries and lays them out by
+        # name: over every builder's model, random integral solutions in solver
+        # spellings, with names the model lacks, give the reference's values, and
+        # one non-integral value on a model name its message
+        class Decoded(Exception):
+            pass
+
+        def check_feasible(model, values):
+            raise Decoded(values)
+
+        def solver(cmd, **kwargs):
+            Path(cmd[-1]).write_text(text, encoding="utf-8")
+            return subprocess.CompletedProcess(cmd, 0, "", "")
+
+        monkeypatch.setattr(milp, "check_feasible", check_feasible)
+        monkeypatch.setattr(cli.subprocess, "run", solver)
+        rng = random.Random(37)
+        path = tmp_path / "case.txt"
+        outcomes = {"decoded": 0, "refused": 0}
+        for (n, m, seed, form, on), model in every_builder_model():
+            path.write_text(instance.write_instance(case_instance(n, m, seed)), encoding="utf-8")
+            args = Namespace(infile=str(path), form=form, solver_cmd="solver {model} {solution}", out=None,
+                             **{f: f in on for f in FLAGS})
+            names = list(model.names())
+            lines = [f"{name} {solver_spelling(rng, rng.randint(-2, 5))}" for name in rng.sample(names, len(names) // 2)]
+            lines += [f"x_stray_{k} {solver_spelling(rng, rng.randint(-2, 5))}" for k in range(3)] + ["ONE 1"]
+            rng.shuffle(lines)
+            bad = f"{rng.choice(names)} {rng.choice(['0.5', '2.25', '7/3', '-0.000002'])}"
+            for text in ("\n".join(lines) + "\n", "\n".join([*lines, bad]) + "\n"):
+                solution = parse_solution(text.splitlines())
+                try:
+                    expected = reference_decode(model, solution)
+                except cli.ExternalSolverError as exc:
+                    with pytest.raises(cli.ExternalSolverError, match=f"^{re.escape(str(exc))}$"):
+                        cli.cmd_solve_external(args, cli.RunReport("solve-external"))
+                    outcomes["refused"] += 1
+                else:
+                    with pytest.raises(Decoded) as decoded:
+                        cli.cmd_solve_external(args, cli.RunReport("solve-external"))
+                    assert decoded.value.args[0] == expected, (n, m, seed, form, on)
+                    assert all(type(x) is int for x in decoded.value.args[0])
+                    outcomes["decoded"] += 1
+        assert outcomes == {"decoded": 168, "refused": 168}
 
 
 class TestBuilderGuard:
